@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 input/validation error (diagnostics on stderr),
 """
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -78,6 +77,10 @@ def _add_metric_flags(p: argparse.ArgumentParser) -> None:
                    help="RBP persistence")
     p.add_argument("--alpha", type=float, default=0.5, metavar="R",
                    help="LC weight on the vulnerability side")
+    _add_g_max_flag(p)
+
+
+def _add_g_max_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--g-max", type=int, default=3, metavar="N",
                    help="top relevance grade")
 
@@ -87,9 +90,6 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
                    help="table output format")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="output file (standard output when omitted)")
-    p.add_argument("--threads", type=int, default=0, metavar="N",
-                   help="worker thread cap, 0 means one per core; "
-                        "results do not depend on it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="keep every decoy per target instead of the "
                                "single most similar one")
     _add_band_flags(p_decoys)
-    _add_metric_flags(p_decoys)
+    _add_g_max_flag(p_decoys)
     _add_output_flags(p_decoys)
     p_decoys.set_defaults(func=cmd_decoys)
 
@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--k-step", type=int, default=10, metavar="N",
                          help="cutoff increment")
     _add_band_flags(p_sweep)
-    _add_metric_flags(p_sweep)
+    _add_g_max_flag(p_sweep)
     _add_output_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -221,23 +221,14 @@ def _load_source(args):
     return ingest.parse_pair_sims(Path(args.pair_sims))
 
 
-def _effective_threads(n: int) -> int:
-    if n < 0:
-        raise ValueError(f"--threads cannot be negative, got {n}")
-    return n if n > 0 else (os.cpu_count() or 1)
-
-
 def cmd_eval(args) -> int:
     run = ingest.parse_run(Path(args.run))
     qrels = ingest.parse_qrels(Path(args.qrels), g_max=args.g_max)
     source = _load_source(args)
     cutoffs = _parse_cutoffs(args.cutoffs)
     metrics = _parse_metrics(args.metrics)
-    cfg = MetricConfig(k=cutoffs[0], g_max=args.g_max, phi=args.phi, alpha=args.alpha)
-    evaluations = evaluate_run(
-        run, qrels, source, _decoy_config(args), cfg, metrics, cutoffs,
-        max_workers=_effective_threads(args.threads),
-    )
+    cfg = MetricConfig(g_max=args.g_max, phi=args.phi, alpha=args.alpha)
+    evaluations = evaluate_run(run, qrels, source, _decoy_config(args), cfg, metrics, cutoffs)
     emit_scores(evaluations, args.format, args.out)
     return 0
 
@@ -266,7 +257,7 @@ def cmd_sweep(args) -> int:
     run = ingest.parse_run(Path(args.run))
     qrels = ingest.parse_qrels(Path(args.qrels), g_max=args.g_max)
     source = _load_source(args)
-    cfg = MetricConfig(g_max=args.g_max, phi=args.phi, alpha=args.alpha)
+    cfg = MetricConfig(g_max=args.g_max)
     rows = sweep(
         run, qrels, source, _decoy_config(args), cfg,
         args.k_start, args.k_end, args.k_step,

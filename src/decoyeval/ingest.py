@@ -187,7 +187,7 @@ def parse_qrels(path: PathLike, g_max: int) -> Qrels:
 
 
 def parse_vectors(path: PathLike) -> VectorStore:
-    """Parse line-delimited `{"doc_id": ..., "vec": [...]}` records.
+    """Parse line-delimited `{"doc_id": ..., "vector": [...]}` records.
 
     Vectors are read as 64-bit floats regardless of on-disk precision; all
     records must share one dimension and have nonzero norm.
@@ -207,20 +207,25 @@ def parse_vectors(path: PathLike) -> VectorStore:
             except json.JSONDecodeError as exc:
                 diags.append(ParseDiagnostic(name, lineno, f"invalid JSON: {exc.msg}"))
                 continue
-            if not isinstance(rec, dict) or "doc_id" not in rec or "vec" not in rec:
-                diags.append(ParseDiagnostic(name, lineno, "record must have doc_id and vec fields"))
+            if isinstance(rec, dict) and "vec" in rec and "vector" not in rec:
+                diags.append(ParseDiagnostic(
+                    name, lineno, 'the vector field is named "vector", not "vec"'
+                ))
+                continue
+            if not isinstance(rec, dict) or "doc_id" not in rec or "vector" not in rec:
+                diags.append(ParseDiagnostic(name, lineno, "record must have doc_id and vector fields"))
                 continue
             doc_id = rec["doc_id"]
             if not isinstance(doc_id, str):
                 diags.append(ParseDiagnostic(name, lineno, f"doc_id must be a string, got {doc_id!r}"))
                 continue
             try:
-                vec = np.asarray(rec["vec"], dtype=np.float64)
+                vec = np.asarray(rec["vector"], dtype=np.float64)
             except (TypeError, ValueError):
-                diags.append(ParseDiagnostic(name, lineno, "vec must be an array of numbers"))
+                diags.append(ParseDiagnostic(name, lineno, "vector must be an array of numbers"))
                 continue
             if vec.ndim != 1 or vec.shape[0] == 0:
-                diags.append(ParseDiagnostic(name, lineno, "vec must be a non-empty flat array"))
+                diags.append(ParseDiagnostic(name, lineno, "vector must be a non-empty flat array"))
                 continue
             if doc_id in doc_line:
                 diags.append(ParseDiagnostic(
@@ -303,11 +308,12 @@ def parse_interaction_log(path: PathLike) -> InteractionLog:
     Each record is an object with serp_id, session_id, user_id, task_id,
     topic_id, serp (ordered array of {doc_id, rank}) and clicks (array of
     {doc_id, dwell_seconds, usefulness}). SERP ranks are re-normalized to the
-    array order; clicked docs must appear on the SERP.
+    array order; clicked docs must appear on the SERP; serp_ids are unique.
     """
     diags: list[ParseDiagnostic] = []
     name = str(path)
     sessions: list[SerpInteraction] = []
+    serp_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
@@ -322,6 +328,12 @@ def parse_interaction_log(path: PathLike) -> InteractionLog:
                 diags.append(ParseDiagnostic(name, lineno, problem))
                 continue
             serp_id = str(rec["serp_id"])
+            if serp_id in serp_line:
+                diags.append(ParseDiagnostic(
+                    name, lineno, f"duplicate serp_id {serp_id}, first on line {serp_line[serp_id]}"
+                ))
+                continue
+            serp_line[serp_id] = lineno
             serp = []
             shown = set()
             for i, entry in enumerate(rec["serp"]):
@@ -332,7 +344,7 @@ def parse_interaction_log(path: PathLike) -> InteractionLog:
                     ))
                     break
                 shown.add(doc_id)
-                serp.append(RankedDoc(doc_id, i + 1, 0.0, int(entry["rank"])))
+                serp.append(RankedDoc(doc_id, i + 1, 0.0, entry["rank"]))
             else:
                 clicks: dict[str, Click] = {}
                 click_problem = None
@@ -379,6 +391,8 @@ def _interaction_problem(rec) -> str | None:
     for entry in rec["serp"]:
         if not isinstance(entry, dict) or "doc_id" not in entry or "rank" not in entry:
             return "serp entries must have doc_id and rank"
+        if not isinstance(entry["rank"], int) or isinstance(entry["rank"], bool):
+            return f"serp rank must be an integer, got {entry['rank']!r}"
     if not isinstance(rec.get("clicks"), list):
         return "clicks must be an array of {doc_id, dwell_seconds, usefulness}"
     for c in rec["clicks"]:
@@ -386,8 +400,10 @@ def _interaction_problem(rec) -> str | None:
             return "click entries must have doc_id, dwell_seconds and usefulness"
         if not isinstance(c["dwell_seconds"], (int, float)):
             return "dwell_seconds must be a number"
-        if not isinstance(c["usefulness"], int):
-            return "usefulness must be an integer"
+        if not math.isfinite(c["dwell_seconds"]):
+            return f"dwell_seconds must be finite, got {c['dwell_seconds']!r}"
+        if not isinstance(c["usefulness"], int) or isinstance(c["usefulness"], bool):
+            return f"usefulness must be an integer, got {c['usefulness']!r}"
     return None
 
 

@@ -6,17 +6,18 @@ top k and r counts highly relevant documents there (so 0 <= d <= r and the
 score lives in [0, 1)). The two sides combine linearly:
 LC = alpha * DEJA-VU + (1 - alpha) * effectiveness.
 
-Per-topic evaluation is pure; aggregation uses math.fsum so topic order
-never changes a mean.
+Every metric is a read of one per-topic kernel, topic_prefix, which makes
+one pass down to the deepest cutoff (detection included), so any cutoff up
+to that depth is a lookup. Per-topic evaluation is pure; aggregation uses
+math.fsum so topic order never changes a mean.
 """
 
 import bisect
 import math
 from collections.abc import Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .decoy import detect_decoy_pairs_at_k
+from .decoy import detect_decoy_pairs
 from .model import DecoyConfig, Qrels, RankedDoc, RunList, SimilaritySource
 
 EFFECTIVENESS_METRICS = ("ndcg", "recall", "rbp", "err")
@@ -27,12 +28,13 @@ KNOWN_METRICS = ("dejavu",) + EFFECTIVENESS_METRICS + tuple(
 
 @dataclass(frozen=True)
 class MetricConfig:
-    """Shared knobs for all metrics at one cutoff.
+    """Shared knobs for all metrics.
 
-    g_max is the top relevance grade (gain and ERR normalisation), phi the
-    RBP persistence, alpha the LC weight on DEJA-VU, and the two floors say
-    which grades count as relevant for Recall and as highly relevant for
-    DEJA-VU's r.
+    k is the cutoff of evaluate_topic (evaluate_run and sweep take their
+    cutoffs separately), g_max the top relevance grade (RBP utility and ERR
+    normalisation), phi the RBP persistence, alpha the LC weight on DEJA-VU,
+    and the two floors say which grades count as relevant for Recall and as
+    highly relevant for DEJA-VU's r.
     """
 
     k: int = 10
@@ -88,112 +90,6 @@ def dejavu(decoy_pairs: int, highly_relevant: int) -> float:
     return min(-math.expm1(decoy_pairs - highly_relevant), _MAX_BELOW_ONE)
 
 
-@dataclass(frozen=True, slots=True)
-class DejavuOutcome:
-    decoy_pairs: int
-    highly_relevant: int
-    score: float
-
-
-def dejavu_at_k(
-    topic_id: str,
-    ranking: Sequence[RankedDoc],
-    grades: Mapping[str, int],
-    sims,
-    decoy_cfg: DecoyConfig,
-    k: int,
-    highly_relevant_min: int = 2,
-) -> DejavuOutcome:
-    """DEJA-VU@k for one topic: count dedup decoy pairs and highly relevant
-    docs in the top k, then apply 1 - exp(d - r)."""
-    pairs = detect_decoy_pairs_at_k(topic_id, ranking, grades, sims, decoy_cfg, k, dedup=True)
-    relevant = sum(
-        1 for doc in ranking[:k] if grades.get(doc.doc_id, 0) >= highly_relevant_min
-    )
-    return DejavuOutcome(len(pairs), relevant, dejavu(len(pairs), relevant))
-
-
-def _check_cutoff(k: int) -> None:
-    if k < 1:
-        raise ValueError(f"cutoff must be >= 1, got {k}")
-
-
-def ndcg_at_k(
-    ranking: Sequence[RankedDoc],
-    grades: Mapping[str, int],
-    k: int,
-    g_max: int = 3,
-) -> float:
-    """nDCG@k with gain 2^g - 1 and discount log2(rank + 1).
-
-    The ideal ranking is built from every judged document of the topic, not
-    just retrieved ones, then truncated at k. A topic with no relevant
-    judgments scores 0.
-    """
-    _check_cutoff(k)
-    if g_max < 1:
-        raise ValueError(f"g_max must be >= 1, got {g_max}")
-    dcg = 0.0
-    for i, doc in enumerate(ranking[:k], start=1):
-        g = grades.get(doc.doc_id, 0)
-        if g:
-            dcg += (2.0 ** g - 1.0) / math.log2(i + 1.0)
-    ideal = sorted(grades.values(), reverse=True)
-    idcg = 0.0
-    for i, g in enumerate(ideal[:k], start=1):
-        if g <= 0:
-            break
-        idcg += (2.0 ** g - 1.0) / math.log2(i + 1.0)
-    if idcg == 0.0:
-        return 0.0
-    value = dcg / idcg
-    # A perfect ranking can land a few ulps above 1 because DCG and IDCG sum
-    # the same terms in different orders.
-    if 1.0 < value <= 1.0 + 1e-9:
-        return 1.0
-    return value
-
-
-def recall_at_k(
-    ranking: Sequence[RankedDoc],
-    grades: Mapping[str, int],
-    k: int,
-    recall_min: int = 2,
-) -> float:
-    """Fraction of the topic's relevant docs (grade >= recall_min) retrieved
-    in the top k. Topics with no relevant docs score 0."""
-    _check_cutoff(k)
-    total = sum(1 for g in grades.values() if g >= recall_min)
-    if total == 0:
-        return 0.0
-    hits = sum(1 for doc in ranking[:k] if grades.get(doc.doc_id, 0) >= recall_min)
-    return hits / total
-
-
-def rbp_at_k(
-    ranking: Sequence[RankedDoc],
-    grades: Mapping[str, int],
-    k: int,
-    phi: float = 0.8,
-    g_max: int = 3,
-) -> float:
-    """Rank-biased precision (1 - phi) * sum_i r_i * phi^(i-1), truncated at
-    k, with graded utility r_i = grade_i / g_max."""
-    _check_cutoff(k)
-    if not 0.0 < phi < 1.0:
-        raise ValueError(f"phi must lie in (0, 1), got {phi}")
-    if g_max < 1:
-        raise ValueError(f"g_max must be >= 1, got {g_max}")
-    total = 0.0
-    weight = 1.0 - phi
-    for doc in ranking[:k]:
-        g = grades.get(doc.doc_id, 0)
-        if g:
-            total += weight * (g / g_max)
-        weight *= phi
-    return total
-
-
 def err_grade_map(grade: int, g_max: int = 3) -> float:
     """Relevance probability (2^g - 1) / 2^g_max used by the ERR cascade.
 
@@ -207,29 +103,17 @@ def err_grade_map(grade: int, g_max: int = 3) -> float:
     return (2.0 ** grade - 1.0) / (2.0 ** g_max)
 
 
-def err_at_k(
-    ranking: Sequence[RankedDoc],
-    grades: Mapping[str, int],
-    k: int,
-    g_max: int = 3,
-) -> float:
-    """Expected reciprocal rank: sum_i (1/i) * R_i * prod_{j<i} (1 - R_j)."""
-    _check_cutoff(k)
-    err = 0.0
-    p_continue = 1.0
-    for i, doc in enumerate(ranking[:k], start=1):
-        r = err_grade_map(grades.get(doc.doc_id, 0), g_max)
-        err += p_continue * r / i
-        p_continue *= 1.0 - r
-    return err
-
-
 def linear_combination(m_dejavu: float, m_eff: float, alpha: float = 0.5) -> float:
     """LC = alpha * DEJA-VU + (1 - alpha) * effectiveness, both in [0, 1]."""
     for name, v in (("dejavu", m_dejavu), ("effectiveness", m_eff), ("alpha", alpha)):
         if not 0.0 <= v <= 1.0 or math.isnan(v):
             raise ValueError(f"{name} must lie in [0, 1], got {v}")
     return alpha * m_dejavu + (1.0 - alpha) * m_eff
+
+
+def _dcg_term(grade: int, rank: int) -> float:
+    """DCG contribution of one doc: gain 2^g - 1, discount log2(rank + 1)."""
+    return (2.0 ** grade - 1.0) / math.log2(rank + 1.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -276,6 +160,218 @@ def resolve_metrics(names: Sequence[str]) -> tuple[str, ...]:
     return tuple(seen)
 
 
+@dataclass(frozen=True, slots=True)
+class TopicPrefix:
+    """One topic's ranking summarised down to `depth`, readable at any
+    cutoff 1 <= k <= depth.
+
+    Rank lists hold 1-based ranks in ascending order, so a count over the
+    top k is a bisection. The running DCG, RBP and ERR sums change only at
+    ranks holding a doc of grade > 0 (any other doc adds exactly 0.0), so
+    they are kept at those ranks: entry j sums the first j graded ranks.
+    """
+
+    topic_id: str
+    depth: int
+    graded: list[int]           # ranks of docs with grade > 0
+    dcg: list[float]
+    rbp: list[float]
+    err: list[float]
+    ideal_dcg: list[float]      # entry i: DCG of the i best judged grades
+    relevant: list[int]         # ranks with grade >= recall_min
+    total_relevant: int         # judged docs with grade >= recall_min
+    highly_relevant: list[int]  # ranks with grade >= highly_relevant_min
+    decoy_depths: list[int]     # per distinct target, the rank where its first decoy shows
+
+    def values_at(self, k: int) -> tuple[dict[str, float], int, int]:
+        """Every base metric at cutoff k, with DEJA-VU's d and r."""
+        if not 1 <= k <= self.depth:
+            raise ValueError(f"cutoff must lie in [1, {self.depth}], got {k}")
+        j = bisect.bisect_right(self.graded, k)
+        d = bisect.bisect_right(self.decoy_depths, k)
+        r = bisect.bisect_right(self.highly_relevant, k)
+        idcg = self.ideal_dcg[min(k, len(self.ideal_dcg) - 1)]
+        ndcg = self.dcg[j] / idcg if idcg else 0.0
+        # A perfect ranking can land a few ulps above 1 because DCG and IDCG
+        # sum the same terms in different orders.
+        if 1.0 < ndcg <= 1.0 + 1e-9:
+            ndcg = 1.0
+        hits = bisect.bisect_right(self.relevant, k)
+        values = {
+            "dejavu": dejavu(d, r),
+            "ndcg": ndcg,
+            "recall": hits / self.total_relevant if self.total_relevant else 0.0,
+            "rbp": self.rbp[j],
+            "err": self.err[j],
+        }
+        return values, d, r
+
+    def scores_at(self, k: int, metrics: Sequence[str], alpha: float) -> TopicScores:
+        """The dependency-closed `metrics` at cutoff k. The decoy pair and
+        highly relevant counts are reported only when dejavu is among them."""
+        values, d, r = self.values_at(k)
+        scores = {
+            name: values[name] if name in values
+            else linear_combination(values["dejavu"], values[name[3:]], alpha)
+            for name in metrics
+        }
+        if "dejavu" not in metrics:
+            d = r = 0
+        return TopicScores(self.topic_id, scores, decoy_pairs=d, highly_relevant=r)
+
+
+def topic_prefix(
+    topic_id: str,
+    ranking: Sequence[RankedDoc],
+    grades: Mapping[str, int],
+    sims,
+    decoy_cfg: DecoyConfig | None,
+    cfg: MetricConfig,
+    depth: int,
+) -> TopicPrefix:
+    """Summarise the top `depth` of one topic's ranking in one pass.
+
+    Every grade met in the ranking must lie in [0, cfg.g_max]. When `sims`
+    is given, decoy detection runs once over the whole prefix without
+    dedup, and each target keeps the smallest max(target rank, decoy rank)
+    of its pairs: the first cutoff at which it has a visible decoy. With
+    `sims` None no pair is counted.
+    """
+    if depth < 1:
+        raise ValueError(f"cutoff must be >= 1, got {depth}")
+    top = ranking[:depth]
+    ranked = [grades.get(doc.doc_id, 0) for doc in top]
+
+    graded = [i for i, g in enumerate(ranked, start=1) if g]
+    dcg, rbp, err = [0.0], [0.0], [0.0]
+    weight, weight_rank = 1.0 - cfg.phi, 1  # RBP weight (1 - phi) * phi^(rank - 1)
+    p_continue = 1.0
+    for i in graded:
+        g = ranked[i - 1]
+        while weight_rank < i:
+            weight *= cfg.phi
+            weight_rank += 1
+        stop = err_grade_map(g, cfg.g_max)
+        dcg.append(dcg[-1] + _dcg_term(g, i))
+        rbp.append(rbp[-1] + weight * (g / cfg.g_max))
+        err.append(err[-1] + p_continue * stop / i)
+        p_continue *= 1.0 - stop
+
+    ideal_dcg = [0.0]
+    for i, g in enumerate(sorted(grades.values(), reverse=True)[:depth], start=1):
+        if g <= 0:
+            break
+        ideal_dcg.append(ideal_dcg[-1] + _dcg_term(g, i))
+
+    first_seen: dict[str, int] = {}
+    if sims is not None:
+        for pair in detect_decoy_pairs(topic_id, top, grades, sims, decoy_cfg, dedup=False):
+            seen_at = max(pair.target_rank, pair.decoy_rank)
+            if seen_at < first_seen.get(pair.target_doc, seen_at + 1):
+                first_seen[pair.target_doc] = seen_at
+
+    return TopicPrefix(
+        topic_id=topic_id,
+        depth=depth,
+        graded=graded,
+        dcg=dcg,
+        rbp=rbp,
+        err=err,
+        ideal_dcg=ideal_dcg,
+        relevant=[i for i, g in enumerate(ranked, start=1) if g >= cfg.recall_min],
+        total_relevant=sum(1 for g in grades.values() if g >= cfg.recall_min),
+        highly_relevant=[
+            i for i, g in enumerate(ranked, start=1) if g >= cfg.highly_relevant_min
+        ],
+        decoy_depths=sorted(first_seen.values()),
+    )
+
+
+def _read_at_k(name: str, ranking, grades, cfg: MetricConfig) -> float:
+    return topic_prefix("", ranking, grades, None, None, cfg, cfg.k).values_at(cfg.k)[0][name]
+
+
+def _scale_of(grades: Mapping[str, int], floor: int) -> int:
+    """A g_max for metrics that never read it: covers every grade and floor."""
+    return max(3, floor, *grades.values())
+
+
+@dataclass(frozen=True, slots=True)
+class DejavuOutcome:
+    decoy_pairs: int
+    highly_relevant: int
+    score: float
+
+
+def dejavu_at_k(
+    topic_id: str,
+    ranking: Sequence[RankedDoc],
+    grades: Mapping[str, int],
+    sims,
+    decoy_cfg: DecoyConfig,
+    k: int,
+    highly_relevant_min: int = 2,
+) -> DejavuOutcome:
+    """DEJA-VU@k for one topic: count dedup decoy pairs and highly relevant
+    docs in the top k, then apply 1 - exp(d - r)."""
+    if sims is None:
+        raise ValueError("dejavu requires a similarity source")
+    cfg = MetricConfig(k=k, g_max=_scale_of(grades, highly_relevant_min),
+                       highly_relevant_min=highly_relevant_min)
+    prefix = topic_prefix(topic_id, ranking, grades, sims, decoy_cfg, cfg, k)
+    values, d, r = prefix.values_at(k)
+    return DejavuOutcome(d, r, values["dejavu"])
+
+
+def ndcg_at_k(
+    ranking: Sequence[RankedDoc],
+    grades: Mapping[str, int],
+    k: int,
+    g_max: int = 3,
+) -> float:
+    """nDCG@k with gain 2^g - 1 and discount log2(rank + 1).
+
+    The ideal ranking is built from every judged document of the topic, not
+    just retrieved ones, then truncated at k. A topic with no relevant
+    judgments scores 0.
+    """
+    return _read_at_k("ndcg", ranking, grades, MetricConfig(k=k, g_max=g_max))
+
+
+def recall_at_k(
+    ranking: Sequence[RankedDoc],
+    grades: Mapping[str, int],
+    k: int,
+    recall_min: int = 2,
+) -> float:
+    """Fraction of the topic's relevant docs (grade >= recall_min) retrieved
+    in the top k. Topics with no relevant docs score 0."""
+    cfg = MetricConfig(k=k, g_max=_scale_of(grades, recall_min), recall_min=recall_min)
+    return _read_at_k("recall", ranking, grades, cfg)
+
+
+def rbp_at_k(
+    ranking: Sequence[RankedDoc],
+    grades: Mapping[str, int],
+    k: int,
+    phi: float = 0.8,
+    g_max: int = 3,
+) -> float:
+    """Rank-biased precision (1 - phi) * sum_i r_i * phi^(i-1), truncated at
+    k, with graded utility r_i = grade_i / g_max."""
+    return _read_at_k("rbp", ranking, grades, MetricConfig(k=k, g_max=g_max, phi=phi))
+
+
+def err_at_k(
+    ranking: Sequence[RankedDoc],
+    grades: Mapping[str, int],
+    k: int,
+    g_max: int = 3,
+) -> float:
+    """Expected reciprocal rank: sum_i (1/i) * R_i * prod_{j<i} (1 - R_j)."""
+    return _read_at_k("err", ranking, grades, MetricConfig(k=k, g_max=g_max))
+
+
 def evaluate_topic(
     topic_id: str,
     ranking: Sequence[RankedDoc],
@@ -291,38 +387,14 @@ def evaluate_topic(
     `sims` may be None when no dejavu-family metric is requested.
     """
     metrics = tuple(metrics)
-    d = r = 0
-    # Base metrics first, whatever the requested column order; LC metrics
-    # then read from this pool.
-    computed: dict[str, float] = {}
-    for name in metrics:
-        if name == "dejavu":
-            outcome = dejavu_at_k(
-                topic_id, ranking, grades, sims, decoy_cfg, cfg.k,
-                highly_relevant_min=cfg.highly_relevant_min,
-            )
-            d, r = outcome.decoy_pairs, outcome.highly_relevant
-            computed[name] = outcome.score
-        elif name == "ndcg":
-            computed[name] = ndcg_at_k(ranking, grades, cfg.k, g_max=cfg.g_max)
-        elif name == "recall":
-            computed[name] = recall_at_k(ranking, grades, cfg.k, recall_min=cfg.recall_min)
-        elif name == "rbp":
-            computed[name] = rbp_at_k(ranking, grades, cfg.k, phi=cfg.phi, g_max=cfg.g_max)
-        elif name == "err":
-            computed[name] = err_at_k(ranking, grades, cfg.k, g_max=cfg.g_max)
-        elif not name.startswith("lc_"):
-            raise ValueError(f"unknown metric {name!r}")
-    scores: dict[str, float] = {}
-    for name in metrics:
-        if name.startswith("lc_"):
-            base = name[3:]
-            if "dejavu" not in computed or base not in computed:
-                raise ValueError(f"{name} requires dejavu and {base}; call resolve_metrics")
-            scores[name] = linear_combination(computed["dejavu"], computed[base], cfg.alpha)
-        else:
-            scores[name] = computed[name]
-    return TopicScores(topic_id, scores, decoy_pairs=d, highly_relevant=r)
+    if resolve_metrics(metrics) != metrics:
+        raise ValueError(f"metrics {metrics} are not dependency-closed; call resolve_metrics")
+    needs_sims = "dejavu" in metrics
+    if needs_sims and sims is None:
+        raise ValueError("dejavu requires a similarity source")
+    prefix = topic_prefix(topic_id, ranking, grades, sims if needs_sims else None,
+                          decoy_cfg, cfg, cfg.k)
+    return prefix.scores_at(cfg.k, metrics, cfg.alpha)
 
 
 @dataclass(frozen=True, slots=True)
@@ -377,48 +449,38 @@ def evaluate_run(
     cfg: MetricConfig,
     metrics: Sequence[str],
     cutoffs: Sequence[int],
-    max_workers: int = 1,
 ) -> list[RunEvaluation]:
     """Evaluate a run at each cutoff over every judged topic.
 
     Topics come from the qrels (sorted); a judged topic missing from the run
-    scores as an empty ranking. Evaluation is per-topic pure, so topics may
-    be scored on a thread pool; results are merged in topic order and do not
-    depend on max_workers.
+    scores as an empty ranking. Each topic goes through topic_prefix once,
+    down to the deepest cutoff, so decoy detection runs once per topic and
+    every cutoff is a read of the same summary: the result at cutoff k
+    equals that of evaluate_run at k alone. cfg.k is not read.
     """
     metrics = resolve_metrics(metrics)
     cutoffs = sorted(set(cutoffs))
     if not cutoffs:
         raise ValueError("at least one cutoff is required")
+    if cutoffs[0] < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoffs[0]}")
     needs_sims = "dejavu" in metrics
     if needs_sims and source is None:
         raise ValueError("dejavu requires a similarity source")
-    topic_ids = sorted(qrels.judgments)
 
-    def score_topic(topic_id: str) -> list[TopicScores]:
+    rows: list[list[TopicScores]] = [[] for _ in cutoffs]
+    for topic_id in sorted(qrels.judgments):
         ranking = run.rankings.get(topic_id, [])
-        grades = qrels.grades_for(topic_id)
         view = source.topic_view(topic_id) if needs_sims and ranking else None
-        out = []
-        for k in cutoffs:
-            kcfg = MetricConfig(
-                k=k, g_max=cfg.g_max, phi=cfg.phi, alpha=cfg.alpha,
-                recall_min=cfg.recall_min, highly_relevant_min=cfg.highly_relevant_min,
-            )
-            out.append(evaluate_topic(topic_id, ranking, grades, view, decoy_cfg, kcfg, metrics))
-        return out
-
-    if max_workers > 1 and len(topic_ids) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            per_topic = list(pool.map(score_topic, topic_ids))
-    else:
-        per_topic = [score_topic(t) for t in topic_ids]
-
-    results = []
-    for idx, k in enumerate(cutoffs):
-        rows = [scores[idx] for scores in per_topic]
-        results.append(RunEvaluation(run.run_tag, k, metrics, rows, aggregate(rows)))
-    return results
+        prefix = topic_prefix(
+            topic_id, ranking, qrels.grades_for(topic_id), view, decoy_cfg, cfg, cutoffs[-1]
+        )
+        for k, row in zip(cutoffs, rows):
+            row.append(prefix.scores_at(k, metrics, cfg.alpha))
+    return [
+        RunEvaluation(run.run_tag, k, metrics, row, aggregate(row))
+        for k, row in zip(cutoffs, rows)
+    ]
 
 
 @dataclass(frozen=True, slots=True)
@@ -445,84 +507,27 @@ def sweep(
     """Mean decoy count, nDCG, Recall and DEJA-VU at each cutoff in
     range(k_start, k_end + 1, k_step).
 
-    One detection pass per topic covers every cutoff: pairs found in the
-    k_end prefix are bucketed by the rank where both members are visible,
-    and per-rank prefix sums give the gain, relevant and highly relevant
-    counts. A single row with k_start == k_end matches evaluate_topic
-    exactly.
+    The rows are evaluate_run's means at those cutoffs, so each equals
+    evaluate_run at its k exactly.
     """
     if k_start < 1 or k_end < k_start or k_step < 1:
         raise ValueError(
             f"need 1 <= k_start <= k_end and k_step >= 1, got "
             f"start={k_start} end={k_end} step={k_step}"
         )
-    ks = list(range(k_start, k_end + 1, k_step))
-    topic_ids = sorted(qrels.judgments)
-    if not topic_ids:
+    if not qrels.judgments:
         raise ValueError("qrels contain no topics")
-
-    # Per cutoff, accumulate the per-topic values to average at the end.
-    acc_d: list[list[float]] = [[] for _ in ks]
-    acc_ndcg: list[list[float]] = [[] for _ in ks]
-    acc_recall: list[list[float]] = [[] for _ in ks]
-    acc_dejavu: list[list[float]] = [[] for _ in ks]
-
-    for topic_id in topic_ids:
-        ranking = run.rankings.get(topic_id, [])
-        grades = qrels.grades_for(topic_id)
-        n = len(ranking)
-        doc_grades = [grades.get(doc.doc_id, 0) for doc in ranking]
-
-        cum_gain = [0.0] * (n + 1)
-        cum_rel = [0] * (n + 1)
-        cum_hr = [0] * (n + 1)
-        for i, g in enumerate(doc_grades, start=1):
-            cum_gain[i] = cum_gain[i - 1] + (
-                (2.0 ** g - 1.0) / math.log2(i + 1.0) if g else 0.0
-            )
-            cum_rel[i] = cum_rel[i - 1] + (1 if g >= cfg.recall_min else 0)
-            cum_hr[i] = cum_hr[i - 1] + (1 if g >= cfg.highly_relevant_min else 0)
-        ideal = [g for g in sorted(grades.values(), reverse=True) if g > 0]
-        cum_ideal = [0.0] * (len(ideal) + 1)
-        for i, g in enumerate(ideal, start=1):
-            cum_ideal[i] = cum_ideal[i - 1] + (2.0 ** g - 1.0) / math.log2(i + 1.0)
-        total_rel = sum(1 for g in grades.values() if g >= cfg.recall_min)
-
-        # Rank at which each distinct target first has a visible decoy.
-        first_k: dict[str, int] = {}
-        if n:
-            view = source.topic_view(topic_id)
-            pairs = detect_decoy_pairs_at_k(
-                topic_id, ranking, grades, view, decoy_cfg, k_end, dedup=False
-            )
-            for p in pairs:
-                depth = max(p.target_rank, p.decoy_rank)
-                cur = first_k.get(p.target_doc)
-                if cur is None or depth < cur:
-                    first_k[p.target_doc] = depth
-        appear = sorted(first_k.values())
-
-        for col, k in enumerate(ks):
-            cut = min(k, n)
-            d = bisect.bisect_right(appear, k)
-            r = cum_hr[cut]
-            idcg = cum_ideal[min(k, len(ideal))]
-            acc_d[col].append(float(d))
-            nd = cum_gain[cut] / idcg if idcg > 0.0 else 0.0
-            if 1.0 < nd <= 1.0 + 1e-9:
-                nd = 1.0
-            acc_ndcg[col].append(nd)
-            acc_recall[col].append(cum_rel[cut] / total_rel if total_rel else 0.0)
-            acc_dejavu[col].append(dejavu(d, r))
-
-    n_topics = len(topic_ids)
+    evaluations = evaluate_run(
+        run, qrels, source, decoy_cfg, cfg, ("dejavu", "ndcg", "recall"),
+        range(k_start, k_end + 1, k_step),
+    )
     return [
         SweepRow(
-            k=k,
-            decoy_pairs=math.fsum(acc_d[col]) / n_topics,
-            ndcg=math.fsum(acc_ndcg[col]) / n_topics,
-            recall=math.fsum(acc_recall[col]) / n_topics,
-            dejavu=math.fsum(acc_dejavu[col]) / n_topics,
+            k=ev.k,
+            decoy_pairs=ev.mean.decoy_pairs,
+            ndcg=ev.mean.scores["ndcg"],
+            recall=ev.mean.scores["recall"],
+            dejavu=ev.mean.scores["dejavu"],
         )
-        for col, k in enumerate(ks)
+        for ev in evaluations
     ]

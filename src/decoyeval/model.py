@@ -38,20 +38,6 @@ def clamp_similarity(value: float, context: str = "similarity") -> float:
     raise ValueError(f"{context} {value} outside [-1, 1] by more than {SIMILARITY_EPS}")
 
 
-class Grade(int):
-    """Integer relevance grade, 0 <= value <= g_max of the owning qrels.
-
-    Behaves as a plain int; the upper bound is enforced by Qrels, which knows
-    its own scale.
-    """
-
-    def __new__(cls, value):
-        v = super().__new__(cls, value)
-        if v < 0:
-            raise ValueError(f"grade must be a non-negative integer, got {value!r}")
-        return v
-
-
 @dataclass(frozen=True, slots=True)
 class RankedDoc:
     """One entry of a ranked list: document id, dense 1-based rank, score.
@@ -163,9 +149,7 @@ class DecoyConfig:
     Defaults encode the ranked-run regime: similarity in [0.6, 0.95), grade
     band target >= 2 / decoy <= 1, rank window 5, exclusive upper similarity
     bound. Log mining uses an inclusive upper bound and a minimum grade gap
-    instead (see logmine / the mine command). When `s_min_percentile` is set,
-    s_min is derived from the pooled within-topic pair similarities before
-    detection rather than taken from `s_min`.
+    instead (see logmine / the mine command).
     """
 
     s_min: float = 0.6
@@ -173,7 +157,6 @@ class DecoyConfig:
     quality: MinGradeGap | GradeBand = field(default_factory=GradeBand)
     delta_rank: int = 5
     s_max_inclusive: bool = False
-    s_min_percentile: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.s_min < self.s_max <= 1.0:
@@ -183,10 +166,6 @@ class DecoyConfig:
             )
         if self.delta_rank < 1:
             raise ValueError(f"delta_rank must be >= 1, got {self.delta_rank}")
-        if self.s_min_percentile is not None and not 0.0 < self.s_min_percentile < 100.0:
-            raise ValueError(
-                f"s_min_percentile must lie in (0, 100), got {self.s_min_percentile}"
-            )
 
     def in_band(self, similarity: float) -> bool:
         if similarity < self.s_min:

@@ -96,20 +96,24 @@ class TestEval:
         )
         assert lines[1] == "demo\t10\tt1\t0.793976\t0.632121\t0.955831\t1\t2"
 
-    def test_threads_do_not_change_bytes(self, tmp_path):
+    def test_cutoff_set_does_not_change_bytes(self, tmp_path):
+        # jsonl rows carry full precision and the format has no header, so
+        # a run at several cutoffs is the runs at each cutoff, concatenated
+        # in ascending cutoff order.
         paths = write_corpus(tmp_path / "corpus", n_topics=20, n_docs=120)
-        outputs = []
-        for threads in ("1", "4", "0"):
-            out = tmp_path / f"scores_{threads}.tsv"
+        outputs = {}
+        for cutoffs in ("20,5,10", "5", "10", "20"):
+            out = tmp_path / f"scores_{cutoffs.replace(',', '_')}.jsonl"
             rc = cli.main([
                 "eval", "--run", str(paths.run), "--qrels", str(paths.qrels),
-                "--pair-sims", str(paths.pairs), "--cutoffs", "10,20",
-                "--metrics", ALL_METRICS, "--threads", threads,
+                "--pair-sims", str(paths.pairs), "--cutoffs", cutoffs,
+                "--metrics", ALL_METRICS, "--format", "jsonl",
                 "--out", str(out),
             ])
             assert rc == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1] == outputs[2]
+            outputs[cutoffs] = out.read_bytes()
+        assert outputs["20,5,10"] == outputs["5"] + outputs["10"] + outputs["20"]
+        assert len(outputs["20,5,10"].splitlines()) == 3 * 21
 
 
 class TestDecoys:
@@ -233,15 +237,6 @@ class TestExitCodes:
         ])
         assert rc == 1
         assert "--cutoffs" in capsys.readouterr().err
-
-    def test_negative_threads_is_1(self, tmp_path, capsys):
-        run, qrels, pairs = write_demo(tmp_path)
-        rc = cli.main([
-            "eval", "--run", str(run), "--qrels", str(qrels),
-            "--pair-sims", str(pairs), "--threads", "-1",
-        ])
-        assert rc == 1
-        assert "--threads" in capsys.readouterr().err
 
     def test_bad_band_is_1(self, tmp_path, capsys):
         run, qrels, pairs = write_demo(tmp_path)

@@ -147,34 +147,41 @@ class TestParseQrels:
 class TestParseVectors:
     def test_basic(self, tmp_path):
         p = write(tmp_path / "v.jsonl",
-                  '{"doc_id": "a", "vec": [1.0, 0.0]}\n'
-                  '{"doc_id": "b", "vec": [0.0, 2.0]}\n')
+                  '{"doc_id": "a", "vector": [1.0, 0.0]}\n'
+                  '{"doc_id": "b", "vector": [0.0, 2.0]}\n')
         store = ingest.parse_vectors(p)
         assert store.sim("a", "b") == 0.0
         assert store.dim == 2
 
     def test_dim_mismatch_names_both_lines(self, tmp_path):
         p = write(tmp_path / "v.jsonl",
-                  '{"doc_id": "a", "vec": [1.0, 0.0]}\n'
-                  '{"doc_id": "b", "vec": [1.0]}\n')
+                  '{"doc_id": "a", "vector": [1.0, 0.0]}\n'
+                  '{"doc_id": "b", "vector": [1.0]}\n')
         with pytest.raises(ParseError) as exc:
             ingest.parse_vectors(p)
         assert "line 1" in str(exc.value)
 
     def test_zero_vector_rejected(self, tmp_path):
-        p = write(tmp_path / "v.jsonl", '{"doc_id": "a", "vec": [0.0, 0.0]}\n')
-        with pytest.raises(ParseError):
+        p = write(tmp_path / "v.jsonl", '{"doc_id": "a", "vector": [0.0, 0.0]}\n')
+        with pytest.raises(ParseError, match="zero-norm"):
             ingest.parse_vectors(p)
 
     def test_duplicate_doc_rejected(self, tmp_path):
         p = write(tmp_path / "v.jsonl",
-                  '{"doc_id": "a", "vec": [1.0]}\n{"doc_id": "a", "vec": [2.0]}\n')
-        with pytest.raises(ParseError):
+                  '{"doc_id": "a", "vector": [1.0]}\n{"doc_id": "a", "vector": [2.0]}\n')
+        with pytest.raises(ParseError, match="duplicate vector"):
             ingest.parse_vectors(p)
 
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(ParseError):
             ingest.parse_vectors(write(tmp_path / "v.jsonl", ""))
+
+    def test_vec_field_named_on_its_line(self, tmp_path):
+        p = write(tmp_path / "v.jsonl",
+                  '{"doc_id": "a", "vector": [1.0]}\n{"doc_id": "b", "vec": [2.0]}\n')
+        with pytest.raises(ParseError) as exc:
+            ingest.parse_vectors(p)
+        assert [(d.line, "vector" in d.message) for d in exc.value.diagnostics] == [(2, True)]
 
 
 class TestParsePairSims:
@@ -247,6 +254,39 @@ class TestParseInteractionLog:
         p = write(tmp_path / "log.jsonl", json.dumps(bad) + "\n")
         with pytest.raises(ParseError):
             ingest.parse_interaction_log(p)
+
+    def rejected_line(self, tmp_path, *entries):
+        """The one diagnostic of a log made of `entries`: (file, line, message)."""
+        p = write(tmp_path / "log.jsonl", "".join(json.dumps(e) + "\n" for e in entries))
+        with pytest.raises(ParseError) as exc:
+            ingest.parse_interaction_log(p)
+        [diag] = exc.value.diagnostics
+        return diag.file, diag.line, diag.message
+
+    def test_non_integer_rank_located(self, tmp_path):
+        bad = self.entry(serp=[{"doc_id": "a", "rank": "first"}], clicks=[])
+        file, line, message = self.rejected_line(tmp_path, self.entry(serp_id="s0"), bad)
+        assert (file, line) == (str(tmp_path / "log.jsonl"), 2)
+        assert "rank" in message and "'first'" in message
+
+    @pytest.mark.parametrize("dwell", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_dwell_located(self, tmp_path, dwell):
+        bad = self.entry(clicks=[{"doc_id": "a", "dwell_seconds": dwell, "usefulness": 1}])
+        file, line, message = self.rejected_line(tmp_path, bad)
+        assert (file, line) == (str(tmp_path / "log.jsonl"), 1)
+        assert "dwell_seconds must be finite" in message
+
+    def test_boolean_usefulness_located(self, tmp_path):
+        bad = self.entry(clicks=[{"doc_id": "a", "dwell_seconds": 3.0, "usefulness": True}])
+        file, line, message = self.rejected_line(tmp_path, bad)
+        assert (file, line) == (str(tmp_path / "log.jsonl"), 1)
+        assert "usefulness must be an integer" in message
+
+    def test_duplicate_serp_id_located(self, tmp_path):
+        file, line, message = self.rejected_line(
+            tmp_path, self.entry(), self.entry(serp_id="s2"), self.entry())
+        assert (file, line) == (str(tmp_path / "log.jsonl"), 3)
+        assert "duplicate serp_id s1" in message and "line 1" in message
 
 
 class TestParseRecords:

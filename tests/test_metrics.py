@@ -26,7 +26,7 @@ from decoyeval.metrics import (
     resolve_metrics,
     sweep,
 )
-from decoyeval.model import DecoyConfig, Qrels, RunList
+from decoyeval.model import CoverageError, DecoyConfig, PairStore, Qrels, RunList
 
 from test_decoy import matrix_for, ranking_of
 
@@ -420,14 +420,66 @@ class TestEvaluateRun:
         missing = out[0].topics[1]
         assert missing.scores == {"ndcg": 0.0, "recall": 0.0}
 
-    def test_worker_count_does_not_change_results(self):
+    def test_cutoff_set_equals_each_cutoff_alone(self):
+        # Cutoffs 40 and 60 lie past every 25-doc ranking, and topic t9 is
+        # judged but absent from the run.
         rng = random.Random(55)
         run, qrels, source = small_world(rng)
-        args = (run, qrels, source, DecoyConfig(), MetricConfig(),
-                ["dejavu", "ndcg", "recall", "lc_ndcg"], [5, 10])
-        serial = evaluate_run(*args, max_workers=1)
-        threaded = evaluate_run(*args, max_workers=8)
-        assert serial == threaded
+        qrels = Qrels(g_max=3, judgments={**qrels.judgments, "t9": {"x": 3, "y": 2}})
+        metrics = ["dejavu", "ndcg", "recall", "rbp", "err", "lc_ndcg", "lc_err"]
+        cutoffs = [1, 3, 10, 25, 40, 60]
+        together = evaluate_run(run, qrels, source, DecoyConfig(), MetricConfig(),
+                                metrics, cutoffs)
+        alone = [evaluate_run(run, qrels, source, DecoyConfig(), MetricConfig(),
+                              metrics, [k])[0] for k in cutoffs]
+        assert together == alone
+        assert [t.topic_id for t in together[0].topics][-1] == "t9"
+        assert together[-1].topics[-1].scores["recall"] == 0.0
+
+    def test_one_detection_per_topic_at_the_deepest_cutoff(self):
+        rng = random.Random(57)
+        run, qrels, source = small_world(rng, n_topics=3, n_docs=40)
+
+        class CountingSource:
+            def __init__(self):
+                self.lookups = []
+
+            def topic_view(self, topic_id):
+                owner, view = self, source.topic_view(topic_id)
+
+                class View:
+                    def sim(self, a, b):
+                        owner.lookups.append((topic_id, a, b))
+                        return view.sim(a, b)
+
+                return View()
+
+        counted = CountingSource()
+        evaluate_run(run, qrels, counted, DecoyConfig(), MetricConfig(),
+                     ["dejavu", "ndcg"], [5, 10, 30])
+        once = CountingSource()
+        for topic_id in sorted(qrels.judgments):
+            detect_decoy_pairs_at_k(topic_id, run.rankings[topic_id],
+                                    qrels.grades_for(topic_id),
+                                    once.topic_view(topic_id), DecoyConfig(), 30)
+        assert once.lookups
+        assert counted.lookups == once.lookups
+
+    def test_coverage_gap_lists_the_deepest_prefix(self):
+        # Targets (grade 3) at ranks 7 and 15, decoys (grade 0) right after
+        # them; those two pairs have no similarity. Both gaps lie past the
+        # first cutoff and inside the deepest, so both are reported at once.
+        docs = [f"d{i:02d}" for i in range(1, 31)]
+        grades = {"d07": 3, "d08": 0, "d15": 3, "d16": 0}
+        gaps = {("d07", "d08"), ("d15", "d16")}
+        store = PairStore({("t", a, b): 0.1 for i, a in enumerate(docs)
+                           for b in docs[i + 1:] if (a, b) not in gaps})
+        run = RunList(run_tag="r", rankings={"t": ranking_of(docs)})
+        qrels = Qrels(g_max=3, judgments={"t": grades})
+        with pytest.raises(CoverageError) as exc:
+            evaluate_run(run, qrels, store, DecoyConfig(), MetricConfig(),
+                         ["dejavu"], [5, 10, 20])
+        assert exc.value.missing == [("t", "d07", "d08"), ("t", "d15", "d16")]
 
     def test_cutoffs_sorted_and_deduped(self):
         rng = random.Random(56)
