@@ -68,7 +68,7 @@ from .model import (
     MinGradeGap,
     PairStore,
     Qrels,
-    RankedDoc,
+    Ranking,
     RunList,
     SerpInteraction,
     VectorStore,
@@ -82,7 +82,7 @@ __all__ = [
     "AggregateScores", "Click", "CoverageError", "DecoyConfig", "DecoyPair",
     "GradeBand", "GroupComparison", "GroupStats", "InteractionLog",
     "InteractionRecord", "MetricConfig", "MinGradeGap", "PairStore",
-    "ParseDiagnostic", "ParseError", "Qrels", "RankedDoc", "RunEvaluation",
+    "ParseDiagnostic", "ParseError", "Qrels", "Ranking", "RunEvaluation",
     "RunList", "SerpInteraction", "SerpPairRecord", "SweepRow",
     "Thresholds", "TopicScores", "TopicSimMatrix", "VectorStore",
     "WelchResult", "aggregate", "clamp_similarity", "cosine", "dejavu",

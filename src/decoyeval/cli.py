@@ -221,10 +221,14 @@ def _load_source(args):
     return ingest.parse_pair_sims(Path(args.pair_sims))
 
 
-def cmd_eval(args) -> int:
+def _load_run_inputs(args):
     run = ingest.parse_run(Path(args.run))
     qrels = ingest.parse_qrels(Path(args.qrels), g_max=args.g_max)
-    source = _load_source(args)
+    return run, qrels, _load_source(args)
+
+
+def cmd_eval(args) -> int:
+    run, qrels, source = _load_run_inputs(args)
     cutoffs = _parse_cutoffs(args.cutoffs)
     metrics = _parse_metrics(args.metrics)
     cfg = MetricConfig(g_max=args.g_max, phi=args.phi, alpha=args.alpha)
@@ -234,29 +238,22 @@ def cmd_eval(args) -> int:
 
 
 def cmd_decoys(args) -> int:
-    run = ingest.parse_run(Path(args.run))
-    qrels = ingest.parse_qrels(Path(args.qrels), g_max=args.g_max)
-    source = _load_source(args)
+    run, qrels, source = _load_run_inputs(args)
     cfg = _decoy_config(args)
-    pairs = []
-    for topic_id in sorted(run.rankings):
-        ranking = run.rankings[topic_id]
-        grades = qrels.grades_for(topic_id)
-        view = source.topic_view(topic_id)
-        pairs.extend(
-            detect_decoy_pairs_at_k(
-                topic_id, ranking, grades, view, cfg, args.k,
-                dedup=not args.no_dedup,
-            )
+    pairs = [
+        pair
+        for topic_id, ranking in sorted(run.rankings.items())
+        for pair in detect_decoy_pairs_at_k(
+            topic_id, ranking, qrels.grades_for(topic_id), source.topic_view(topic_id),
+            cfg, args.k, dedup=not args.no_dedup,
         )
+    ]
     emit_pairs(pairs, args.format, args.out)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    run = ingest.parse_run(Path(args.run))
-    qrels = ingest.parse_qrels(Path(args.qrels), g_max=args.g_max)
-    source = _load_source(args)
+    run, qrels, source = _load_run_inputs(args)
     cfg = MetricConfig(g_max=args.g_max)
     rows = sweep(
         run, qrels, source, _decoy_config(args), cfg,

@@ -5,8 +5,10 @@ the two documents are near-duplicates (similarity inside the configured
 band), the target is clearly better (per the configured quality rule), and
 they are displayed close together (rank distance <= delta_rank).
 
-Detection walks each document's rank window instead of all O(n^2) pairs, so
-cost is O(n * delta_rank) similarity lookups at worst, and quality gating
+Only a document graded at least the quality rule's minimum target grade
+can be a target, so detection walks the rank window of those documents
+alone instead of all O(n^2) pairs: cost is O(#targets * delta_rank) quality
+checks and similarity lookups, not O(n * delta_rank), and quality gating
 happens before any similarity is fetched.
 """
 
@@ -20,7 +22,7 @@ from .model import (
     DecoyPair,
     InteractionLog,
     Qrels,
-    RankedDoc,
+    Ranking,
     SimilaritySource,
 )
 
@@ -29,7 +31,7 @@ logger = logging.getLogger(__name__)
 
 def detect_decoy_pairs(
     topic_id: str,
-    ranking: Sequence[RankedDoc],
+    ranking: Ranking,
     grades: Mapping[str, int],
     sims,
     cfg: DecoyConfig,
@@ -39,52 +41,45 @@ def detect_decoy_pairs(
 
     `sims` is any object with a ``sim(doc_a, doc_b) -> float`` method scoped
     to this topic (a TopicSimMatrix, a VectorStore, or a PairStore topic
-    view). Ranks must be dense 1..n. With ``dedup`` each target keeps only
-    its most similar decoy (ties broken by ascending decoy doc id), so the
-    pair count is the number of distinct targets.
+    view). With ``dedup`` each target keeps only its most similar decoy
+    (ties broken by ascending decoy doc id), so the pair count is the number
+    of distinct targets.
 
-    Every similarity the quality rule asks for must be resolvable; missing
-    docs or pairs raise CoverageError listing everything absent.
+    Similarities are fetched as ``sim(higher-ranked doc, lower-ranked doc)``
+    in rank order of the pair. Every similarity the quality rule asks for
+    must be resolvable; missing docs or pairs raise CoverageError listing
+    everything absent.
     """
-    n = len(ranking)
-    for i, doc in enumerate(ranking):
-        if doc.rank != i + 1:
-            raise ValueError(
-                f"ranking must have dense ranks 1..n, found rank {doc.rank} at position {i + 1}"
-            )
-    docs = [doc.doc_id for doc in ranking]
+    docs = ranking.doc_ids
+    n = len(docs)
     grade = [grades.get(d, 0) for d in docs]
     quality = cfg.quality
+    floor = quality.min_target_grade
     window = cfg.delta_rank
+
+    # Both quality rules admit a pair in at most one direction, so scanning
+    # each possible target's window finds every admitted pair exactly once.
+    admitted: list[tuple[int, int, int]] = []  # (lo idx, hi idx, target idx)
+    for ti, gt in enumerate(grade):
+        if gt < floor:
+            continue
+        for j in range(max(ti - window, 0), min(ti + window + 1, n)):
+            if j != ti and quality.admits(gt, grade[j]):
+                admitted.append((j, ti, ti) if j < ti else (ti, j, ti))
+    admitted.sort()
 
     candidates: list[tuple[int, int, float]] = []  # (target idx, decoy idx, sim)
     missing: list = []
-    # Dense ranks make rank distance equal to index distance, so each doc
-    # only needs to look at the next `window` positions.
-    for i in range(n):
-        gi = grade[i]
-        for j in range(i + 1, min(i + window + 1, n)):
-            gj = grade[j]
-            fwd = quality.admits(gi, gj)
-            rev = quality.admits(gj, gi)
-            if not fwd and not rev:
-                continue
-            try:
-                s = sims.sim(docs[i], docs[j])
-            except CoverageError as exc:
-                missing.extend(exc.missing)
-                continue
-            if not cfg.in_band(s):
-                continue
-            if fwd:
-                candidates.append((i, j, s))
-            if rev:
-                candidates.append((j, i, s))
+    for lo, hi, ti in admitted:
+        try:
+            s = sims.sim(docs[lo], docs[hi])
+        except CoverageError as exc:
+            missing.extend(exc.missing)
+            continue
+        if cfg.in_band(s):
+            candidates.append((ti, hi if ti == lo else lo, s))
     if missing:
-        seen: list = []
-        for key in missing:
-            if key not in seen:
-                seen.append(key)
+        seen = list(dict.fromkeys(missing))
         raise CoverageError(
             f"similarity coverage incomplete for topic {topic_id}: {len(seen)} key(s) missing",
             seen,
@@ -116,7 +111,7 @@ def detect_decoy_pairs(
 
 def detect_decoy_pairs_at_k(
     topic_id: str,
-    ranking: Sequence[RankedDoc],
+    ranking: Ranking,
     grades: Mapping[str, int],
     sims,
     cfg: DecoyConfig,
@@ -126,7 +121,7 @@ def detect_decoy_pairs_at_k(
     """Decoy pairs restricted to the top-k prefix of the ranking."""
     if k < 1:
         raise ValueError(f"cutoff must be >= 1, got {k}")
-    return detect_decoy_pairs(topic_id, ranking[:k], grades, sims, cfg, dedup=dedup)
+    return detect_decoy_pairs(topic_id, ranking.head(k), grades, sims, cfg, dedup=dedup)
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,7 +155,7 @@ def identify_targets(
             views[session.topic_id] = view
         grades = qrels.grades_for(session.topic_id)
         pairs = detect_decoy_pairs(
-            session.topic_id, session.serp[:top_n], grades, view, cfg, dedup=False
+            session.topic_id, session.serp.head(top_n), grades, view, cfg, dedup=False
         )
         for pair in pairs:
             records.append(SerpPairRecord(session.serp_id, pair))

@@ -19,7 +19,7 @@ from .model import (
     InteractionRecord,
     PairStore,
     Qrels,
-    RankedDoc,
+    Ranking,
     RunList,
     SerpInteraction,
     VectorStore,
@@ -61,16 +61,15 @@ class ParseError(Exception):
 def parse_run(path: PathLike) -> RunList:
     """Parse a TREC-layout run file: `topic_id Q0 doc_id rank score run_tag`.
 
-    Ordering authority is the score column (descending, ties broken by
-    ascending doc_id); ranks are then re-normalized to 1..n. The on-disk rank
-    column is kept as RankedDoc.source_rank for diagnostics only.
+    Docs are ordered by score descending, then by the file's rank column
+    ascending, then by doc id ascending; the rank of a doc is its position.
+    The rank column is kept as Ranking.source_ranks for diagnostics.
     """
     diags: list[ParseDiagnostic] = []
     name = str(path)
-    # per topic: (negated score, doc_id, source rank) so plain tuple sort
-    # yields score-descending with doc_id ascending tie-break
-    topics: dict[str, list[tuple[float, str, int]]] = {}
-    first_line: dict[tuple[str, str], int] = {}
+    # per topic: doc_id -> first line, and (negated score, source rank,
+    # doc_id) rows, whose plain tuple sort is the ranking order
+    topics: dict[str, tuple[dict[str, int], list[tuple[float, int, str]]]] = {}
     run_tag = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -97,29 +96,33 @@ def parse_run(path: PathLike) -> RunList:
             if math.isnan(score):
                 diags.append(ParseDiagnostic(name, lineno, "score is NaN"))
                 continue
-            key = (topic_id, doc_id)
-            seen = first_line.get(key)
-            if seen is not None:
+            topic = topics.get(topic_id)
+            if topic is None:
+                topic = topics[topic_id] = ({}, [])
+            seen = topic[0].setdefault(doc_id, lineno)
+            if seen != lineno:
                 diags.append(ParseDiagnostic(
                     name, lineno,
                     f"duplicate (topic, doc) ({topic_id}, {doc_id}), first on line {seen}",
                 ))
                 continue
-            first_line[key] = lineno
             if run_tag is None:
                 run_tag = tag
-            topics.setdefault(topic_id, []).append((-score, doc_id, source_rank))
+            topic[1].append((-score, source_rank, doc_id))
     if diags:
         raise ParseError(path, diags)
     if not topics:
         raise ParseError(path, [ParseDiagnostic(name, 1, "run file has no ranked lines")])
-    rankings: dict[str, list[RankedDoc]] = {}
-    for topic_id, rows in topics.items():
+    rankings: dict[str, Ranking] = {}
+    for topic_id in list(topics):
+        # Popping frees each topic's rows and first-line map once converted.
+        rows = topics.pop(topic_id)[1]
         rows.sort()
-        rankings[topic_id] = [
-            RankedDoc(doc_id, i + 1, -neg_score, source_rank)
-            for i, (neg_score, doc_id, source_rank) in enumerate(rows)
-        ]
+        rankings[topic_id] = Ranking(
+            tuple([row[2] for row in rows]),
+            tuple([-row[0] for row in rows]),
+            tuple([row[1] for row in rows]),
+        )
     return RunList(run_tag or "", rankings)
 
 
@@ -129,9 +132,9 @@ def write_run(run: RunList, path: PathLike) -> None:
     Scores are printed with repr so that write -> parse round-trips exactly.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        for topic_id, docs in run.rankings.items():
-            for d in docs:
-                fh.write(f"{topic_id} Q0 {d.doc_id} {d.rank} {d.score!r} {run.run_tag}\n")
+        for topic_id, ranking in run.rankings.items():
+            for rank, (doc_id, score) in enumerate(zip(ranking.doc_ids, ranking.scores), 1):
+                fh.write(f"{topic_id} Q0 {doc_id} {rank} {score!r} {run.run_tag}\n")
 
 
 def parse_qrels(path: PathLike, g_max: int) -> Qrels:
@@ -334,46 +337,41 @@ def parse_interaction_log(path: PathLike) -> InteractionLog:
                 ))
                 continue
             serp_line[serp_id] = lineno
-            serp = []
-            shown = set()
-            for i, entry in enumerate(rec["serp"]):
-                doc_id = str(entry["doc_id"])
-                if doc_id in shown:
-                    diags.append(ParseDiagnostic(
-                        name, lineno, f"SERP {serp_id}: duplicate doc {doc_id}"
-                    ))
+            doc_ids = tuple(str(entry["doc_id"]) for entry in rec["serp"])
+            shown = set(doc_ids)
+            if len(shown) != len(doc_ids):
+                dup = next(d for i, d in enumerate(doc_ids) if d in doc_ids[:i])
+                diags.append(ParseDiagnostic(name, lineno, f"SERP {serp_id}: duplicate doc {dup}"))
+                continue
+            clicks: dict[str, Click] = {}
+            click_problem = None
+            for c in rec["clicks"]:
+                doc_id = str(c["doc_id"])
+                if doc_id not in shown:
+                    click_problem = f"SERP {serp_id}: click on doc {doc_id} absent from SERP"
                     break
-                shown.add(doc_id)
-                serp.append(RankedDoc(doc_id, i + 1, 0.0, entry["rank"]))
-            else:
-                clicks: dict[str, Click] = {}
-                click_problem = None
-                for c in rec["clicks"]:
-                    doc_id = str(c["doc_id"])
-                    if doc_id not in shown:
-                        click_problem = f"SERP {serp_id}: click on doc {doc_id} absent from SERP"
-                        break
-                    dwell = float(c["dwell_seconds"])
-                    if dwell < 0:
-                        click_problem = f"SERP {serp_id}: negative dwell {dwell} on doc {doc_id}"
-                        break
-                    usefulness = int(c["usefulness"])
-                    if usefulness < 0:
-                        click_problem = f"SERP {serp_id}: negative usefulness on doc {doc_id}"
-                        break
-                    clicks[doc_id] = Click(dwell, usefulness)
-                if click_problem is not None:
-                    diags.append(ParseDiagnostic(name, lineno, click_problem))
-                    continue
-                sessions.append(SerpInteraction(
-                    serp_id=serp_id,
-                    session_id=str(rec["session_id"]),
-                    user_id=str(rec["user_id"]),
-                    task_id=str(rec["task_id"]),
-                    topic_id=str(rec["topic_id"]),
-                    serp=serp,
-                    clicks=clicks,
-                ))
+                dwell = float(c["dwell_seconds"])
+                if dwell < 0:
+                    click_problem = f"SERP {serp_id}: negative dwell {dwell} on doc {doc_id}"
+                    break
+                usefulness = int(c["usefulness"])
+                if usefulness < 0:
+                    click_problem = f"SERP {serp_id}: negative usefulness on doc {doc_id}"
+                    break
+                clicks[doc_id] = Click(dwell, usefulness)
+            if click_problem is not None:
+                diags.append(ParseDiagnostic(name, lineno, click_problem))
+                continue
+            source_ranks = tuple(entry["rank"] for entry in rec["serp"])
+            sessions.append(SerpInteraction(
+                serp_id=serp_id,
+                session_id=str(rec["session_id"]),
+                user_id=str(rec["user_id"]),
+                task_id=str(rec["task_id"]),
+                topic_id=str(rec["topic_id"]),
+                serp=Ranking(doc_ids, (0.0,) * len(doc_ids), source_ranks),
+                clicks=clicks,
+            ))
     if diags:
         raise ParseError(path, diags)
     return InteractionLog(sessions)

@@ -44,9 +44,7 @@ def log_doc_universe(log: InteractionLog) -> dict[str, list[str]]:
     """Per topic, the sorted distinct doc ids displayed anywhere in the log."""
     universe: dict[str, set[str]] = {}
     for session in log.sessions:
-        bucket = universe.setdefault(session.topic_id, set())
-        for doc in session.serp:
-            bucket.add(doc.doc_id)
+        universe.setdefault(session.topic_id, set()).update(session.serp.doc_ids)
     return {topic: sorted(docs) for topic, docs in sorted(universe.items())}
 
 
@@ -112,31 +110,31 @@ def extract_records(
         if rec.pair.target_doc in matched_targets:
             wanted.add((rec.serp_id, rec.pair.target_doc))
 
-    def build(session, doc, group):
-        click = session.clicks.get(doc.doc_id)
+    def build(session, rank, doc_id, group):
+        click = session.clicks.get(doc_id)
         return InteractionRecord(
             serp_id=session.serp_id,
-            doc_id=doc.doc_id,
+            doc_id=doc_id,
             group=group,
             is_clicked=click is not None,
             dwell_seconds=click.dwell_seconds if click else 0.0,
             usefulness=click.usefulness if click else 0,
-            rank=doc.rank,
+            rank=rank,
             task_id=session.task_id,
             user_id=session.user_id,
         )
 
     records = [
-        build(session, doc, "target")
+        build(session, rank, doc_id, "target")
         for session in log.sessions
-        for doc in session.serp[:top_n]
-        if (session.serp_id, doc.doc_id) in wanted
+        for rank, doc_id in enumerate(session.serp.doc_ids[:top_n], 1)
+        if (session.serp_id, doc_id) in wanted
     ]
     records.extend(
-        build(session, doc, "control")
+        build(session, rank, doc_id, "control")
         for session in log.sessions
-        for doc in session.serp[:top_n]
-        if doc.doc_id in controls
+        for rank, doc_id in enumerate(session.serp.doc_ids[:top_n], 1)
+        if doc_id in controls
     )
     logger.info(
         "extracted %d target and %d control records",
@@ -146,36 +144,39 @@ def extract_records(
     return records
 
 
-def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    """Lentz's continued fraction for the incomplete beta integral."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
+def _beta_continued_fraction(a: float, b: float, x: float, y: float) -> float:
+    """Lentz's continued fraction for the incomplete beta integral, given
+    x and y = 1 - x.
+
+    The odd steps take 1 - p*x*d and 1 - p*x/c. For large a and x near 1,
+    p, x, d and c are all near 1 and the differences cancel, so for x > 1/2
+    they are formed from 1 - p*x = q + p*y, with q = 1 - p in closed form,
+    and from the d - 1 and c - 1 that the even step hands over.
+    """
+    def nonzero(v: float) -> float:
+        return v if abs(v) >= 1e-300 else 1e-300
+
+    def odd_step(m: int, d: float, d_less_1: float, c: float, c_less_1: float):
+        den = (a + 2 * m) * (a + 2 * m + 1)
+        p = (a + m) * (a + b + m) / den
+        if x <= 0.5:
+            return 1.0 - p * x * d, 1.0 - p * x / c
+        one_less_px = (a * (2 * m + 1 - b) + m * (3 * m + 2 - b)) / den + p * y
+        return one_less_px * d - d_less_1, (c_less_1 + one_less_px) / c
+
+    d = 1.0 / nonzero(odd_step(0, 1.0, 0.0, 1.0, 0.0)[0])
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
     h = d
     for m in range(1, 301):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
+        aa = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        t = aa * d
+        d = 1.0 / nonzero(1.0 + t)
+        c_less_1 = aa / c
+        c = nonzero(1.0 + c_less_1)
         h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
+        d, c = odd_step(m, d, -t * d, c, c_less_1)
+        d = 1.0 / nonzero(d)
+        delta = d * nonzero(c)
         h *= delta
         if abs(delta - 1.0) < 3e-16:
             return h
@@ -232,9 +233,9 @@ def regularized_incomplete_beta(a: float, b: float, x: float, *, upper: bool = F
     # The continued fraction converges fast only on one side of the mean;
     # use the symmetry I_x(a,b) = 1 - I_{1-x}(b,a) for the other.
     if x < (a + 1.0) / (a + b + 2.0):
-        lower = front * _beta_continued_fraction(a, b, x) / a
+        lower = front * _beta_continued_fraction(a, b, x, 1.0 - x) / a
         return 1.0 - lower if upper else lower
-    tail = front * _beta_continued_fraction(b, a, 1.0 - x) / b
+    tail = front * _beta_continued_fraction(b, a, 1.0 - x, x) / b
     return tail if upper else 1.0 - tail
 
 

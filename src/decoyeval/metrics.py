@@ -14,11 +14,11 @@ math.fsum so topic order never changes a mean.
 
 import bisect
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 from .decoy import detect_decoy_pairs
-from .model import DecoyConfig, Qrels, RankedDoc, RunList, SimilaritySource
+from .model import DecoyConfig, Qrels, Ranking, RunList, SimilaritySource
 
 EFFECTIVENESS_METRICS = ("ndcg", "recall", "rbp", "err")
 KNOWN_METRICS = ("dejavu",) + EFFECTIVENESS_METRICS + tuple(
@@ -222,7 +222,7 @@ class TopicPrefix:
 
 def topic_prefix(
     topic_id: str,
-    ranking: Sequence[RankedDoc],
+    ranking: Ranking,
     grades: Mapping[str, int],
     sims,
     decoy_cfg: DecoyConfig | None,
@@ -239,8 +239,8 @@ def topic_prefix(
     """
     if depth < 1:
         raise ValueError(f"cutoff must be >= 1, got {depth}")
-    top = ranking[:depth]
-    ranked = [grades.get(doc.doc_id, 0) for doc in top]
+    top = ranking.head(depth)
+    ranked = [grades.get(d, 0) for d in top.doc_ids]
 
     graded = [i for i, g in enumerate(ranked, start=1) if g]
     dcg, rbp, err = [0.0], [0.0], [0.0]
@@ -305,7 +305,7 @@ class DejavuOutcome:
 
 def dejavu_at_k(
     topic_id: str,
-    ranking: Sequence[RankedDoc],
+    ranking: Ranking,
     grades: Mapping[str, int],
     sims,
     decoy_cfg: DecoyConfig,
@@ -324,7 +324,7 @@ def dejavu_at_k(
 
 
 def ndcg_at_k(
-    ranking: Sequence[RankedDoc],
+    ranking: Ranking,
     grades: Mapping[str, int],
     k: int,
     g_max: int = 3,
@@ -339,7 +339,7 @@ def ndcg_at_k(
 
 
 def recall_at_k(
-    ranking: Sequence[RankedDoc],
+    ranking: Ranking,
     grades: Mapping[str, int],
     k: int,
     recall_min: int = 2,
@@ -351,7 +351,7 @@ def recall_at_k(
 
 
 def rbp_at_k(
-    ranking: Sequence[RankedDoc],
+    ranking: Ranking,
     grades: Mapping[str, int],
     k: int,
     phi: float = 0.8,
@@ -363,7 +363,7 @@ def rbp_at_k(
 
 
 def err_at_k(
-    ranking: Sequence[RankedDoc],
+    ranking: Ranking,
     grades: Mapping[str, int],
     k: int,
     g_max: int = 3,
@@ -374,7 +374,7 @@ def err_at_k(
 
 def evaluate_topic(
     topic_id: str,
-    ranking: Sequence[RankedDoc],
+    ranking: Ranking,
     grades: Mapping[str, int],
     sims,
     decoy_cfg: DecoyConfig,
@@ -441,6 +441,33 @@ class RunEvaluation:
     mean: AggregateScores
 
 
+def _cutoff_scores(
+    run: RunList,
+    qrels: Qrels,
+    source: SimilaritySource | None,
+    decoy_cfg: DecoyConfig,
+    cfg: MetricConfig,
+    metrics: tuple[str, ...],
+    cutoffs: Sequence[int],
+) -> Iterator[tuple[int, list[TopicScores], AggregateScores]]:
+    """Per ascending cutoff k: k, every judged topic's scores at k (sorted
+    by topic) and their mean, one cutoff at a time. Each topic is summarised
+    once, down to the last cutoff; detection runs only for dejavu."""
+    needs_sims = "dejavu" in metrics
+    if needs_sims and source is None:
+        raise ValueError("dejavu requires a similarity source")
+    prefixes = []
+    for topic_id in sorted(qrels.judgments):
+        ranking = run.rankings.get(topic_id, Ranking())
+        view = source.topic_view(topic_id) if needs_sims and ranking else None
+        prefixes.append(topic_prefix(
+            topic_id, ranking, qrels.grades_for(topic_id), view, decoy_cfg, cfg, cutoffs[-1]
+        ))
+    for k in cutoffs:
+        rows = [prefix.scores_at(k, metrics, cfg.alpha) for prefix in prefixes]
+        yield k, rows, aggregate(rows)
+
+
 def evaluate_run(
     run: RunList,
     qrels: Qrels,
@@ -464,22 +491,9 @@ def evaluate_run(
         raise ValueError("at least one cutoff is required")
     if cutoffs[0] < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoffs[0]}")
-    needs_sims = "dejavu" in metrics
-    if needs_sims and source is None:
-        raise ValueError("dejavu requires a similarity source")
-
-    rows: list[list[TopicScores]] = [[] for _ in cutoffs]
-    for topic_id in sorted(qrels.judgments):
-        ranking = run.rankings.get(topic_id, [])
-        view = source.topic_view(topic_id) if needs_sims and ranking else None
-        prefix = topic_prefix(
-            topic_id, ranking, qrels.grades_for(topic_id), view, decoy_cfg, cfg, cutoffs[-1]
-        )
-        for k, row in zip(cutoffs, rows):
-            row.append(prefix.scores_at(k, metrics, cfg.alpha))
     return [
-        RunEvaluation(run.run_tag, k, metrics, row, aggregate(row))
-        for k, row in zip(cutoffs, rows)
+        RunEvaluation(run.run_tag, k, metrics, rows, mean)
+        for k, rows, mean in _cutoff_scores(run, qrels, source, decoy_cfg, cfg, metrics, cutoffs)
     ]
 
 
@@ -507,8 +521,9 @@ def sweep(
     """Mean decoy count, nDCG, Recall and DEJA-VU at each cutoff in
     range(k_start, k_end + 1, k_step).
 
-    The rows are evaluate_run's means at those cutoffs, so each equals
-    evaluate_run at its k exactly.
+    Each row is aggregated from the same per-topic scores as evaluate_run's
+    means, so it equals evaluate_run's mean at its k exactly; only one
+    cutoff's per-topic scores are held at a time.
     """
     if k_start < 1 or k_end < k_start or k_step < 1:
         raise ValueError(
@@ -517,17 +532,11 @@ def sweep(
         )
     if not qrels.judgments:
         raise ValueError("qrels contain no topics")
-    evaluations = evaluate_run(
-        run, qrels, source, decoy_cfg, cfg, ("dejavu", "ndcg", "recall"),
-        range(k_start, k_end + 1, k_step),
-    )
+    cutoffs = range(k_start, k_end + 1, k_step)
     return [
-        SweepRow(
-            k=ev.k,
-            decoy_pairs=ev.mean.decoy_pairs,
-            ndcg=ev.mean.scores["ndcg"],
-            recall=ev.mean.scores["recall"],
-            dejavu=ev.mean.scores["dejavu"],
+        SweepRow(k, mean.decoy_pairs, mean.scores["ndcg"], mean.scores["recall"],
+                 mean.scores["dejavu"])
+        for k, _, mean in _cutoff_scores(
+            run, qrels, source, decoy_cfg, cfg, ("dejavu", "ndcg", "recall"), cutoffs
         )
-        for ev in evaluations
     ]

@@ -39,21 +39,37 @@ def clamp_similarity(value: float, context: str = "similarity") -> float:
 
 
 @dataclass(frozen=True, slots=True)
-class RankedDoc:
-    """One entry of a ranked list: document id, dense 1-based rank, score.
+class Ranking:
+    """One ranked list as parallel columns: doc ids, scores and the rank
+    column as it appeared on disk.
 
-    `source_rank` preserves the rank column as it appeared on disk, for
-    diagnostics; `rank` is always the re-normalized dense rank.
+    The rank of the doc at position i is i + 1; `source_ranks` is kept for
+    diagnostics only. Doc ids are unique. `Ranking()` is the empty list,
+    and a Ranking is falsy exactly when it is empty.
     """
 
-    doc_id: str
-    rank: int
-    score: float
-    source_rank: int | None = None
+    doc_ids: tuple[str, ...] = ()
+    scores: tuple[float, ...] = ()
+    source_ranks: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
+        n = len(self.doc_ids)
+        if len(self.scores) != n or len(self.source_ranks) != n:
+            raise ValueError(
+                f"ranking columns differ in length: {n} doc ids, "
+                f"{len(self.scores)} scores, {len(self.source_ranks)} source ranks"
+            )
+        if len(set(self.doc_ids)) != n:
+            raise ValueError("duplicate doc ids in ranking")
+
+    def __len__(self) -> int:
+        return len(self.doc_ids)
+
+    def head(self, k: int) -> "Ranking":
+        """The top k of the ranking (all of it when k >= its length)."""
+        if k >= len(self.doc_ids):
+            return self
+        return Ranking(self.doc_ids[:k], self.scores[:k], self.source_ranks[:k])
 
 
 @dataclass(frozen=True)
@@ -86,25 +102,10 @@ class Qrels:
 
 @dataclass(frozen=True)
 class RunList:
-    """A system's ranked output: one ordered list of RankedDoc per topic.
-
-    Within a topic, ranks must be dense 1..n and doc ids unique. Parsers
-    guarantee this by re-normalizing ranks in score order.
-    """
+    """A system's ranked output: one Ranking per topic."""
 
     run_tag: str
-    rankings: Mapping[str, list[RankedDoc]]
-
-    def __post_init__(self):
-        for topic_id, docs in self.rankings.items():
-            ranks = [d.rank for d in docs]
-            if ranks != list(range(1, len(docs) + 1)):
-                raise ValueError(
-                    f"ranks for topic {topic_id} are not dense 1..{len(docs)}"
-                )
-            ids = {d.doc_id for d in docs}
-            if len(ids) != len(docs):
-                raise ValueError(f"duplicate doc ids in topic {topic_id}")
+    rankings: Mapping[str, Ranking]
 
 
 @dataclass(frozen=True)
@@ -116,6 +117,11 @@ class MinGradeGap:
     def __post_init__(self):
         if self.gamma < 1:
             raise ValueError(f"grade gap must be >= 1, got {self.gamma}")
+
+    @property
+    def min_target_grade(self) -> int:
+        """Lowest target grade the rule admits: decoy grades are >= 0."""
+        return self.gamma
 
     def admits(self, target_grade: int, decoy_grade: int) -> bool:
         return target_grade - decoy_grade >= self.gamma
@@ -137,6 +143,11 @@ class GradeBand:
             raise ValueError(
                 f"decoy_max ({self.decoy_max}) must be < target_min ({self.target_min})"
             )
+
+    @property
+    def min_target_grade(self) -> int:
+        """Lowest target grade the rule admits."""
+        return self.target_min
 
     def admits(self, target_grade: int, decoy_grade: int) -> bool:
         return target_grade >= self.target_min and decoy_grade <= self.decoy_max
@@ -347,21 +358,13 @@ class SerpInteraction:
     user_id: str
     task_id: str
     topic_id: str
-    serp: list[RankedDoc]
+    serp: Ranking
     clicks: Mapping[str, Click]
 
     def __post_init__(self):
-        ranks = [d.rank for d in self.serp]
-        if ranks != list(range(1, len(self.serp) + 1)):
-            raise ValueError(f"SERP {self.serp_id} ranks are not dense 1..{len(self.serp)}")
-        shown = {d.doc_id for d in self.serp}
-        if len(shown) != len(self.serp):
-            raise ValueError(f"duplicate doc ids in SERP {self.serp_id}")
         for doc_id in self.clicks:
-            if doc_id not in shown:
-                raise ValueError(
-                    f"click on doc {doc_id} absent from SERP {self.serp_id}"
-                )
+            if doc_id not in self.serp.doc_ids:
+                raise ValueError(f"click on doc {doc_id} absent from SERP {self.serp_id}")
 
 
 @dataclass(frozen=True)
@@ -369,10 +372,6 @@ class InteractionLog:
     """A search log: the SERP interactions of one study, in file order."""
 
     sessions: list[SerpInteraction]
-
-    def topic_ids(self) -> list[str]:
-        """Distinct topic ids, sorted."""
-        return sorted({s.topic_id for s in self.sessions})
 
 
 @dataclass(frozen=True, slots=True)

@@ -50,15 +50,16 @@ from decoyeval.metrics import (
     rbp_at_k,
     recall_at_k,
 )
-from decoyeval.model import DecoyConfig, DecoyPair, MinGradeGap, RankedDoc
+from decoyeval.model import DecoyConfig, DecoyPair, MinGradeGap, Ranking
 from decoyeval.simsig import TopicSimMatrix, percentile_threshold
 
 from conftest import LOG_CLICKS, LOG_EXPECTED, write_corpus, write_planted_log
 
 
 def ranking_of(doc_ids):
-    return [RankedDoc(doc_id=d, rank=i + 1, score=float(len(doc_ids) - i))
-            for i, d in enumerate(doc_ids)]
+    n = len(doc_ids)
+    return Ranking(tuple(doc_ids), tuple(float(n - i) for i in range(n)),
+                   tuple(range(1, n + 1)))
 
 
 def matrix_for(doc_ids, table, topic="t"):

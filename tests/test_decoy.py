@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decoyeval.decoy import (
     detect_decoy_pairs,
@@ -19,7 +21,7 @@ from decoyeval.model import (
     GradeBand,
     MinGradeGap,
     PairStore,
-    RankedDoc,
+    Ranking,
 )
 from decoyeval.simsig import TopicSimMatrix
 
@@ -27,8 +29,9 @@ from conftest import LOG_EXPECTED, LOG_GRADES, LOG_TOP_SIM, planted_pair_sims
 
 
 def ranking_of(doc_ids):
-    return [RankedDoc(doc_id=d, rank=i + 1, score=float(len(doc_ids) - i))
-            for i, d in enumerate(doc_ids)]
+    n = len(doc_ids)
+    return Ranking(tuple(doc_ids), tuple(float(n - i) for i in range(n)),
+                   tuple(range(1, n + 1)))
 
 
 def matrix_for(doc_ids, sims, topic="t"):
@@ -154,12 +157,6 @@ class TestDetectionRules:
         assert (pair.target_grade, pair.decoy_grade) == (2, 1)
         assert pair.similarity == 0.7
 
-    def test_non_dense_ranks_rejected(self):
-        docs = [RankedDoc(doc_id="a", rank=1, score=2.0),
-                RankedDoc(doc_id="b", rank=3, score=1.0)]
-        with pytest.raises(ValueError):
-            detect_decoy_pairs("t", docs, {}, None, DecoyConfig())
-
     def test_missing_similarity_coverage_raises(self):
         docs = ["a", "b"]
         grades = {"a": 3, "b": 0}
@@ -194,7 +191,7 @@ class TestDetectionRules:
 
     def test_at_k_requires_positive_k(self):
         with pytest.raises(ValueError):
-            detect_decoy_pairs_at_k("t", [], {}, None, DecoyConfig(), 0)
+            detect_decoy_pairs_at_k("t", Ranking(), {}, None, DecoyConfig(), 0)
 
 
 class TestOracleEquivalence:
@@ -234,6 +231,84 @@ class TestOracleEquivalence:
                     for k in range(1, len(docs) + 1)
                 ]
                 assert counts == sorted(counts)
+
+
+def brute_force_lookups(doc_ids, grades, cfg):
+    """The similarity lookups detection must make: every pair at most
+    delta_rank apart that the quality rule admits in either direction, as
+    (higher-ranked doc, lower-ranked doc), in rank order of the pair."""
+    calls = []
+    for i, a in enumerate(doc_ids):
+        for j, b in enumerate(doc_ids):
+            if i < j <= i + cfg.delta_rank:
+                ga, gb = grades.get(a, 0), grades.get(b, 0)
+                if cfg.quality.admits(ga, gb) or cfg.quality.admits(gb, ga):
+                    calls.append((a, b))
+    return calls
+
+
+class RecordingSims:
+    """A topic-scoped similarity source that records every sim() call."""
+
+    def __init__(self, table):
+        self.table = table
+        self.calls = []
+
+    def sim(self, doc_a, doc_b):
+        self.calls.append((doc_a, doc_b))
+        return self.table[frozenset((doc_a, doc_b))]
+
+
+@st.composite
+def detection_instances(draw):
+    """Doc ids, a partial grading, a similarity for every pair (drawn from
+    values on and around the band edges) and a detection config."""
+    n = draw(st.integers(0, 30))
+    docs = [f"d{i:02d}" for i in range(n)]
+    graded = draw(st.lists(st.one_of(st.none(), st.integers(0, 4)), min_size=n, max_size=n))
+    grades = {d: g for d, g in zip(docs, graded) if g is not None}
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    table = {frozenset((a, b)): rng.choice((0.0, 0.3, 0.6, 0.75, 0.9, 0.95, 1.0))
+             for i, a in enumerate(docs) for b in docs[i + 1:]}
+    quality = draw(st.sampled_from((GradeBand(2, 1), GradeBand(3, 0), GradeBand(1, 0),
+                                    MinGradeGap(1), MinGradeGap(2), MinGradeGap(3))))
+    cfg = DecoyConfig(quality=quality, delta_rank=draw(st.integers(1, 6)))
+    return docs, grades, table, cfg
+
+
+class TestLookupOracle:
+    """Detection visits only possible targets' windows, yet must fetch
+    exactly the similarities an all-pairs scan in rank order would."""
+
+    @given(detection_instances(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_lookups_and_pairs_match_brute_force(self, instance, dedup):
+        docs, grades, table, cfg = instance
+        sims = RecordingSims(table)
+        got = detect_decoy_pairs("t", ranking_of(docs), grades, sims, cfg, dedup=dedup)
+        assert sims.calls == brute_force_lookups(docs, grades, cfg)
+        expected = oracle_detect(docs, grades, lambda a, b: table[frozenset((a, b))],
+                                 cfg, dedup)
+        assert sorted((p.target_doc, p.decoy_doc, p.similarity) for p in got) == expected
+        ranks = [(p.target_rank, p.decoy_rank) for p in got]
+        assert ranks == sorted(ranks)
+
+    @given(detection_instances(), st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_partial_pair_store_lists_missing_keys_in_lookup_order(self, instance, seed):
+        docs, grades, table, cfg = instance
+        rng = random.Random(seed)
+        absent = {key for key in table if rng.random() < 0.2}
+        store = PairStore({("t", *sorted(key)): s for key, s in table.items()
+                           if key not in absent})
+        expected = [("t", a, b) for a, b in brute_force_lookups(docs, grades, cfg)
+                    if frozenset((a, b)) in absent]
+        if not expected:
+            detect_decoy_pairs("t", ranking_of(docs), grades, store.topic_view("t"), cfg)
+            return
+        with pytest.raises(CoverageError) as exc:
+            detect_decoy_pairs("t", ranking_of(docs), grades, store.topic_view("t"), cfg)
+        assert exc.value.missing == expected
 
 
 class TestLogIdentification:

@@ -23,8 +23,8 @@ class TestParseRun:
                   "t2 Q0 d3 1 1.0 tag\n")
         run = ingest.parse_run(p)
         assert run.run_tag == "tag"
-        assert [d.doc_id for d in run.rankings["t1"]] == ["d1", "d2"]
-        assert [d.rank for d in run.rankings["t1"]] == [1, 2]
+        assert run.rankings["t1"].doc_ids == ("d1", "d2")
+        assert run.rankings["t1"].scores == (9.5, 8.0)
 
     def test_score_column_wins_over_stated_rank(self, tmp_path):
         # Ranks in the file contradict the scores; scores are authoritative.
@@ -33,16 +33,24 @@ class TestParseRun:
                   "t1 Q0 high 2 9.0 tag\n")
         run = ingest.parse_run(p)
         docs = run.rankings["t1"]
-        assert [d.doc_id for d in docs] == ["high", "low"]
-        assert [d.rank for d in docs] == [1, 2]
-        assert [d.source_rank for d in docs] == [2, 1]
+        assert docs.doc_ids == ("high", "low")
+        assert docs.source_ranks == (2, 1)
 
-    def test_score_ties_break_by_doc_id(self, tmp_path):
+    def test_score_ties_break_by_rank_column(self, tmp_path):
+        p = write(tmp_path / "run.txt",
+                  "t1 Q0 aa 2 5.0 tag\n"
+                  "t1 Q0 zz 1 5.0 tag\n"
+                  "t1 Q0 mm 3 6.0 tag\n")
+        run = ingest.parse_run(p)
+        assert run.rankings["t1"].doc_ids == ("mm", "zz", "aa")
+
+    def test_score_and_rank_ties_break_by_doc_id(self, tmp_path):
         p = write(tmp_path / "run.txt",
                   "t1 Q0 zz 1 5.0 tag\n"
-                  "t1 Q0 aa 2 5.0 tag\n")
+                  "t1 Q0 aa 1 5.0 tag\n"
+                  "t1 Q0 bb 0 5.0 tag\n")
         run = ingest.parse_run(p)
-        assert [d.doc_id for d in run.rankings["t1"]] == ["aa", "zz"]
+        assert run.rankings["t1"].doc_ids == ("bb", "aa", "zz")
 
     def test_line_order_irrelevant(self, tmp_path):
         lines = [f"t1 Q0 d{i} {i} {100 - i}.0 tag\n" for i in range(1, 21)]
@@ -74,13 +82,35 @@ class TestParseRun:
         message = str(exc.value)
         assert "line 1" in message and "run.txt:3" in message
 
+    def test_same_doc_in_two_topics_is_not_a_duplicate(self, tmp_path):
+        p = write(tmp_path / "run.txt",
+                  "t1 Q0 d1 1 9.0 tag\n"
+                  "t2 Q0 d1 1 8.0 tag\n")
+        run = ingest.parse_run(p)
+        assert run.rankings["t1"].doc_ids == run.rankings["t2"].doc_ids == ("d1",)
+
+    def test_duplicate_in_interleaved_topics_names_its_first_line(self, tmp_path):
+        p = write(tmp_path / "run.txt",
+                  "t1 Q0 d1 1 9.0 tag\n"
+                  "t2 Q0 d1 1 9.0 tag\n"
+                  "t2 Q0 d2 2 8.0 tag\n"
+                  "t1 Q0 d2 2 8.0 tag\n"
+                  "t2 Q0 d1 3 7.0 tag\n"
+                  "t1 Q0 d2 3 7.0 tag\n")
+        with pytest.raises(ParseError) as exc:
+            ingest.parse_run(p)
+        assert [(d.line, d.message) for d in exc.value.diagnostics] == [
+            (5, "duplicate (topic, doc) (t2, d1), first on line 2"),
+            (6, "duplicate (topic, doc) (t1, d2), first on line 4"),
+        ]
+
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(ParseError):
             ingest.parse_run(write(tmp_path / "run.txt", ""))
 
     def test_q0_case_insensitive(self, tmp_path):
         p = write(tmp_path / "run.txt", "t1 q0 d1 1 9.0 tag\n")
-        assert ingest.parse_run(p).rankings["t1"][0].doc_id == "d1"
+        assert ingest.parse_run(p).rankings["t1"].doc_ids == ("d1",)
 
     def test_surprising_q0_value_rejected(self, tmp_path):
         with pytest.raises(ParseError):
@@ -100,12 +130,12 @@ class TestRunRoundTrip:
         out = tmp_path / "b.txt"
         ingest.write_run(original, out)
         reparsed = ingest.parse_run(out)
-        # source_rank records the rank column of the file actually parsed,
+        # source_ranks record the rank column of the file actually parsed,
         # so identity is on the canonical content.
         def canonical(run):
             return {
-                t: [(d.doc_id, d.rank, d.score) for d in docs]
-                for t, docs in run.rankings.items()
+                t: (ranking.doc_ids, ranking.scores)
+                for t, ranking in run.rankings.items()
             }
         assert canonical(reparsed) == canonical(original)
         assert reparsed.run_tag == original.run_tag
@@ -241,8 +271,8 @@ class TestParseInteractionLog:
                            clicks=[])
         p = write(tmp_path / "log.jsonl", json.dumps(entry) + "\n")
         serp = ingest.parse_interaction_log(p).sessions[0].serp
-        assert [d.rank for d in serp] == [1, 2]
-        assert [d.source_rank for d in serp] == [3, 7]
+        assert serp.doc_ids == ("a", "b")
+        assert serp.source_ranks == (3, 7)
 
     def test_empty_log_is_valid(self, tmp_path):
         log = ingest.parse_interaction_log(write(tmp_path / "log.jsonl", ""))

@@ -177,6 +177,19 @@ class TestIncompleteBeta:
         with pytest.raises(ValueError):
             regularized_incomplete_beta(1.0, -2.0, 0.5)
 
+    def test_exact_powers_near_one(self):
+        # I_x(a, 1) = x^a and I_x(a, 2) = x^a (1 + a (1 - x)). At x = exp(-c/a)
+        # with a huge, the continued fraction's odd steps subtract numbers
+        # near 1. The oracle is x ** a at the rounded x: it differs from
+        # exp(-c) itself by up to 1e-8, as x carries one rounding.
+        for a in (1e6, 1e8):
+            for c in (0.5, 5.0, 20.0):
+                x = math.exp(-c / a)
+                assert regularized_incomplete_beta(a, 1.0, x) == pytest.approx(
+                    x ** a, abs=0.0, rel=1e-12), (a, c)
+                assert regularized_incomplete_beta(a, 2.0, x) == pytest.approx(
+                    x ** a * (1.0 + a * (1.0 - x)), abs=0.0, rel=1e-12), (a, c)
+
     def test_complement_symmetry(self):
         rng = random.Random(11)
         for _ in range(200):
@@ -221,12 +234,14 @@ class TestStudentT:
     def test_error_does_not_grow_with_df(self):
         # Taking lgamma(df/2 + 1/2) - lgamma(df/2) as a difference of two
         # lgamma values near 6e6 gives relative errors up to 7.7e-10 at
-        # df = 1e6; the Stirling form stays near 2e-11.
-        for t in (-0.3, 0.7, 2.0, 5.0, 10.0):
-            for df in (1e4, 1e5, 1e6):
+        # df = 1e6, and a continued fraction in x alone up to 2.9e-9 at
+        # df = 1e8 (t = 3). Over this grid scipy agrees with a 40-digit
+        # incomplete beta to 1.1e-14.
+        for t in (-0.3, 0.7, 2.0, 3.0, 5.0, 10.0):
+            for df in (1e4, 1e5, 1e6, 1e7, 1e8):
                 expected = 2.0 * stats.t.sf(abs(t), df)
                 assert student_t_two_sided_p(t, df) == pytest.approx(
-                    expected, abs=0.0, rel=1e-10
+                    expected, abs=0.0, rel=1e-12
                 ), (t, df)
 
     def test_edges(self):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from decoyeval.decoy import detect_decoy_pairs_at_k
 from decoyeval.metrics import (
+    KNOWN_METRICS,
     MetricConfig,
     TopicScores,
     aggregate,
@@ -26,7 +27,7 @@ from decoyeval.metrics import (
     resolve_metrics,
     sweep,
 )
-from decoyeval.model import CoverageError, DecoyConfig, PairStore, Qrels, RunList
+from decoyeval.model import CoverageError, DecoyConfig, PairStore, Qrels, Ranking, RunList
 
 from test_decoy import matrix_for, ranking_of
 
@@ -187,7 +188,7 @@ class TestRbp:
         assert rbp_at_k(ranking_of(["a"]), {"a": 3}, 1) == pytest.approx(0.2, abs=1e-12)
 
     def test_empty_ranking(self):
-        assert rbp_at_k([], {"a": 3}, 5) == 0.0
+        assert rbp_at_k(Ranking(), {"a": 3}, 5) == 0.0
 
     def test_hand_worked_example(self):
         ranking = ranking_of(["a", "b", "c"])
@@ -316,7 +317,7 @@ class TestEvaluateTopic:
 
     def test_lc_requires_resolved_operands(self):
         with pytest.raises(ValueError):
-            evaluate_topic("t", [], {}, None, DecoyConfig(), MetricConfig(), ["lc_ndcg"])
+            evaluate_topic("t", Ranking(), {}, None, DecoyConfig(), MetricConfig(), ["lc_ndcg"])
 
     def test_lc_composes_computed_operands(self):
         docs = ["a", "b", "c"]
@@ -420,6 +421,22 @@ class TestEvaluateRun:
         missing = out[0].topics[1]
         assert missing.scores == {"ndcg": 0.0, "recall": 0.0}
 
+    def test_judged_topic_absent_from_run_scores_as_empty_ranking(self):
+        rng = random.Random(58)
+        run, qrels, source = small_world(rng, n_topics=2)
+        qrels = Qrels(g_max=3, judgments={**qrels.judgments, "t9": {"x": 3, "y": 2}})
+        with_empty = RunList(run.run_tag, {**run.rankings, "t9": Ranking()})
+        metrics = list(KNOWN_METRICS)
+        absent = evaluate_run(run, qrels, source, DecoyConfig(), MetricConfig(),
+                              metrics, [1, 10])
+        empty = evaluate_run(with_empty, qrels, source, DecoyConfig(), MetricConfig(),
+                             metrics, [1, 10])
+        assert absent == empty
+        row = absent[-1].topics[-1]
+        assert row.topic_id == "t9"
+        assert set(row.scores.values()) == {0.0}
+        assert (row.decoy_pairs, row.highly_relevant) == (0, 0)
+
     def test_cutoff_set_equals_each_cutoff_alone(self):
         # Cutoffs 40 and 60 lie past every 25-doc ranking, and topic t9 is
         # judged but absent from the run.
@@ -506,17 +523,22 @@ class TestSweep:
         assert row.decoy_pairs == pytest.approx(ev.mean.decoy_pairs, abs=1e-12)
 
     def test_every_row_matches_direct_evaluation(self):
+        # Exact equality, under every metric and a non-default alpha, and
+        # with cutoffs past the 30-doc rankings: sweep aggregates the same
+        # per-topic scores as evaluate_run.
         rng = random.Random(62)
         run, qrels, source = small_world(rng, n_topics=3, n_docs=30)
-        rows = sweep(run, qrels, source, DecoyConfig(), MetricConfig(),
-                     k_start=3, k_end=30, k_step=4)
-        for row in rows:
-            ev = evaluate_run(run, qrels, source, DecoyConfig(), MetricConfig(),
-                              ["dejavu", "ndcg", "recall"], [row.k])[0]
-            assert row.dejavu == pytest.approx(ev.mean.scores["dejavu"], abs=1e-12)
-            assert row.ndcg == pytest.approx(ev.mean.scores["ndcg"], abs=1e-12)
-            assert row.recall == pytest.approx(ev.mean.scores["recall"], abs=1e-12)
-            assert row.decoy_pairs == pytest.approx(ev.mean.decoy_pairs, abs=1e-12)
+        cfg = MetricConfig(alpha=0.3)
+        rows = sweep(run, qrels, source, DecoyConfig(), cfg,
+                     k_start=3, k_end=40, k_step=4)
+        evaluations = evaluate_run(run, qrels, source, DecoyConfig(), cfg,
+                                   list(KNOWN_METRICS), [row.k for row in rows])
+        assert [row.k for row in rows] == [ev.k for ev in evaluations]
+        for row, ev in zip(rows, evaluations):
+            assert row.dejavu == ev.mean.scores["dejavu"]
+            assert row.ndcg == ev.mean.scores["ndcg"]
+            assert row.recall == ev.mean.scores["recall"]
+            assert row.decoy_pairs == ev.mean.decoy_pairs
 
     def test_monotone_columns(self):
         rng = random.Random(63)

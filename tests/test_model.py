@@ -15,7 +15,7 @@ from decoyeval.model import (
     MinGradeGap,
     PairStore,
     Qrels,
-    RankedDoc,
+    Ranking,
     RunList,
     SerpInteraction,
     VectorStore,
@@ -23,8 +23,9 @@ from decoyeval.model import (
 )
 
 
-def doc(doc_id, rank, score=0.0):
-    return RankedDoc(doc_id=doc_id, rank=rank, score=score)
+def ranking(*doc_ids):
+    n = len(doc_ids)
+    return Ranking(doc_ids, (0.0,) * n, tuple(range(1, n + 1)))
 
 
 class TestClampSimilarity:
@@ -47,14 +48,27 @@ class TestClampSimilarity:
             clamp_similarity(math.nan, "x")
 
 
-class TestRankedDoc:
-    def test_rank_must_be_positive(self):
-        with pytest.raises(ValueError):
-            RankedDoc(doc_id="d", rank=0, score=1.0)
+class TestRanking:
+    def test_columns_must_align(self):
+        with pytest.raises(ValueError, match="length"):
+            Ranking(("a", "b"), (1.0,), (1, 2))
+        with pytest.raises(ValueError, match="length"):
+            Ranking(("a",), (1.0,), ())
 
-    def test_source_rank_preserved(self):
-        d = RankedDoc(doc_id="d", rank=1, score=1.0, source_rank=17)
-        assert d.source_rank == 17
+    def test_source_ranks_preserved(self):
+        r = Ranking(("d", "e"), (2.0, 1.0), (17, 3))
+        assert r.source_ranks == (17, 3)
+        assert r.head(1) == Ranking(("d",), (2.0,), (17,))
+
+    def test_empty_ranking_is_falsy(self):
+        assert not Ranking()
+        assert len(Ranking()) == 0
+        assert ranking("a")
+
+    def test_head_past_the_end_is_the_ranking(self):
+        r = ranking("a", "b")
+        assert r.head(5) == r
+        assert r.head(0) == Ranking()
 
 
 class TestQrels:
@@ -73,16 +87,12 @@ class TestQrels:
 
 
 class TestRunList:
-    def test_dense_ranks_required(self):
-        with pytest.raises(ValueError):
-            RunList(run_tag="r", rankings={"t": [doc("a", 1), doc("b", 3)]})
-
     def test_duplicate_doc_rejected(self):
-        with pytest.raises(ValueError):
-            RunList(run_tag="r", rankings={"t": [doc("a", 1), doc("a", 2)]})
+        with pytest.raises(ValueError, match="duplicate"):
+            RunList(run_tag="r", rankings={"t": ranking("a", "a")})
 
     def test_valid_run_accepted(self):
-        run = RunList(run_tag="r", rankings={"t": [doc("a", 1), doc("b", 2)]})
+        run = RunList(run_tag="r", rankings={"t": ranking("a", "b")})
         assert len(run.rankings["t"]) == 2
 
 
@@ -220,7 +230,7 @@ class TestInteractionTypes:
         with pytest.raises(ValueError, match="s1"):
             SerpInteraction(
                 serp_id="s1", session_id="x", user_id="u", task_id="k",
-                topic_id="t", serp=[doc("a", 1)],
+                topic_id="t", serp=ranking("a"),
                 clicks={"other": Click(dwell_seconds=1.0, usefulness=1)},
             )
 
