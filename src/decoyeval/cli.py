@@ -264,6 +264,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_mine(args) -> int:
+    if args.top_n < 1:
+        raise ValueError(f"--top-n must be at least 1, got {args.top_n}")
     log = ingest.parse_interaction_log(Path(args.logs))
     qrels = ingest.parse_qrels(Path(args.qrels), g_max=args.g_max)
     source = _load_source(args)

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import (
+    SIMILARITY_EPS,
     Click,
     InteractionLog,
     InteractionRecord,
@@ -56,6 +57,22 @@ class ParseError(Exception):
         if len(self.diagnostics) > 10:
             shown += f"\n... and {len(self.diagnostics) - 10} more"
         super().__init__(f"{len(self.diagnostics)} parse error(s) in {self.path}:\n{shown}")
+
+
+def _json_lines(path: PathLike, diags: list[ParseDiagnostic]):
+    """Yield (lineno, record) for each non-blank line of a JSON-lines file;
+    a line that is not valid JSON gets a diagnostic in `diags` instead."""
+    name = str(path)
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                diags.append(ParseDiagnostic(name, lineno, f"invalid JSON: {exc.msg}"))
+                continue
+            yield lineno, rec
 
 
 def parse_run(path: PathLike) -> RunList:
@@ -201,54 +218,38 @@ def parse_vectors(path: PathLike) -> VectorStore:
     dim = None
     dim_line = None
     doc_line: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                diags.append(ParseDiagnostic(name, lineno, f"invalid JSON: {exc.msg}"))
-                continue
+    for lineno, rec in _json_lines(path, diags):
+        try:
             if isinstance(rec, dict) and "vec" in rec and "vector" not in rec:
-                diags.append(ParseDiagnostic(
-                    name, lineno, 'the vector field is named "vector", not "vec"'
-                ))
-                continue
+                raise ValueError('the vector field is named "vector", not "vec"')
             if not isinstance(rec, dict) or "doc_id" not in rec or "vector" not in rec:
-                diags.append(ParseDiagnostic(name, lineno, "record must have doc_id and vector fields"))
-                continue
+                raise ValueError("record must have doc_id and vector fields")
             doc_id = rec["doc_id"]
             if not isinstance(doc_id, str):
-                diags.append(ParseDiagnostic(name, lineno, f"doc_id must be a string, got {doc_id!r}"))
-                continue
+                raise ValueError(f"doc_id must be a string, got {doc_id!r}")
             try:
                 vec = np.asarray(rec["vector"], dtype=np.float64)
             except (TypeError, ValueError):
-                diags.append(ParseDiagnostic(name, lineno, "vector must be an array of numbers"))
-                continue
+                raise ValueError("vector must be an array of numbers") from None
             if vec.ndim != 1 or vec.shape[0] == 0:
-                diags.append(ParseDiagnostic(name, lineno, "vector must be a non-empty flat array"))
-                continue
+                raise ValueError("vector must be a non-empty flat array")
             if doc_id in doc_line:
-                diags.append(ParseDiagnostic(
-                    name, lineno,
-                    f"duplicate vector for doc {doc_id}, first on line {doc_line[doc_id]}",
-                ))
-                continue
+                raise ValueError(
+                    f"duplicate vector for doc {doc_id}, first on line {doc_line[doc_id]}"
+                )
             if dim is None:
                 dim, dim_line = vec.shape[0], lineno
             elif vec.shape[0] != dim:
-                diags.append(ParseDiagnostic(
-                    name, lineno,
-                    f"dimension mismatch: {vec.shape[0]} here vs {dim} on line {dim_line}",
-                ))
-                continue
+                raise ValueError(
+                    f"dimension mismatch: {vec.shape[0]} here vs {dim} on line {dim_line}"
+                )
             if not np.any(vec):
-                diags.append(ParseDiagnostic(name, lineno, f"zero-norm vector for doc {doc_id}"))
-                continue
-            doc_line[doc_id] = lineno
-            vectors[doc_id] = vec
+                raise ValueError(f"zero-norm vector for doc {doc_id}")
+        except ValueError as exc:
+            diags.append(ParseDiagnostic(name, lineno, str(exc)))
+            continue
+        doc_line[doc_id] = lineno
+        vectors[doc_id] = vec
     if not diags and not vectors:
         diags.append(ParseDiagnostic(name, 1, "no vector records in file"))
     if diags:
@@ -283,7 +284,7 @@ def parse_pair_sims(path: PathLike) -> PairStore:
             except ValueError:
                 diags.append(ParseDiagnostic(name, lineno, f"non-numeric similarity {sim_s!r}"))
                 continue
-            if not -1.0 - 1e-6 <= sim <= 1.0 + 1e-6:
+            if not -1.0 - SIMILARITY_EPS <= sim <= 1.0 + SIMILARITY_EPS:
                 diags.append(ParseDiagnostic(
                     name, lineno, f"similarity {sim} outside [-1, 1]"
                 ))
@@ -311,98 +312,75 @@ def parse_interaction_log(path: PathLike) -> InteractionLog:
     Each record is an object with serp_id, session_id, user_id, task_id,
     topic_id, serp (ordered array of {doc_id, rank}) and clicks (array of
     {doc_id, dwell_seconds, usefulness}). SERP ranks are re-normalized to the
-    array order; clicked docs must appear on the SERP; serp_ids are unique.
+    array order; clicked docs must appear on the SERP, with at most one click
+    entry per doc; serp_ids are unique.
     """
     diags: list[ParseDiagnostic] = []
     name = str(path)
     sessions: list[SerpInteraction] = []
     serp_line: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                diags.append(ParseDiagnostic(name, lineno, f"invalid JSON: {exc.msg}"))
-                continue
-            problem = _interaction_problem(rec)
-            if problem is not None:
-                diags.append(ParseDiagnostic(name, lineno, problem))
-                continue
-            serp_id = str(rec["serp_id"])
-            if serp_id in serp_line:
-                diags.append(ParseDiagnostic(
-                    name, lineno, f"duplicate serp_id {serp_id}, first on line {serp_line[serp_id]}"
-                ))
-                continue
-            serp_line[serp_id] = lineno
-            doc_ids = tuple(str(entry["doc_id"]) for entry in rec["serp"])
-            shown = set(doc_ids)
-            if len(shown) != len(doc_ids):
-                dup = next(d for i, d in enumerate(doc_ids) if d in doc_ids[:i])
-                diags.append(ParseDiagnostic(name, lineno, f"SERP {serp_id}: duplicate doc {dup}"))
-                continue
-            clicks: dict[str, Click] = {}
-            click_problem = None
-            for c in rec["clicks"]:
-                doc_id = str(c["doc_id"])
-                if doc_id not in shown:
-                    click_problem = f"SERP {serp_id}: click on doc {doc_id} absent from SERP"
-                    break
-                dwell = float(c["dwell_seconds"])
-                if dwell < 0:
-                    click_problem = f"SERP {serp_id}: negative dwell {dwell} on doc {doc_id}"
-                    break
-                usefulness = int(c["usefulness"])
-                if usefulness < 0:
-                    click_problem = f"SERP {serp_id}: negative usefulness on doc {doc_id}"
-                    break
-                clicks[doc_id] = Click(dwell, usefulness)
-            if click_problem is not None:
-                diags.append(ParseDiagnostic(name, lineno, click_problem))
-                continue
-            source_ranks = tuple(entry["rank"] for entry in rec["serp"])
-            sessions.append(SerpInteraction(
-                serp_id=serp_id,
-                session_id=str(rec["session_id"]),
-                user_id=str(rec["user_id"]),
-                task_id=str(rec["task_id"]),
-                topic_id=str(rec["topic_id"]),
-                serp=Ranking(doc_ids, (0.0,) * len(doc_ids), source_ranks),
-                clicks=clicks,
-            ))
+    for lineno, rec in _json_lines(path, diags):
+        try:
+            session = _serp_interaction(rec)
+            seen = serp_line.setdefault(session.serp_id, lineno)
+            if seen != lineno:
+                raise ValueError(f"duplicate serp_id {session.serp_id}, first on line {seen}")
+            sessions.append(session)
+        except ValueError as exc:
+            diags.append(ParseDiagnostic(name, lineno, str(exc)))
     if diags:
         raise ParseError(path, diags)
     return InteractionLog(sessions)
 
 
-def _interaction_problem(rec) -> str | None:
-    """Shape check for one interaction record; returns a message or None."""
+_ID_FIELDS = ("serp_id", "session_id", "user_id", "task_id", "topic_id")
+
+
+def _serp_interaction(rec) -> SerpInteraction:
+    """One log record, each SERP entry and click read once. Shape and type
+    are checked here, value invariants by the model constructors; past the
+    id fields every message names the SERP, and the doc for a click."""
     if not isinstance(rec, dict):
-        return "record must be an object"
-    for field_name in ("serp_id", "session_id", "user_id", "task_id", "topic_id"):
+        raise ValueError("record must be an object")
+    for field_name in _ID_FIELDS:
         if field_name not in rec:
-            return f"missing field {field_name}"
-    if not isinstance(rec.get("serp"), list):
-        return "serp must be an array of {doc_id, rank}"
-    for entry in rec["serp"]:
-        if not isinstance(entry, dict) or "doc_id" not in entry or "rank" not in entry:
-            return "serp entries must have doc_id and rank"
-        if not isinstance(entry["rank"], int) or isinstance(entry["rank"], bool):
-            return f"serp rank must be an integer, got {entry['rank']!r}"
-    if not isinstance(rec.get("clicks"), list):
-        return "clicks must be an array of {doc_id, dwell_seconds, usefulness}"
-    for c in rec["clicks"]:
-        if not isinstance(c, dict) or not {"doc_id", "dwell_seconds", "usefulness"} <= c.keys():
-            return "click entries must have doc_id, dwell_seconds and usefulness"
-        if not isinstance(c["dwell_seconds"], (int, float)):
-            return "dwell_seconds must be a number"
-        if not math.isfinite(c["dwell_seconds"]):
-            return f"dwell_seconds must be finite, got {c['dwell_seconds']!r}"
-        if not isinstance(c["usefulness"], int) or isinstance(c["usefulness"], bool):
-            return f"usefulness must be an integer, got {c['usefulness']!r}"
-    return None
+            raise ValueError(f"missing field {field_name}")
+    try:
+        if not isinstance(rec.get("serp"), list):
+            raise ValueError("serp must be an array of {doc_id, rank}")
+        doc_ids, source_ranks = [], []
+        for entry in rec["serp"]:
+            if not isinstance(entry, dict) or "doc_id" not in entry or "rank" not in entry:
+                raise ValueError("serp entries must have doc_id and rank")
+            rank = entry["rank"]
+            if not isinstance(rank, int) or isinstance(rank, bool):
+                raise ValueError(f"serp rank must be an integer, got {rank!r}")
+            doc_ids.append(str(entry["doc_id"]))
+            source_ranks.append(rank)
+        serp = Ranking(tuple(doc_ids), (0.0,) * len(doc_ids), tuple(source_ranks))
+        if not isinstance(rec.get("clicks"), list):
+            raise ValueError("clicks must be an array of {doc_id, dwell_seconds, usefulness}")
+        clicks: dict[str, Click] = {}
+        for c in rec["clicks"]:
+            if not isinstance(c, dict) or not {"doc_id", "dwell_seconds", "usefulness"} <= c.keys():
+                raise ValueError("click entries must have doc_id, dwell_seconds and usefulness")
+            doc_id, dwell, usefulness = str(c["doc_id"]), c["dwell_seconds"], c["usefulness"]
+            try:
+                if not isinstance(dwell, (int, float)):
+                    raise ValueError("dwell_seconds must be a number")
+                if not math.isfinite(dwell):
+                    raise ValueError(f"dwell_seconds must be finite, got {dwell!r}")
+                if not isinstance(usefulness, int) or isinstance(usefulness, bool):
+                    raise ValueError(f"usefulness must be an integer, got {usefulness!r}")
+                if doc_id in clicks:
+                    raise ValueError("duplicate click entry")
+                clicks[doc_id] = Click(float(dwell), usefulness)
+            except ValueError as exc:
+                raise ValueError(f"click on doc {doc_id}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"SERP {rec['serp_id']}: {exc}") from None
+    # SerpInteraction's own message names the SERP and the doc.
+    return SerpInteraction(*(str(rec[f]) for f in _ID_FIELDS), serp, clicks)
 
 
 def parse_records(path: PathLike) -> list[InteractionRecord]:
@@ -415,32 +393,23 @@ def parse_records(path: PathLike) -> list[InteractionRecord]:
         "serp_id", "doc_id", "group", "is_clicked", "dwell_seconds",
         "usefulness", "rank", "task_id", "user_id",
     }
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                diags.append(ParseDiagnostic(name, lineno, f"invalid JSON: {exc.msg}"))
-                continue
+    for lineno, rec in _json_lines(path, diags):
+        try:
             if not isinstance(rec, dict) or set(rec) != fields:
-                diags.append(ParseDiagnostic(name, lineno, "record fields do not match InteractionRecord"))
-                continue
-            try:
-                records.append(InteractionRecord(
-                    serp_id=str(rec["serp_id"]),
-                    doc_id=str(rec["doc_id"]),
-                    group=str(rec["group"]),
-                    is_clicked=bool(rec["is_clicked"]),
-                    dwell_seconds=float(rec["dwell_seconds"]),
-                    usefulness=int(rec["usefulness"]),
-                    rank=int(rec["rank"]),
-                    task_id=str(rec["task_id"]),
-                    user_id=str(rec["user_id"]),
-                ))
-            except (ValueError, TypeError) as exc:
-                diags.append(ParseDiagnostic(name, lineno, str(exc)))
+                raise ValueError("record fields do not match InteractionRecord")
+            records.append(InteractionRecord(
+                serp_id=str(rec["serp_id"]),
+                doc_id=str(rec["doc_id"]),
+                group=str(rec["group"]),
+                is_clicked=bool(rec["is_clicked"]),
+                dwell_seconds=float(rec["dwell_seconds"]),
+                usefulness=int(rec["usefulness"]),
+                rank=int(rec["rank"]),
+                task_id=str(rec["task_id"]),
+                user_id=str(rec["user_id"]),
+            ))
+        except (ValueError, TypeError) as exc:
+            diags.append(ParseDiagnostic(name, lineno, str(exc)))
     if diags:
         raise ParseError(path, diags)
     return records

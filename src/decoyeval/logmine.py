@@ -127,13 +127,13 @@ def extract_records(
     records = [
         build(session, rank, doc_id, "target")
         for session in log.sessions
-        for rank, doc_id in enumerate(session.serp.doc_ids[:top_n], 1)
+        for rank, doc_id in enumerate(session.serp.head(top_n).doc_ids, 1)
         if (session.serp_id, doc_id) in wanted
     ]
     records.extend(
         build(session, rank, doc_id, "control")
         for session in log.sessions
-        for rank, doc_id in enumerate(session.serp.doc_ids[:top_n], 1)
+        for rank, doc_id in enumerate(session.serp.head(top_n).doc_ids, 1)
         if doc_id in controls
     )
     logger.info(

@@ -60,13 +60,19 @@ class Ranking:
                 f"{len(self.scores)} scores, {len(self.source_ranks)} source ranks"
             )
         if len(set(self.doc_ids)) != n:
-            raise ValueError("duplicate doc ids in ranking")
+            seen = set()
+            for doc_id in self.doc_ids:
+                if doc_id in seen:
+                    raise ValueError(f"duplicate doc id {doc_id} in ranking")
+                seen.add(doc_id)
 
     def __len__(self) -> int:
         return len(self.doc_ids)
 
     def head(self, k: int) -> "Ranking":
         """The top k of the ranking (all of it when k >= its length)."""
+        if k < 0:
+            raise ValueError(f"ranking prefix length must be >= 0, got {k}")
         if k >= len(self.doc_ids):
             return self
         return Ranking(self.doc_ids[:k], self.scores[:k], self.source_ranks[:k])
@@ -304,9 +310,6 @@ class PairStore:
 
     def __len__(self) -> int:
         return len(self._sims)
-
-    def has_pair(self, topic_id: str, doc_a: str, doc_b: str) -> bool:
-        return self._key(topic_id, doc_a, doc_b) in self._sims
 
     def sim(self, topic_id: str, doc_a: str, doc_b: str) -> float:
         try:

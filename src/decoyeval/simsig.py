@@ -8,6 +8,7 @@ scheduling.
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -102,22 +103,23 @@ def topic_sim_matrix(
         np.fill_diagonal(m, 1.0)
         return TopicSimMatrix(topic_id, docs, m)
     if isinstance(source, PairStore):
-        missing = [
-            (docs[i], docs[j])
-            for i in range(n)
-            for j in range(i + 1, n)
-            if not source.has_pair(topic_id, docs[i], docs[j])
-        ]
+        view = source.topic_view(topic_id)
+        values, missing = [], []
+        # combinations() yields the i < j pairs in np.triu_indices order.
+        for doc_a, doc_b in combinations(docs, 2):
+            try:
+                values.append(view.sim(doc_a, doc_b))
+            except CoverageError as exc:
+                missing.extend(exc.missing)
         if missing:
-            shown = ", ".join(f"({a}, {b})" for a, b in missing[:10])
+            shown = ", ".join(f"({a}, {b})" for _, a, b in missing[:10])
             raise CoverageError(
-                f"{len(missing)} pair(s) absent from topic {topic_id}: {shown}",
-                [(topic_id, a, b) for a, b in missing],
+                f"{len(missing)} pair(s) absent from topic {topic_id}: {shown}", missing
             )
         m = np.ones((n, n), dtype=np.float64)
-        for i in range(n):
-            for j in range(i + 1, n):
-                m[i, j] = m[j, i] = source.sim(topic_id, docs[i], docs[j])
+        rows, cols = np.triu_indices(n, k=1)
+        m[rows, cols] = values
+        m[cols, rows] = values
         return TopicSimMatrix(topic_id, docs, m)
     raise TypeError(f"unsupported similarity source {type(source).__name__}")
 

@@ -360,6 +360,14 @@ class TestMine:
             ("s2", "F", "control"), ("s3", "C", "control"),
         ]
 
+    @pytest.mark.parametrize("top_n", ["0", "-1"])
+    def test_top_n_below_one_is_1(self, tmp_path, capsys, top_n):
+        paths = write_planted_log(tmp_path / "planted")
+        out_dir = tmp_path / "mined"
+        assert self.run_mine(paths, out_dir, "--top-n", top_n) == 1
+        assert "--top-n" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_bad_percentile_order_is_1(self, tmp_path, capsys):
         paths = write_planted_log(tmp_path / "planted")
         rc = self.run_mine(paths, tmp_path / "mined", "--s-min-pct", "99.9")

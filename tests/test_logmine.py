@@ -145,6 +145,15 @@ class TestExtractRecords:
             ("s2", "F", "control"), ("s3", "C", "control"),
         ]
 
+    def test_negative_top_n_rejected(self, planted_log):
+        log, qrels, source = load_world(planted_log)
+        thr, pair_records, matched, controls, _ = mine_pipeline(log, qrels, source)
+        with pytest.raises(ValueError, match="-1"):
+            extract_records(log, pair_records, matched, controls, top_n=-1)
+        cfg = DecoyConfig(s_min=thr.s_min, quality=MinGradeGap(2), s_max_inclusive=True)
+        with pytest.raises(ValueError, match="-1"):
+            identify_targets(log, qrels, source, cfg, top_n=-1)
+
     def test_overlap_rejected(self, planted_log):
         log, qrels, source = load_world(planted_log)
         thr, pair_records, matched, controls, _ = mine_pipeline(log, qrels, source)

@@ -70,6 +70,15 @@ class TestRanking:
         assert r.head(5) == r
         assert r.head(0) == Ranking()
 
+    def test_head_rejects_negative_length(self):
+        # A negative slice would silently drop docs from the end.
+        with pytest.raises(ValueError, match="-1"):
+            ranking("a", "b").head(-1)
+
+    def test_duplicate_doc_named(self):
+        with pytest.raises(ValueError, match="duplicate doc id b in ranking"):
+            ranking("a", "b", "c", "b")
+
 
 class TestQrels:
     def test_grade_above_g_max_rejected(self):

@@ -99,12 +99,26 @@ class TestTopicSimMatrix:
         assert m.sim("b", "c") == 0.5
         assert m.sim("c", "a") == 0.2
 
+    def test_pair_store_matrix_matches_lookups(self):
+        rng = random.Random(21)
+        docs = [f"d{i}" for i in range(15)]
+        rng.shuffle(docs)
+        store = PairStore({
+            ("t", a, b): rng.uniform(-1, 1)
+            for i, a in enumerate(docs) for b in docs[i + 1:]
+        })
+        m = topic_sim_matrix(store, docs, "t")
+        for i, a in enumerate(docs):
+            for j, b in enumerate(docs):
+                assert m.sims[i, j] == (1.0 if a == b else store.sim("t", a, b))
+
     def test_pair_store_missing_pairs_all_listed(self):
         store = PairStore({("t", "a", "b"): 0.8})
         with pytest.raises(CoverageError) as exc:
             topic_sim_matrix(store, ["a", "b", "c", "d"], "t")
-        # (a,c), (a,d), (b,c), (b,d), (c,d) are all absent
-        assert len(exc.value.missing) == 5
+        assert exc.value.missing == [
+            ("t", "a", "c"), ("t", "a", "d"), ("t", "b", "c"), ("t", "b", "d"), ("t", "c", "d"),
+        ]
 
     def test_missing_vector_doc_reported(self):
         store = VectorStore({"a": np.array([1.0, 0.0])})
