@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from .model import (
-    SIMILARITY_EPS,
     Click,
     InteractionLog,
     InteractionRecord,
@@ -24,6 +23,7 @@ from .model import (
     RunList,
     SerpInteraction,
     VectorStore,
+    pair_key,
 )
 
 logger = logging.getLogger(__name__)
@@ -260,13 +260,13 @@ def parse_vectors(path: PathLike) -> VectorStore:
 def parse_pair_sims(path: PathLike) -> PairStore:
     """Parse a TSV of precomputed similarities: topic, doc_a, doc_b, similarity.
 
-    Pairs are unordered within a topic; re-declaring a pair with a different
-    value is an error, an identical re-declaration is accepted.
+    Each line goes through `PairStore.add`: pairs are unordered within a
+    topic, and a re-declaration must repeat the first value after the clamp.
     """
     diags: list[ParseDiagnostic] = []
     name = str(path)
-    sims: dict[tuple[str, str, str], float] = {}
-    first_line: dict[tuple[str, str, str], int] = {}
+    store = PairStore({})
+    first_line: dict[str, dict[tuple[str, str], int]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             row = line.rstrip("\n")
@@ -284,26 +284,19 @@ def parse_pair_sims(path: PathLike) -> PairStore:
             except ValueError:
                 diags.append(ParseDiagnostic(name, lineno, f"non-numeric similarity {sim_s!r}"))
                 continue
-            if not -1.0 - SIMILARITY_EPS <= sim <= 1.0 + SIMILARITY_EPS:
+            lines = first_line.setdefault(topic_id, {})
+            try:
+                key = store.add(topic_id, doc_a, doc_b, sim)
+            except ValueError as exc:
+                seen = lines.get(pair_key(doc_a, doc_b))
                 diags.append(ParseDiagnostic(
-                    name, lineno, f"similarity {sim} outside [-1, 1]"
+                    name, lineno, f"{exc}, first on line {seen}" if seen else str(exc)
                 ))
                 continue
-            key = (topic_id, doc_a, doc_b) if doc_a <= doc_b else (topic_id, doc_b, doc_a)
-            seen = first_line.get(key)
-            if seen is not None:
-                if sims[key] != sim:
-                    diags.append(ParseDiagnostic(
-                        name, lineno,
-                        f"conflicting similarity for ({doc_a}, {doc_b}) in topic {topic_id}: "
-                        f"{sims[key]} on line {seen}, {sim} here",
-                    ))
-                continue
-            first_line[key] = lineno
-            sims[key] = sim
+            lines.setdefault(key, lineno)
     if diags:
         raise ParseError(path, diags)
-    return PairStore(sims)
+    return store
 
 
 def parse_interaction_log(path: PathLike) -> InteractionLog:
@@ -345,6 +338,8 @@ def _serp_interaction(rec) -> SerpInteraction:
     for field_name in _ID_FIELDS:
         if field_name not in rec:
             raise ValueError(f"missing field {field_name}")
+        if not isinstance(rec[field_name], str):
+            raise ValueError(f"{field_name} must be a string, got {rec[field_name]!r}")
     try:
         if not isinstance(rec.get("serp"), list):
             raise ValueError("serp must be an array of {doc_id, rank}")
@@ -352,10 +347,12 @@ def _serp_interaction(rec) -> SerpInteraction:
         for entry in rec["serp"]:
             if not isinstance(entry, dict) or "doc_id" not in entry or "rank" not in entry:
                 raise ValueError("serp entries must have doc_id and rank")
-            rank = entry["rank"]
+            doc_id, rank = entry["doc_id"], entry["rank"]
+            if not isinstance(doc_id, str):
+                raise ValueError(f"serp doc_id must be a string, got {doc_id!r}")
             if not isinstance(rank, int) or isinstance(rank, bool):
                 raise ValueError(f"serp rank must be an integer, got {rank!r}")
-            doc_ids.append(str(entry["doc_id"]))
+            doc_ids.append(doc_id)
             source_ranks.append(rank)
         serp = Ranking(tuple(doc_ids), (0.0,) * len(doc_ids), tuple(source_ranks))
         if not isinstance(rec.get("clicks"), list):
@@ -364,9 +361,11 @@ def _serp_interaction(rec) -> SerpInteraction:
         for c in rec["clicks"]:
             if not isinstance(c, dict) or not {"doc_id", "dwell_seconds", "usefulness"} <= c.keys():
                 raise ValueError("click entries must have doc_id, dwell_seconds and usefulness")
-            doc_id, dwell, usefulness = str(c["doc_id"]), c["dwell_seconds"], c["usefulness"]
+            doc_id, dwell, usefulness = c["doc_id"], c["dwell_seconds"], c["usefulness"]
+            if not isinstance(doc_id, str):
+                raise ValueError(f"click doc_id must be a string, got {doc_id!r}")
             try:
-                if not isinstance(dwell, (int, float)):
+                if not isinstance(dwell, (int, float)) or isinstance(dwell, bool):
                     raise ValueError("dwell_seconds must be a number")
                 if not math.isfinite(dwell):
                     raise ValueError(f"dwell_seconds must be finite, got {dwell!r}")
@@ -375,40 +374,46 @@ def _serp_interaction(rec) -> SerpInteraction:
                 if doc_id in clicks:
                     raise ValueError("duplicate click entry")
                 clicks[doc_id] = Click(float(dwell), usefulness)
-            except ValueError as exc:
+            # math.isfinite raises OverflowError for an int beyond float range.
+            except (ValueError, OverflowError) as exc:
                 raise ValueError(f"click on doc {doc_id}: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"SERP {rec['serp_id']}: {exc}") from None
     # SerpInteraction's own message names the SERP and the doc.
-    return SerpInteraction(*(str(rec[f]) for f in _ID_FIELDS), serp, clicks)
+    return SerpInteraction(*(rec[f] for f in _ID_FIELDS), serp, clicks)
+
+
+# InteractionRecord's fields, each with the JSON type it must have; a bool
+# is never taken for a number.
+_RECORD_TYPES = {
+    "serp_id": (str, "a string"), "doc_id": (str, "a string"), "group": (str, "a string"),
+    "is_clicked": (bool, "a boolean"), "dwell_seconds": ((int, float), "a number"),
+    "usefulness": (int, "an integer"), "rank": (int, "an integer"),
+    "task_id": (str, "a string"), "user_id": (str, "a string"),
+}
 
 
 def parse_records(path: PathLike) -> list[InteractionRecord]:
     """Parse line-delimited InteractionRecord objects, as written by the
-    report module. Field names match InteractionRecord exactly."""
+    report module. Field names match InteractionRecord exactly, and each
+    field must have its JSON type: nothing is coerced."""
     diags: list[ParseDiagnostic] = []
     name = str(path)
     records: list[InteractionRecord] = []
-    fields = {
-        "serp_id", "doc_id", "group", "is_clicked", "dwell_seconds",
-        "usefulness", "rank", "task_id", "user_id",
-    }
     for lineno, rec in _json_lines(path, diags):
         try:
-            if not isinstance(rec, dict) or set(rec) != fields:
+            if not isinstance(rec, dict) or rec.keys() != _RECORD_TYPES.keys():
                 raise ValueError("record fields do not match InteractionRecord")
-            records.append(InteractionRecord(
-                serp_id=str(rec["serp_id"]),
-                doc_id=str(rec["doc_id"]),
-                group=str(rec["group"]),
-                is_clicked=bool(rec["is_clicked"]),
-                dwell_seconds=float(rec["dwell_seconds"]),
-                usefulness=int(rec["usefulness"]),
-                rank=int(rec["rank"]),
-                task_id=str(rec["task_id"]),
-                user_id=str(rec["user_id"]),
-            ))
-        except (ValueError, TypeError) as exc:
+            for field_name, (kind, label) in _RECORD_TYPES.items():
+                value = rec[field_name]
+                if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+                    raise ValueError(f"{field_name} must be {label}, got {value!r}")
+            dwell = float(rec["dwell_seconds"])
+            if not math.isfinite(dwell):
+                raise ValueError(f"dwell_seconds must be finite, got {dwell!r}")
+            records.append(InteractionRecord(**{**rec, "dwell_seconds": dwell}))
+        # float() raises OverflowError for an int beyond float range.
+        except (ValueError, OverflowError) as exc:
             diags.append(ParseDiagnostic(name, lineno, str(exc)))
     if diags:
         raise ParseError(path, diags)

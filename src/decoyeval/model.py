@@ -2,8 +2,7 @@
 
 Pure data: constructors validate their invariants and raise ValueError with a
 message naming the violated invariant. All types are immutable after
-construction (frozen dataclasses, or conventionally-immutable containers) and
-safe to share across concurrent workers.
+construction (frozen dataclasses, or conventionally-immutable containers).
 """
 
 from collections.abc import Mapping
@@ -283,56 +282,63 @@ class VectorStore:
         return self
 
 
+def pair_key(doc_a: str, doc_b: str) -> tuple[str, str]:
+    """The key of the unordered pair {doc_a, doc_b}: the smaller id first."""
+    return (doc_a, doc_b) if doc_a <= doc_b else (doc_b, doc_a)
+
+
 class PairStore:
     """Similarity source backed by precomputed per-topic pair similarities.
 
-    Keys are unordered document pairs within a topic; lookups are symmetric.
+    One dict per topic maps each unordered pair, keyed by `pair_key`, to its
+    clamped similarity; lookups are symmetric.
     """
 
     def __init__(self, sims: Mapping[tuple[str, str, str], float]):
-        self._sims: dict[tuple[str, str, str], float] = {}
+        self._topics: dict[str, dict[tuple[str, str], float]] = {}
         for (topic_id, doc_a, doc_b), value in sims.items():
-            key = self._key(topic_id, doc_a, doc_b)
-            clamped = clamp_similarity(
-                value, f"similarity({topic_id}: {doc_a}, {doc_b})"
-            )
-            known = self._sims.get(key)
-            if known is not None and known != clamped:
-                raise ValueError(
-                    f"conflicting similarities for pair ({doc_a}, {doc_b}) "
-                    f"in topic {topic_id}: {known} vs {clamped}"
-                )
-            self._sims[key] = clamped
+            self.add(topic_id, doc_a, doc_b, value)
 
-    @staticmethod
-    def _key(topic_id: str, doc_a: str, doc_b: str) -> tuple[str, str, str]:
-        return (topic_id, doc_a, doc_b) if doc_a <= doc_b else (topic_id, doc_b, doc_a)
+    def add(self, topic_id: str, doc_a: str, doc_b: str, value: float) -> tuple[str, str]:
+        """Store one pair's similarity, clamped by `clamp_similarity`, and
+        return its key. A pair declared again, in either orientation, must
+        have the same value after the clamp; otherwise ValueError.
+        """
+        try:
+            value = clamp_similarity(value)
+        except ValueError as exc:
+            raise ValueError(f"{exc} for pair ({doc_a}, {doc_b}) in topic {topic_id}") from None
+        key = pair_key(doc_a, doc_b)
+        known = self._topics.setdefault(topic_id, {}).setdefault(key, value)
+        if known != value:
+            raise ValueError(
+                f"conflicting similarity for ({doc_a}, {doc_b}) in topic {topic_id}: "
+                f"{known} vs {value}"
+            )
+        return key
 
     def __len__(self) -> int:
-        return len(self._sims)
-
-    def sim(self, topic_id: str, doc_a: str, doc_b: str) -> float:
-        try:
-            return self._sims[self._key(topic_id, doc_a, doc_b)]
-        except KeyError:
-            raise CoverageError(
-                f"no similarity for pair ({doc_a}, {doc_b}) in topic {topic_id}",
-                [(topic_id, doc_a, doc_b)],
-            ) from None
+        return sum(len(pairs) for pairs in self._topics.values())
 
     def topic_view(self, topic_id: str) -> "PairStoreTopicView":
-        return PairStoreTopicView(self, topic_id)
+        return PairStoreTopicView(topic_id, self._topics.get(topic_id, {}))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairStoreTopicView:
-    """A PairStore scoped to one topic, exposing the two-document sim() shape."""
+    """One topic's pairs of a PairStore, exposing the two-document sim() shape."""
 
-    store: PairStore
     topic_id: str
+    pairs: Mapping[tuple[str, str], float]
 
     def sim(self, doc_a: str, doc_b: str) -> float:
-        return self.store.sim(self.topic_id, doc_a, doc_b)
+        try:
+            return self.pairs[pair_key(doc_a, doc_b)]
+        except KeyError:
+            raise CoverageError(
+                f"no similarity for pair ({doc_a}, {doc_b}) in topic {self.topic_id}",
+                [(self.topic_id, doc_a, doc_b)],
+            ) from None
 
 
 SimilaritySource = VectorStore | PairStore

@@ -1,8 +1,6 @@
 """Pairwise cosine similarity and percentile-threshold derivation.
 
-Pure functions. Topic matrices may be computed in parallel across topics;
-within one pair the summation order is fixed, so results do not depend on
-scheduling.
+Pure functions.
 """
 
 import math

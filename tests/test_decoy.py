@@ -22,6 +22,7 @@ from decoyeval.model import (
     MinGradeGap,
     PairStore,
     Ranking,
+    VectorStore,
 )
 from decoyeval.simsig import TopicSimMatrix
 
@@ -164,6 +165,15 @@ class TestDetectionRules:
         with pytest.raises(CoverageError):
             detect_decoy_pairs("t", ranking_of(docs), grades,
                                store.topic_view("t"), DecoyConfig())
+
+    def test_missing_doc_named_once(self):
+        # "m" is the decoy of all three targets; its vector is the only one absent
+        docs = ["t1", "t2", "m", "t3"]
+        grades = {"t1": 2, "t2": 2, "m": 0, "t3": 2}
+        store = VectorStore({d: np.array([1.0, 0.0]) for d in docs if d != "m"})
+        with pytest.raises(CoverageError) as exc:
+            detect_decoy_pairs("t", ranking_of(docs), grades, store, DecoyConfig())
+        assert exc.value.missing == ["m"]
 
     def test_quality_gate_skips_similarity_lookup(self):
         # both docs grade 0: the pair is never admitted, so the empty pair

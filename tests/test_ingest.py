@@ -30,6 +30,17 @@ def log_record(serp_id="S-bad", **over):
     return rec
 
 
+def record_row(**over):
+    """A valid interaction-record row, with `over` replacing fields."""
+    row = {
+        "serp_id": "s1", "doc_id": "d", "group": "target",
+        "is_clicked": True, "dwell_seconds": 12.5, "usefulness": 2,
+        "rank": 3, "task_id": "k", "user_id": "u",
+    }
+    row.update(over)
+    return row
+
+
 def one_click(doc_id="D1", **over):
     click = {"doc_id": doc_id, "dwell_seconds": 30.0, "usefulness": 3}
     click.update(over)
@@ -62,6 +73,17 @@ MALFORMED_LOG_RECORDS = {
     "duplicate-click": (
         log_record(clicks=one_click("D2") + one_click("D1") + one_click("D2", usefulness=0)),
         ["S-bad", "D2", "duplicate click"]),
+    "null-serp-id": (log_record(None), ["serp_id must be a string", "None"]),
+    "numeric-topic-id": (log_record(topic_id=7), ["topic_id must be a string", "7"]),
+    "numeric-serp-doc-id": (
+        log_record(serp=[{"doc_id": 7, "rank": 1}], clicks=[]),
+        ["S-bad", "doc_id must be a string", "7"]),
+    "numeric-click-doc-id": (
+        log_record(clicks=one_click(7)), ["S-bad", "doc_id must be a string", "7"]),
+    "boolean-dwell": (
+        log_record(clicks=one_click(dwell_seconds=True)), ["S-bad", "D1", "dwell_seconds"]),
+    "dwell-beyond-float": (
+        log_record(clicks=one_click(dwell_seconds=10**400)), ["S-bad", "D1", "too large"]),
 }
 
 
@@ -268,7 +290,7 @@ class TestParsePairSims:
     def test_basic_symmetric(self, tmp_path):
         p = write(tmp_path / "p.tsv", "t1\tb\ta\t0.8\n")
         store = ingest.parse_pair_sims(p)
-        assert store.sim("t1", "a", "b") == 0.8
+        assert store.topic_view("t1").sim("a", "b") == 0.8
 
     def test_conflicting_duplicate_names_lines(self, tmp_path):
         p = write(tmp_path / "p.tsv", "t1\ta\tb\t0.8\nt1\tb\ta\t0.7\n")
@@ -283,6 +305,37 @@ class TestParsePairSims:
     def test_wrong_field_count_rejected(self, tmp_path):
         with pytest.raises(ParseError):
             ingest.parse_pair_sims(write(tmp_path / "p.tsv", "t1\ta\t0.5\n"))
+
+    def test_reversed_redeclaration_with_same_value_accepted(self, tmp_path):
+        p = write(tmp_path / "p.tsv", "t1\ta\tb\t0.8\nt1\tb\ta\t0.8\n")
+        assert ingest.parse_pair_sims(p).topic_view("t1").sim("b", "a") == 0.8
+
+    def test_reversed_conflict_names_first_line(self, tmp_path):
+        p = write(tmp_path / "p.tsv", "t1\ta\tb\t0.8\nt1\tb\ta\t0.8\nt1\tb\ta\t0.7\n")
+        with pytest.raises(ParseError) as exc:
+            ingest.parse_pair_sims(p)
+        assert [str(d) for d in exc.value.diagnostics] == [
+            f"{p}:3: conflicting similarity for (b, a) in topic t1: 0.8 vs 0.7, first on line 1"
+        ]
+
+    def test_redeclaration_compares_clamped_values(self, tmp_path):
+        p = write(tmp_path / "p.tsv", "t1\ta\tb\t1.0000005\nt1\tb\ta\t1.0\n")
+        assert ingest.parse_pair_sims(p).topic_view("t1").sim("a", "b") == 1.0
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1.5"])
+    def test_out_of_range_similarity_located(self, tmp_path, value):
+        p = write(tmp_path / "p.tsv", f"t1\ta\tb\t0.5\nt1\ta\tc\t{value}\n")
+        with pytest.raises(ParseError) as exc:
+            ingest.parse_pair_sims(p)
+        assert [(d.line, "outside [-1, 1]" in d.message) for d in exc.value.diagnostics] == [
+            (2, True)
+        ]
+
+    def test_non_numeric_similarity_wording(self, tmp_path):
+        p = write(tmp_path / "p.tsv", "t1\ta\tb\tx\n")
+        with pytest.raises(ParseError) as exc:
+            ingest.parse_pair_sims(p)
+        assert [str(d) for d in exc.value.diagnostics] == [f"{p}:1: non-numeric similarity 'x'"]
 
 
 class TestParseInteractionLog:
@@ -407,3 +460,28 @@ class TestParseRecords:
         p = write(tmp_path / "r.jsonl", json.dumps(row) + "\n")
         with pytest.raises(ParseError):
             ingest.parse_records(p)
+
+    def test_mistyped_fields_located(self, tmp_path):
+        bad = [
+            record_row(is_clicked="no"), record_row(usefulness=2.7), record_row(rank=True),
+            record_row(dwell_seconds=False), record_row(serp_id=5), record_row(group=None),
+            record_row(dwell_seconds=float("nan")), record_row(dwell_seconds=10**400),
+        ]
+        p = write(tmp_path / "r.jsonl", "".join(json.dumps(r) + "\n" for r in [record_row(), *bad]))
+        with pytest.raises(ParseError) as exc:
+            ingest.parse_records(p)
+        assert [(d.line, d.message) for d in exc.value.diagnostics] == [
+            (2, "is_clicked must be a boolean, got 'no'"),
+            (3, "usefulness must be an integer, got 2.7"),
+            (4, "rank must be an integer, got True"),
+            (5, "dwell_seconds must be a number, got False"),
+            (6, "serp_id must be a string, got 5"),
+            (7, "group must be a string, got None"),
+            (8, "dwell_seconds must be finite, got nan"),
+            (9, "int too large to convert to float"),
+        ]
+
+    def test_integer_dwell_read_as_float(self, tmp_path):
+        p = write(tmp_path / "r.jsonl", json.dumps(record_row(dwell_seconds=12)) + "\n")
+        rec = ingest.parse_records(p)[0]
+        assert rec.dwell_seconds == 12.0 and isinstance(rec.dwell_seconds, float)

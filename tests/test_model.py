@@ -210,15 +210,15 @@ class TestVectorStore:
 class TestPairStore:
     def test_symmetric_lookup(self):
         store = PairStore({("t", "a", "b"): 0.8})
-        assert store.sim("t", "a", "b") == 0.8
-        assert store.sim("t", "b", "a") == 0.8
+        assert store.topic_view("t").sim("a", "b") == 0.8
+        assert store.topic_view("t").sim("b", "a") == 0.8
 
     def test_missing_pair_raises_coverage_error(self):
         store = PairStore({("t", "a", "b"): 0.8})
         with pytest.raises(CoverageError):
-            store.sim("t", "a", "c")
+            store.topic_view("t").sim("a", "c")
         with pytest.raises(CoverageError):
-            store.sim("other", "a", "b")
+            store.topic_view("other").sim("a", "b")
 
     def test_conflicting_duplicate_rejected(self):
         with pytest.raises(ValueError):
@@ -228,6 +228,24 @@ class TestPairStore:
         store = PairStore({("t", "a", "b"): 0.8})
         view = store.topic_view("t")
         assert view.sim("b", "a") == 0.8
+
+    def test_reversed_redeclaration_with_same_value_accepted(self):
+        store = PairStore({("t", "a", "b"): 0.8, ("t", "b", "a"): 0.8})
+        assert store.topic_view("t").sim("a", "b") == 0.8
+
+    def test_redeclaration_compares_clamped_values(self):
+        store = PairStore({("t", "a", "b"): 1.0000005, ("t", "b", "a"): 1.0})
+        assert store.topic_view("t").sim("b", "a") == 1.0
+
+    def test_rejected_add_stores_nothing(self):
+        store = PairStore({("t", "a", "b"): 0.8})
+        with pytest.raises(ValueError, match="conflicting"):
+            store.add("t", "b", "a", 0.7)
+        with pytest.raises(ValueError, match="outside"):
+            store.add("t", "a", "c", float("nan"))
+        assert store.topic_view("t").sim("a", "b") == 0.8
+        with pytest.raises(CoverageError):
+            store.topic_view("t").sim("a", "c")
 
 
 class TestInteractionTypes:

@@ -110,7 +110,7 @@ class TestTopicSimMatrix:
         m = topic_sim_matrix(store, docs, "t")
         for i, a in enumerate(docs):
             for j, b in enumerate(docs):
-                assert m.sims[i, j] == (1.0 if a == b else store.sim("t", a, b))
+                assert m.sims[i, j] == (1.0 if a == b else store.topic_view("t").sim(a, b))
 
     def test_pair_store_missing_pairs_all_listed(self):
         store = PairStore({("t", "a", "b"): 0.8})
