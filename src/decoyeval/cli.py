@@ -9,7 +9,9 @@ Exit codes: 0 success, 1 input/validation error (diagnostics on stderr),
 """
 
 import argparse
+import gc
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import ingest
@@ -309,7 +311,29 @@ def cmd_mine(args) -> int:
     return 0
 
 
+@contextmanager
+def _cyclic_gc_paused():
+    """Pause CPython's cyclic collector, then restore the caller's setting.
+
+    The commands build large object graphs (parsed runs and logs, pair
+    stores) without reference cycles, so reference counting alone frees
+    them, and each full collection would rescan them all for nothing.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def main(argv=None) -> int:
+    with _cyclic_gc_paused():
+        return _run(argv)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         # argparse exits itself on usage errors and --help; fold that into

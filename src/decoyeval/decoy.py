@@ -5,16 +5,21 @@ the two documents are near-duplicates (similarity inside the configured
 band), the target is clearly better (per the configured quality rule), and
 they are displayed close together (rank distance <= delta_rank).
 
-Only a document graded at least the quality rule's minimum target grade
-can be a target, so detection walks the rank window of those documents
-alone instead of all O(n^2) pairs: cost is O(#targets * delta_rank) quality
-checks and similarity lookups, not O(n * delta_rank), and quality gating
-happens before any similarity is fetched.
+One array kernel, `detect_rows`, detects over all rows of one topic at
+once: a run's ranking is one row, a log topic's SERP heads are its rows in
+log order. Only a document graded at least the quality rule's minimum
+target grade can be a target, so the kernel checks a grid of targets by
+rank offsets +-delta_rank, not all O(n^2) pairs, and the quality rule gates
+every pair before any similarity is fetched. Each distinct unordered doc
+pair that passes is looked up once per topic, however many rows show it.
 """
 
 import logging
 from collections.abc import Mapping, Sequence, Set
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .model import (
     CoverageError,
@@ -29,6 +34,111 @@ from .model import (
 logger = logging.getLogger(__name__)
 
 
+class _RowCoverageError(CoverageError):
+    """The CoverageError of `detect_rows`; `entry` is a flat position in the
+    row it names."""
+
+    def __init__(self, message: str, missing: list, entry: int):
+        super().__init__(message, missing)
+        self.entry = entry
+
+
+def detect_rows(
+    topic_id: str,
+    docs: Sequence[str],
+    doc: np.ndarray,
+    grade: np.ndarray,
+    col: np.ndarray,
+    sims,
+    cfg: DecoyConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every decoy pair over one topic's rows, without dedup.
+
+    The rows lie end to end in three flat integer arrays: entry i shows doc
+    `docs[doc[i]]`, of grade `grade[i]`, at column `col[i]` (its rank - 1)
+    of its row, and each row's columns run 0, 1, 2, ... A doc appears at
+    most once per row. Returns (target entries, decoy entries,
+    similarities) of the pairs in the band, in (row, target rank, decoy
+    rank) order.
+
+    `sims` is any object with a ``sim(doc_a, doc_b) -> float`` method scoped
+    to this topic (a TopicSimMatrix, a VectorStore, or a PairStore topic
+    view). Each distinct unordered doc pair the quality rule admits is
+    fetched once, as ``sim(higher-ranked doc, lower-ranked doc)`` where it
+    first shows in (row, rank) order. If any is missing, CoverageError lists
+    every missing key of the first row that lacks one, in that row's rank
+    order, as detection over that row alone would.
+    """
+    n = len(doc)
+    quality = cfg.quality
+    # An offset past the longest row never stays inside a row.
+    window = min(cfg.delta_rank, int(col.max()) if n else 0)
+    offsets = np.r_[-window:0, 1:window + 1]
+    targets = np.flatnonzero(grade >= quality.min_target_grade)
+    # Targets in entry order, each with ascending offsets: the pairs come
+    # out in (row, target rank, decoy rank) order.
+    t = np.repeat(targets, len(offsets))
+    p = (targets[:, None] + offsets).ravel()
+    inside = (p >= 0) & (p < n)
+    t, p = t[inside], p[inside]
+    # Rows are contiguous with consecutive columns, so p lies in t's row
+    # exactly when their columns differ by p - t. Both quality rules admit
+    # a pair in at most one direction, so no pair shows twice.
+    keep = (col[p] - col[t] == p - t) & quality.admits(grade[t], grade[p])
+    t, p = t[keep], p[keep]
+    if not len(t):
+        return t, p, np.empty(0)
+
+    # Each distinct unordered doc pair is fetched through the pair where it
+    # first shows in (row, rank) order.
+    upper, lower = np.minimum(t, p), np.maximum(t, p)
+    shown = np.lexsort((lower, upper))
+    a, b = doc[t], doc[p]
+    key = np.minimum(a, b).astype(np.int64) * len(docs) + np.maximum(a, b)
+    _, first, inverse = np.unique(key[shown], return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    fetch = shown[first[by_first]]
+
+    values: list[float] = []
+    gaps: list[tuple[int, list]] = []  # (entry, missing keys) per failed lookup
+    for entry, x, y in zip(upper[fetch].tolist(), doc[upper[fetch]].tolist(),
+                           doc[lower[fetch]].tolist()):
+        try:
+            values.append(sims.sim(docs[x], docs[y]))
+        except CoverageError as exc:
+            values.append(float("nan"))
+            gaps.append((entry, exc.missing))
+    if gaps:
+        # A pair missing from the first failing row shows first in that row,
+        # and is fetched in the orientation that row shows it.
+        row = gaps[0][0] - col[gaps[0][0]]
+        seen = list(dict.fromkeys(
+            k for entry, missing in gaps if entry - col[entry] == row for k in missing
+        ))
+        raise _RowCoverageError(
+            f"similarity coverage incomplete for topic {topic_id}: {len(seen)} key(s) missing",
+            seen, gaps[0][0],
+        )
+    distinct = np.empty(len(first))
+    distinct[by_first] = values
+    sim = np.empty(len(t))
+    sim[shown] = distinct[inverse]
+    band = cfg.in_band(sim)
+    return t[band], p[band], sim[band]
+
+
+def ranking_pairs(
+    topic_id: str, doc_ids: Sequence[str], grade: Sequence[int], sims, cfg: DecoyConfig
+) -> tuple[list[int], list[int], list[float]]:
+    """`detect_rows` over one ranked list, given its grade column: the
+    (target index, decoy index, similarity) lists of its pairs, without
+    dedup, in (target rank, decoy rank) order."""
+    index = np.arange(len(doc_ids))
+    t, p, s = detect_rows(topic_id, doc_ids, index, np.array(grade, dtype=np.int64),
+                          index, sims, cfg)
+    return t.tolist(), p.tolist(), s.tolist()
+
+
 def detect_decoy_pairs(
     topic_id: str,
     ranking: Ranking,
@@ -39,52 +149,14 @@ def detect_decoy_pairs(
 ) -> list[DecoyPair]:
     """All decoy pairs in `ranking`, ordered by (target rank, decoy rank).
 
-    `sims` is any object with a ``sim(doc_a, doc_b) -> float`` method scoped
-    to this topic (a TopicSimMatrix, a VectorStore, or a PairStore topic
-    view). With ``dedup`` each target keeps only its most similar decoy
-    (ties broken by ascending decoy doc id), so the pair count is the number
-    of distinct targets.
-
-    Similarities are fetched as ``sim(higher-ranked doc, lower-ranked doc)``
-    in rank order of the pair. Every similarity the quality rule asks for
-    must be resolvable; missing docs or pairs raise CoverageError listing
-    everything absent.
+    `sims` is as for `detect_rows`, which this runs on the one row. With
+    ``dedup`` each target keeps only its most similar decoy (ties broken by
+    ascending decoy doc id), so the pair count is the number of distinct
+    targets.
     """
     docs = ranking.doc_ids
-    n = len(docs)
     grade = [grades.get(d, 0) for d in docs]
-    quality = cfg.quality
-    floor = quality.min_target_grade
-    window = cfg.delta_rank
-
-    # Both quality rules admit a pair in at most one direction, so scanning
-    # each possible target's window finds every admitted pair exactly once.
-    admitted: list[tuple[int, int, int]] = []  # (lo idx, hi idx, target idx)
-    for ti, gt in enumerate(grade):
-        if gt < floor:
-            continue
-        for j in range(max(ti - window, 0), min(ti + window + 1, n)):
-            if j != ti and quality.admits(gt, grade[j]):
-                admitted.append((j, ti, ti) if j < ti else (ti, j, ti))
-    admitted.sort()
-
-    candidates: list[tuple[int, int, float]] = []  # (target idx, decoy idx, sim)
-    missing: list = []
-    for lo, hi, ti in admitted:
-        try:
-            s = sims.sim(docs[lo], docs[hi])
-        except CoverageError as exc:
-            missing.extend(exc.missing)
-            continue
-        if cfg.in_band(s):
-            candidates.append((ti, hi if ti == lo else lo, s))
-    if missing:
-        seen = list(dict.fromkeys(missing))
-        raise CoverageError(
-            f"similarity coverage incomplete for topic {topic_id}: {len(seen)} key(s) missing",
-            seen,
-        )
-
+    candidates = list(zip(*ranking_pairs(topic_id, docs, grade, sims, cfg)))
     if dedup:
         best: dict[int, tuple[int, float]] = {}
         for ti, di, s in candidates:
@@ -92,8 +164,6 @@ def detect_decoy_pairs(
             if cur is None or s > cur[1] or (s == cur[1] and docs[di] < docs[cur[0]]):
                 best[ti] = (di, s)
         candidates = [(ti, di, s) for ti, (di, s) in best.items()]
-
-    candidates.sort(key=lambda c: (c[0], c[1]))
     return [
         DecoyPair(
             topic_id=topic_id,
@@ -143,23 +213,50 @@ def identify_targets(
 
     Returns the per-impression pair records in log order and the set of all
     target doc ids. Dedup is off so one target showing several decoys on one
-    SERP yields several records.
+    SERP yields several records. Each topic's SERP heads go through
+    `detect_rows` in one call; a CoverageError is that of the first SERP in
+    log order that lacks a pair.
     """
-    records: list[SerpPairRecord] = []
-    targets: set[str] = set()
-    views: dict[str, object] = {}
-    for session in log.sessions:
-        view = views.get(session.topic_id)
-        if view is None:
-            view = source.topic_view(session.topic_id)
-            views[session.topic_id] = view
-        grades = qrels.grades_for(session.topic_id)
-        pairs = detect_decoy_pairs(
-            session.topic_id, session.serp.head(top_n), grades, view, cfg, dedup=False
-        )
-        for pair in pairs:
-            records.append(SerpPairRecord(session.serp_id, pair))
-            targets.add(pair.target_doc)
+    sessions = log.sessions
+    by_topic: dict[str, list[int]] = {}
+    for i, session in enumerate(sessions):
+        by_topic.setdefault(session.topic_id, []).append(i)
+
+    found: list[tuple[int, int, int, SerpPairRecord]] = []  # (SERP, ranks, record)
+    gap: tuple[int, CoverageError] | None = None  # (SERP, error) of the first gap
+    for topic_id, serps in by_topic.items():
+        if gap is not None and serps[0] > gap[0]:
+            continue
+        heads = [sessions[i].serp.head(top_n).doc_ids for i in serps]
+        docs = list(dict.fromkeys(chain.from_iterable(heads)))
+        index = {doc_id: i for i, doc_id in enumerate(docs)}
+        lengths = np.fromiter(map(len, heads), dtype=np.intp, count=len(heads))
+        doc = np.fromiter(map(index.__getitem__, chain.from_iterable(heads)),
+                          dtype=np.intp, count=int(lengths.sum()))
+        grades = qrels.grades_for(topic_id)
+        doc_grade = [grades.get(doc_id, 0) for doc_id in docs]
+        serp_of = np.repeat(serps, lengths)
+        col = np.arange(len(doc)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        try:
+            t, p, s = detect_rows(topic_id, docs, doc, np.array(doc_grade)[doc], col,
+                                  source.topic_view(topic_id), cfg)
+        except _RowCoverageError as exc:
+            at = int(serp_of[exc.entry])
+            if gap is None or at < gap[0]:
+                gap = (at, exc)
+            continue
+        for at, a, b, rank_a, rank_b, sim in zip(
+            serp_of[t].tolist(), doc[t].tolist(), doc[p].tolist(),
+            (col[t] + 1).tolist(), (col[p] + 1).tolist(), s.tolist(),
+        ):
+            pair = DecoyPair(topic_id, docs[a], docs[b], sim, rank_a, rank_b,
+                             doc_grade[a], doc_grade[b])
+            found.append((at, rank_a, rank_b, SerpPairRecord(sessions[at].serp_id, pair)))
+    if gap is not None:
+        raise gap[1]
+    found.sort(key=lambda f: f[:3])
+    records = [record for *_, record in found]
+    targets = {r.pair.target_doc for r in records}
     logger.info("identified %d pair records over %d targets", len(records), len(targets))
     return records, targets
 

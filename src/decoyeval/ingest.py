@@ -227,12 +227,7 @@ def parse_vectors(path: PathLike) -> VectorStore:
             doc_id = rec["doc_id"]
             if not isinstance(doc_id, str):
                 raise ValueError(f"doc_id must be a string, got {doc_id!r}")
-            try:
-                vec = np.asarray(rec["vector"], dtype=np.float64)
-            except (TypeError, ValueError):
-                raise ValueError("vector must be an array of numbers") from None
-            if vec.ndim != 1 or vec.shape[0] == 0:
-                raise ValueError("vector must be a non-empty flat array")
+            vec = _finite_vector(rec["vector"])
             if doc_id in doc_line:
                 raise ValueError(
                     f"duplicate vector for doc {doc_id}, first on line {doc_line[doc_id]}"
@@ -255,6 +250,30 @@ def parse_vectors(path: PathLike) -> VectorStore:
     if diags:
         raise ParseError(path, diags)
     return VectorStore(vectors)
+
+
+def _finite_vector(raw) -> np.ndarray:
+    """A JSON array as a float64 vector. Every component must be a finite
+    number; a boolean is not a number here."""
+    if not isinstance(raw, list) or not raw:
+        raise ValueError("vector must be a non-empty flat array")
+    vec = None
+    if set(map(type, raw)) <= {int, float}:
+        try:
+            vec = np.array(raw, dtype=np.float64)
+        except OverflowError:  # an int beyond float range
+            pass
+    if vec is None or not np.isfinite(vec).all():
+        i, x = next((i, x) for i, x in enumerate(raw) if not _finite_number(x))
+        raise ValueError(f"vector component {i} must be a finite number, got {x!r}")
+    return vec
+
+
+def _finite_number(x) -> bool:
+    try:
+        return type(x) in (int, float) and math.isfinite(x)
+    except OverflowError:  # an int beyond float range
+        return False
 
 
 def parse_pair_sims(path: PathLike) -> PairStore:

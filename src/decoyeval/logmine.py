@@ -16,9 +16,11 @@ import math
 from collections.abc import Sequence, Set
 from dataclasses import dataclass
 
+import numpy as np
+
 from .decoy import SerpPairRecord
 from .model import InteractionLog, InteractionRecord, SimilaritySource
-from .simsig import percentile_threshold, topic_sim_matrix
+from .simsig import sorted_percentile, topic_sim_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -66,15 +68,16 @@ def derive_thresholds(
             f"s_min percentile ({s_min_pct}) must be below s_control percentile "
             f"({s_control_pct})"
         )
-    values: list[float] = []
-    for topic_id, docs in log_doc_universe(log).items():
-        if len(docs) < 2:
-            continue
-        values.extend(topic_sim_matrix(source, docs, topic_id).pair_values().tolist())
-    if not values:
+    per_topic = [
+        topic_sim_matrix(source, docs, topic_id).pair_values()
+        for topic_id, docs in log_doc_universe(log).items()
+        if len(docs) >= 2
+    ]
+    if not per_topic:
         raise ValueError("no within-topic doc pairs in the log; cannot derive thresholds")
-    s_min = percentile_threshold(values, s_min_pct)
-    s_control = percentile_threshold(values, s_control_pct)
+    values = np.sort(np.concatenate(per_topic))
+    s_min = sorted_percentile(values, s_min_pct)
+    s_control = sorted_percentile(values, s_control_pct)
     logger.info(
         "derived s_min=%.6g s_control=%.6g from %d pair similarities",
         s_min, s_control, len(values),

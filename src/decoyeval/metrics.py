@@ -17,7 +17,7 @@ import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
-from .decoy import detect_decoy_pairs
+from .decoy import ranking_pairs
 from .model import DecoyConfig, Qrels, Ranking, RunList, SimilaritySource
 
 EFFECTIVENESS_METRICS = ("ndcg", "recall", "rbp", "err")
@@ -234,7 +234,8 @@ def topic_prefix(
     Every grade met in the ranking must lie in [0, cfg.g_max]. When `sims`
     is given, decoy detection runs once over the whole prefix without
     dedup, and each target keeps the smallest max(target rank, decoy rank)
-    of its pairs: the first cutoff at which it has a visible decoy. With
+    of its pairs: the first cutoff at which it has a visible decoy. The
+    grade column read for the metrics is the one detection reads. With
     `sims` None no pair is counted.
     """
     if depth < 1:
@@ -263,12 +264,13 @@ def topic_prefix(
             break
         ideal_dcg.append(ideal_dcg[-1] + _dcg_term(g, i))
 
-    first_seen: dict[str, int] = {}
+    first_seen: dict[int, int] = {}  # target index -> rank of its first decoy
     if sims is not None:
-        for pair in detect_decoy_pairs(topic_id, top, grades, sims, decoy_cfg, dedup=False):
-            seen_at = max(pair.target_rank, pair.decoy_rank)
-            if seen_at < first_seen.get(pair.target_doc, seen_at + 1):
-                first_seen[pair.target_doc] = seen_at
+        targets, decoys, _ = ranking_pairs(topic_id, top.doc_ids, ranked, sims, decoy_cfg)
+        for ti, di in zip(targets, decoys):
+            seen_at = max(ti, di) + 1
+            if seen_at < first_seen.get(ti, seen_at + 1):
+                first_seen[ti] = seen_at
 
     return TopicPrefix(
         topic_id=topic_id,

@@ -128,7 +128,8 @@ class MinGradeGap:
         """Lowest target grade the rule admits: decoy grades are >= 0."""
         return self.gamma
 
-    def admits(self, target_grade: int, decoy_grade: int) -> bool:
+    def admits(self, target_grade, decoy_grade):
+        """Whether the rule admits the pair; elementwise on grade arrays."""
         return target_grade - decoy_grade >= self.gamma
 
 
@@ -154,8 +155,9 @@ class GradeBand:
         """Lowest target grade the rule admits."""
         return self.target_min
 
-    def admits(self, target_grade: int, decoy_grade: int) -> bool:
-        return target_grade >= self.target_min and decoy_grade <= self.decoy_max
+    def admits(self, target_grade, decoy_grade):
+        """Whether the rule admits the pair; elementwise on grade arrays."""
+        return (target_grade >= self.target_min) & (decoy_grade <= self.decoy_max)
 
 
 @dataclass(frozen=True)
@@ -183,10 +185,10 @@ class DecoyConfig:
         if self.delta_rank < 1:
             raise ValueError(f"delta_rank must be >= 1, got {self.delta_rank}")
 
-    def in_band(self, similarity: float) -> bool:
-        if similarity < self.s_min:
-            return False
-        return similarity <= self.s_max if self.s_max_inclusive else similarity < self.s_max
+    def in_band(self, similarity):
+        """Whether a similarity lies in the band; elementwise on arrays."""
+        upper = similarity <= self.s_max if self.s_max_inclusive else similarity < self.s_max
+        return (similarity >= self.s_min) & upper
 
 
 @dataclass(frozen=True, slots=True)
@@ -244,6 +246,8 @@ class VectorStore:
                     f"vector dimension mismatch: doc {first_doc} has {dim}, "
                     f"doc {doc_id} has {arr.shape[0]}"
                 )
+            if not np.isfinite(arr).all():
+                raise ValueError(f"vector for doc {doc_id} has a non-finite component")
             norm = float(np.linalg.norm(arr))
             if norm == 0.0:
                 raise ValueError(f"zero-norm vector for doc {doc_id}")

@@ -69,9 +69,10 @@ def _write_table(columns: Sequence[str], rows: Sequence[Sequence], fmt: str, des
         raise ValueError(f"unknown format {fmt!r}; known: {', '.join(FORMATS)}")
     with _open_dest(destination) as out:
         if fmt == "jsonl":
+            # json.dumps builds a new encoder per call once ensure_ascii is off.
+            encode = json.JSONEncoder(ensure_ascii=False).encode
             for row in rows:
-                payload = {c: _json_value(v) for c, v in zip(columns, row)}
-                out.write(json.dumps(payload, ensure_ascii=False) + "\n")
+                out.write(encode({c: _json_value(v) for c, v in zip(columns, row)}) + "\n")
             return
         if fmt == "csv":
             writer = csv.writer(out, lineterminator="\n")

@@ -123,14 +123,19 @@ def topic_sim_matrix(
 
 
 def percentile_threshold(values: Sequence[float], p: float) -> float:
-    """The p-th percentile of `values` by linear interpolation between ranks.
+    """The p-th percentile of `values` by linear interpolation between ranks
+    (see `sorted_percentile`)."""
+    return sorted_percentile(np.sort(np.asarray(values, dtype=np.float64)), p)
 
-    Sort ascending, take h = (n - 1) * p / 100, and interpolate between the
-    neighbouring order statistics: v[floor(h)] + (h - floor(h)) * (v[floor(h) + 1]
-    - v[floor(h)]).
+
+def sorted_percentile(vals: np.ndarray, p: float) -> float:
+    """The p-th percentile of the ascending array `vals` by linear
+    interpolation between ranks.
+
+    Take h = (n - 1) * p / 100 and interpolate between the neighbouring order
+    statistics: v[floor(h)] + (h - floor(h)) * (v[floor(h) + 1] - v[floor(h)]).
     """
-    vals = sorted(float(v) for v in values)
-    if not vals:
+    if not len(vals):
         raise ValueError("percentile of an empty value set is undefined")
     if not 0.0 < p < 100.0:
         raise ValueError(f"percentile must lie in (0, 100), got {p}")
@@ -138,5 +143,6 @@ def percentile_threshold(values: Sequence[float], p: float) -> float:
     lo = math.floor(h)
     frac = h - lo
     if lo + 1 >= len(vals):
-        return vals[lo]
-    return vals[lo] + frac * (vals[lo + 1] - vals[lo])
+        return float(vals[lo])
+    a, b = float(vals[lo]), float(vals[lo + 1])
+    return a + frac * (b - a)

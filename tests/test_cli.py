@@ -6,12 +6,13 @@ pair; every expected number below was computed by hand from the metric
 definitions and frozen as the %.6g strings the CLI must print.
 """
 
+import gc
 import json
 from pathlib import Path
 
 import pytest
 
-from decoyeval import cli
+from decoyeval import cli, ingest
 from decoyeval.ingest import parse_records
 
 from conftest import LOG_EXPECTED, write_corpus, write_planted_log
@@ -245,6 +246,50 @@ class TestExitCodes:
             "--pair-sims", str(pairs), "--s-min", "0.99",
         ])
         assert rc == 1
+
+
+class TestCyclicGc:
+    """main pauses the cyclic collector while a command runs and hands the
+    caller's setting back on every way out."""
+
+    @pytest.fixture(params=[True, False], ids=["caller-enabled", "caller-disabled"])
+    def caller_gc(self, request):
+        was_enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.mark.parametrize("case, code", [("ok", 0), ("parse error", 1), ("coverage gap", 2)])
+    def test_paused_during_command_and_restored(
+        self, tmp_path, capsys, monkeypatch, caller_gc, case, code
+    ):
+        run, qrels, pairs = write_demo(tmp_path)
+        if case == "parse error":
+            run.write_text("t1 Q0 d1 one 3.0 demo\n")
+        if case == "coverage gap":
+            pairs.write_text("t1\td2\td3\t0.3\n")
+        during = []
+        parse_run = ingest.parse_run
+
+        def recording_parse_run(path):
+            during.append(gc.isenabled())
+            return parse_run(path)
+
+        monkeypatch.setattr(ingest, "parse_run", recording_parse_run)
+        rc = cli.main(["eval", "--run", str(run), "--qrels", str(qrels),
+                       "--pair-sims", str(pairs)])
+        assert rc == code
+        assert during == [False]
+        assert gc.isenabled() is caller_gc
+
+    def test_restored_when_a_command_raises(self, monkeypatch, caller_gc):
+        def interrupted(path):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ingest, "parse_run", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["eval", "--run", "r", "--qrels", "q", "--pair-sims", "p"])
+        assert gc.isenabled() is caller_gc
 
 
 class TestHelpGolden:

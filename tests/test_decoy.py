@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decoyeval.decoy import (
+    SerpPairRecord,
     detect_decoy_pairs,
     detect_decoy_pairs_at_k,
     identify_controls,
@@ -18,10 +19,14 @@ from decoyeval.ingest import parse_interaction_log, parse_pair_sims, parse_qrels
 from decoyeval.model import (
     CoverageError,
     DecoyConfig,
+    DecoyPair,
     GradeBand,
+    InteractionLog,
     MinGradeGap,
     PairStore,
+    Qrels,
     Ranking,
+    SerpInteraction,
     VectorStore,
 )
 from decoyeval.simsig import TopicSimMatrix
@@ -319,6 +324,162 @@ class TestLookupOracle:
         with pytest.raises(CoverageError) as exc:
             detect_decoy_pairs("t", ranking_of(docs), grades, store.topic_view("t"), cfg)
         assert exc.value.missing == expected
+
+
+def scalar_detect(topic_id, ranking, grades, sims, cfg):
+    """Scalar reference detector for one ranked list: a Python scan of each
+    possible target's rank window, one lookup per admitted pair in rank
+    order of the pair, no dedup."""
+    docs = ranking.doc_ids
+    grade = [grades.get(d, 0) for d in docs]
+    admitted = []  # (lo idx, hi idx, target idx)
+    for ti, gt in enumerate(grade):
+        if gt < cfg.quality.min_target_grade:
+            continue
+        for j in range(max(ti - cfg.delta_rank, 0), min(ti + cfg.delta_rank + 1, len(docs))):
+            if j != ti and cfg.quality.admits(gt, grade[j]):
+                admitted.append((j, ti, ti) if j < ti else (ti, j, ti))
+    admitted.sort()
+    candidates, missing = [], []
+    for lo, hi, ti in admitted:
+        try:
+            s = sims.sim(docs[lo], docs[hi])
+        except CoverageError as exc:
+            missing.extend(exc.missing)
+            continue
+        if cfg.in_band(s):
+            candidates.append((ti, hi if ti == lo else lo, s))
+    if missing:
+        seen = list(dict.fromkeys(missing))
+        raise CoverageError(
+            f"similarity coverage incomplete for topic {topic_id}: {len(seen)} key(s) missing",
+            seen,
+        )
+    return [
+        DecoyPair(topic_id, docs[ti], docs[di], s, ti + 1, di + 1, grade[ti], grade[di])
+        for ti, di, s in sorted(candidates, key=lambda c: c[:2])
+    ]
+
+
+def per_serp_identify_targets(log, qrels, source, cfg, top_n):
+    """identify_targets as one scalar detection per SERP, in log order."""
+    records = []
+    for session in log.sessions:
+        for pair in scalar_detect(session.topic_id, session.serp.head(top_n),
+                                  qrels.grades_for(session.topic_id),
+                                  source.topic_view(session.topic_id), cfg):
+            records.append(SerpPairRecord(session.serp_id, pair))
+    return records, {r.pair.target_doc for r in records}
+
+
+class RecordingSource:
+    """Hands out topic views that record every sim() call, per topic."""
+
+    def __init__(self, source):
+        self.source = source
+        self.calls = {}
+
+    def topic_view(self, topic_id):
+        return RecordingView(self.source.topic_view(topic_id),
+                             self.calls.setdefault(topic_id, []))
+
+
+class RecordingView:
+    def __init__(self, view, calls):
+        self.view, self.calls = view, calls
+
+    def sim(self, doc_a, doc_b):
+        self.calls.append((doc_a, doc_b))
+        return self.view.sim(doc_a, doc_b)
+
+
+SIM_LEVELS = (0.0, 0.3, 0.6, 0.75, 0.9, 0.95, 1.0)
+
+
+@st.composite
+def mining_instances(draw):
+    """A random log over interleaved topics, some unjudged, with SERPs
+    shorter and longer than top_n (empty ones too), a detection config under
+    either quality rule, and a similarity source: a full or partial
+    PairStore, or a VectorStore that may lack some docs."""
+    n_topics = draw(st.integers(1, 3))
+    topics = [f"t{i}" for i in range(n_topics)]
+    pool = [f"d{i}" for i in range(draw(st.integers(1, 9)))]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    sessions = []
+    for i in range(draw(st.integers(0, 14))):
+        topic = rng.choice(topics)
+        docs = rng.sample(pool, rng.randint(0, len(pool)))
+        sessions.append(SerpInteraction(f"s{i}", "x", "u", "k", topic, ranking_of(docs), {}))
+    judged = topics[:draw(st.integers(0, n_topics))]
+    qrels = Qrels(4, {t: {d: rng.choice((0, 0, 1, 2, 3, 4)) for d in pool
+                          if rng.random() < 0.8} for t in judged})
+    quality = draw(st.sampled_from((GradeBand(2, 1), GradeBand(3, 0), MinGradeGap(1),
+                                    MinGradeGap(2))))
+    s_min = draw(st.sampled_from((0.0, 0.6, 0.75)))
+    cfg = DecoyConfig(s_min=s_min, s_max=draw(st.sampled_from((0.95, 1.0))),
+                      quality=quality, delta_rank=draw(st.integers(1, 4)),
+                      s_max_inclusive=draw(st.booleans()))
+    kind = draw(st.sampled_from(("pairs", "vectors")))
+    absent = draw(st.sampled_from((0.0, 0.1, 0.3)))  # share of docs or pairs left out
+    if kind == "vectors":
+        kept = [d for d in pool if rng.random() >= absent] or pool[:1]
+        source = VectorStore({d: np.array([rng.randint(1, 3), rng.randint(0, 3)], float)
+                              for d in kept})
+    else:
+        source = PairStore({
+            (t, a, b): rng.choice(SIM_LEVELS)
+            for t in topics for i, a in enumerate(pool) for b in pool[i + 1:]
+            if rng.random() >= absent
+        })
+    return InteractionLog(sessions), qrels, source, cfg, draw(st.integers(1, 7))
+
+
+class TestIdentifyTargetsOracle:
+    """identify_targets runs one array pass per topic; it must give what one
+    scalar detection per SERP gives, error included, while looking each
+    distinct admitted pair of a topic up once."""
+
+    @given(mining_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_per_serp_detection(self, instance):
+        log, qrels, source, cfg, top_n = instance
+        try:
+            expected = per_serp_identify_targets(log, qrels, source, cfg, top_n)
+        except CoverageError as want:
+            with pytest.raises(CoverageError) as got:
+                identify_targets(log, qrels, source, cfg, top_n=top_n)
+            assert str(got.value) == str(want)
+            assert got.value.missing == want.missing
+            return
+        counted = RecordingSource(source)
+        assert identify_targets(log, qrels, counted, cfg, top_n=top_n) == expected
+        # One lookup per distinct unordered pair the quality rule admits.
+        oracle_calls = RecordingSource(source)
+        per_serp_identify_targets(log, qrels, oracle_calls, cfg, top_n)
+        for topic_id in counted.calls.keys() | oracle_calls.calls.keys():
+            pairs = [frozenset(c) for c in counted.calls.get(topic_id, [])]
+            assert len(pairs) == len(set(pairs))
+            assert set(pairs) == {frozenset(c) for c in oracle_calls.calls.get(topic_id, [])}
+
+    @pytest.mark.parametrize("order, first_gap", [
+        # t1 shows first, but t2 lacks its pair earlier in the log
+        (("t1 a b", "t2 a c", "t1 a c", "t2 a d"), ("t2", "a", "c")),
+        # t2's gap comes after t1's, though t2 shows before t1's gap
+        (("t1 a b", "t2 a b", "t1 a c", "t2 a c"), ("t1", "a", "c")),
+    ])
+    def test_gap_named_is_the_first_in_log_order(self, order, first_gap):
+        sessions = []
+        for i, line in enumerate(order):
+            topic, *docs = line.split()
+            sessions.append(SerpInteraction(f"s{i}", "x", "u", "k", topic, ranking_of(docs), {}))
+        qrels = Qrels(4, {"t1": {"a": 3}, "t2": {"a": 3}})
+        store = PairStore({("t1", "a", "b"): 0.9, ("t2", "a", "b"): 0.9})
+        with pytest.raises(CoverageError) as exc:
+            identify_targets(InteractionLog(sessions), qrels, store,
+                             DecoyConfig(quality=MinGradeGap(2)))
+        assert exc.value.missing == [first_gap]
+        assert f"topic {first_gap[0]}:" in str(exc.value)
 
 
 class TestLogIdentification:

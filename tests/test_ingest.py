@@ -285,6 +285,23 @@ class TestParseVectors:
             ingest.parse_vectors(p)
         assert [(d.line, "vector" in d.message) for d in exc.value.diagnostics] == [(2, True)]
 
+    @pytest.mark.parametrize("component, shown", [
+        ("NaN", "nan"), ("Infinity", "inf"), ("1e400", "inf"), ("true", "True"),
+    ])
+    def test_non_finite_or_boolean_component_pinned_to_its_line(
+        self, tmp_path, component, shown
+    ):
+        p = write(tmp_path / "v.jsonl",
+                  '{"doc_id": "a", "vector": [1.0, 0.0]}\n'
+                  f'{{"doc_id": "b", "vector": [0.5, {component}]}}\n'
+                  '{"doc_id": "c", "vector": [0.0, 1.0]}\n')
+        with pytest.raises(ParseError) as exc:
+            ingest.parse_vectors(p)
+        assert [(d.line, d.message) for d in exc.value.diagnostics] == [
+            (2, f"vector component 1 must be a finite number, got {shown}"),
+        ]
+        assert f"v.jsonl:2: vector component 1" in str(exc.value)
+
 
 class TestParsePairSims:
     def test_basic_symmetric(self, tmp_path):

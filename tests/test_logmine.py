@@ -10,6 +10,7 @@ test dependency only.
 
 import math
 import random
+from itertools import combinations
 
 import pytest
 from scipy import special, stats
@@ -28,7 +29,15 @@ from decoyeval.logmine import (
     student_t_two_sided_p,
     welch_t_test,
 )
-from decoyeval.model import DecoyConfig, MinGradeGap, PairStore
+from decoyeval.model import (
+    DecoyConfig,
+    InteractionLog,
+    MinGradeGap,
+    PairStore,
+    Ranking,
+    SerpInteraction,
+)
+from decoyeval.simsig import percentile_threshold
 
 from conftest import LOG_CLICKS, LOG_EXPECTED, LOG_GRADES
 
@@ -84,6 +93,29 @@ class TestThresholds:
         log, _, source = load_world(planted_log)
         with pytest.raises(ValueError, match="must be below"):
             derive_thresholds(log, source, s_min_pct=99.5, s_control_pct=99.0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equal_to_percentiles_of_pooled_values(self, seed):
+        # The pooled values are sorted once for both thresholds; each must
+        # equal percentile_threshold over the pooled list, to the last bit.
+        rng = random.Random(seed)
+        pool = [f"d{i}" for i in range(12)]
+        sessions = []
+        for i in range(20):
+            docs = tuple(rng.sample(pool, rng.randint(1, 6)))
+            serp = Ranking(docs, (0.0,) * len(docs), tuple(range(1, len(docs) + 1)))
+            topic = rng.choice(("t1", "t2", "t3"))
+            sessions.append(SerpInteraction(f"s{i}", "x", "u", "k", topic, serp, {}))
+        log = InteractionLog(sessions)
+        store = PairStore({(t, a, b): rng.uniform(-1.0, 1.0) for t in ("t1", "t2", "t3")
+                           for a, b in combinations(pool, 2)})
+        pooled = [store.topic_view(t).sim(a, b)
+                  for t, docs in log_doc_universe(log).items() for a, b in combinations(docs, 2)]
+        s_min_pct, s_control_pct = rng.uniform(1, 90), rng.uniform(90, 99.9)
+        thr = derive_thresholds(log, store, s_min_pct, s_control_pct)
+        assert thr.pair_count == len(pooled)
+        assert thr.s_min == percentile_threshold(pooled, s_min_pct)
+        assert thr.s_control == percentile_threshold(pooled, s_control_pct)
 
     def test_no_pairs_rejected(self, tmp_path):
         # Every SERP shows a single doc: no within-topic pairs to pool.

@@ -128,6 +128,13 @@ class TestQualityRules:
         with pytest.raises(ValueError):
             GradeBand(target_min=2, decoy_max=2)
 
+    @pytest.mark.parametrize("rule", [MinGradeGap(2), GradeBand(2, 1), GradeBand(3, 0)])
+    def test_arrays_admit_elementwise(self, rule):
+        grid = [(t, d) for t in range(5) for d in range(5)]
+        target = np.array([t for t, _ in grid])
+        decoy = np.array([d for _, d in grid])
+        assert rule.admits(target, decoy).tolist() == [rule.admits(t, d) for t, d in grid]
+
 
 class TestDecoyConfig:
     def test_band_bounds_validated(self):
@@ -149,6 +156,12 @@ class TestDecoyConfig:
         cfg = DecoyConfig(s_min=0.6, s_max=0.95, s_max_inclusive=True)
         assert cfg.in_band(0.95)
         assert not cfg.in_band(0.9500001)
+
+    @pytest.mark.parametrize("inclusive", [False, True])
+    def test_arrays_in_band_elementwise(self, inclusive):
+        cfg = DecoyConfig(s_min=0.6, s_max=0.95, s_max_inclusive=inclusive)
+        values = [0.0, 0.5999999, 0.6, 0.75, 0.9499999, 0.95, 0.9500001, 1.0, math.nan]
+        assert cfg.in_band(np.array(values)).tolist() == [cfg.in_band(v) for v in values]
 
 
 class TestDecoyPair:
@@ -195,6 +208,11 @@ class TestVectorStore:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             VectorStore({"a": np.array([1.0, 0.0]), "b": np.array([1.0, 0.0, 0.0])})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        with pytest.raises(ValueError, match="doc b has a non-finite component"):
+            VectorStore({"a": np.array([1.0, 0.0]), "b": np.array([bad, 1.0])})
 
     def test_unit_matrix_lists_all_missing(self):
         store = VectorStore({"a": np.array([1.0, 0.0])})
