@@ -1,8 +1,9 @@
 """Parsers and writers for every on-disk format the toolkit consumes.
 
-All parsers are single-pass and total: they either return a fully valid model
-value or raise ParseError carrying line-precise diagnostics, never a partially
-populated value. Input is UTF-8; LF and CRLF line endings are both accepted.
+Every parser is a per-line function run by one reader, `_read_lines`. It is
+total: it returns a fully valid model value or raises ParseError listing each
+bad line as `file:line: message`. Input is UTF-8 with LF or CRLF line ends;
+blank lines are skipped, and a byte that is not UTF-8 is reported at its line.
 """
 
 import json
@@ -59,20 +60,45 @@ class ParseError(Exception):
         super().__init__(f"{len(self.diagnostics)} parse error(s) in {self.path}:\n{shown}")
 
 
-def _json_lines(path: PathLike, diags: list[ParseDiagnostic]):
-    """Yield (lineno, record) for each non-blank line of a JSON-lines file;
-    a line that is not valid JSON gets a diagnostic in `diags` instead."""
-    name = str(path)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                diags.append(ParseDiagnostic(name, lineno, f"invalid JSON: {exc.msg}"))
-                continue
-            yield lineno, rec
+def _read_lines(path: PathLike, parse_line) -> None:
+    """Call `parse_line(lineno, line)` on each non-blank line of a UTF-8 file.
+    The ValueError or OverflowError (an int beyond float range) it raises is
+    that line's diagnostic; all are raised as one ParseError after the last
+    line. A non-UTF-8 byte ends the reading; lines in its block go unchecked."""
+    diags: list[ParseDiagnostic] = []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if line.isspace():
+                    continue
+                try:
+                    parse_line(lineno, line)
+                except (ValueError, OverflowError) as exc:
+                    diags.append(ParseDiagnostic(str(path), lineno, str(exc)))
+    except UnicodeDecodeError as exc:
+        message = f"invalid UTF-8: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
+        diags.append(ParseDiagnostic(str(path), _undecodable_line(path, exc), message))
+    if diags:
+        raise ParseError(path, diags)
+
+
+def _undecodable_line(path: PathLike, text_error: UnicodeDecodeError) -> int:
+    """The line of the first byte of `path` that is not UTF-8. Text mode decodes
+    in blocks, so its error has no line; bytes.splitlines breaks lines as it does."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return len((data[:exc.start] + b"x").splitlines())
+    raise text_error  # the file changed between the two reads
+
+
+def _json(line: str):
+    """One JSON value, or a ValueError with the decoder's own message."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON: {exc.msg}") from None
 
 
 def parse_run(path: PathLike) -> RunList:
@@ -82,54 +108,39 @@ def parse_run(path: PathLike) -> RunList:
     ascending, then by doc id ascending; the rank of a doc is its position.
     The rank column is kept as Ranking.source_ranks for diagnostics.
     """
-    diags: list[ParseDiagnostic] = []
-    name = str(path)
     # per topic: doc_id -> first line, and (negated score, source rank,
     # doc_id) rows, whose plain tuple sort is the ranking order
     topics: dict[str, tuple[dict[str, int], list[tuple[float, int, str]]]] = {}
     run_tag = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 6:
-                diags.append(ParseDiagnostic(name, lineno, f"expected 6 fields, got {len(parts)}"))
-                continue
-            topic_id, q0, doc_id, rank_s, score_s, tag = parts
-            if q0.lower() != "q0":
-                diags.append(ParseDiagnostic(name, lineno, f"expected literal Q0, got {q0!r}"))
-                continue
-            try:
-                source_rank = int(rank_s)
-            except ValueError:
-                diags.append(ParseDiagnostic(name, lineno, f"non-numeric rank {rank_s!r}"))
-                continue
-            try:
-                score = float(score_s)
-            except ValueError:
-                diags.append(ParseDiagnostic(name, lineno, f"non-numeric score {score_s!r}"))
-                continue
-            if math.isnan(score):
-                diags.append(ParseDiagnostic(name, lineno, "score is NaN"))
-                continue
-            topic = topics.get(topic_id)
-            if topic is None:
-                topic = topics[topic_id] = ({}, [])
-            seen = topic[0].setdefault(doc_id, lineno)
-            if seen != lineno:
-                diags.append(ParseDiagnostic(
-                    name, lineno,
-                    f"duplicate (topic, doc) ({topic_id}, {doc_id}), first on line {seen}",
-                ))
-                continue
-            if run_tag is None:
-                run_tag = tag
-            topic[1].append((-score, source_rank, doc_id))
-    if diags:
-        raise ParseError(path, diags)
+
+    def parse_line(lineno, line):
+        nonlocal run_tag
+        parts = line.split()
+        if len(parts) != 6:
+            raise ValueError(f"expected 6 fields, got {len(parts)}")
+        topic_id, q0, doc_id, rank_s, score_s, tag = parts
+        if q0.lower() != "q0":
+            raise ValueError(f"expected literal Q0, got {q0!r}")
+        try:
+            source_rank = int(rank_s)
+        except ValueError:
+            raise ValueError(f"non-numeric rank {rank_s!r}") from None
+        try:
+            score = float(score_s)
+        except ValueError:
+            raise ValueError(f"non-numeric score {score_s!r}") from None
+        if math.isnan(score):
+            raise ValueError("score is NaN")
+        topic = topics.get(topic_id) or topics.setdefault(topic_id, ({}, []))
+        seen = topic[0].setdefault(doc_id, lineno)
+        if seen != lineno:
+            raise ValueError(f"duplicate (topic, doc) ({topic_id}, {doc_id}), first on line {seen}")
+        run_tag = run_tag or tag
+        topic[1].append((-score, source_rank, doc_id))
+
+    _read_lines(path, parse_line)
     if not topics:
-        raise ParseError(path, [ParseDiagnostic(name, 1, "run file has no ranked lines")])
+        raise ParseError(path, [ParseDiagnostic(str(path), 1, "run file has no ranked lines")])
     rankings: dict[str, Ranking] = {}
     for topic_id in list(topics):
         # Popping frees each topic's rows and first-line map once converted.
@@ -161,48 +172,35 @@ def parse_qrels(path: PathLike, g_max: int) -> Qrels:
     with a conflicting grade is an error; an identical duplicate is accepted
     with a warning.
     """
-    diags: list[ParseDiagnostic] = []
-    name = str(path)
     judgments: dict[str, dict[str, int]] = {}
     first_line: dict[tuple[str, str], int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 4:
-                diags.append(ParseDiagnostic(name, lineno, f"expected 4 fields, got {len(parts)}"))
-                continue
-            topic_id, _iteration, doc_id, grade_s = parts
-            try:
-                grade = int(grade_s)
-            except ValueError:
-                diags.append(ParseDiagnostic(name, lineno, f"non-integer grade {grade_s!r}"))
-                continue
-            if not 0 <= grade <= g_max:
-                diags.append(ParseDiagnostic(
-                    name, lineno, f"grade out of range: {grade} not in [0, {g_max}]"
-                ))
-                continue
-            key = (topic_id, doc_id)
-            seen = first_line.get(key)
-            if seen is not None:
-                if judgments[topic_id][doc_id] != grade:
-                    diags.append(ParseDiagnostic(
-                        name, lineno,
-                        f"conflicting grade for ({topic_id}, {doc_id}): "
-                        f"{judgments[topic_id][doc_id]} on line {seen}, {grade} here",
-                    ))
-                else:
-                    logger.warning(
-                        "%s:%d: duplicate judgment for (%s, %s) with equal grade %d",
-                        name, lineno, topic_id, doc_id, grade,
-                    )
-                continue
-            first_line[key] = lineno
+
+    def parse_line(lineno, line):
+        parts = line.split()
+        if len(parts) != 4:
+            raise ValueError(f"expected 4 fields, got {len(parts)}")
+        topic_id, _iteration, doc_id, grade_s = parts
+        try:
+            grade = int(grade_s)
+        except ValueError:
+            raise ValueError(f"non-integer grade {grade_s!r}") from None
+        if not 0 <= grade <= g_max:
+            raise ValueError(f"grade out of range: {grade} not in [0, {g_max}]")
+        seen = first_line.setdefault((topic_id, doc_id), lineno)
+        if seen == lineno:
             judgments.setdefault(topic_id, {})[doc_id] = grade
-    if diags:
-        raise ParseError(path, diags)
+        elif judgments[topic_id][doc_id] != grade:
+            raise ValueError(
+                f"conflicting grade for ({topic_id}, {doc_id}): "
+                f"{judgments[topic_id][doc_id]} on line {seen}, {grade} here"
+            )
+        else:
+            logger.warning(
+                "%s:%d: duplicate judgment for (%s, %s) with equal grade %d",
+                path, lineno, topic_id, doc_id, grade,
+            )
+
+    _read_lines(path, parse_line)
     return Qrels(g_max, judgments)
 
 
@@ -212,43 +210,35 @@ def parse_vectors(path: PathLike) -> VectorStore:
     Vectors are read as 64-bit floats regardless of on-disk precision; all
     records must share one dimension and have nonzero norm.
     """
-    diags: list[ParseDiagnostic] = []
-    name = str(path)
     vectors: dict[str, np.ndarray] = {}
-    dim = None
-    dim_line = None
+    dim = dim_line = None
     doc_line: dict[str, int] = {}
-    for lineno, rec in _json_lines(path, diags):
-        try:
-            if isinstance(rec, dict) and "vec" in rec and "vector" not in rec:
-                raise ValueError('the vector field is named "vector", not "vec"')
-            if not isinstance(rec, dict) or "doc_id" not in rec or "vector" not in rec:
-                raise ValueError("record must have doc_id and vector fields")
-            doc_id = rec["doc_id"]
-            if not isinstance(doc_id, str):
-                raise ValueError(f"doc_id must be a string, got {doc_id!r}")
-            vec = _finite_vector(rec["vector"])
-            if doc_id in doc_line:
-                raise ValueError(
-                    f"duplicate vector for doc {doc_id}, first on line {doc_line[doc_id]}"
-                )
-            if dim is None:
-                dim, dim_line = vec.shape[0], lineno
-            elif vec.shape[0] != dim:
-                raise ValueError(
-                    f"dimension mismatch: {vec.shape[0]} here vs {dim} on line {dim_line}"
-                )
-            if not np.any(vec):
-                raise ValueError(f"zero-norm vector for doc {doc_id}")
-        except ValueError as exc:
-            diags.append(ParseDiagnostic(name, lineno, str(exc)))
-            continue
+
+    def parse_line(lineno, line):
+        nonlocal dim, dim_line
+        rec = _json(line)
+        if isinstance(rec, dict) and "vec" in rec and "vector" not in rec:
+            raise ValueError('the vector field is named "vector", not "vec"')
+        if not isinstance(rec, dict) or "doc_id" not in rec or "vector" not in rec:
+            raise ValueError("record must have doc_id and vector fields")
+        doc_id = rec["doc_id"]
+        if not isinstance(doc_id, str):
+            raise ValueError(f"doc_id must be a string, got {doc_id!r}")
+        vec = _finite_vector(rec["vector"])
+        if doc_id in doc_line:
+            raise ValueError(f"duplicate vector for doc {doc_id}, first on line {doc_line[doc_id]}")
+        if dim is None:
+            dim, dim_line = vec.shape[0], lineno
+        elif vec.shape[0] != dim:
+            raise ValueError(f"dimension mismatch: {vec.shape[0]} here vs {dim} on line {dim_line}")
+        if not np.any(vec):
+            raise ValueError(f"zero-norm vector for doc {doc_id}")
         doc_line[doc_id] = lineno
         vectors[doc_id] = vec
-    if not diags and not vectors:
-        diags.append(ParseDiagnostic(name, 1, "no vector records in file"))
-    if diags:
-        raise ParseError(path, diags)
+
+    _read_lines(path, parse_line)
+    if not vectors:
+        raise ParseError(path, [ParseDiagnostic(str(path), 1, "no vector records in file")])
     return VectorStore(vectors)
 
 
@@ -282,39 +272,27 @@ def parse_pair_sims(path: PathLike) -> PairStore:
     Each line goes through `PairStore.add`: pairs are unordered within a
     topic, and a re-declaration must repeat the first value after the clamp.
     """
-    diags: list[ParseDiagnostic] = []
-    name = str(path)
     store = PairStore({})
     first_line: dict[str, dict[tuple[str, str], int]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            row = line.rstrip("\n")
-            if not row.strip():
-                continue
-            parts = row.split("\t")
-            if len(parts) != 4:
-                diags.append(ParseDiagnostic(
-                    name, lineno, f"expected 4 tab-separated fields, got {len(parts)}"
-                ))
-                continue
-            topic_id, doc_a, doc_b, sim_s = parts
-            try:
-                sim = float(sim_s)
-            except ValueError:
-                diags.append(ParseDiagnostic(name, lineno, f"non-numeric similarity {sim_s!r}"))
-                continue
-            lines = first_line.setdefault(topic_id, {})
-            try:
-                key = store.add(topic_id, doc_a, doc_b, sim)
-            except ValueError as exc:
-                seen = lines.get(pair_key(doc_a, doc_b))
-                diags.append(ParseDiagnostic(
-                    name, lineno, f"{exc}, first on line {seen}" if seen else str(exc)
-                ))
-                continue
-            lines.setdefault(key, lineno)
-    if diags:
-        raise ParseError(path, diags)
+
+    def parse_line(lineno, line):
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) != 4:
+            raise ValueError(f"expected 4 tab-separated fields, got {len(parts)}")
+        topic_id, doc_a, doc_b, sim_s = parts
+        try:
+            sim = float(sim_s)
+        except ValueError:
+            raise ValueError(f"non-numeric similarity {sim_s!r}") from None
+        lines = first_line.setdefault(topic_id, {})
+        try:
+            key = store.add(topic_id, doc_a, doc_b, sim)
+        except ValueError as exc:
+            seen = lines.get(pair_key(doc_a, doc_b))
+            raise ValueError(f"{exc}, first on line {seen}" if seen else str(exc)) from None
+        lines.setdefault(key, lineno)
+
+    _read_lines(path, parse_line)
     return store
 
 
@@ -327,21 +305,17 @@ def parse_interaction_log(path: PathLike) -> InteractionLog:
     array order; clicked docs must appear on the SERP, with at most one click
     entry per doc; serp_ids are unique.
     """
-    diags: list[ParseDiagnostic] = []
-    name = str(path)
     sessions: list[SerpInteraction] = []
     serp_line: dict[str, int] = {}
-    for lineno, rec in _json_lines(path, diags):
-        try:
-            session = _serp_interaction(rec)
-            seen = serp_line.setdefault(session.serp_id, lineno)
-            if seen != lineno:
-                raise ValueError(f"duplicate serp_id {session.serp_id}, first on line {seen}")
-            sessions.append(session)
-        except ValueError as exc:
-            diags.append(ParseDiagnostic(name, lineno, str(exc)))
-    if diags:
-        raise ParseError(path, diags)
+
+    def parse_line(lineno, line):
+        session = _serp_interaction(_json(line))
+        seen = serp_line.setdefault(session.serp_id, lineno)
+        if seen != lineno:
+            raise ValueError(f"duplicate serp_id {session.serp_id}, first on line {seen}")
+        sessions.append(session)
+
+    _read_lines(path, parse_line)
     return InteractionLog(sessions)
 
 
@@ -416,24 +390,20 @@ def parse_records(path: PathLike) -> list[InteractionRecord]:
     """Parse line-delimited InteractionRecord objects, as written by the
     report module. Field names match InteractionRecord exactly, and each
     field must have its JSON type: nothing is coerced."""
-    diags: list[ParseDiagnostic] = []
-    name = str(path)
     records: list[InteractionRecord] = []
-    for lineno, rec in _json_lines(path, diags):
-        try:
-            if not isinstance(rec, dict) or rec.keys() != _RECORD_TYPES.keys():
-                raise ValueError("record fields do not match InteractionRecord")
-            for field_name, (kind, label) in _RECORD_TYPES.items():
-                value = rec[field_name]
-                if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-                    raise ValueError(f"{field_name} must be {label}, got {value!r}")
-            dwell = float(rec["dwell_seconds"])
-            if not math.isfinite(dwell):
-                raise ValueError(f"dwell_seconds must be finite, got {dwell!r}")
-            records.append(InteractionRecord(**{**rec, "dwell_seconds": dwell}))
-        # float() raises OverflowError for an int beyond float range.
-        except (ValueError, OverflowError) as exc:
-            diags.append(ParseDiagnostic(name, lineno, str(exc)))
-    if diags:
-        raise ParseError(path, diags)
+
+    def parse_line(lineno, line):
+        rec = _json(line)
+        if not isinstance(rec, dict) or rec.keys() != _RECORD_TYPES.keys():
+            raise ValueError("record fields do not match InteractionRecord")
+        for field_name, (kind, label) in _RECORD_TYPES.items():
+            value = rec[field_name]
+            if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+                raise ValueError(f"{field_name} must be {label}, got {value!r}")
+        dwell = float(rec["dwell_seconds"])
+        if not math.isfinite(dwell):
+            raise ValueError(f"dwell_seconds must be finite, got {dwell!r}")
+        records.append(InteractionRecord(**{**rec, "dwell_seconds": dwell}))
+
+    _read_lines(path, parse_line)
     return records

@@ -37,6 +37,14 @@ def clamp_similarity(value: float, context: str = "similarity") -> float:
     raise ValueError(f"{context} {value} outside [-1, 1] by more than {SIMILARITY_EPS}")
 
 
+def rescaled(vec: np.ndarray) -> np.ndarray:
+    """`vec` times the power of two that brings its largest absolute component
+    into [0.5, 1). The scaling is exact, so a norm taken after it cannot
+    overflow or underflow, and a cosine computed from it is bit for bit the
+    one computed from `vec` wherever that one did neither."""
+    return np.ldexp(vec, -np.frexp(np.abs(vec).max(initial=0.0))[1])
+
+
 @dataclass(frozen=True, slots=True)
 class Ranking:
     """One ranked list as parallel columns: doc ids, scores and the rank
@@ -248,6 +256,7 @@ class VectorStore:
                 )
             if not np.isfinite(arr).all():
                 raise ValueError(f"vector for doc {doc_id} has a non-finite component")
+            arr = rescaled(arr)
             norm = float(np.linalg.norm(arr))
             if norm == 0.0:
                 raise ValueError(f"zero-norm vector for doc {doc_id}")

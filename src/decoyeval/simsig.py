@@ -17,6 +17,7 @@ from .model import (
     SimilaritySource,
     VectorStore,
     clamp_similarity,
+    rescaled,
 )
 
 
@@ -31,6 +32,7 @@ def cosine(a, b) -> float:
     vb = np.asarray(b, dtype=np.float64)
     if va.shape != vb.shape or va.ndim != 1:
         raise ValueError(f"dimension mismatch: {va.shape} vs {vb.shape}")
+    va, vb = rescaled(va), rescaled(vb)
     na = float(np.linalg.norm(va))
     nb = float(np.linalg.norm(vb))
     if na == 0.0 or nb == 0.0:

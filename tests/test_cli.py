@@ -197,6 +197,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "run.txt" in err and ":1:" in err
 
+    def test_non_utf8_qrels_is_1_at_its_line(self, tmp_path, capsys):
+        run, qrels, pairs = write_demo(tmp_path)
+        qrels.write_bytes(b"t1 0 d1 3\nt1 0 d2\xff 0\n")
+        rc = cli.main([
+            "eval", "--run", str(run), "--qrels", str(qrels),
+            "--pair-sims", str(pairs),
+        ])
+        assert rc == 1
+        assert f"{qrels}:2: invalid UTF-8: byte 0xff" in capsys.readouterr().err
+
+    def test_non_utf8_log_is_1_at_its_line(self, tmp_path, capsys):
+        paths = write_planted_log(tmp_path / "planted")
+        lines = paths.log.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b'"s3"', b'"s\xe93"')
+        paths.log.write_bytes(b"".join(lines))
+        rc = cli.main([
+            "mine", "--logs", str(paths.log), "--qrels", str(paths.qrels),
+            "--pair-sims", str(paths.pairs), "--out", str(tmp_path / "mined"),
+        ])
+        assert rc == 1
+        assert f"{paths.log}:3: invalid UTF-8: byte 0xe9" in capsys.readouterr().err
+
     def test_missing_file_is_1(self, tmp_path, capsys):
         run, qrels, pairs = write_demo(tmp_path)
         rc = cli.main([

@@ -502,3 +502,121 @@ class TestParseRecords:
         p = write(tmp_path / "r.jsonl", json.dumps(record_row(dwell_seconds=12)) + "\n")
         rec = ingest.parse_records(p)[0]
         assert rec.dwell_seconds == 12.0 and isinstance(rec.dwell_seconds, float)
+
+
+VALID_LINES = {
+    "run": "t1 Q0 d1 1 9.0 tag",
+    "qrels": "t1 0 d1 3",
+    "vectors": '{"doc_id": "a", "vector": [1.0, 0.0]}',
+    "pair_sims": "t1\ta\tb\t0.8",
+    "interaction_log": json.dumps(log_record("s1")),
+    "records": json.dumps(record_row()),
+}
+
+PARSERS = {
+    "run": ingest.parse_run,
+    "qrels": lambda p: ingest.parse_qrels(p, g_max=3),
+    "vectors": ingest.parse_vectors,
+    "pair_sims": ingest.parse_pair_sims,
+    "interaction_log": ingest.parse_interaction_log,
+    "records": ingest.parse_records,
+}
+
+# (parser, the malformed line, the one diagnostic's message)
+BAD_LINES = [
+    ("run", "t1 Q0 d2 2", "expected 6 fields, got 4"),
+    ("run", "t1 QX d2 2 8.0 tag", "expected literal Q0, got 'QX'"),
+    ("run", "t1 Q0 d2 two 8.0 tag", "non-numeric rank 'two'"),
+    ("run", "t1 Q0 d2 2 high tag", "non-numeric score 'high'"),
+    ("run", "t1 Q0 d2 2 nan tag", "score is NaN"),
+    ("run", "t1 Q0 d1 2 8.0 tag", "duplicate (topic, doc) (t1, d1), first on line 1"),
+    ("qrels", "t1 0 d2", "expected 4 fields, got 3"),
+    ("qrels", "t1 0 d2 high", "non-integer grade 'high'"),
+    ("qrels", "t1 0 d2 4", "grade out of range: 4 not in [0, 3]"),
+    ("qrels", "t1 0 d1 2", "conflicting grade for (t1, d1): 3 on line 1, 2 here"),
+    ("vectors", '{"doc_id": "b", "vector": [1.0,]}', "invalid JSON: Expecting value"),
+    ("vectors", '{"doc_id": "b"}', "record must have doc_id and vector fields"),
+    ("vectors", '{"doc_id": "b", "vec": [1.0]}', 'the vector field is named "vector", not "vec"'),
+    ("vectors", '{"doc_id": 7, "vector": [1.0, 0.0]}', "doc_id must be a string, got 7"),
+    ("vectors", '{"doc_id": "b", "vector": []}', "vector must be a non-empty flat array"),
+    ("vectors", '{"doc_id": "b", "vector": [1.0, 10' + "0" * 400 + "]}",
+     "vector component 1 must be a finite number, got 10" + "0" * 400),
+    ("vectors", '{"doc_id": "a", "vector": [0.0, 1.0]}',
+     "duplicate vector for doc a, first on line 1"),
+    ("vectors", '{"doc_id": "b", "vector": [1.0]}', "dimension mismatch: 1 here vs 2 on line 1"),
+    ("vectors", '{"doc_id": "b", "vector": [0.0, 0.0]}', "zero-norm vector for doc b"),
+    ("pair_sims", "t1\ta\t0.5", "expected 4 tab-separated fields, got 3"),
+    ("pair_sims", "t1\ta\tc\thigh", "non-numeric similarity 'high'"),
+    ("pair_sims", "t1\tb\ta\t0.7",
+     "conflicting similarity for (b, a) in topic t1: 0.8 vs 0.7, first on line 1"),
+    ("interaction_log", '{"serp_id": "s2",', "invalid JSON: Expecting property name enclosed in "
+     "double quotes"),
+    ("interaction_log", "[1]", "record must be an object"),
+    ("interaction_log", json.dumps(log_record("s1")), "duplicate serp_id s1, first on line 1"),
+    ("records", "{'serp_id': 's1'}", "invalid JSON: Expecting property name enclosed in "
+     "double quotes"),
+    ("records", json.dumps({"serp_id": "s1"}), "record fields do not match InteractionRecord"),
+    ("records", json.dumps(record_row(dwell_seconds=10**400)), "int too large to convert to float"),
+]
+
+
+class TestEveryParser:
+    """Each parser reads its file through the one line reader: blank and
+    whitespace-only lines are skipped, LF and CRLF both work, and a bad line
+    is one diagnostic at its own line number."""
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize(
+        "kind, bad, message", BAD_LINES,
+        ids=[f"{kind}-{i}" for i, (kind, _, _) in enumerate(BAD_LINES)],
+    )
+    def test_one_bad_line_one_diagnostic(self, tmp_path, kind, bad, message, newline):
+        lines = [VALID_LINES[kind], "", " \t ", bad]
+        p = tmp_path / f"{kind}.txt"
+        p.write_bytes("".join(line + newline for line in lines).encode("utf-8"))
+        with pytest.raises(ParseError) as exc:
+            PARSERS[kind](p)
+        assert [(d.file, d.line, d.message) for d in exc.value.diagnostics] == [
+            (str(p), 4, message)
+        ]
+
+    @pytest.mark.parametrize("kind", list(PARSERS))
+    def test_valid_line_between_blank_lines_parses(self, tmp_path, kind):
+        p = write(tmp_path / f"{kind}.txt", f"\n  \n{VALID_LINES[kind]}\n\t\n")
+        assert PARSERS[kind](p)
+
+    @pytest.mark.parametrize("kind", list(PARSERS))
+    def test_bad_lines_reported_in_file_order(self, tmp_path, kind):
+        bad = [line for k, line, _ in BAD_LINES if k == kind][:2]
+        p = write(tmp_path / f"{kind}.txt", "\n".join([VALID_LINES[kind], *bad, *bad]) + "\n")
+        with pytest.raises(ParseError) as exc:
+            PARSERS[kind](p)
+        assert [d.line for d in exc.value.diagnostics] == [2, 3, 4, 5]
+
+
+class TestNonUtf8:
+    @pytest.mark.parametrize("kind", list(PARSERS))
+    def test_bad_byte_pinned_to_its_line(self, tmp_path, kind):
+        p = tmp_path / f"{kind}.txt"
+        p.write_bytes(VALID_LINES[kind].encode() + b"\n\n\xff" + VALID_LINES[kind].encode() + b"\n")
+        with pytest.raises(ParseError) as exc:
+            PARSERS[kind](p)
+        assert [str(d) for d in exc.value.diagnostics] == [
+            f"{p}:3: invalid UTF-8: byte 0xff (invalid start byte)"
+        ]
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_line_counted_past_the_first_decoded_block(self, tmp_path, newline):
+        # Text mode decodes in blocks of several KB: the bad byte sits well
+        # past the first, after an earlier bad line whose diagnostic is kept.
+        lines = [b"t1 0 d%d 1" % i for i in range(3000)]
+        lines[5] = b"t1 0 dx"
+        lines[2500] = b"t1 0 d\xc3( 1"
+        p = tmp_path / "q.txt"
+        p.write_bytes(newline.join(lines) + newline)
+        with pytest.raises(ParseError) as exc:
+            ingest.parse_qrels(p, g_max=3)
+        assert [(d.line, d.message) for d in exc.value.diagnostics] == [
+            (6, "expected 4 fields, got 3"),
+            (2501, "invalid UTF-8: byte 0xc3 (invalid continuation byte)"),
+        ]

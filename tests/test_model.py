@@ -224,6 +224,20 @@ class TestVectorStore:
         store = VectorStore({"a": np.array([1.0, 0.0])})
         assert store.topic_view("any") is store
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 2.0**-1070])
+    def test_extreme_magnitudes_normalise(self, scale):
+        # Squaring these components overflows or underflows; the norm must not.
+        store = VectorStore({"a": np.array([scale, scale]), "b": np.array([1.0, 1.0])})
+        assert np.allclose(store.unit_vector("a"), [math.sqrt(0.5)] * 2, rtol=0, atol=1e-15)
+        assert store.sim("a", "b") == pytest.approx(1.0, abs=1e-15)
+
+    def test_ordinary_magnitudes_normalise_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        vectors = {f"d{i}": rng.normal(size=6) * 10.0 ** rng.uniform(-8, 8) for i in range(200)}
+        store = VectorStore(vectors)
+        for doc_id, vec in vectors.items():
+            assert np.array_equal(store.unit_vector(doc_id), vec / np.linalg.norm(vec))
+
 
 class TestPairStore:
     def test_symmetric_lookup(self):

@@ -54,6 +54,19 @@ class TestCosine:
                 continue
             assert cosine(a, b) == pytest.approx(oracle_cosine(a, b), abs=1e-12)
 
+    @pytest.mark.parametrize("scale_a, scale_b", [
+        (1e200, 1.0), (1.0, 1e-200), (1e300, 1e300), (1e-300, 1e300), (2.0**-1020, 2.0**1020),
+    ])
+    def test_scale_invariant_at_extreme_magnitudes(self, scale_a, scale_b):
+        # Cosine ignores scale, so the oracle on the unscaled vectors is the
+        # truth for the scaled ones, whose squares overflow or underflow.
+        rng = random.Random(11)
+        for _ in range(50):
+            a = [rng.uniform(-3, 3) for _ in range(4)]
+            b = [rng.uniform(-3, 3) for _ in range(4)]
+            got = cosine([x * scale_a for x in a], [y * scale_b for y in b])
+            assert got == pytest.approx(oracle_cosine(a, b), abs=1e-12)
+
     def test_result_never_outside_unit_interval(self):
         rng = random.Random(9)
         for _ in range(500):
