@@ -3,13 +3,16 @@
 Every parser is a per-line function run by one reader, `_read_lines`. It is
 total: it returns a fully valid model value or raises ParseError listing each
 bad line as `file:line: message`. Input is UTF-8 with LF or CRLF line ends;
-blank lines are skipped, and a byte that is not UTF-8 is reported at its line.
+a leading byte-order mark is dropped, blank lines are skipped, and a byte
+that is not UTF-8 is reported at its line.
 """
 
 import json
 import logging
 import math
+import operator
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -61,13 +64,14 @@ class ParseError(Exception):
 
 
 def _read_lines(path: PathLike, parse_line) -> None:
-    """Call `parse_line(lineno, line)` on each non-blank line of a UTF-8 file.
-    The ValueError or OverflowError (an int beyond float range) it raises is
-    that line's diagnostic; all are raised as one ParseError after the last
-    line. A non-UTF-8 byte ends the reading; lines in its block go unchecked."""
+    """Call `parse_line(lineno, line)` on each non-blank line of a UTF-8 file,
+    after a leading byte-order mark. The ValueError or OverflowError (an int
+    beyond float range) it raises is that line's diagnostic; all are raised as
+    one ParseError after the last line. A non-UTF-8 byte ends the reading;
+    lines in its block go unchecked."""
     diags: list[ParseDiagnostic] = []
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, 1):
                 if line.isspace():
                     continue
@@ -94,11 +98,14 @@ def _undecodable_line(path: PathLike, text_error: UnicodeDecodeError) -> int:
 
 
 def _json(line: str):
-    """One JSON value, or a ValueError with the decoder's own message."""
+    """One JSON value, or a ValueError with the decoder's own message (or
+    "nested too deeply" where the decoder runs out of stack)."""
     try:
         return json.loads(line)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise ValueError("invalid JSON: nested too deeply") from None
 
 
 def parse_run(path: PathLike) -> RunList:
@@ -106,11 +113,23 @@ def parse_run(path: PathLike) -> RunList:
 
     Docs are ordered by score descending, then by the file's rank column
     ascending, then by doc id ascending; the rank of a doc is its position.
-    The rank column is kept as Ranking.source_ranks for diagnostics.
+    Scores are kept as parsed. Ranking.source_ranks is the file's rank
+    column, kept as read; it breaks score ties. A valid file is read once; a
+    file with a bad line or a doc twice in one topic is read again, to name
+    each duplicate's first line.
     """
-    # per topic: doc_id -> first line, and (negated score, source rank,
-    # doc_id) rows, whose plain tuple sort is the ranking order
-    topics: dict[str, tuple[dict[str, int], list[tuple[float, int, str]]]] = {}
+    try:
+        return _read_run(path, None)
+    except (ParseError, ValueError):  # a bad or no ranked line, or a duplicate (topic, doc)
+        return _read_run(path, {})
+
+
+def _read_run(path: PathLike, first_line: dict[tuple[str, str], int] | None) -> RunList:
+    """One read of a run file into a doc id, a score and a rank column per
+    topic. With `first_line` None a duplicate (topic, doc) is not a line
+    diagnostic, and Ranking raises ValueError for it; with a map each one is
+    reported at its line, with the line of its first occurrence."""
+    topics: dict[str, tuple[list[str], list[float], list[int]]] = {}
     run_tag = None
 
     def parse_line(lineno, line):
@@ -131,27 +150,33 @@ def parse_run(path: PathLike) -> RunList:
             raise ValueError(f"non-numeric score {score_s!r}") from None
         if math.isnan(score):
             raise ValueError("score is NaN")
-        topic = topics.get(topic_id) or topics.setdefault(topic_id, ({}, []))
-        seen = topic[0].setdefault(doc_id, lineno)
-        if seen != lineno:
-            raise ValueError(f"duplicate (topic, doc) ({topic_id}, {doc_id}), first on line {seen}")
-        run_tag = run_tag or tag
-        topic[1].append((-score, source_rank, doc_id))
+        if first_line is not None:
+            seen = first_line.setdefault((topic_id, doc_id), lineno)
+            if seen != lineno:
+                raise ValueError(
+                    f"duplicate (topic, doc) ({topic_id}, {doc_id}), first on line {seen}"
+                )
+        columns = topics.get(topic_id)
+        if columns is None:
+            columns = topics[topic_id] = ([], [], [])
+            run_tag = run_tag or tag
+        columns[0].append(doc_id)
+        columns[1].append(score)
+        columns[2].append(source_rank)
 
     _read_lines(path, parse_line)
     if not topics:
         raise ParseError(path, [ParseDiagnostic(str(path), 1, "run file has no ranked lines")])
     rankings: dict[str, Ranking] = {}
     for topic_id in list(topics):
-        # Popping frees each topic's rows and first-line map once converted.
-        rows = topics.pop(topic_id)[1]
-        rows.sort()
-        rankings[topic_id] = Ranking(
-            tuple([row[2] for row in rows]),
-            tuple([-row[0] for row in rows]),
-            tuple([row[1] for row in rows]),
-        )
-    return RunList(run_tag or "", rankings)
+        # Popping frees each topic's lists once converted.
+        doc_ids, scores, source_ranks = topics.pop(topic_id)
+        # Strictly falling scores are the ranking order already.
+        if not all(map(operator.gt, scores, islice(scores, 1, None))):
+            rows = sorted(zip(map(operator.neg, scores), source_ranks, doc_ids, scores))
+            _, source_ranks, doc_ids, scores = zip(*rows)
+        rankings[topic_id] = Ranking(tuple(doc_ids), tuple(scores), tuple(source_ranks))
+    return RunList(run_tag, rankings)
 
 
 def write_run(run: RunList, path: PathLike) -> None:

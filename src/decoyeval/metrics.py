@@ -16,6 +16,7 @@ import bisect
 import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import compress, count, repeat
 
 from .decoy import ranking_pairs
 from .model import DecoyConfig, Qrels, Ranking, RunList, SimilaritySource
@@ -241,9 +242,9 @@ def topic_prefix(
     if depth < 1:
         raise ValueError(f"cutoff must be >= 1, got {depth}")
     top = ranking.head(depth)
-    ranked = [grades.get(d, 0) for d in top.doc_ids]
+    ranked = list(map(grades.get, top.doc_ids, repeat(0)))
 
-    graded = [i for i, g in enumerate(ranked, start=1) if g]
+    graded = list(compress(count(1), ranked))
     dcg, rbp, err = [0.0], [0.0], [0.0]
     weight, weight_rank = 1.0 - cfg.phi, 1  # RBP weight (1 - phi) * phi^(rank - 1)
     p_continue = 1.0
@@ -280,13 +281,19 @@ def topic_prefix(
         rbp=rbp,
         err=err,
         ideal_dcg=ideal_dcg,
-        relevant=[i for i, g in enumerate(ranked, start=1) if g >= cfg.recall_min],
+        relevant=_ranks_at_least(cfg.recall_min, ranked, graded),
         total_relevant=sum(1 for g in grades.values() if g >= cfg.recall_min),
-        highly_relevant=[
-            i for i, g in enumerate(ranked, start=1) if g >= cfg.highly_relevant_min
-        ],
+        highly_relevant=_ranks_at_least(cfg.highly_relevant_min, ranked, graded),
         decoy_depths=sorted(first_seen.values()),
     )
+
+
+def _ranks_at_least(floor: int, ranked: list[int], graded: list[int]) -> list[int]:
+    """The ranks whose grade is at least `floor`: a subset of the graded
+    (nonzero) ranks when the floor is at least 1, every rank at floor 0."""
+    if floor < 1:
+        return list(range(1, len(ranked) + 1))
+    return [i for i in graded if ranked[i - 1] >= floor]
 
 
 def _read_at_k(name: str, ranking, grades, cfg: MetricConfig) -> float:

@@ -50,9 +50,10 @@ class Ranking:
     """One ranked list as parallel columns: doc ids, scores and the rank
     column as it appeared on disk.
 
-    The rank of the doc at position i is i + 1; `source_ranks` is kept for
-    diagnostics only. Doc ids are unique. `Ranking()` is the empty list,
-    and a Ranking is falsy exactly when it is empty.
+    The rank of the doc at position i is i + 1. `source_ranks` is the file's
+    rank column, kept as read; in a run it breaks score ties. Doc ids are
+    unique. `Ranking()` is the empty list, and a Ranking is falsy exactly
+    when it is empty.
     """
 
     doc_ids: tuple[str, ...] = ()

@@ -219,6 +219,18 @@ class TestExitCodes:
         assert rc == 1
         assert f"{paths.log}:3: invalid UTF-8: byte 0xe9" in capsys.readouterr().err
 
+    def test_deeply_nested_log_line_is_1_at_its_line(self, tmp_path, capsys):
+        paths = write_planted_log(tmp_path / "planted")
+        lines = paths.log.read_bytes().splitlines(keepends=True)
+        lines[1] = b"[" * 100_000 + b"]" * 100_000 + b"\n"
+        paths.log.write_bytes(b"".join(lines))
+        rc = cli.main([
+            "mine", "--logs", str(paths.log), "--qrels", str(paths.qrels),
+            "--pair-sims", str(paths.pairs), "--out", str(tmp_path / "mined"),
+        ])
+        assert rc == 1
+        assert f"{paths.log}:2: invalid JSON: nested too deeply" in capsys.readouterr().err
+
     def test_missing_file_is_1(self, tmp_path, capsys):
         run, qrels, pairs = write_demo(tmp_path)
         rc = cli.main([

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import math
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import decoyeval.ingest as ingest
 from decoyeval.ingest import ParseError
-from decoyeval.model import Click, Ranking, SerpInteraction
+from decoyeval.model import Click, Ranking, RunList, SerpInteraction
 
 
 def write(path, text):
@@ -619,4 +620,229 @@ class TestNonUtf8:
         assert [(d.line, d.message) for d in exc.value.diagnostics] == [
             (6, "expected 4 fields, got 3"),
             (2501, "invalid UTF-8: byte 0xc3 (invalid continuation byte)"),
+        ]
+
+
+def tuple_sort_parse_run(path):
+    """Reference run parser: one (-score, rank column, doc id) row per line,
+    a doc -> first line map per topic that names each duplicate, and a plain
+    tuple sort of each topic."""
+    topics = {}
+    run_tag = None
+
+    def parse_line(lineno, line):
+        nonlocal run_tag
+        parts = line.split()
+        if len(parts) != 6:
+            raise ValueError(f"expected 6 fields, got {len(parts)}")
+        topic_id, q0, doc_id, rank_s, score_s, tag = parts
+        if q0.lower() != "q0":
+            raise ValueError(f"expected literal Q0, got {q0!r}")
+        try:
+            source_rank = int(rank_s)
+        except ValueError:
+            raise ValueError(f"non-numeric rank {rank_s!r}") from None
+        try:
+            score = float(score_s)
+        except ValueError:
+            raise ValueError(f"non-numeric score {score_s!r}") from None
+        if math.isnan(score):
+            raise ValueError("score is NaN")
+        first_line, rows = topics.setdefault(topic_id, ({}, []))
+        seen = first_line.setdefault(doc_id, lineno)
+        if seen != lineno:
+            raise ValueError(f"duplicate (topic, doc) ({topic_id}, {doc_id}), first on line {seen}")
+        run_tag = run_tag or tag
+        rows.append((-score, source_rank, doc_id))
+
+    ingest._read_lines(path, parse_line)
+    if not topics:
+        raise ParseError(path, [ingest.ParseDiagnostic(str(path), 1, "run file has no ranked lines")])
+    rankings = {}
+    for topic_id, (_, rows) in topics.items():
+        rows.sort()
+        rankings[topic_id] = Ranking(
+            tuple(row[2] for row in rows),
+            tuple(-row[0] for row in rows),
+            tuple(row[1] for row in rows),
+        )
+    return RunList(run_tag or "", rankings)
+
+
+def parse_both(path):
+    """parse_run and the reference on one file: each one's RunList, or the
+    (file, line, message) of each of its diagnostics."""
+    outcomes = []
+    for parse in (ingest.parse_run, tuple_sort_parse_run):
+        try:
+            outcomes.append(parse(path))
+        except ParseError as exc:
+            outcomes.append([(d.file, d.line, d.message) for d in exc.diagnostics])
+    return outcomes
+
+
+# Score spellings with ties, signed zeros and infinities among them.
+SCORE_TEXTS = ["3", "3.0", "2.5", "1e0", "1", "0", "0.0", "-0.0", "-0", "-1.5",
+               "inf", "-inf", "Infinity", "+2.5"]
+RUN_TOPICS = ["t1", "t2", "t3"]
+
+
+@st.composite
+def run_rows(draw, doc_pool, unique):
+    """(topic, doc, rank text, score text) rows, doc ids drawn from
+    `doc_pool`; unless `unique`, a small pool repeats (topic, doc) pairs."""
+    return draw(st.lists(st.tuples(
+        st.sampled_from(RUN_TOPICS),
+        st.sampled_from(doc_pool),
+        st.integers(-2, 4).map(str),
+        st.one_of(st.sampled_from(SCORE_TEXTS),
+                  st.floats(allow_nan=False, width=32).map(repr)),
+    ), max_size=40, unique_by=(lambda r: r[:2]) if unique else None))
+
+
+def run_text(draw, lines):
+    """`lines` with blank and whitespace-only lines drawn in between, joined
+    by LF or CRLF."""
+    out = []
+    for line in lines:
+        out.extend(draw(st.lists(st.sampled_from(["", " ", "\t "]), max_size=1)))
+        out.append(line)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join(line + newline for line in out)
+
+
+class TestParseRunAgainstTupleSort:
+    """parse_run keeps a doc id, a score and a rank column per topic and
+    sorts only topics whose scores do not strictly fall; the reference keeps
+    one row tuple per line and sorts every topic."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_valid_files_parse_equal(self, tmp_path_factory, data):
+        rows = data.draw(run_rows([f"d{i}" for i in range(30)], unique=True))
+        layout = data.draw(st.sampled_from(["interleaved", "contiguous", "score order"]))
+        if layout != "interleaved":
+            rows.sort(key=lambda r: RUN_TOPICS.index(r[0]))
+        if layout == "score order":
+            rows.sort(key=lambda r: (RUN_TOPICS.index(r[0]), -float(r[3]), int(r[2]), r[1]))
+        tags = data.draw(st.lists(st.sampled_from(["sysA", "sysB"]), min_size=len(rows),
+                                  max_size=len(rows)))
+        q0 = data.draw(st.sampled_from(["Q0", "q0"]))
+        lines = [f"{t} {q0} {d} {rank} {score} {tag}"
+                 for (t, d, rank, score), tag in zip(rows, tags)]
+        p = tmp_path_factory.mktemp("run") / "run.txt"
+        p.write_bytes(run_text(data.draw, lines).encode("utf-8"))
+        got, want = parse_both(p)
+        assert got == want
+        if rows:
+            # Scores are kept as parsed: a -0.0 stays -0.0, as in the reference.
+            parsed = {(t, d): float(score) for t, d, _, score in rows}
+            for topic_id, ranking in got.rankings.items():
+                assert list(map(repr, ranking.scores)) == [
+                    repr(parsed[topic_id, d]) for d in ranking.doc_ids]
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_faulty_files_give_the_same_diagnostics(self, tmp_path_factory, data):
+        rows = data.draw(run_rows(["d1", "d2", "d3", "d4"], unique=False))
+        lines = [f"{t} Q0 {d} {rank} {score} tag" for t, d, rank, score in rows]
+        bad = [line for kind, line, _ in BAD_LINES if kind == "run"]
+        for line in data.draw(st.lists(st.sampled_from(bad), max_size=4)):
+            lines.insert(data.draw(st.integers(0, len(lines))), line)
+        p = tmp_path_factory.mktemp("run") / "run.txt"
+        p.write_bytes(run_text(data.draw, lines).encode("utf-8"))
+        got, want = parse_both(p)
+        assert got == want
+
+    def test_duplicates_among_other_bad_lines(self, tmp_path):
+        p = write(tmp_path / "run.txt",
+                  "t1 Q0 d1 1 9.0 tag\n"
+                  "t1 Q0 d1 2 nan tag\n"
+                  "t1 Q0 d2 2 8.0 tag\n"
+                  "t1 Q0 d1 3 7.0 tag\n"
+                  "t1 Q0 d2 4\n"
+                  "t1 Q0 d2 4 6.0 tag\n")
+        with pytest.raises(ParseError) as exc:
+            ingest.parse_run(p)
+        assert [(d.line, d.message) for d in exc.value.diagnostics] == [
+            (2, "score is NaN"),
+            (4, "duplicate (topic, doc) (t1, d1), first on line 1"),
+            (5, "expected 6 fields, got 4"),
+            (6, "duplicate (topic, doc) (t1, d2), first on line 3"),
+        ]
+
+    def test_negative_zero_score_kept(self, tmp_path):
+        run = ingest.parse_run(write(tmp_path / "run.txt",
+                                     "t1 Q0 a 1 0.0 tag\nt1 Q0 b 2 -0.0 tag\n"))
+        assert list(map(repr, run.rankings["t1"].scores)) == ["0.0", "-0.0"]
+        assert run.rankings["t1"].source_ranks == (1, 2)
+
+    @pytest.mark.parametrize("text, reads", [
+        ("t1 Q0 d1 1 9.0 tag\nt1 Q0 d2 2 8.0 tag\nt2 Q0 d1 1 1.0 tag\n", 1),
+        ("t1 Q0 d2 2 8.0 tag\nt1 Q0 d1 1 8.0 tag\n", 1),
+        ("t1 Q0 d1 1 9.0 tag\nt1 Q0 d1 2 8.0 tag\n", 2),
+        ("t1 Q0 d1 1 9.0 tag\nt1 Q0 d2 2\n", 2),
+    ], ids=["in-order", "sorted", "duplicate", "bad-line"])
+    def test_file_read_again_only_when_faulty(self, tmp_path, monkeypatch, text, reads):
+        calls = []
+        read_lines = ingest._read_lines
+
+        def counting(path, parse_line):
+            calls.append(path)
+            return read_lines(path, parse_line)
+
+        monkeypatch.setattr(ingest, "_read_lines", counting)
+        p = write(tmp_path / "run.txt", text)
+        try:
+            ingest.parse_run(p)
+        except ParseError:
+            pass
+        assert len(calls) == reads
+
+
+DEEPLY_NESTED = "[" * 100_000 + "]" * 100_000
+
+
+class TestDeeplyNestedJson:
+    @pytest.mark.parametrize("kind", ["vectors", "interaction_log", "records"])
+    def test_nesting_beyond_the_decoder_stack_is_a_line_diagnostic(self, tmp_path, kind):
+        p = write(tmp_path / f"{kind}.txt", f"{VALID_LINES[kind]}\n{DEEPLY_NESTED}\n")
+        with pytest.raises(ParseError) as exc:
+            PARSERS[kind](p)
+        assert [(d.line, d.message) for d in exc.value.diagnostics] == [
+            (2, "invalid JSON: nested too deeply")
+        ]
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("kind, text", [
+        ("run", "t1 Q0 d2 2 8.0 tag\nt1 Q0 d1 1 9.0 tag\nt2 Q0 d1 1 1.0 tag\n"),
+        ("qrels", "t1 0 d1 3\nt1 0 d2 0\nt2 0 d1 1\n"),
+        ("interaction_log",
+         json.dumps(log_record("s1")) + "\n" + json.dumps(log_record("s2", topic_id="t2")) + "\n"),
+        ("records", json.dumps(record_row()) + "\n"),
+    ], ids=["run", "qrels", "interaction_log", "records"])
+    def test_leading_mark_parses_as_without(self, tmp_path, kind, text, newline):
+        text = text.replace("\n", newline)
+        plain = tmp_path / "plain.txt"
+        plain.write_bytes(text.encode("utf-8"))
+        marked = tmp_path / "marked.txt"
+        marked.write_bytes(text.encode("utf-8-sig"))
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert PARSERS[kind](marked) == PARSERS[kind](plain)
+
+    def test_mark_past_the_start_is_kept(self, tmp_path):
+        p = tmp_path / "qrels.txt"
+        p.write_bytes("t1 0 d1 3\n\ufefft1 0 d1 2\n".encode("utf-8"))
+        assert ingest.parse_qrels(p, g_max=3).judgments == {
+            "t1": {"d1": 3}, "\ufefft1": {"d1": 2}}
+
+    def test_bad_byte_after_mark_pinned_to_its_line(self, tmp_path):
+        p = tmp_path / "qrels.txt"
+        p.write_bytes(b"\xef\xbb\xbft1 0 d1 3\nt1 0 d\xff 1\n")
+        with pytest.raises(ParseError) as exc:
+            ingest.parse_qrels(p, g_max=3)
+        assert [str(d) for d in exc.value.diagnostics] == [
+            f"{p}:2: invalid UTF-8: byte 0xff (invalid start byte)"
         ]

@@ -26,6 +26,7 @@ from decoyeval.metrics import (
     recall_at_k,
     resolve_metrics,
     sweep,
+    topic_prefix,
 )
 from decoyeval.model import CoverageError, DecoyConfig, PairStore, Qrels, Ranking, RunList
 
@@ -304,6 +305,32 @@ class TestOracleEquivalence:
         ranking = ranking_of(docs)
         values = [recall_at_k(ranking, grades, k) for k in range(1, len(docs) + 2)]
         assert values == sorted(values)
+
+
+class TestRelevanceFloors:
+    @pytest.mark.parametrize("recall_min, highly_relevant_min", [(0, 0), (0, 2), (1, 0), (3, 1)])
+    def test_rank_lists_match_a_brute_force_count(self, recall_min, highly_relevant_min):
+        # At floor 0 every rank counts, judged or not.
+        cfg = MetricConfig(recall_min=recall_min, highly_relevant_min=highly_relevant_min)
+        rng = random.Random(909)
+        for _ in range(60):
+            docs, grades, _ = make_instance(rng)
+            unjudged = [f"u{i}" for i in range(rng.randint(0, 5))]
+            order = docs + unjudged
+            rng.shuffle(order)
+            in_order = [grades.get(d, 0) for d in order]
+            depth = rng.randint(1, len(order))
+            prefix = topic_prefix("t", ranking_of(order), grades, None, None, cfg, depth)
+            assert prefix.relevant == [
+                i + 1 for i, g in enumerate(in_order[:depth]) if g >= recall_min]
+            assert prefix.highly_relevant == [
+                i + 1 for i, g in enumerate(in_order[:depth]) if g >= highly_relevant_min]
+            for k in range(1, depth + 1):
+                values, _, r = prefix.values_at(k)
+                assert r == sum(1 for g in in_order[:k] if g >= highly_relevant_min)
+                assert values["recall"] == pytest.approx(
+                    oracle_recall(in_order, list(grades.values()), k, floor=recall_min),
+                    abs=1e-12)
 
 
 class TestEvaluateTopic:
