@@ -12,7 +12,6 @@ import logging
 import math
 import operator
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -119,16 +118,19 @@ def parse_run(path: PathLike) -> RunList:
     each duplicate's first line.
     """
     try:
-        return _read_run(path, None)
-    except (ParseError, ValueError):  # a bad or no ranked line, or a duplicate (topic, doc)
-        return _read_run(path, {})
+        run = _read_run(path, None)
+    except ParseError:  # a bad line, or no ranked line
+        run = None
+    # The second read runs outside the handler: the first read's columns are
+    # freed before it, and its ParseError carries no context.
+    return run if run is not None else _read_run(path, {})
 
 
-def _read_run(path: PathLike, first_line: dict[tuple[str, str], int] | None) -> RunList:
+def _read_run(path: PathLike, first_line: dict[tuple[str, str], int] | None) -> RunList | None:
     """One read of a run file into a doc id, a score and a rank column per
     topic. With `first_line` None a duplicate (topic, doc) is not a line
-    diagnostic, and Ranking raises ValueError for it; with a map each one is
-    reported at its line, with the line of its first occurrence."""
+    diagnostic, and the read returns None on finding one; with a map each
+    one is reported at its line, with the line of its first occurrence."""
     topics: dict[str, tuple[list[str], list[float], list[int]]] = {}
     run_tag = None
 
@@ -171,11 +173,12 @@ def _read_run(path: PathLike, first_line: dict[tuple[str, str], int] | None) -> 
     for topic_id in list(topics):
         # Popping frees each topic's lists once converted.
         doc_ids, scores, source_ranks = topics.pop(topic_id)
-        # Strictly falling scores are the ranking order already.
-        if not all(map(operator.gt, scores, islice(scores, 1, None))):
-            rows = sorted(zip(map(operator.neg, scores), source_ranks, doc_ids, scores))
-            _, source_ranks, doc_ids, scores = zip(*rows)
-        rankings[topic_id] = Ranking(tuple(doc_ids), tuple(scores), tuple(source_ranks))
+        rows = sorted(zip(map(operator.neg, scores), source_ranks, doc_ids, scores))
+        _, source_ranks, doc_ids, scores = zip(*rows)
+        try:
+            rankings[topic_id] = Ranking(doc_ids, scores, source_ranks)
+        except ValueError:  # a doc twice in the topic, found with no line map
+            return None
     return RunList(run_tag, rankings)
 
 

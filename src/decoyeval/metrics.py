@@ -281,19 +281,13 @@ def topic_prefix(
         rbp=rbp,
         err=err,
         ideal_dcg=ideal_dcg,
-        relevant=_ranks_at_least(cfg.recall_min, ranked, graded),
+        relevant=[i for i, g in enumerate(ranked, start=1) if g >= cfg.recall_min],
         total_relevant=sum(1 for g in grades.values() if g >= cfg.recall_min),
-        highly_relevant=_ranks_at_least(cfg.highly_relevant_min, ranked, graded),
+        highly_relevant=[
+            i for i, g in enumerate(ranked, start=1) if g >= cfg.highly_relevant_min
+        ],
         decoy_depths=sorted(first_seen.values()),
     )
-
-
-def _ranks_at_least(floor: int, ranked: list[int], graded: list[int]) -> list[int]:
-    """The ranks whose grade is at least `floor`: a subset of the graded
-    (nonzero) ranks when the floor is at least 1, every rank at floor 0."""
-    if floor < 1:
-        return list(range(1, len(ranked) + 1))
-    return [i for i in graded if ranked[i - 1] >= floor]
 
 
 def _read_at_k(name: str, ranking, grades, cfg: MetricConfig) -> float:

@@ -713,8 +713,8 @@ def run_text(draw, lines):
 
 class TestParseRunAgainstTupleSort:
     """parse_run keeps a doc id, a score and a rank column per topic and
-    sorts only topics whose scores do not strictly fall; the reference keeps
-    one row tuple per line and sorts every topic."""
+    builds the sort rows of one topic at a time; the reference keeps one row
+    tuple per line."""
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -798,6 +798,18 @@ class TestParseRunAgainstTupleSort:
         except ParseError:
             pass
         assert len(calls) == reads
+
+    @pytest.mark.parametrize("text", [
+        "t1 Q0 d1 1 9.0 tag\nt1 Q0 d1 2 8.0 tag\n",
+        "t1 Q0 d1 1 9.0 tag\nt1 Q0 d2 2\n",
+        "",
+    ], ids=["duplicate", "bad-line", "empty"])
+    def test_error_of_the_second_read_stands_alone(self, tmp_path, text):
+        # No chained context: the first read's error and columns are gone.
+        with pytest.raises(ParseError) as exc:
+            ingest.parse_run(write(tmp_path / "run.txt", text))
+        assert exc.value.__context__ is None
+        assert exc.value.__cause__ is None
 
 
 DEEPLY_NESTED = "[" * 100_000 + "]" * 100_000
