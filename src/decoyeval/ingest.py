@@ -126,11 +126,15 @@ def parse_run(path: PathLike) -> RunList:
     return run if run is not None else _read_run(path, {})
 
 
-def _read_run(path: PathLike, first_line: dict[tuple[str, str], int] | None) -> RunList | None:
+def _read_run(path: PathLike, first_line: dict[str, dict[str, int]] | None) -> RunList | None:
     """One read of a run file into a doc id, a score and a rank column per
-    topic. With `first_line` None a duplicate (topic, doc) is not a line
-    diagnostic, and the read returns None on finding one; with a map each
-    one is reported at its line, with the line of its first occurrence."""
+    topic, or None if a topic has a doc twice.
+
+    With a `first_line` map (topic -> doc id -> first line) the read keeps
+    no columns and only names the faults, each duplicate at its line with
+    the line of its first occurrence. On a file whose first read failed,
+    and that has not changed since, it raises the ParseError naming them all.
+    """
     topics: dict[str, tuple[list[str], list[float], list[int]]] = {}
     run_tag = None
 
@@ -153,11 +157,12 @@ def _read_run(path: PathLike, first_line: dict[tuple[str, str], int] | None) -> 
         if math.isnan(score):
             raise ValueError("score is NaN")
         if first_line is not None:
-            seen = first_line.setdefault((topic_id, doc_id), lineno)
+            seen = first_line.setdefault(topic_id, {}).setdefault(doc_id, lineno)
             if seen != lineno:
                 raise ValueError(
                     f"duplicate (topic, doc) ({topic_id}, {doc_id}), first on line {seen}"
                 )
+            return
         columns = topics.get(topic_id)
         if columns is None:
             columns = topics[topic_id] = ([], [], [])
