@@ -5,6 +5,10 @@ total: it returns a fully valid model value or raises ParseError listing each
 bad line as `file:line: message`. Input is UTF-8 with LF or CRLF line ends;
 a leading byte-order mark is dropped, blank lines are skipped, and a byte
 that is not UTF-8 is reported at its line.
+
+Within one read, each repeated id (and each SERP's rank and score columns,
+and each run rank) is kept as one shared object, not one per occurrence;
+a valid pair-similarity file, like a valid run, is read once.
 """
 
 import json
@@ -32,6 +36,10 @@ from .model import (
 logger = logging.getLogger(__name__)
 
 PathLike = str | Path
+
+# Most distinct rank texts a run read maps to one shared int each; past it,
+# each further distinct text is converted on every line, as with no table.
+RANK_TABLE_SIZE = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,6 +145,9 @@ def _read_run(path: PathLike, first_line: dict[str, dict[str, int]] | None) -> R
     """
     topics: dict[str, tuple[list[str], list[float], list[int]]] = {}
     run_tag = None
+    # Rank text -> int: a run repeats its ranks in every topic. Doc ids and
+    # scores are not shared; they rarely repeat across a real run's lines.
+    ranks: dict[str, int] = {}
 
     def parse_line(lineno, line):
         nonlocal run_tag
@@ -146,10 +157,14 @@ def _read_run(path: PathLike, first_line: dict[str, dict[str, int]] | None) -> R
         topic_id, q0, doc_id, rank_s, score_s, tag = parts
         if q0.lower() != "q0":
             raise ValueError(f"expected literal Q0, got {q0!r}")
-        try:
-            source_rank = int(rank_s)
-        except ValueError:
-            raise ValueError(f"non-numeric rank {rank_s!r}") from None
+        source_rank = ranks.get(rank_s)
+        if source_rank is None:
+            try:
+                source_rank = int(rank_s)
+            except ValueError:
+                raise ValueError(f"non-numeric rank {rank_s!r}") from None
+            if len(ranks) < RANK_TABLE_SIZE:
+                ranks[rank_s] = source_rank
         try:
             score = float(score_s)
         except ValueError:
@@ -304,9 +319,25 @@ def parse_pair_sims(path: PathLike) -> PairStore:
 
     Each line goes through `PairStore.add`: pairs are unordered within a
     topic, and a re-declaration must repeat the first value after the clamp.
+    A valid file is read once; a faulty one is read again, to name the first
+    line of each pair a fault re-declares.
     """
+    try:
+        return _read_pair_sims(path, None)
+    except ParseError:
+        pass
+    # The second read runs outside the handler: the first read's store is
+    # freed before it, and its ParseError carries no context.
+    return _read_pair_sims(path, {})
+
+
+def _read_pair_sims(
+    path: PathLike, first_line: dict[str, dict[tuple[str, str], int]] | None
+) -> PairStore:
+    """One read of a pair-similarity file. With a `first_line` map (topic ->
+    pair key -> first line) a fault on a pair declared before names that line."""
     store = PairStore({})
-    first_line: dict[str, dict[tuple[str, str], int]] = {}
+    same = {}.setdefault
 
     def parse_line(lineno, line):
         parts = line.rstrip("\n").split("\t")
@@ -317,6 +348,9 @@ def parse_pair_sims(path: PathLike) -> PairStore:
             sim = float(sim_s)
         except ValueError:
             raise ValueError(f"non-numeric similarity {sim_s!r}") from None
+        if first_line is None:
+            store.add(topic_id, same(doc_a, doc_a), same(doc_b, doc_b), sim)
+            return
         lines = first_line.setdefault(topic_id, {})
         try:
             key = store.add(topic_id, doc_a, doc_b, sim)
@@ -340,9 +374,11 @@ def parse_interaction_log(path: PathLike) -> InteractionLog:
     """
     sessions: list[SerpInteraction] = []
     serp_line: dict[str, int] = {}
+    same = {}.setdefault
+    zeros: dict[int, tuple[float, ...]] = {}
 
     def parse_line(lineno, line):
-        session = _serp_interaction(_json(line))
+        session = _serp_interaction(_json(line), same, zeros)
         seen = serp_line.setdefault(session.serp_id, lineno)
         if seen != lineno:
             raise ValueError(f"duplicate serp_id {session.serp_id}, first on line {seen}")
@@ -353,12 +389,18 @@ def parse_interaction_log(path: PathLike) -> InteractionLog:
 
 
 _ID_FIELDS = ("serp_id", "session_id", "user_id", "task_id", "topic_id")
+_ids = operator.itemgetter(*_ID_FIELDS)
+_CLICK_FIELDS = frozenset(("doc_id", "dwell_seconds", "usefulness"))
 
 
-def _serp_interaction(rec) -> SerpInteraction:
+def _serp_interaction(rec, same, zeros: dict[int, tuple[float, ...]]) -> SerpInteraction:
     """One log record, each SERP entry and click read once. Shape and type
     are checked here, value invariants by the model constructors; past the
-    id fields every message names the SERP, and the doc for a click."""
+    id fields every message names the SERP, and the doc for a click.
+
+    `same(x, x)` returns the read's one object equal to x, so ids other than
+    serp_id and the rank columns are shared; `zeros` maps a SERP length to
+    its shared score column. Both are the caller's per-read tables."""
     if not isinstance(rec, dict):
         raise ValueError("record must be an object")
     for field_name in _ID_FIELDS:
@@ -378,14 +420,17 @@ def _serp_interaction(rec) -> SerpInteraction:
                 raise ValueError(f"serp doc_id must be a string, got {doc_id!r}")
             if not isinstance(rank, int) or isinstance(rank, bool):
                 raise ValueError(f"serp rank must be an integer, got {rank!r}")
-            doc_ids.append(doc_id)
+            doc_ids.append(same(doc_id, doc_id))
             source_ranks.append(rank)
-        serp = Ranking(tuple(doc_ids), (0.0,) * len(doc_ids), tuple(source_ranks))
+        n = len(doc_ids)
+        source_ranks = tuple(source_ranks)
+        serp = Ranking(tuple(doc_ids), zeros.setdefault(n, (0.0,) * n),
+                       same(source_ranks, source_ranks))
         if not isinstance(rec.get("clicks"), list):
             raise ValueError("clicks must be an array of {doc_id, dwell_seconds, usefulness}")
         clicks: dict[str, Click] = {}
         for c in rec["clicks"]:
-            if not isinstance(c, dict) or not {"doc_id", "dwell_seconds", "usefulness"} <= c.keys():
+            if not isinstance(c, dict) or not _CLICK_FIELDS <= c.keys():
                 raise ValueError("click entries must have doc_id, dwell_seconds and usefulness")
             doc_id, dwell, usefulness = c["doc_id"], c["dwell_seconds"], c["usefulness"]
             if not isinstance(doc_id, str):
@@ -399,14 +444,15 @@ def _serp_interaction(rec) -> SerpInteraction:
                     raise ValueError(f"usefulness must be an integer, got {usefulness!r}")
                 if doc_id in clicks:
                     raise ValueError("duplicate click entry")
-                clicks[doc_id] = Click(float(dwell), usefulness)
+                clicks[same(doc_id, doc_id)] = Click(float(dwell), usefulness)
             # math.isfinite raises OverflowError for an int beyond float range.
             except (ValueError, OverflowError) as exc:
                 raise ValueError(f"click on doc {doc_id}: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"SERP {rec['serp_id']}: {exc}") from None
     # SerpInteraction's own message names the SERP and the doc.
-    return SerpInteraction(*(rec[f] for f in _ID_FIELDS), serp, clicks)
+    serp_id, *ids = _ids(rec)
+    return SerpInteraction(serp_id, *map(same, ids, ids), serp, clicks)
 
 
 # InteractionRecord's fields, each with the JSON type it must have; a bool

@@ -112,6 +112,8 @@ def extract_records(
             raise ValueError(f"pair record references unknown SERP {rec.serp_id}")
         if rec.pair.target_doc in matched_targets:
             wanted.add((rec.serp_id, rec.pair.target_doc))
+    if top_n < 0:
+        raise ValueError(f"ranking prefix length must be >= 0, got {top_n}")
 
     def build(session, rank, doc_id, group):
         click = session.clicks.get(doc_id)
@@ -127,22 +129,19 @@ def extract_records(
             user_id=session.user_id,
         )
 
-    records = [
-        build(session, rank, doc_id, "target")
-        for session in log.sessions
-        for rank, doc_id in enumerate(session.serp.head(top_n).doc_ids, 1)
-        if (session.serp_id, doc_id) in wanted
-    ]
-    records.extend(
-        build(session, rank, doc_id, "control")
-        for session in log.sessions
-        for rank, doc_id in enumerate(session.serp.head(top_n).doc_ids, 1)
-        if doc_id in controls
-    )
+    records: list[InteractionRecord] = []
+    control_records: list[InteractionRecord] = []
+    for session in log.sessions:
+        serp_id = session.serp_id
+        for rank, doc_id in enumerate(session.serp.doc_ids[:top_n], 1):
+            if (serp_id, doc_id) in wanted:
+                records.append(build(session, rank, doc_id, "target"))
+            if doc_id in controls:
+                control_records.append(build(session, rank, doc_id, "control"))
+    n_targets = len(records)
+    records += control_records
     logger.info(
-        "extracted %d target and %d control records",
-        sum(1 for r in records if r.group == "target"),
-        sum(1 for r in records if r.group == "control"),
+        "extracted %d target and %d control records", n_targets, len(control_records)
     )
     return records
 

@@ -64,15 +64,40 @@ def _json_value(value):
     return value
 
 
+_encode_str = json.encoder.encode_basestring
+_encode_other = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _json_text(value) -> str:
+    """`_json_value(value)` as JSON text, as JSONEncoder(ensure_ascii=False)
+    writes it: bools before ints, since a bool is an int."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        value = _json_value(value)
+        return float.__repr__(value) if isinstance(value, float) else _encode_str(value)
+    return _encode_other(value)
+
+
 def _write_table(columns: Sequence[str], rows: Sequence[Sequence], fmt: str, destination):
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; known: {', '.join(FORMATS)}")
     with _open_dest(destination) as out:
         if fmt == "jsonl":
-            # json.dumps builds a new encoder per call once ensure_ascii is off.
-            encode = json.JSONEncoder(ensure_ascii=False).encode
+            # Each row is the text json.dumps(..., ensure_ascii=False) gives
+            # for the {column: _json_value(cell)} object, without building it.
+            if len(set(columns)) != len(columns):
+                raise ValueError(f"duplicate column names in {list(columns)}; a JSON object "
+                                 "keeps one value per name")
+            keys = [_encode_str(c) + ": " for c in columns]
             for row in rows:
-                out.write(encode({c: _json_value(v) for c, v in zip(columns, row)}) + "\n")
+                out.write("{" + ", ".join(map(str.__add__, keys, map(_json_text, row))) + "}\n")
             return
         if fmt == "csv":
             writer = csv.writer(out, lineterminator="\n")

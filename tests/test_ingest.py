@@ -812,6 +812,137 @@ class TestParseRunAgainstTupleSort:
         assert exc.value.__cause__ is None
 
 
+def count_reads(monkeypatch):
+    """The paths `ingest._read_lines` is called on from now on."""
+    calls = []
+    read_lines = ingest._read_lines
+
+    def counting(path, parse_line):
+        calls.append(path)
+        return read_lines(path, parse_line)
+
+    monkeypatch.setattr(ingest, "_read_lines", counting)
+    return calls
+
+
+class TestRankTable:
+    """_read_run maps each rank text to one int, for at most RANK_TABLE_SIZE
+    distinct texts; past that bound each text is converted as it comes."""
+
+    def test_more_rank_texts_than_the_bound(self, tmp_path):
+        n = ingest.RANK_TABLE_SIZE + 300
+        rng = random.Random(7)
+        lines = []
+        for topic_id in ("t1", "t2"):
+            ranks = [str(r) for r in range(1, n + 1)]
+            # The same rank in other spellings, and ties broken by them.
+            ranks[10], ranks[-1], ranks[-2] = "0011", "+5", "-3"
+            rng.shuffle(ranks)
+            lines += [f"{topic_id} Q0 d{i} {rank} {rng.choice(['1.0', '2.0'])} tag"
+                      for i, rank in enumerate(ranks)]
+        p = write(tmp_path / "run.txt", "\n".join(lines) + "\n")
+        got, want = parse_both(p)
+        assert got == want
+        assert sorted(got.rankings["t1"].source_ranks)[:3] == [-3, 1, 2]
+
+    def test_bad_rank_past_the_bound(self, tmp_path):
+        n = ingest.RANK_TABLE_SIZE + 10
+        lines = [f"t1 Q0 d{i} {i} 1.0 tag" for i in range(1, n + 1)]
+        lines[-1] = f"t1 Q0 d{n} x{n} 1.0 tag"
+        lines.append("t2 Q0 d1 12 1.0 tag")
+        p = write(tmp_path / "run.txt", "\n".join(lines) + "\n")
+        got, want = parse_both(p)
+        assert got == want == [(str(p), n, f"non-numeric rank 'x{n}'")]
+
+    def test_ranks_shared_within_a_read_only(self, tmp_path):
+        text = "".join(f"{t} Q0 d{r} {r} {-r} tag\n" for t in ("t1", "t2") for r in (300, 301))
+        p = write(tmp_path / "run.txt", text)
+        first, second = ingest.parse_run(p), ingest.parse_run(p)
+        one, two = first.rankings["t1"].source_ranks, first.rankings["t2"].source_ranks
+        assert one == two == (300, 301)
+        assert all(a is b for a, b in zip(one, two))
+        assert not any(a is b for a, b in zip(one, second.rankings["t1"].source_ranks))
+
+
+class TestSharedIds:
+    """Within one read, equal ids are one object; separate reads share none."""
+
+    LOG = [
+        log_record("S-1", session_id="sess-1", user_id="user-1", task_id="task-1",
+                   topic_id="topic-1",
+                   serp=[{"doc_id": "doc-1", "rank": 1}, {"doc_id": "doc-2", "rank": 2}],
+                   clicks=[{"doc_id": "doc-2", "dwell_seconds": 3.0, "usefulness": 1}]),
+        log_record("S-2", session_id="sess-1", user_id="user-1", task_id="task-1",
+                   topic_id="topic-1",
+                   serp=[{"doc_id": "doc-2", "rank": 1}, {"doc_id": "doc-1", "rank": 2}],
+                   clicks=[{"doc_id": "doc-1", "dwell_seconds": 4.0, "usefulness": 2}]),
+    ]
+
+    def test_log_ids_and_columns_shared(self, tmp_path):
+        p = write(tmp_path / "log.jsonl", "".join(json.dumps(r) + "\n" for r in self.LOG))
+        s1, s2 = ingest.parse_interaction_log(p).sessions
+        for field_name in ("session_id", "user_id", "task_id", "topic_id"):
+            assert getattr(s1, field_name) is getattr(s2, field_name)
+        docs1, docs2 = s1.serp.doc_ids, s2.serp.doc_ids
+        assert docs1[0] is docs2[1] and docs1[1] is docs2[0]
+        click1, = s1.clicks
+        click2, = s2.clicks
+        assert click1 is docs1[1] and click2 is docs1[0]
+        assert s1.serp.source_ranks is s2.serp.source_ranks
+        assert s1.serp.scores is s2.serp.scores == (0.0, 0.0)
+        other, _ = ingest.parse_interaction_log(p).sessions
+        assert other.serp.doc_ids == docs1
+        assert not any(a is b for a, b in zip(other.serp.doc_ids, docs1))
+        assert other.user_id is not s1.user_id
+        assert other.serp.source_ranks is not s1.serp.source_ranks
+
+    def test_rank_column_not_taken_for_a_score_column(self, tmp_path):
+        # (0,) == (0.0,): a SERP's ranks must not stand in for another's scores.
+        recs = [log_record("S-1", serp=[{"doc_id": "D1", "rank": 0}], clicks=[]),
+                log_record("S-2", serp=[{"doc_id": "D1", "rank": 0}], clicks=[])]
+        p = write(tmp_path / "log.jsonl", "".join(json.dumps(r) + "\n" for r in recs))
+        for session in ingest.parse_interaction_log(p).sessions:
+            assert list(map(type, session.serp.scores)) == [float]
+            assert list(map(type, session.serp.source_ranks)) == [int]
+
+    def test_pair_doc_ids_shared(self, tmp_path):
+        p = write(tmp_path / "p.tsv",
+                  "t-1\tdoc-1\tdoc-2\t0.5\nt-1\tdoc-3\tdoc-1\t0.25\n"
+                  "t-2\tdoc-2\tdoc-1\t0.75\n")
+        store = ingest.parse_pair_sims(p)
+        keys = [key for t in ("t-1", "t-2") for key in store.topic_view(t).pairs]
+        assert keys == [("doc-1", "doc-2"), ("doc-1", "doc-3"), ("doc-1", "doc-2")]
+        assert keys[0][0] is keys[1][0] is keys[2][0]
+        assert keys[0][1] is keys[2][1]
+        again = next(iter(ingest.parse_pair_sims(p).topic_view("t-1").pairs))
+        assert again == keys[0] and again[0] is not keys[0][0]
+
+
+class TestPairSimsReads:
+    @pytest.mark.parametrize("text, reads", [
+        ("t1\ta\tb\t0.8\nt1\tb\ta\t0.8\nt2\ta\tb\t0.1\n", 1),
+        ("t1\ta\tb\t0.8\nt1\tb\ta\t0.7\n", 2),
+        ("t1\ta\tb\t0.8\nt1\ta\tc\n", 2),
+        ("t1\ta\tb\t1.5\n", 2),
+    ], ids=["valid", "conflict", "bad-line", "out-of-range"])
+    def test_file_read_again_only_when_faulty(self, tmp_path, monkeypatch, text, reads):
+        calls = count_reads(monkeypatch)
+        try:
+            ingest.parse_pair_sims(write(tmp_path / "p.tsv", text))
+        except ParseError:
+            pass
+        assert len(calls) == reads
+
+    def test_error_of_the_second_read_stands_alone(self, tmp_path):
+        p = write(tmp_path / "p.tsv", "t1\ta\tb\t0.8\nt1\tb\ta\t0.7\n")
+        with pytest.raises(ParseError) as exc:
+            ingest.parse_pair_sims(p)
+        assert [str(d) for d in exc.value.diagnostics] == [
+            f"{p}:2: conflicting similarity for (b, a) in topic t1: 0.8 vs 0.7, first on line 1"
+        ]
+        assert exc.value.__context__ is None
+
+
 DEEPLY_NESTED = "[" * 100_000 + "]" * 100_000
 
 

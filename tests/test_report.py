@@ -13,6 +13,7 @@ from decoyeval.logmine import GroupComparison, GroupStats, Thresholds, WelchResu
 from decoyeval.metrics import AggregateScores, RunEvaluation, SweepRow, TopicScores
 from decoyeval.model import DecoyPair, InteractionRecord
 from decoyeval.report import (
+    _json_value,
     emit_comparison,
     emit_pairs,
     emit_records,
@@ -161,6 +162,26 @@ class TestTableFormats:
     def test_jsonl_non_finite_as_string(self):
         line = render_table(("t",), [[math.inf]], "jsonl").strip()
         assert json.loads(line) == {"t": "inf"}
+
+    def test_jsonl_bytes_equal_json_dumps(self):
+        # Each row is written as text; json.dumps of the row's object is the
+        # reference for every cell type.
+        texts = ['say "hi"', "back\\slash", "tab\tnew\nline\r", "\x00\x1f\x7f",
+                 "caf\u00e9 \u2028", "\U0001f600 \ud83d", "", "plain"]
+        reals = [-0.0, 0.0, 1e-07, 1234567.0, 0.6321205588285577, math.inf, -math.inf,
+                 math.nan, 5e-324, 1e308]
+        ints = [0, -1, 255, 257, 2**63, -(10**40)]
+        cells = texts + reals + ints + [True, False, None]
+        columns = [f"c{i}" for i in range(len(cells))] + ['q"k\\ey\u00e9']
+        rows = [cells + [cells[0]], cells[::-1] + [True], [cells[i] for i in range(3)]]
+        want = "".join(
+            json.dumps({c: _json_value(v) for c, v in zip(columns, row)}, ensure_ascii=False)
+            + "\n" for row in rows)
+        assert render_table(columns, rows, "jsonl") == want
+
+    def test_jsonl_rejects_duplicate_columns(self):
+        with pytest.raises(ValueError, match="duplicate column names"):
+            render_table(("a", "b", "a"), [[1, 2, 3]], "jsonl")
 
     def test_file_destination(self, tmp_path):
         path = tmp_path / "out.tsv"
