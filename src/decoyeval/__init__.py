@@ -69,6 +69,7 @@ from .model import (
     PairStore,
     Qrels,
     Ranking,
+    RecordColumns,
     RunList,
     SerpInteraction,
     VectorStore,
@@ -82,7 +83,7 @@ __all__ = [
     "AggregateScores", "Click", "CoverageError", "DecoyConfig", "DecoyPair",
     "GradeBand", "GroupComparison", "GroupStats", "InteractionLog",
     "InteractionRecord", "MetricConfig", "MinGradeGap", "PairStore",
-    "ParseDiagnostic", "ParseError", "Qrels", "Ranking", "RunEvaluation",
+    "ParseDiagnostic", "ParseError", "Qrels", "Ranking", "RecordColumns", "RunEvaluation",
     "RunList", "SerpInteraction", "SerpPairRecord", "SweepRow",
     "Thresholds", "TopicScores", "TopicSimMatrix", "VectorStore",
     "WelchResult", "aggregate", "clamp_similarity", "cosine", "dejavu",

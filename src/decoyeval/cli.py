@@ -12,11 +12,18 @@ import argparse
 import gc
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 from . import ingest
 from .decoy import detect_decoy_pairs_at_k, identify_controls, identify_targets
-from .logmine import derive_thresholds, extract_records, group_stats, log_doc_universe
+from .logmine import (
+    check_percentiles,
+    derive_thresholds,
+    extract_records,
+    group_stats,
+    log_doc_universe,
+)
 from .metrics import (
     KNOWN_METRICS,
     MetricConfig,
@@ -265,9 +272,22 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_mine(args) -> int:
+def _check_mine_flags(args) -> DecoyConfig:
+    """Reject bad `mine` flags before any input is read. Returns the
+    detection config, whose s_min the derived thresholds replace."""
     if args.top_n < 1:
         raise ValueError(f"--top-n must be at least 1, got {args.top_n}")
+    if not 0.0 < args.s_max <= 1.0:
+        raise ValueError(f"--s-max must lie in (0, 1], got {args.s_max}")
+    check_percentiles(args.s_min_pct, args.s_control_pct)
+    if args.rel_window < 0:
+        raise ValueError(f"relevance window must be >= 0, got {args.rel_window}")
+    return DecoyConfig(s_min=0.0, s_max=args.s_max, quality=MinGradeGap(args.rel_gap),
+                       delta_rank=args.delta_rank, s_max_inclusive=True)
+
+
+def cmd_mine(args) -> int:
+    cfg = _check_mine_flags(args)
     log = ingest.parse_interaction_log(Path(args.logs))
     qrels = ingest.parse_qrels(Path(args.qrels), g_max=args.g_max)
     source = _load_source(args)
@@ -283,13 +303,7 @@ def cmd_mine(args) -> int:
     records: list = []
     if any(len(docs) >= 2 for docs in universe.values()):
         thresholds = derive_thresholds(log, source, args.s_min_pct, args.s_control_pct)
-        cfg = DecoyConfig(
-            s_min=thresholds.s_min,
-            s_max=args.s_max,
-            quality=MinGradeGap(args.rel_gap),
-            delta_rank=args.delta_rank,
-            s_max_inclusive=True,
-        )
+        cfg = replace(cfg, s_min=thresholds.s_min)
         pair_records, targets = identify_targets(log, qrels, source, cfg, top_n=args.top_n)
         controls, matched = identify_controls(
             universe, qrels, targets, source, thresholds.s_control,

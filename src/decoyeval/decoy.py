@@ -17,7 +17,6 @@ pair that passes is looked up once per topic, however many rows show it.
 import logging
 from collections.abc import Mapping, Sequence, Set
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -217,26 +216,26 @@ def identify_targets(
     `detect_rows` in one call; a CoverageError is that of the first SERP in
     log order that lacks a pair.
     """
-    sessions = log.sessions
-    by_topic: dict[str, list[int]] = {}
-    for i, session in enumerate(sessions):
-        by_topic.setdefault(session.topic_id, []).append(i)
+    if top_n < 0:
+        raise ValueError(f"ranking prefix length must be >= 0, got {top_n}")
+    topics, code = log.topic_codes()
+    rows, cols = log.entry_rows(), log.entry_cols()
+    head = np.flatnonzero(cols < top_n)
+    # The head entries by topic, each topic's in log order.
+    head = head[np.argsort(code[rows[head]], kind="stable")]
+    bounds = np.searchsorted(code[rows[head]], np.arange(len(topics) + 1)).tolist()
 
     found: list[tuple[int, int, int, SerpPairRecord]] = []  # (SERP, ranks, record)
     gap: tuple[int, CoverageError] | None = None  # (SERP, error) of the first gap
-    for topic_id, serps in by_topic.items():
-        if gap is not None and serps[0] > gap[0]:
+    for c, topic_id in enumerate(topics):
+        entries = head[bounds[c]:bounds[c + 1]]
+        if not len(entries) or (gap is not None and rows[entries[0]] > gap[0]):
             continue
-        heads = [sessions[i].serp.head(top_n).doc_ids for i in serps]
-        docs = list(dict.fromkeys(chain.from_iterable(heads)))
-        index = {doc_id: i for i, doc_id in enumerate(docs)}
-        lengths = np.fromiter(map(len, heads), dtype=np.intp, count=len(heads))
-        doc = np.fromiter(map(index.__getitem__, chain.from_iterable(heads)),
-                          dtype=np.intp, count=int(lengths.sum()))
+        serp_of, col = rows[entries], cols[entries]
+        shown, doc = np.unique(log.serp_doc[entries], return_inverse=True)
+        docs = list(map(log.docs.__getitem__, shown.tolist()))
         grades = qrels.grades_for(topic_id)
         doc_grade = [grades.get(doc_id, 0) for doc_id in docs]
-        serp_of = np.repeat(serps, lengths)
-        col = np.arange(len(doc)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         try:
             t, p, s = detect_rows(topic_id, docs, doc, np.array(doc_grade)[doc], col,
                                   source.topic_view(topic_id), cfg)
@@ -251,7 +250,7 @@ def identify_targets(
         ):
             pair = DecoyPair(topic_id, docs[a], docs[b], sim, rank_a, rank_b,
                              doc_grade[a], doc_grade[b])
-            found.append((at, rank_a, rank_b, SerpPairRecord(sessions[at].serp_id, pair)))
+            found.append((at, rank_a, rank_b, SerpPairRecord(log.serp_ids[at], pair)))
     if gap is not None:
         raise gap[1]
     found.sort(key=lambda f: f[:3])

@@ -6,16 +6,23 @@ bad line as `file:line: message`. Input is UTF-8 with LF or CRLF line ends;
 a leading byte-order mark is dropped, blank lines are skipped, and a byte
 that is not UTF-8 is reported at its line.
 
-Within one read, each repeated id (and each SERP's rank and score columns,
-and each run rank) is kept as one shared object, not one per occurrence;
-a valid pair-similarity file, like a valid run, is read once.
+Within one read, each repeated id (and each run rank) is kept as one shared
+object, not one per occurrence. The interaction log is read into columns
+(see `InteractionLog`): each SERP's ids, one doc table, a flat doc-index
+column with per-SERP offsets, the rank column and flat click columns.
+
+A valid run, pair-similarity file or log is read once. A faulty one is read
+a second time, by per-record checks that name each fault at its line
+(`_read_or_reread`).
 """
 
 import json
 import logging
 import math
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain, count
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +37,7 @@ from .model import (
     RunList,
     SerpInteraction,
     VectorStore,
+    int_column,
     pair_key,
 )
 
@@ -115,6 +123,20 @@ def _json(line: str):
         raise ValueError("invalid JSON: nested too deeply") from None
 
 
+def _read_or_reread(fast, exact):
+    """The value of `fast()`, a read that only tells a valid file from a
+    faulty one, by returning None or raising ParseError on a fault; on a
+    fault, that of `exact()`, a read that names each fault at its line.
+
+    The second read runs outside the handler: the first read's data are
+    freed before it, and its ParseError carries no context."""
+    try:
+        value = fast()
+    except ParseError:
+        value = None
+    return value if value is not None else exact()
+
+
 def parse_run(path: PathLike) -> RunList:
     """Parse a TREC-layout run file: `topic_id Q0 doc_id rank score run_tag`.
 
@@ -125,13 +147,7 @@ def parse_run(path: PathLike) -> RunList:
     file with a bad line or a doc twice in one topic is read again, to name
     each duplicate's first line.
     """
-    try:
-        run = _read_run(path, None)
-    except ParseError:  # a bad line, or no ranked line
-        run = None
-    # The second read runs outside the handler: the first read's columns are
-    # freed before it, and its ParseError carries no context.
-    return run if run is not None else _read_run(path, {})
+    return _read_or_reread(lambda: _read_run(path, None), lambda: _read_run(path, {}))
 
 
 def _read_run(path: PathLike, first_line: dict[str, dict[str, int]] | None) -> RunList | None:
@@ -322,13 +338,8 @@ def parse_pair_sims(path: PathLike) -> PairStore:
     A valid file is read once; a faulty one is read again, to name the first
     line of each pair a fault re-declares.
     """
-    try:
-        return _read_pair_sims(path, None)
-    except ParseError:
-        pass
-    # The second read runs outside the handler: the first read's store is
-    # freed before it, and its ParseError carries no context.
-    return _read_pair_sims(path, {})
+    return _read_or_reread(lambda: _read_pair_sims(path, None),
+                           lambda: _read_pair_sims(path, {}))
 
 
 def _read_pair_sims(
@@ -371,7 +382,81 @@ def parse_interaction_log(path: PathLike) -> InteractionLog:
     {doc_id, dwell_seconds, usefulness}). SERP ranks are re-normalized to the
     array order; clicked docs must appear on the SERP, with at most one click
     entry per doc; serp_ids are unique.
+
+    A valid log is read once, each line straight into the log's columns,
+    which are checked as a whole at the end; a faulty log is read again
+    record by record, to name each fault at its line.
     """
+    return _read_or_reread(lambda: _read_log_columns(path), lambda: _read_log_records(path))
+
+
+_LOG_FIELDS = operator.itemgetter(
+    "serp_id", "session_id", "user_id", "task_id", "topic_id", "serp", "clicks")
+_doc_id = operator.itemgetter("doc_id")
+_rank = operator.itemgetter("rank")
+_dwell = operator.itemgetter("dwell_seconds")
+_usefulness = operator.itemgetter("usefulness")
+
+
+def _read_log_columns(path: PathLike) -> InteractionLog | None:
+    """One read of a log into columns, or None on a fault it does not name.
+
+    Each line extends flat lists; a record of the wrong shape fails its line
+    at once. The JSON types and the value invariants are checked over whole
+    columns after the last line. Of a line, only its serp_id and the first
+    object of each distinct other id outlive it."""
+    loads = json.loads
+    shared: dict[str, str] = {}
+    same = shared.setdefault
+    doc_table: defaultdict[str, int] = defaultdict(count().__next__)
+    doc_index = doc_table.__getitem__
+    serp_ids, session_ids, user_ids, task_ids, topic_ids = ids = [], [], [], [], []
+    sizes, serp_doc, ranks = [], [], []
+    click_counts, click_doc, dwell, usefulness = [], [], [], []
+
+    def parse_line(lineno, line):
+        try:
+            serp_id, session_id, user_id, task_id, topic_id, serp, clicks = _LOG_FIELDS(
+                loads(line))
+            if type(serp) is not list or type(clicks) is not list:
+                raise ValueError("malformed record")
+            serp_ids.append(serp_id)
+            session_ids.append(same(session_id, session_id))
+            user_ids.append(same(user_id, user_id))
+            task_ids.append(same(task_id, task_id))
+            topic_ids.append(same(topic_id, topic_id))
+            sizes.append(len(serp))
+            serp_doc.extend(map(doc_index, map(_doc_id, serp)))
+            ranks.extend(map(_rank, serp))
+            click_counts.append(len(clicks))
+            if clicks:
+                click_doc.extend(map(doc_index, map(_doc_id, clicks)))
+                dwell.extend(map(_dwell, clicks))
+                usefulness.extend(map(_usefulness, clicks))
+        except (KeyError, TypeError, RecursionError):
+            raise ValueError("malformed record") from None
+
+    _read_lines(path, parse_line)
+    # Ids are strings, and a bool is no number here.
+    if (any(type(k) is not str for k in chain(doc_table, shared))
+            or not set(map(type, serp_ids)) <= {str}
+            or not set(map(type, ranks)) | set(map(type, usefulness)) <= {int}
+            or not set(map(type, dwell)) <= {int, float}
+            or len(set(serp_ids)) != len(serp_ids)):
+        return None
+    try:
+        return InteractionLog.from_columns(
+            *ids, tuple(doc_table), np.cumsum([0, *sizes]), np.array(serp_doc, dtype=np.intp),
+            int_column(ranks),
+            np.repeat(np.arange(len(sizes)), np.array(click_counts, dtype=np.intp)),
+            np.array(click_doc, dtype=np.intp), np.array(dwell, dtype=np.float64),
+            int_column(usefulness))
+    except (ValueError, OverflowError):  # a broken invariant, or a dwell past float range
+        return None
+
+
+def _read_log_records(path: PathLike) -> InteractionLog:
+    """One read of a log, record by record, naming each fault at its line."""
     sessions: list[SerpInteraction] = []
     serp_line: dict[str, int] = {}
     same = {}.setdefault

@@ -13,13 +13,19 @@ stats dependency.
 
 import logging
 import math
-from collections.abc import Sequence, Set
+from collections.abc import Iterable, Sequence, Set
 from dataclasses import dataclass
 
 import numpy as np
 
 from .decoy import SerpPairRecord
-from .model import InteractionLog, InteractionRecord, SimilaritySource
+from .model import (
+    InteractionLog,
+    InteractionRecord,
+    RecordColumns,
+    SimilaritySource,
+    find_sorted,
+)
 from .simsig import sorted_percentile, topic_sim_matrix
 
 logger = logging.getLogger(__name__)
@@ -44,10 +50,31 @@ class Thresholds:
 
 def log_doc_universe(log: InteractionLog) -> dict[str, list[str]]:
     """Per topic, the sorted distinct doc ids displayed anywhere in the log."""
-    universe: dict[str, set[str]] = {}
-    for session in log.sessions:
-        universe.setdefault(session.topic_id, set()).update(session.serp.doc_ids)
-    return {topic: sorted(docs) for topic, docs in sorted(universe.items())}
+    topics, code = log.topic_codes()
+    n_docs = len(log.docs)
+    # One key per (topic, doc) shown; sorted, each topic's keys are a block.
+    keys = np.sort(np.repeat(code, np.diff(log.offsets)) * n_docs + log.serp_doc)
+    keys = keys[np.r_[True, keys[1:] != keys[:-1]]] if len(keys) else keys
+    topic_of, doc_of = np.divmod(keys, max(n_docs, 1))
+    bounds = np.searchsorted(topic_of, np.arange(len(topics) + 1)).tolist()
+    docs = log.docs
+    return {
+        topic: sorted(map(docs.__getitem__, doc_of[bounds[c]:bounds[c + 1]].tolist()))
+        for c, topic in sorted(enumerate(topics), key=lambda item: item[1])
+    }
+
+
+def check_percentiles(s_min_pct: float, s_control_pct: float) -> None:
+    """ValueError unless s_min_pct is below s_control_pct and both lie in
+    (0, 100)."""
+    if s_min_pct >= s_control_pct:
+        raise ValueError(
+            f"s_min percentile ({s_min_pct}) must be below s_control percentile "
+            f"({s_control_pct})"
+        )
+    for p in (s_min_pct, s_control_pct):
+        if not 0.0 < p < 100.0:
+            raise ValueError(f"percentile must lie in (0, 100), got {p}")
 
 
 def derive_thresholds(
@@ -63,11 +90,7 @@ def derive_thresholds(
     A log whose topics all show fewer than two docs has no pairs and is an
     error.
     """
-    if s_min_pct >= s_control_pct:
-        raise ValueError(
-            f"s_min percentile ({s_min_pct}) must be below s_control percentile "
-            f"({s_control_pct})"
-        )
+    check_percentiles(s_min_pct, s_control_pct)
     per_topic = [
         topic_sim_matrix(source, docs, topic_id).pair_values()
         for topic_id, docs in log_doc_universe(log).items()
@@ -91,7 +114,7 @@ def extract_records(
     matched_targets: Set[str],
     controls: Set[str],
     top_n: int = 10,
-) -> list[InteractionRecord]:
+) -> RecordColumns:
     """Build the target-group and control-group interaction records.
 
     Target group: one record per distinct (SERP, target doc) among the decoy
@@ -105,43 +128,51 @@ def extract_records(
         raise ValueError(
             f"target and control sets overlap: {', '.join(sorted(overlap)[:5])}"
         )
-    serps = {s.serp_id: s for s in log.sessions}
-    wanted: set[tuple[str, str]] = set()
+    row_of = {serp_id: row for row, serp_id in enumerate(log.serp_ids)}
+    index = {doc_id: i for i, doc_id in enumerate(log.docs)}
+    n_docs = len(log.docs)
+    wanted = []  # (SERP, doc) keys, as in `keys` below
     for rec in pair_records:
-        if rec.serp_id not in serps:
+        row = row_of.get(rec.serp_id)
+        if row is None:
             raise ValueError(f"pair record references unknown SERP {rec.serp_id}")
-        if rec.pair.target_doc in matched_targets:
-            wanted.add((rec.serp_id, rec.pair.target_doc))
+        doc = index.get(rec.pair.target_doc)
+        if doc is not None and rec.pair.target_doc in matched_targets:
+            wanted.append(row * n_docs + doc)
     if top_n < 0:
         raise ValueError(f"ranking prefix length must be >= 0, got {top_n}")
 
-    def build(session, rank, doc_id, group):
-        click = session.clicks.get(doc_id)
-        return InteractionRecord(
-            serp_id=session.serp_id,
-            doc_id=doc_id,
-            group=group,
-            is_clicked=click is not None,
-            dwell_seconds=click.dwell_seconds if click else 0.0,
-            usefulness=click.usefulness if click else 0,
-            rank=rank,
-            task_id=session.task_id,
-            user_id=session.user_id,
-        )
+    rows, cols = log.entry_rows(), log.entry_cols()
+    keys = rows * n_docs + log.serp_doc
+    head = cols < top_n
+    is_control = np.zeros(n_docs, dtype=bool)
+    is_control[[index[d] for d in controls if d in index]] = True
+    targets = np.flatnonzero(head & find_sorted(np.sort(np.array(wanted, dtype=np.int64)),
+                                                keys)[1])
+    entries = np.concatenate([targets, np.flatnonzero(head & is_control[log.serp_doc])])
 
-    records: list[InteractionRecord] = []
-    control_records: list[InteractionRecord] = []
-    for session in log.sessions:
-        serp_id = session.serp_id
-        for rank, doc_id in enumerate(session.serp.doc_ids[:top_n], 1):
-            if (serp_id, doc_id) in wanted:
-                records.append(build(session, rank, doc_id, "target"))
-            if doc_id in controls:
-                control_records.append(build(session, rank, doc_id, "control"))
-    n_targets = len(records)
-    records += control_records
+    click_keys = log.click_serp * n_docs + log.click_doc
+    click_order = np.argsort(click_keys)
+    at, clicked = find_sorted(click_keys[click_order], keys[entries])
+    click = click_order[at[clicked]]
+    dwell = np.zeros(len(entries))
+    dwell[clicked] = log.click_dwell[click]
+    usefulness = np.zeros(len(entries), dtype=log.click_usefulness.dtype)
+    usefulness[clicked] = log.click_usefulness[click]
+    record_rows = rows[entries].tolist()
+    records = RecordColumns(
+        serp_id=list(map(log.serp_ids.__getitem__, record_rows)),
+        doc_id=list(map(log.docs.__getitem__, log.serp_doc[entries].tolist())),
+        is_target=np.arange(len(entries)) < len(targets),
+        is_clicked=clicked,
+        dwell_seconds=dwell,
+        usefulness=usefulness,
+        rank=cols[entries] + 1,
+        task_id=list(map(log.task_ids.__getitem__, record_rows)),
+        user_id=list(map(log.user_ids.__getitem__, record_rows)),
+    )
     logger.info(
-        "extracted %d target and %d control records", n_targets, len(control_records)
+        "extracted %d target and %d control records", len(targets), len(entries) - len(targets)
     )
     return records
 
@@ -357,21 +388,21 @@ def _stats(group: str, values: dict[str, list[float]]) -> GroupStats:
     )
 
 
-def group_stats(records: Sequence[InteractionRecord]) -> GroupComparison:
+def group_stats(records: RecordColumns | Iterable[InteractionRecord]) -> GroupComparison:
     """Split records by group and compare clickthrough, dwell and usefulness.
 
     Clickthrough treats each record as a 0/1 observation; dwell and
     usefulness are the zero-filled per-record values.
     """
+    columns = RecordColumns.of(records)
     samples = {
-        "target": {m: [] for m in MEASURES},
-        "control": {m: [] for m in MEASURES},
+        group: {
+            "clickthrough": columns.is_clicked[mask].astype(np.float64).tolist(),
+            "dwell_seconds": columns.dwell_seconds[mask].tolist(),
+            "usefulness": columns.usefulness[mask].astype(np.float64).tolist(),
+        }
+        for group, mask in (("target", columns.is_target), ("control", ~columns.is_target))
     }
-    for rec in records:
-        bucket = samples[rec.group]
-        bucket["clickthrough"].append(1.0 if rec.is_clicked else 0.0)
-        bucket["dwell_seconds"].append(float(rec.dwell_seconds))
-        bucket["usefulness"].append(float(rec.usefulness))
     target = _stats("target", samples["target"])
     control = _stats("control", samples["control"])
     if target.n < 2 or control.n < 2:

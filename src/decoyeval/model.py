@@ -5,8 +5,10 @@ message naming the violated invariant. All types are immutable after
 construction (frozen dataclasses, or conventionally-immutable containers).
 """
 
-from collections.abc import Mapping
+from collections import defaultdict
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
@@ -372,9 +374,10 @@ class Click:
             raise ValueError(f"usefulness must be >= 0, got {self.usefulness}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SerpInteraction:
-    """One SERP impression: the ranked page plus the clicks it received."""
+    """One SERP impression: the ranked page plus the clicks it received.
+    An `InteractionLog` holds its SERPs as columns and builds these on demand."""
 
     serp_id: str
     session_id: str
@@ -390,11 +393,184 @@ class SerpInteraction:
                 raise ValueError(f"click on doc {doc_id} absent from SERP {self.serp_id}")
 
 
-@dataclass(frozen=True)
-class InteractionLog:
-    """A search log: the SERP interactions of one study, in file order."""
+def int_column(values) -> np.ndarray:
+    """Python ints as an int64 array, or as an object array when one lies
+    outside int64, so that no value wraps or is rejected."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
-    sessions: list[SerpInteraction]
+
+def find_sorted(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each of `values`, its position in the ascending array `keys` and
+    whether it is there (where it is not, the position is meaningless)."""
+    pos = np.searchsorted(keys, values)
+    pos[pos == len(keys)] = 0
+    found = keys[pos] == values if len(keys) else np.zeros(len(values), dtype=bool)
+    return pos, found
+
+
+def _repeated(sorted_keys: np.ndarray):
+    """The smallest value that the ascending array `sorted_keys` holds twice,
+    or None."""
+    twice = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
+    return int(sorted_keys[twice[0]]) if len(twice) else None
+
+
+class InteractionLog:
+    """A search log: the SERP impressions of one study, in file order, as
+    columns.
+
+    SERP r has the ids `serp_ids[r]`, `session_ids[r]`, `user_ids[r]`,
+    `task_ids[r]` and `topic_ids[r]` (lists of strings; equal ids are
+    usually one shared object). `docs` is the doc table, each displayed doc
+    id once. SERP r shows, in rank order, the docs `docs[i]` for i in
+    `serp_doc[offsets[r]:offsets[r + 1]]`, with the file's rank column in
+    `source_ranks` beside them. Click j, in file order, is on doc
+    `docs[click_doc[j]]` of SERP `click_serp[j]`, with `click_dwell[j]`
+    seconds and usefulness `click_usefulness[j]`. Rank and usefulness
+    columns are int64, or object arrays of ints when a value lies outside
+    int64.
+
+    `InteractionLog(sessions)` builds the columns from SerpInteraction
+    objects, and `sessions` builds those objects back; parsers use
+    `from_columns`. Either way the invariants of Ranking, Click and
+    SerpInteraction are checked: no doc twice on a SERP, every click on a
+    doc its SERP shows, at most one click per doc, and dwell and usefulness
+    non-negative.
+    """
+
+    __slots__ = ("serp_ids", "session_ids", "user_ids", "task_ids", "topic_ids", "docs",
+                 "offsets", "serp_doc", "source_ranks", "click_serp", "click_doc",
+                 "click_dwell", "click_usefulness")
+
+    def __init__(self, sessions: Iterable[SerpInteraction] = ()):
+        ids: tuple[list[str], ...] = ([], [], [], [], [])
+        table: dict[str, int] = {}
+        sizes, serp_doc, ranks = [], [], []
+        click_serp, click_doc, dwell, usefulness = [], [], [], []
+        for row, s in enumerate(sessions):
+            for column, value in zip(ids, (s.serp_id, s.session_id, s.user_id, s.task_id,
+                                           s.topic_id)):
+                column.append(value)
+            sizes.append(len(s.serp))
+            serp_doc += [table.setdefault(d, len(table)) for d in s.serp.doc_ids]
+            ranks += s.serp.source_ranks
+            for doc_id, click in s.clicks.items():
+                click_serp.append(row)
+                click_doc.append(table[doc_id])
+                dwell.append(click.dwell_seconds)
+                usefulness.append(click.usefulness)
+        self._set(*ids, tuple(table), np.cumsum([0, *sizes]), np.array(serp_doc, dtype=np.intp),
+                  int_column(ranks), np.array(click_serp, dtype=np.intp),
+                  np.array(click_doc, dtype=np.intp), np.array(dwell, dtype=np.float64),
+                  int_column(usefulness))
+
+    @classmethod
+    def from_columns(cls, serp_ids, session_ids, user_ids, task_ids, topic_ids, docs,
+                     offsets, serp_doc, source_ranks, click_serp, click_doc, click_dwell,
+                     click_usefulness) -> "InteractionLog":
+        """The log of the given columns, laid out as the class describes."""
+        log = cls.__new__(cls)
+        log._set(serp_ids, session_ids, user_ids, task_ids, topic_ids, docs, offsets,
+                 serp_doc, source_ranks, click_serp, click_doc, click_dwell, click_usefulness)
+        return log
+
+    def _set(self, *columns):
+        for name, value in zip(self.__slots__, columns):
+            object.__setattr__(self, name, value)
+        n, n_docs, n_entries = len(self.serp_ids), len(self.docs), len(self.serp_doc)
+        if not (len(self.session_ids) == len(self.user_ids) == len(self.task_ids)
+                == len(self.topic_ids) == n == len(self.offsets) - 1):
+            raise ValueError("log id columns differ in length")
+        if (self.offsets[0] != 0 or self.offsets[-1] != n_entries
+                or len(self.source_ranks) != n_entries or (np.diff(self.offsets) < 0).any()):
+            raise ValueError("log SERP offsets do not match its doc column")
+        n_clicks = len(self.click_serp)
+        if not len(self.click_doc) == len(self.click_dwell) == len(self.click_usefulness) \
+                == n_clicks or (np.diff(self.click_serp) < 0).any():
+            raise ValueError("log click columns differ in length or leave file order")
+        for index, bound in ((self.serp_doc, n_docs), (self.click_doc, n_docs),
+                             (self.click_serp, n)):
+            if len(index) and not 0 <= index.min() <= index.max() < bound:
+                raise ValueError("log doc or SERP index out of range")
+        # One key per (SERP, doc): a doc twice on a SERP repeats its key.
+        keys = np.sort(self.entry_rows() * n_docs + self.serp_doc)
+        twice = _repeated(keys)
+        if twice is not None:
+            raise ValueError(f"SERP {self.serp_ids[twice // n_docs]}: duplicate doc id "
+                             f"{self.docs[twice % n_docs]} in ranking")
+        click_keys = self.click_serp * n_docs + self.click_doc
+        _, shown = find_sorted(keys, click_keys)
+        if not shown.all():
+            j = int(np.argmin(shown))
+            raise ValueError(f"click on doc {self.docs[self.click_doc[j]]} absent from "
+                             f"SERP {self.serp_ids[self.click_serp[j]]}")
+        twice = _repeated(np.sort(click_keys))
+        if twice is not None:
+            raise ValueError(f"SERP {self.serp_ids[twice // n_docs]}: click on doc "
+                             f"{self.docs[twice % n_docs]}: duplicate click entry")
+        if not (np.isfinite(self.click_dwell).all() and (self.click_dwell >= 0).all()):
+            raise ValueError("dwell_seconds must be finite and >= 0")
+        if (self.click_usefulness < 0).any():
+            raise ValueError("usefulness must be >= 0")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"InteractionLog is immutable; cannot set {name}")
+
+    def __len__(self) -> int:
+        return len(self.serp_ids)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, InteractionLog):
+            return NotImplemented
+        return self.sessions == other.sessions
+
+    __hash__ = None
+
+    def entry_rows(self) -> np.ndarray:
+        """The SERP row of each entry of `serp_doc`."""
+        return np.repeat(np.arange(len(self.serp_ids)), np.diff(self.offsets))
+
+    def entry_cols(self) -> np.ndarray:
+        """The position (rank - 1) of each entry of `serp_doc` on its SERP."""
+        return np.arange(len(self.serp_doc)) - np.repeat(self.offsets[:-1],
+                                                         np.diff(self.offsets))
+
+    def topic_codes(self) -> tuple[list[str], np.ndarray]:
+        """The distinct topic ids in order of first SERP, and each SERP's
+        position in that list."""
+        table = defaultdict(count().__next__)
+        codes = np.fromiter(map(table.__getitem__, self.topic_ids), dtype=np.intp,
+                            count=len(self.topic_ids))
+        return list(table), codes
+
+    @property
+    def sessions(self) -> list[SerpInteraction]:
+        """The log as SerpInteraction objects, in file order; built on each
+        call. Equal rank columns are one tuple, as are the 0.0 score
+        columns of equal length."""
+        docs = self.docs
+        doc_ids = list(map(docs.__getitem__, self.serp_doc.tolist()))
+        ranks = self.source_ranks.tolist()
+        offsets = self.offsets.tolist()
+        click_bounds = np.searchsorted(self.click_serp, np.arange(len(self) + 1)).tolist()
+        clicks = list(zip(map(docs.__getitem__, self.click_doc.tolist()),
+                          map(Click, self.click_dwell.tolist(),
+                              self.click_usefulness.tolist())))
+        same = {}.setdefault
+        zeros: dict[int, tuple[float, ...]] = {}
+        sessions = []
+        for row, ids in enumerate(zip(self.serp_ids, self.session_ids, self.user_ids,
+                                      self.task_ids, self.topic_ids)):
+            a, b = offsets[row], offsets[row + 1]
+            rank_column = tuple(ranks[a:b])
+            serp = Ranking(tuple(doc_ids[a:b]), zeros.setdefault(b - a, (0.0,) * (b - a)),
+                           same(rank_column, rank_column))
+            sessions.append(SerpInteraction(
+                *ids, serp, dict(clicks[click_bounds[row]:click_bounds[row + 1]])))
+        return sessions
 
 
 @dataclass(frozen=True, slots=True)
@@ -428,3 +604,57 @@ class InteractionRecord:
             raise ValueError(f"usefulness must be >= 0, got {self.usefulness}")
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
+
+
+_GROUPS = ("control", "target")
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class RecordColumns:
+    """InteractionRecords as columns, one entry per record in order.
+
+    The id columns are lists of strings; `is_target` (the group),
+    `is_clicked`, `dwell_seconds` (float64), `usefulness` and `rank` are
+    arrays. `usefulness` is int64, or an object array of ints when a value
+    lies outside int64. Iterating yields the InteractionRecord of each
+    entry.
+    """
+
+    serp_id: list[str]
+    doc_id: list[str]
+    is_target: np.ndarray
+    is_clicked: np.ndarray
+    dwell_seconds: np.ndarray
+    usefulness: np.ndarray
+    rank: np.ndarray
+    task_id: list[str]
+    user_id: list[str]
+
+    @classmethod
+    def of(cls, records: "RecordColumns | Iterable[InteractionRecord]") -> "RecordColumns":
+        """`records` as columns; columns are returned as they are."""
+        if isinstance(records, RecordColumns):
+            return records
+        records = list(records)
+
+        def column(name):
+            return [getattr(r, name) for r in records]
+
+        return cls(column("serp_id"), column("doc_id"),
+                   np.array([r.group == "target" for r in records], dtype=bool),
+                   np.array(column("is_clicked"), dtype=bool),
+                   np.array(column("dwell_seconds"), dtype=np.float64),
+                   int_column(column("usefulness")), int_column(column("rank")),
+                   column("task_id"), column("user_id"))
+
+    def groups(self) -> list[str]:
+        """The group name of each record."""
+        return list(map(_GROUPS.__getitem__, self.is_target.tolist()))
+
+    def __len__(self) -> int:
+        return len(self.serp_id)
+
+    def __iter__(self) -> Iterator[InteractionRecord]:
+        return map(InteractionRecord, self.serp_id, self.doc_id, self.groups(),
+                   self.is_clicked.tolist(), self.dwell_seconds.tolist(),
+                   self.usefulness.tolist(), self.rank.tolist(), self.task_id, self.user_id)

@@ -14,10 +14,12 @@ import sys
 from collections.abc import Sequence
 from contextlib import contextmanager
 
+import numpy as np
+
 from .decoy import SerpPairRecord
 from .logmine import GroupComparison, Thresholds
 from .metrics import RunEvaluation, SweepRow
-from .model import DecoyPair, InteractionRecord
+from .model import DecoyPair, InteractionRecord, RecordColumns
 
 FORMATS = ("tsv", "csv", "jsonl")
 
@@ -85,6 +87,14 @@ def _json_text(value) -> str:
     return _encode_other(value)
 
 
+def _jsonl_keys(columns: Sequence[str]) -> list[str]:
+    """Each column's `"name": ` prefix in a JSON lines object."""
+    if len(set(columns)) != len(columns):
+        raise ValueError(f"duplicate column names in {list(columns)}; a JSON object "
+                         "keeps one value per name")
+    return [_encode_str(c) + ": " for c in columns]
+
+
 def _write_table(columns: Sequence[str], rows: Sequence[Sequence], fmt: str, destination):
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; known: {', '.join(FORMATS)}")
@@ -92,10 +102,7 @@ def _write_table(columns: Sequence[str], rows: Sequence[Sequence], fmt: str, des
         if fmt == "jsonl":
             # Each row is the text json.dumps(..., ensure_ascii=False) gives
             # for the {column: _json_value(cell)} object, without building it.
-            if len(set(columns)) != len(columns):
-                raise ValueError(f"duplicate column names in {list(columns)}; a JSON object "
-                                 "keeps one value per name")
-            keys = [_encode_str(c) + ": " for c in columns]
+            keys = _jsonl_keys(columns)
             for row in rows:
                 out.write("{" + ", ".join(map(str.__add__, keys, map(_json_text, row))) + "}\n")
             return
@@ -170,17 +177,36 @@ def emit_serp_pairs(records: Sequence[SerpPairRecord], fmt: str = "tsv", destina
     _write_table(("serp_id", *_PAIR_COLUMNS), rows, fmt, destination)
 
 
-def emit_records(records: Sequence[InteractionRecord], fmt: str = "jsonl", destination=None):
+def _memo_texts(column: Sequence) -> list[str]:
+    """`_json_text` of each cell, computed once per distinct cell. Numeric
+    arrays are told apart by their bits, so -0.0 is not taken for 0.0."""
+    if isinstance(column, np.ndarray):
+        keys = column.view(np.int64) if column.dtype == np.float64 else column
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        texts = list(map(_json_text, column[first].tolist()))
+        return list(map(texts.__getitem__, inverse.tolist()))
+    texts = {}
+    return [texts[v] if v in texts else texts.setdefault(v, _json_text(v)) for v in column]
+
+
+def emit_records(records: RecordColumns | Sequence[InteractionRecord], fmt: str = "jsonl",
+                 destination=None):
     """Interaction records; the jsonl form round-trips through the record
     parser."""
-    rows = [
-        [
-            r.serp_id, r.doc_id, r.group, r.is_clicked, float(r.dwell_seconds),
-            r.usefulness, r.rank, r.task_id, r.user_id,
-        ]
-        for r in records
-    ]
-    _write_table(_RECORD_COLUMNS, rows, fmt, destination)
+    records = RecordColumns.of(records)
+    columns = [records.serp_id, records.doc_id, records.groups(), records.is_clicked,
+               records.dwell_seconds, records.usefulness, records.rank, records.task_id,
+               records.user_id]
+    if fmt != "jsonl":
+        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+        _write_table(_RECORD_COLUMNS, list(rows), fmt, destination)
+        return
+    # One str.format per row, of cell texts made column by column: the bytes
+    # of _write_table's jsonl rows.
+    template = "{{" + ", ".join(k + "{}" for k in _jsonl_keys(_RECORD_COLUMNS)) + "}}\n"
+    with _open_dest(destination) as out:
+        if len(records):
+            out.writelines(map(template.format, *map(_memo_texts, columns)))
 
 
 def emit_thresholds(thresholds: Thresholds | None, destination=None):

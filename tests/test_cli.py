@@ -452,3 +452,47 @@ class TestMine:
         rc = self.run_mine(paths, tmp_path / "mined", "--s-min-pct", "99.9")
         assert rc == 1
         assert "must be below" in capsys.readouterr().err
+
+
+class TestMineFlags:
+    """Bad `mine` flags are usage errors, found before any input is read."""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--rel-window", "-1"], "relevance window must be >= 0, got -1"),
+        (["--delta-rank", "0"], "delta_rank must be >= 1, got 0"),
+        (["--s-min-pct", "99.5", "--s-control-pct", "99"],
+         "s_min percentile (99.5) must be below s_control percentile (99.0)"),
+        (["--rel-gap", "0"], "grade gap must be >= 1, got 0"),
+        (["--s-min-pct", "0"], "percentile must lie in (0, 100), got 0.0"),
+        (["--s-min-pct", "-5"], "percentile must lie in (0, 100), got -5.0"),
+        (["--s-control-pct", "100"], "percentile must lie in (0, 100), got 100.0"),
+        (["--s-max", "0"], "--s-max must lie in (0, 1], got 0.0"),
+        (["--s-max", "1.5"], "--s-max must lie in (0, 1], got 1.5"),
+        (["--s-max", "nan"], "--s-max must lie in (0, 1], got nan"),
+    ])
+    @pytest.mark.parametrize("logs", ["planted", "absent"])
+    def test_rejected_before_reading(self, tmp_path, capsys, flags, message, logs):
+        paths = write_planted_log(tmp_path / "planted")
+        log = paths.log if logs == "planted" else tmp_path / "absent.jsonl"
+        out_dir = tmp_path / "mined"
+        rc = cli.main(["mine", "--logs", str(log), "--qrels", str(paths.qrels),
+                       "--pair-sims", str(paths.pairs), "--out", str(out_dir), *flags])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+
+    def test_rejected_for_a_log_without_pairs(self, tmp_path, capsys):
+        # Such a log skips detection, so these flags were never checked.
+        log = tmp_path / "log.jsonl"
+        log.write_text(
+            '{"serp_id": "s1", "session_id": "x", "user_id": "u", "task_id": "k",'
+            ' "topic_id": "t1", "serp": [{"doc_id": "A", "rank": 1}], "clicks": []}\n'
+        )
+        (tmp_path / "qrels.txt").write_text("t1 0 A 2\n")
+        (tmp_path / "pairs.tsv").write_text("t1\tA\tB\t0.5\n")
+        rc = cli.main(["mine", "--logs", str(log), "--qrels", str(tmp_path / "qrels.txt"),
+                       "--pair-sims", str(tmp_path / "pairs.tsv"),
+                       "--out", str(tmp_path / "mined"), "--delta-rank", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: delta_rank must be >= 1, got 0\n"
+        assert not (tmp_path / "mined").exists()

@@ -85,6 +85,31 @@ MALFORMED_LOG_RECORDS = {
         log_record(clicks=one_click(dwell_seconds=True)), ["S-bad", "D1", "dwell_seconds"]),
     "dwell-beyond-float": (
         log_record(clicks=one_click(dwell_seconds=10**400)), ["S-bad", "D1", "too large"]),
+    # Shapes a whole-column check could wave through: an empty object or a
+    # string iterates like an array, and 1.0, True and 2.0 compare equal to
+    # integers.
+    "serp-empty-object": (
+        log_record(serp={}), ["SERP S-bad: serp must be an array of {doc_id, rank}"]),
+    "serp-string": (
+        log_record(serp="D1"), ["SERP S-bad: serp must be an array of {doc_id, rank}"]),
+    "clicks-empty-object": (
+        log_record(clicks={}),
+        ["SERP S-bad: clicks must be an array of {doc_id, dwell_seconds, usefulness}"]),
+    "float-rank": (
+        log_record(serp=[{"doc_id": "D1", "rank": 1.0}], clicks=[]),
+        ["SERP S-bad: serp rank must be an integer, got 1.0"]),
+    "boolean-rank": (
+        log_record(serp=[{"doc_id": "D1", "rank": True}], clicks=[]),
+        ["SERP S-bad: serp rank must be an integer, got True"]),
+    "float-usefulness": (
+        log_record(clicks=one_click(usefulness=2.0)),
+        ["SERP S-bad: click on doc D1: usefulness must be an integer, got 2.0"]),
+    "click-entry-array": (
+        log_record(clicks=[["D1", 3.0, 1]]),
+        ["SERP S-bad: click entries must have doc_id, dwell_seconds and usefulness"]),
+    "serp-entry-array": (
+        log_record(serp=[["D1", 1]], clicks=[]),
+        ["SERP S-bad: serp entries must have doc_id and rank"]),
 }
 
 
@@ -429,6 +454,29 @@ class TestParseInteractionLog:
         p = tmp_path_factory.mktemp("log") / "log.jsonl"
         p.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         assert ingest.parse_interaction_log(p).sessions == sessions
+
+    def test_ints_beyond_int64_kept(self, tmp_path):
+        # Rank and usefulness columns must neither wrap nor reject such ints.
+        big = 10**30
+        entry = log_record("s1", serp=[{"doc_id": "a", "rank": big},
+                                       {"doc_id": "b", "rank": -big},
+                                       {"doc_id": "c", "rank": 2**63}],
+                           clicks=[{"doc_id": "b", "dwell_seconds": big, "usefulness": big}])
+        p = write(tmp_path / "log.jsonl", json.dumps(entry) + "\n")
+        [session] = ingest.parse_interaction_log(p).sessions
+        assert session.serp.source_ranks == (big, -big, 2**63)
+        assert session.clicks == {"b": Click(float(big), big)}
+
+    def test_valid_log_read_once_faulty_twice(self, tmp_path, monkeypatch):
+        calls = count_reads(monkeypatch)
+        p = write(tmp_path / "log.jsonl", json.dumps(log_record("s1")) + "\n")
+        ingest.parse_interaction_log(p)
+        assert len(calls) == 1
+        write(p, json.dumps(log_record("s1")) + "\n" + json.dumps(log_record("s1")) + "\n")
+        with pytest.raises(ParseError) as exc:
+            ingest.parse_interaction_log(p)
+        assert len(calls) == 3
+        assert exc.value.__context__ is None
 
     def test_non_integer_rank_located(self, tmp_path):
         bad = log_record("s1", serp=[{"doc_id": "a", "rank": "first"}], clicks=[])

@@ -11,11 +11,13 @@ from decoyeval.model import (
     DecoyConfig,
     DecoyPair,
     GradeBand,
+    InteractionLog,
     InteractionRecord,
     MinGradeGap,
     PairStore,
     Qrels,
     Ranking,
+    RecordColumns,
     RunList,
     SerpInteraction,
     VectorStore,
@@ -311,3 +313,68 @@ class TestInteractionTypes:
                 serp_id="s", doc_id="d", group="other", is_clicked=True,
                 dwell_seconds=1.0, usefulness=1, rank=1, task_id="k", user_id="u",
             )
+
+
+def log_columns(**over):
+    """The columns of a valid two-SERP log over docs a, b, c, with `over`
+    replacing some; SERP s1 shows (a, b) with a click on b, s2 shows (c, a)."""
+    columns = dict(
+        serp_ids=["s1", "s2"], session_ids=["x", "x"], user_ids=["u", "u"],
+        task_ids=["k", "k"], topic_ids=["t", "t"], docs=("a", "b", "c"),
+        offsets=np.array([0, 2, 4]), serp_doc=np.array([0, 1, 2, 0]),
+        source_ranks=np.array([1, 2, 1, 2]), click_serp=np.array([0]),
+        click_doc=np.array([1]), click_dwell=np.array([3.5]),
+        click_usefulness=np.array([2]),
+    )
+    columns.update(over)
+    return columns
+
+
+class TestInteractionLog:
+    def test_columns_and_objects_agree(self):
+        log = InteractionLog.from_columns(**log_columns())
+        assert log.sessions == [
+            SerpInteraction("s1", "x", "u", "k", "t", Ranking(("a", "b"), (0.0, 0.0), (1, 2)),
+                            {"b": Click(3.5, 2)}),
+            SerpInteraction("s2", "x", "u", "k", "t", Ranking(("c", "a"), (0.0, 0.0), (1, 2)),
+                            {}),
+        ]
+        assert InteractionLog(log.sessions) == log
+        assert len(log) == 2 and len(InteractionLog()) == 0
+
+    @pytest.mark.parametrize("over, message", [
+        ({"serp_doc": np.array([0, 1, 2, 2])}, "SERP s2: duplicate doc id c in ranking"),
+        ({"click_doc": np.array([2])}, "click on doc c absent from SERP s1"),
+        ({"click_serp": np.array([0, 0]), "click_doc": np.array([1, 1]),
+          "click_dwell": np.array([1.0, 2.0]), "click_usefulness": np.array([0, 0])},
+         "SERP s1: click on doc b: duplicate click entry"),
+        ({"click_dwell": np.array([-1.0])}, "dwell_seconds must be finite and >= 0"),
+        ({"click_dwell": np.array([np.nan])}, "dwell_seconds must be finite and >= 0"),
+        ({"click_usefulness": np.array([-1])}, "usefulness must be >= 0"),
+        ({"serp_doc": np.array([0, 1, 3, 0])}, "index out of range"),
+        ({"click_serp": np.array([2])}, "index out of range"),
+        ({"topic_ids": ["t"]}, "id columns differ in length"),
+        ({"offsets": np.array([0, 3, 2])}, "offsets do not match"),
+        ({"source_ranks": np.array([1, 2, 3])}, "offsets do not match"),
+        ({"click_dwell": np.array([1.0, 2.0])}, "click columns differ"),
+    ])
+    def test_column_invariants(self, over, message):
+        with pytest.raises(ValueError, match=message.replace("(", r"\(")):
+            InteractionLog.from_columns(**log_columns(**over))
+
+    def test_immutable(self):
+        log = InteractionLog.from_columns(**log_columns())
+        with pytest.raises(AttributeError):
+            log.docs = ()
+
+
+class TestRecordColumns:
+    def test_records_round_trip(self):
+        records = [
+            InteractionRecord("s1", "a", "control", False, 0.0, 0, 2, "k", "u"),
+            InteractionRecord("s2", "b", "target", True, 4.5, 10**30, 1, "k", "v"),
+        ]
+        columns = RecordColumns.of(records)
+        assert len(columns) == 2 and list(columns) == records
+        assert columns.is_target.tolist() == [False, True]
+        assert RecordColumns.of(columns) is columns
