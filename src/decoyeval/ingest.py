@@ -37,7 +37,6 @@ from .model import (
     RunList,
     SerpInteraction,
     VectorStore,
-    int_column,
     pair_key,
 )
 
@@ -445,12 +444,8 @@ def _read_log_columns(path: PathLike) -> InteractionLog | None:
             or len(set(serp_ids)) != len(serp_ids)):
         return None
     try:
-        return InteractionLog.from_columns(
-            *ids, tuple(doc_table), np.cumsum([0, *sizes]), np.array(serp_doc, dtype=np.intp),
-            int_column(ranks),
-            np.repeat(np.arange(len(sizes)), np.array(click_counts, dtype=np.intp)),
-            np.array(click_doc, dtype=np.intp), np.array(dwell, dtype=np.float64),
-            int_column(usefulness))
+        return InteractionLog.from_lists(*ids, tuple(doc_table), sizes, serp_doc, ranks,
+                                         click_counts, click_doc, dwell, usefulness)
     except (ValueError, OverflowError):  # a broken invariant, or a dwell past float range
         return None
 

@@ -435,7 +435,7 @@ class InteractionLog:
 
     `InteractionLog(sessions)` builds the columns from SerpInteraction
     objects, and `sessions` builds those objects back; parsers use
-    `from_columns`. Either way the invariants of Ranking, Click and
+    `from_lists`. Either way the invariants of Ranking, Click and
     SerpInteraction are checked: no doc twice on a SERP, every click on a
     doc its SERP shows, at most one click per doc, and dwell and usefulness
     non-negative.
@@ -449,52 +449,63 @@ class InteractionLog:
         ids: tuple[list[str], ...] = ([], [], [], [], [])
         table: dict[str, int] = {}
         sizes, serp_doc, ranks = [], [], []
-        click_serp, click_doc, dwell, usefulness = [], [], [], []
-        for row, s in enumerate(sessions):
+        click_counts, click_doc, dwell, usefulness = [], [], [], []
+        for s in sessions:
             for column, value in zip(ids, (s.serp_id, s.session_id, s.user_id, s.task_id,
                                            s.topic_id)):
                 column.append(value)
             sizes.append(len(s.serp))
             serp_doc += [table.setdefault(d, len(table)) for d in s.serp.doc_ids]
             ranks += s.serp.source_ranks
+            click_counts.append(len(s.clicks))
             for doc_id, click in s.clicks.items():
-                click_serp.append(row)
                 click_doc.append(table[doc_id])
                 dwell.append(click.dwell_seconds)
                 usefulness.append(click.usefulness)
-        self._set(*ids, tuple(table), np.cumsum([0, *sizes]), np.array(serp_doc, dtype=np.intp),
-                  int_column(ranks), np.array(click_serp, dtype=np.intp),
-                  np.array(click_doc, dtype=np.intp), np.array(dwell, dtype=np.float64),
-                  int_column(usefulness))
+        self._set(*ids, tuple(table), sizes, serp_doc, ranks, click_counts, click_doc, dwell,
+                  usefulness)
 
     @classmethod
-    def from_columns(cls, serp_ids, session_ids, user_ids, task_ids, topic_ids, docs,
-                     offsets, serp_doc, source_ranks, click_serp, click_doc, click_dwell,
-                     click_usefulness) -> "InteractionLog":
-        """The log of the given columns, laid out as the class describes."""
+    def from_lists(cls, serp_ids, session_ids, user_ids, task_ids, topic_ids, docs, sizes,
+                   serp_doc, source_ranks, click_counts, click_doc, click_dwell,
+                   click_usefulness) -> "InteractionLog":
+        """The log whose SERP r has the given ids and shows `sizes[r]` docs
+        and `click_counts[r]` clicks; `serp_doc`, `source_ranks` and the
+        click lists run over all SERPs in file order, as the class
+        describes. Ranks and usefulness are Python ints; an int dwell
+        beyond float range raises OverflowError."""
         log = cls.__new__(cls)
-        log._set(serp_ids, session_ids, user_ids, task_ids, topic_ids, docs, offsets,
-                 serp_doc, source_ranks, click_serp, click_doc, click_dwell, click_usefulness)
+        log._set(serp_ids, session_ids, user_ids, task_ids, topic_ids, docs, sizes, serp_doc,
+                 source_ranks, click_counts, click_doc, click_dwell, click_usefulness)
         return log
 
-    def _set(self, *columns):
-        for name, value in zip(self.__slots__, columns):
-            object.__setattr__(self, name, value)
-        n, n_docs, n_entries = len(self.serp_ids), len(self.docs), len(self.serp_doc)
-        if not (len(self.session_ids) == len(self.user_ids) == len(self.task_ids)
-                == len(self.topic_ids) == n == len(self.offsets) - 1):
+    def _set(self, serp_ids, session_ids, user_ids, task_ids, topic_ids, docs, sizes,
+             serp_doc, source_ranks, click_counts, click_doc, click_dwell, click_usefulness):
+        n, n_docs = len(serp_ids), len(docs)
+        if not (len(session_ids) == len(user_ids) == len(task_ids) == len(topic_ids)
+                == len(sizes) == len(click_counts) == n):
             raise ValueError("log id columns differ in length")
-        if (self.offsets[0] != 0 or self.offsets[-1] != n_entries
-                or len(self.source_ranks) != n_entries or (np.diff(self.offsets) < 0).any()):
-            raise ValueError("log SERP offsets do not match its doc column")
-        n_clicks = len(self.click_serp)
-        if not len(self.click_doc) == len(self.click_dwell) == len(self.click_usefulness) \
-                == n_clicks or (np.diff(self.click_serp) < 0).any():
-            raise ValueError("log click columns differ in length or leave file order")
-        for index, bound in ((self.serp_doc, n_docs), (self.click_doc, n_docs),
-                             (self.click_serp, n)):
-            if len(index) and not 0 <= index.min() <= index.max() < bound:
-                raise ValueError("log doc or SERP index out of range")
+        if min(sizes, default=0) < 0 or min(click_counts, default=0) < 0:
+            raise ValueError("log SERP sizes and click counts must be >= 0")
+        for name, value in (
+            ("serp_ids", serp_ids), ("session_ids", session_ids), ("user_ids", user_ids),
+            ("task_ids", task_ids), ("topic_ids", topic_ids), ("docs", docs),
+            ("offsets", np.cumsum([0, *sizes])), ("serp_doc", np.array(serp_doc, dtype=np.intp)),
+            ("source_ranks", int_column(source_ranks)),
+            ("click_serp", np.repeat(np.arange(n), np.array(click_counts, dtype=np.intp))),
+            ("click_doc", np.array(click_doc, dtype=np.intp)),
+            ("click_dwell", np.array(click_dwell, dtype=np.float64)),
+            ("click_usefulness", int_column(click_usefulness)),
+        ):
+            object.__setattr__(self, name, value)
+        if not (self.offsets[-1] == len(self.serp_doc) == len(self.source_ranks)):
+            raise ValueError("log SERP sizes do not match its doc and rank columns")
+        if not (len(self.click_serp) == len(self.click_doc) == len(self.click_dwell)
+                == len(self.click_usefulness)):
+            raise ValueError("log click counts do not match its click columns")
+        for index in (self.serp_doc, self.click_doc):
+            if len(index) and not 0 <= index.min() <= index.max() < n_docs:
+                raise ValueError("log doc index outside the doc table")
         # One key per (SERP, doc): a doc twice on a SERP repeats its key.
         keys = np.sort(self.entry_rows() * n_docs + self.serp_doc)
         twice = _repeated(keys)

@@ -315,24 +315,22 @@ class TestInteractionTypes:
             )
 
 
-def log_columns(**over):
-    """The columns of a valid two-SERP log over docs a, b, c, with `over`
+def log_lists(**over):
+    """The lists of a valid two-SERP log over docs a, b, c, with `over`
     replacing some; SERP s1 shows (a, b) with a click on b, s2 shows (c, a)."""
-    columns = dict(
+    lists = dict(
         serp_ids=["s1", "s2"], session_ids=["x", "x"], user_ids=["u", "u"],
-        task_ids=["k", "k"], topic_ids=["t", "t"], docs=("a", "b", "c"),
-        offsets=np.array([0, 2, 4]), serp_doc=np.array([0, 1, 2, 0]),
-        source_ranks=np.array([1, 2, 1, 2]), click_serp=np.array([0]),
-        click_doc=np.array([1]), click_dwell=np.array([3.5]),
-        click_usefulness=np.array([2]),
+        task_ids=["k", "k"], topic_ids=["t", "t"], docs=("a", "b", "c"), sizes=[2, 2],
+        serp_doc=[0, 1, 2, 0], source_ranks=[1, 2, 1, 2], click_counts=[1, 0],
+        click_doc=[1], click_dwell=[3.5], click_usefulness=[2],
     )
-    columns.update(over)
-    return columns
+    lists.update(over)
+    return lists
 
 
 class TestInteractionLog:
-    def test_columns_and_objects_agree(self):
-        log = InteractionLog.from_columns(**log_columns())
+    def test_lists_and_objects_agree(self):
+        log = InteractionLog.from_lists(**log_lists())
         assert log.sessions == [
             SerpInteraction("s1", "x", "u", "k", "t", Ranking(("a", "b"), (0.0, 0.0), (1, 2)),
                             {"b": Click(3.5, 2)}),
@@ -340,30 +338,31 @@ class TestInteractionLog:
                             {}),
         ]
         assert InteractionLog(log.sessions) == log
+        assert log.offsets.tolist() == [0, 2, 4] and log.click_serp.tolist() == [0]
         assert len(log) == 2 and len(InteractionLog()) == 0
 
     @pytest.mark.parametrize("over, message", [
-        ({"serp_doc": np.array([0, 1, 2, 2])}, "SERP s2: duplicate doc id c in ranking"),
-        ({"click_doc": np.array([2])}, "click on doc c absent from SERP s1"),
-        ({"click_serp": np.array([0, 0]), "click_doc": np.array([1, 1]),
-          "click_dwell": np.array([1.0, 2.0]), "click_usefulness": np.array([0, 0])},
-         "SERP s1: click on doc b: duplicate click entry"),
-        ({"click_dwell": np.array([-1.0])}, "dwell_seconds must be finite and >= 0"),
-        ({"click_dwell": np.array([np.nan])}, "dwell_seconds must be finite and >= 0"),
-        ({"click_usefulness": np.array([-1])}, "usefulness must be >= 0"),
-        ({"serp_doc": np.array([0, 1, 3, 0])}, "index out of range"),
-        ({"click_serp": np.array([2])}, "index out of range"),
+        ({"serp_doc": [0, 1, 2, 2]}, "SERP s2: duplicate doc id c in ranking"),
+        ({"click_doc": [2]}, "click on doc c absent from SERP s1"),
+        ({"click_counts": [2, 0], "click_doc": [1, 1], "click_dwell": [1.0, 2.0],
+          "click_usefulness": [0, 0]}, "SERP s1: click on doc b: duplicate click entry"),
+        ({"click_dwell": [-1.0]}, "dwell_seconds must be finite and >= 0"),
+        ({"click_dwell": [math.nan]}, "dwell_seconds must be finite and >= 0"),
+        ({"click_usefulness": [-1]}, "usefulness must be >= 0"),
+        ({"serp_doc": [0, 1, 3, 0]}, "doc index outside the doc table"),
         ({"topic_ids": ["t"]}, "id columns differ in length"),
-        ({"offsets": np.array([0, 3, 2])}, "offsets do not match"),
-        ({"source_ranks": np.array([1, 2, 3])}, "offsets do not match"),
-        ({"click_dwell": np.array([1.0, 2.0])}, "click columns differ"),
+        ({"sizes": [3, 2]}, "sizes do not match"),
+        ({"sizes": [5, -1]}, "must be >= 0"),
+        ({"source_ranks": [1, 2, 3]}, "sizes do not match"),
+        ({"click_counts": [1, 1]}, "click counts do not match"),
+        ({"click_dwell": [1.0, 2.0]}, "click counts do not match"),
     ])
-    def test_column_invariants(self, over, message):
-        with pytest.raises(ValueError, match=message.replace("(", r"\(")):
-            InteractionLog.from_columns(**log_columns(**over))
+    def test_invariants(self, over, message):
+        with pytest.raises(ValueError, match=message):
+            InteractionLog.from_lists(**log_lists(**over))
 
     def test_immutable(self):
-        log = InteractionLog.from_columns(**log_columns())
+        log = InteractionLog.from_lists(**log_lists())
         with pytest.raises(AttributeError):
             log.docs = ()
 
