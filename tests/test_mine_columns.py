@@ -3,7 +3,7 @@
 `InteractionLog` holds a log as columns, and `identify_targets`,
 `log_doc_universe`, `extract_records`, `group_stats` and `emit_records` work
 on them. The oracle here is the object path: each log line read by the
-per-record builder into a SerpInteraction, one scalar detection per SERP
+per-record reader into a SerpInteraction, one scalar detection per SERP
 (test_decoy's oracle), records built per session, the groups compared over
 lists, and each records.jsonl row written by json.dumps.
 """
@@ -42,7 +42,7 @@ from test_decoy import SIM_LEVELS, per_serp_identify_targets
 
 
 def object_log(path):
-    """The log's SerpInteractions, each line read by the per-record builder."""
+    """The log's SerpInteractions, each line read by the per-record reader."""
     same, zeros = {}.setdefault, {}
     with open(path, encoding="utf-8") as fh:
         return [ingest._serp_interaction(json.loads(line), same, zeros) for line in fh]
