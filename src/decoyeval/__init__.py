@@ -58,7 +58,6 @@ from .metrics import (
     sweep,
 )
 from .model import (
-    Click,
     CoverageError,
     DecoyConfig,
     DecoyPair,
@@ -71,7 +70,6 @@ from .model import (
     Ranking,
     RecordColumns,
     RunList,
-    SerpInteraction,
     VectorStore,
     clamp_similarity,
 )
@@ -80,11 +78,11 @@ from .simsig import TopicSimMatrix, cosine, percentile_threshold, topic_sim_matr
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregateScores", "Click", "CoverageError", "DecoyConfig", "DecoyPair",
+    "AggregateScores", "CoverageError", "DecoyConfig", "DecoyPair",
     "GradeBand", "GroupComparison", "GroupStats", "InteractionLog",
     "InteractionRecord", "MetricConfig", "MinGradeGap", "PairStore",
     "ParseDiagnostic", "ParseError", "Qrels", "Ranking", "RecordColumns", "RunEvaluation",
-    "RunList", "SerpInteraction", "SerpPairRecord", "SweepRow",
+    "RunList", "SerpPairRecord", "SweepRow",
     "Thresholds", "TopicScores", "TopicSimMatrix", "VectorStore",
     "WelchResult", "aggregate", "clamp_similarity", "cosine", "dejavu",
     "dejavu_at_k", "derive_thresholds", "detect_decoy_pairs",

@@ -302,7 +302,7 @@ def cmd_mine(args) -> int:
     matched: set[str] = set()
     records: list = []
     if any(len(docs) >= 2 for docs in universe.values()):
-        thresholds = derive_thresholds(log, source, args.s_min_pct, args.s_control_pct)
+        thresholds = derive_thresholds(universe, source, args.s_min_pct, args.s_control_pct)
         cfg = replace(cfg, s_min=thresholds.s_min)
         pair_records, targets = identify_targets(log, qrels, source, cfg, top_n=args.top_n)
         controls, matched = identify_controls(

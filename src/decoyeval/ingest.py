@@ -12,8 +12,9 @@ object, not one per occurrence. The interaction log is read into columns
 column with per-SERP offsets, the rank column and flat click columns.
 
 A valid run, pair-similarity file or log is read once. A faulty one is read
-a second time, by per-record checks that name each fault at its line
-(`_read_or_reread`).
+a second time, by the same line loop with per-record checks that name each
+fault at its line (`_read_or_reread`); a log's second read checks each
+record before it joins the same columns, and builds no other object.
 """
 
 import json
@@ -28,14 +29,12 @@ from pathlib import Path
 import numpy as np
 
 from .model import (
-    Click,
     InteractionLog,
     InteractionRecord,
     PairStore,
     Qrels,
     Ranking,
     RunList,
-    SerpInteraction,
     VectorStore,
     pair_key,
 )
@@ -383,10 +382,11 @@ def parse_interaction_log(path: PathLike) -> InteractionLog:
     entry per doc; serp_ids are unique.
 
     A valid log is read once, each line straight into the log's columns,
-    which are checked as a whole at the end; a faulty log is read again
-    record by record, to name each fault at its line.
+    which are checked as a whole at the end; a faulty log is read again,
+    each record checked before it joins the columns, to name each fault at
+    its line.
     """
-    return _read_or_reread(lambda: _read_log_columns(path), lambda: _read_log_records(path))
+    return _read_or_reread(lambda: _read_log(path, None), lambda: _read_log(path, {}))
 
 
 _LOG_FIELDS = operator.itemgetter(
@@ -397,13 +397,17 @@ _dwell = operator.itemgetter("dwell_seconds")
 _usefulness = operator.itemgetter("usefulness")
 
 
-def _read_log_columns(path: PathLike) -> InteractionLog | None:
+def _read_log(path: PathLike, serp_line: dict[str, int] | None) -> InteractionLog | None:
     """One read of a log into columns, or None on a fault it does not name.
 
-    Each line extends flat lists; a record of the wrong shape fails its line
-    at once. The JSON types and the value invariants are checked over whole
-    columns after the last line. Of a line, only its serp_id and the first
-    object of each distinct other id outlive it."""
+    Each line extends flat lists. Without a `serp_line` map, a record of the
+    wrong shape fails its line at once, and the JSON types and the value
+    invariants are checked over whole columns after the last line. With a
+    map (serp_id -> first line), each record first passes `_check_record`,
+    and a serp_id seen before names its first line; on a faulty log that
+    has not changed since its first read, this raises the ParseError naming
+    every fault. Of a line, only its serp_id and the first object of each
+    distinct other id outlive it."""
     loads = json.loads
     shared: dict[str, str] = {}
     same = shared.setdefault
@@ -415,8 +419,15 @@ def _read_log_columns(path: PathLike) -> InteractionLog | None:
 
     def parse_line(lineno, line):
         try:
-            serp_id, session_id, user_id, task_id, topic_id, serp, clicks = _LOG_FIELDS(
-                loads(line))
+            if serp_line is None:
+                rec = loads(line)
+            else:
+                rec = _json(line)
+                _check_record(rec)
+                seen = serp_line.setdefault(rec["serp_id"], lineno)
+                if seen != lineno:
+                    raise ValueError(f"duplicate serp_id {rec['serp_id']}, first on line {seen}")
+            serp_id, session_id, user_id, task_id, topic_id, serp, clicks = _LOG_FIELDS(rec)
             if type(serp) is not list or type(clicks) is not list:
                 raise ValueError("malformed record")
             serp_ids.append(serp_id)
@@ -444,43 +455,22 @@ def _read_log_columns(path: PathLike) -> InteractionLog | None:
             or len(set(serp_ids)) != len(serp_ids)):
         return None
     try:
-        return InteractionLog.from_lists(*ids, tuple(doc_table), sizes, serp_doc, ranks,
-                                         click_counts, click_doc, dwell, usefulness)
+        return InteractionLog(*ids, tuple(doc_table), sizes, serp_doc, ranks, click_counts,
+                              click_doc, dwell, usefulness)
     except (ValueError, OverflowError):  # a broken invariant, or a dwell past float range
         return None
 
 
-def _read_log_records(path: PathLike) -> InteractionLog:
-    """One read of a log, record by record, naming each fault at its line."""
-    sessions: list[SerpInteraction] = []
-    serp_line: dict[str, int] = {}
-    same = {}.setdefault
-    zeros: dict[int, tuple[float, ...]] = {}
-
-    def parse_line(lineno, line):
-        session = _serp_interaction(_json(line), same, zeros)
-        seen = serp_line.setdefault(session.serp_id, lineno)
-        if seen != lineno:
-            raise ValueError(f"duplicate serp_id {session.serp_id}, first on line {seen}")
-        sessions.append(session)
-
-    _read_lines(path, parse_line)
-    return InteractionLog(sessions)
-
-
 _ID_FIELDS = ("serp_id", "session_id", "user_id", "task_id", "topic_id")
-_ids = operator.itemgetter(*_ID_FIELDS)
 _CLICK_FIELDS = frozenset(("doc_id", "dwell_seconds", "usefulness"))
 
 
-def _serp_interaction(rec, same, zeros: dict[int, tuple[float, ...]]) -> SerpInteraction:
-    """One log record, each SERP entry and click read once. Shape and type
-    are checked here, value invariants by the model constructors; past the
-    id fields every message names the SERP, and the doc for a click.
-
-    `same(x, x)` returns the read's one object equal to x, so ids other than
-    serp_id and the rank columns are shared; `zeros` maps a SERP length to
-    its shared score column. Both are the caller's per-read tables."""
+def _check_record(rec) -> None:
+    """A ValueError naming the first fault of one decoded log record: its
+    shape and JSON types, then the log's invariants for one SERP. Past the
+    id fields every message names the SERP, and the doc for a click; a
+    click on a doc the SERP does not show is named only once every click
+    has passed its own checks."""
     if not isinstance(rec, dict):
         raise ValueError("record must be an object")
     for field_name in _ID_FIELDS:
@@ -488,10 +478,12 @@ def _serp_interaction(rec, same, zeros: dict[int, tuple[float, ...]]) -> SerpInt
             raise ValueError(f"missing field {field_name}")
         if not isinstance(rec[field_name], str):
             raise ValueError(f"{field_name} must be a string, got {rec[field_name]!r}")
+    shown: set[str] = set()
+    clicked: dict[str, None] = {}
     try:
         if not isinstance(rec.get("serp"), list):
             raise ValueError("serp must be an array of {doc_id, rank}")
-        doc_ids, source_ranks = [], []
+        twice = None
         for entry in rec["serp"]:
             if not isinstance(entry, dict) or "doc_id" not in entry or "rank" not in entry:
                 raise ValueError("serp entries must have doc_id and rank")
@@ -500,15 +492,13 @@ def _serp_interaction(rec, same, zeros: dict[int, tuple[float, ...]]) -> SerpInt
                 raise ValueError(f"serp doc_id must be a string, got {doc_id!r}")
             if not isinstance(rank, int) or isinstance(rank, bool):
                 raise ValueError(f"serp rank must be an integer, got {rank!r}")
-            doc_ids.append(same(doc_id, doc_id))
-            source_ranks.append(rank)
-        n = len(doc_ids)
-        source_ranks = tuple(source_ranks)
-        serp = Ranking(tuple(doc_ids), zeros.setdefault(n, (0.0,) * n),
-                       same(source_ranks, source_ranks))
+            if twice is None and doc_id in shown:
+                twice = doc_id
+            shown.add(doc_id)
+        if twice is not None:
+            raise ValueError(f"duplicate doc id {twice} in ranking")
         if not isinstance(rec.get("clicks"), list):
             raise ValueError("clicks must be an array of {doc_id, dwell_seconds, usefulness}")
-        clicks: dict[str, Click] = {}
         for c in rec["clicks"]:
             if not isinstance(c, dict) or not _CLICK_FIELDS <= c.keys():
                 raise ValueError("click entries must have doc_id, dwell_seconds and usefulness")
@@ -522,17 +512,21 @@ def _serp_interaction(rec, same, zeros: dict[int, tuple[float, ...]]) -> SerpInt
                     raise ValueError(f"dwell_seconds must be finite, got {dwell!r}")
                 if not isinstance(usefulness, int) or isinstance(usefulness, bool):
                     raise ValueError(f"usefulness must be an integer, got {usefulness!r}")
-                if doc_id in clicks:
+                if doc_id in clicked:
                     raise ValueError("duplicate click entry")
-                clicks[same(doc_id, doc_id)] = Click(float(dwell), usefulness)
+                if dwell < 0:
+                    raise ValueError(f"dwell_seconds must be >= 0, got {float(dwell)}")
+                if usefulness < 0:
+                    raise ValueError(f"usefulness must be >= 0, got {usefulness}")
             # math.isfinite raises OverflowError for an int beyond float range.
             except (ValueError, OverflowError) as exc:
                 raise ValueError(f"click on doc {doc_id}: {exc}") from None
+            clicked[doc_id] = None
     except ValueError as exc:
         raise ValueError(f"SERP {rec['serp_id']}: {exc}") from None
-    # SerpInteraction's own message names the SERP and the doc.
-    serp_id, *ids = _ids(rec)
-    return SerpInteraction(serp_id, *map(same, ids, ids), serp, clicks)
+    for doc_id in clicked:
+        if doc_id not in shown:
+            raise ValueError(f"click on doc {doc_id} absent from SERP {rec['serp_id']}")
 
 
 # InteractionRecord's fields, each with the JSON type it must have; a bool

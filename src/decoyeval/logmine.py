@@ -13,7 +13,7 @@ stats dependency.
 
 import logging
 import math
-from collections.abc import Iterable, Sequence, Set
+from collections.abc import Iterable, Mapping, Sequence, Set
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,22 +78,22 @@ def check_percentiles(s_min_pct: float, s_control_pct: float) -> None:
 
 
 def derive_thresholds(
-    log: InteractionLog,
+    universe: Mapping[str, Sequence[str]],
     source: SimilaritySource,
     s_min_pct: float = 99.0,
     s_control_pct: float = 99.5,
 ) -> Thresholds:
-    """Pool all distinct within-topic pair similarities over the docs each
-    topic displayed, then take percentiles: s_min at s_min_pct and s_control
-    at s_control_pct.
+    """Pool all within-topic pair similarities over each topic's docs, then
+    take percentiles: s_min at s_min_pct and s_control at s_control_pct.
 
-    A log whose topics all show fewer than two docs has no pairs and is an
-    error.
+    `universe` maps topic id to its distinct doc ids, as `log_doc_universe`
+    gives them for a log. One whose topics all have fewer than two docs has
+    no pairs and is an error.
     """
     check_percentiles(s_min_pct, s_control_pct)
     per_topic = [
         topic_sim_matrix(source, docs, topic_id).pair_values()
-        for topic_id, docs in log_doc_universe(log).items()
+        for topic_id, docs in universe.items()
         if len(docs) >= 2
     ]
     if not per_topic:

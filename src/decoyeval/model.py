@@ -360,39 +360,6 @@ class PairStoreTopicView:
 SimilaritySource = VectorStore | PairStore
 
 
-@dataclass(frozen=True, slots=True)
-class Click:
-    """Interaction with one clicked document: dwell seconds and usefulness grade."""
-
-    dwell_seconds: float
-    usefulness: int
-
-    def __post_init__(self):
-        if self.dwell_seconds < 0:
-            raise ValueError(f"dwell_seconds must be >= 0, got {self.dwell_seconds}")
-        if self.usefulness < 0:
-            raise ValueError(f"usefulness must be >= 0, got {self.usefulness}")
-
-
-@dataclass(frozen=True, slots=True)
-class SerpInteraction:
-    """One SERP impression: the ranked page plus the clicks it received.
-    An `InteractionLog` holds its SERPs as columns and builds these on demand."""
-
-    serp_id: str
-    session_id: str
-    user_id: str
-    task_id: str
-    topic_id: str
-    serp: Ranking
-    clicks: Mapping[str, Click]
-
-    def __post_init__(self):
-        for doc_id in self.clicks:
-            if doc_id not in self.serp.doc_ids:
-                raise ValueError(f"click on doc {doc_id} absent from SERP {self.serp_id}")
-
-
 def int_column(values) -> np.ndarray:
     """Python ints as an int64 array, or as an object array when one lies
     outside int64, so that no value wraps or is rejected."""
@@ -433,54 +400,25 @@ class InteractionLog:
     columns are int64, or object arrays of ints when a value lies outside
     int64.
 
-    `InteractionLog(sessions)` builds the columns from SerpInteraction
-    objects, and `sessions` builds those objects back; parsers use
-    `from_lists`. Either way the invariants of Ranking, Click and
-    SerpInteraction are checked: no doc twice on a SERP, every click on a
-    doc its SERP shows, at most one click per doc, and dwell and usefulness
-    non-negative.
+    The constructor takes SERP r's ids, its doc count `sizes[r]` and click
+    count `click_counts[r]`, the doc table, and the doc-index, rank and
+    click lists over all SERPs in file order; ranks and usefulness are
+    Python ints, and an int dwell beyond float range raises OverflowError.
+    It checks that the columns agree in length and the log's invariants,
+    raising ValueError: no doc twice on a SERP, every click on a doc its
+    SERP shows, at most one click per doc, and dwell and usefulness finite
+    and non-negative. Two logs are equal when they hold the same SERPs with
+    the same ids, pages, ranks and clicks, whatever their doc-table order
+    and the order of the clicks within a SERP.
     """
 
     __slots__ = ("serp_ids", "session_ids", "user_ids", "task_ids", "topic_ids", "docs",
                  "offsets", "serp_doc", "source_ranks", "click_serp", "click_doc",
                  "click_dwell", "click_usefulness")
 
-    def __init__(self, sessions: Iterable[SerpInteraction] = ()):
-        ids: tuple[list[str], ...] = ([], [], [], [], [])
-        table: dict[str, int] = {}
-        sizes, serp_doc, ranks = [], [], []
-        click_counts, click_doc, dwell, usefulness = [], [], [], []
-        for s in sessions:
-            for column, value in zip(ids, (s.serp_id, s.session_id, s.user_id, s.task_id,
-                                           s.topic_id)):
-                column.append(value)
-            sizes.append(len(s.serp))
-            serp_doc += [table.setdefault(d, len(table)) for d in s.serp.doc_ids]
-            ranks += s.serp.source_ranks
-            click_counts.append(len(s.clicks))
-            for doc_id, click in s.clicks.items():
-                click_doc.append(table[doc_id])
-                dwell.append(click.dwell_seconds)
-                usefulness.append(click.usefulness)
-        self._set(*ids, tuple(table), sizes, serp_doc, ranks, click_counts, click_doc, dwell,
-                  usefulness)
-
-    @classmethod
-    def from_lists(cls, serp_ids, session_ids, user_ids, task_ids, topic_ids, docs, sizes,
-                   serp_doc, source_ranks, click_counts, click_doc, click_dwell,
-                   click_usefulness) -> "InteractionLog":
-        """The log whose SERP r has the given ids and shows `sizes[r]` docs
-        and `click_counts[r]` clicks; `serp_doc`, `source_ranks` and the
-        click lists run over all SERPs in file order, as the class
-        describes. Ranks and usefulness are Python ints; an int dwell
-        beyond float range raises OverflowError."""
-        log = cls.__new__(cls)
-        log._set(serp_ids, session_ids, user_ids, task_ids, topic_ids, docs, sizes, serp_doc,
-                 source_ranks, click_counts, click_doc, click_dwell, click_usefulness)
-        return log
-
-    def _set(self, serp_ids, session_ids, user_ids, task_ids, topic_ids, docs, sizes,
-             serp_doc, source_ranks, click_counts, click_doc, click_dwell, click_usefulness):
+    def __init__(self, serp_ids, session_ids, user_ids, task_ids, topic_ids, docs, sizes,
+                 serp_doc, source_ranks, click_counts, click_doc, click_dwell,
+                 click_usefulness):
         n, n_docs = len(serp_ids), len(docs)
         if not (len(session_ids) == len(user_ids) == len(task_ids) == len(topic_ids)
                 == len(sizes) == len(click_counts) == n):
@@ -536,7 +474,7 @@ class InteractionLog:
     def __eq__(self, other) -> bool:
         if not isinstance(other, InteractionLog):
             return NotImplemented
-        return self.sessions == other.sessions
+        return self._content() == other._content()
 
     __hash__ = None
 
@@ -557,31 +495,16 @@ class InteractionLog:
                             count=len(self.topic_ids))
         return list(table), codes
 
-    @property
-    def sessions(self) -> list[SerpInteraction]:
-        """The log as SerpInteraction objects, in file order; built on each
-        call. Equal rank columns are one tuple, as are the 0.0 score
-        columns of equal length."""
+    def _content(self) -> tuple:
+        """What `==` compares: each SERP's ids, doc ids and ranks in order,
+        and the clicks as (SERP row, doc id, dwell, usefulness) in that order."""
         docs = self.docs
-        doc_ids = list(map(docs.__getitem__, self.serp_doc.tolist()))
-        ranks = self.source_ranks.tolist()
-        offsets = self.offsets.tolist()
-        click_bounds = np.searchsorted(self.click_serp, np.arange(len(self) + 1)).tolist()
-        clicks = list(zip(map(docs.__getitem__, self.click_doc.tolist()),
-                          map(Click, self.click_dwell.tolist(),
-                              self.click_usefulness.tolist())))
-        same = {}.setdefault
-        zeros: dict[int, tuple[float, ...]] = {}
-        sessions = []
-        for row, ids in enumerate(zip(self.serp_ids, self.session_ids, self.user_ids,
-                                      self.task_ids, self.topic_ids)):
-            a, b = offsets[row], offsets[row + 1]
-            rank_column = tuple(ranks[a:b])
-            serp = Ranking(tuple(doc_ids[a:b]), zeros.setdefault(b - a, (0.0,) * (b - a)),
-                           same(rank_column, rank_column))
-            sessions.append(SerpInteraction(
-                *ids, serp, dict(clicks[click_bounds[row]:click_bounds[row + 1]])))
-        return sessions
+        clicks = zip(self.click_serp.tolist(), map(docs.__getitem__, self.click_doc.tolist()),
+                     self.click_dwell.tolist(), self.click_usefulness.tolist())
+        ids = (self.serp_ids, self.session_ids, self.user_ids, self.task_ids, self.topic_ids)
+        return (*map(list, ids), self.offsets.tolist(),
+                list(map(docs.__getitem__, self.serp_doc.tolist())),
+                self.source_ranks.tolist(), sorted(clicks))
 
 
 @dataclass(frozen=True, slots=True)

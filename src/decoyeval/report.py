@@ -98,6 +98,9 @@ def _jsonl_keys(columns: Sequence[str]) -> list[str]:
 def _write_table(columns: Sequence[str], rows: Sequence[Sequence], fmt: str, destination):
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; known: {', '.join(FORMATS)}")
+    for number, row in enumerate(rows, 1):
+        if len(row) != len(columns):
+            raise ValueError(f"row {number} has {len(row)} cells for {len(columns)} columns")
     with _open_dest(destination) as out:
         if fmt == "jsonl":
             # Each row is the text json.dumps(..., ensure_ascii=False) gives

@@ -12,6 +12,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from decoyeval.model import InteractionLog
+
 
 def write_corpus(
     dest: Path,
@@ -62,6 +64,23 @@ def write_corpus(
                     sim = rng.uniform(0.6, 0.949) if rng.random() < 0.5 else rng.uniform(0.0, 0.59)
                     p_fh.write(f"{topic}\t{a}\t{b}\t{sim:.6f}\n")
     return SimpleNamespace(run=run_path, qrels=qrels_path, pairs=pairs_path)
+
+
+def log_of(records) -> InteractionLog:
+    """The InteractionLog of records shaped as the JSON lines of a log file
+    (serp_id, session_id, user_id, task_id, topic_id, serp, clicks), built
+    through its constructor: no file and no parser."""
+    table = {}
+    serp_doc = [table.setdefault(e["doc_id"], len(table)) for r in records for e in r["serp"]]
+    click_doc = [table.setdefault(c["doc_id"], len(table)) for r in records for c in r["clicks"]]
+    return InteractionLog(
+        *([r[name] for r in records]
+          for name in ("serp_id", "session_id", "user_id", "task_id", "topic_id")),
+        tuple(table), [len(r["serp"]) for r in records], serp_doc,
+        [e["rank"] for r in records for e in r["serp"]],
+        [len(r["clicks"]) for r in records], click_doc,
+        [c["dwell_seconds"] for r in records for c in r["clicks"]],
+        [c["usefulness"] for r in records for c in r["clicks"]])
 
 
 # --- planted interaction-log world -----------------------------------------

@@ -384,13 +384,12 @@ def test_criterion_09_logmine(tmp_path):
     qrels = parse_qrels(paths.qrels, g_max=4)
     source = parse_pair_sims(paths.pairs)
 
-    thr = derive_thresholds(log, source)
+    universe = log_doc_universe(log)
+    thr = derive_thresholds(universe, source)
     cfg = DecoyConfig(s_min=thr.s_min, s_max=0.95, quality=MinGradeGap(2),
                       delta_rank=5, s_max_inclusive=True)
     pair_records, targets = identify_targets(log, qrels, source, cfg)
-    controls, matched = identify_controls(
-        log_doc_universe(log), qrels, targets, source, thr.s_control
-    )
+    controls, matched = identify_controls(universe, qrels, targets, source, thr.s_control)
     records = extract_records(log, pair_records, matched, controls)
 
     target_keys = [(r.serp_id, r.doc_id) for r in records if r.group == "target"]

@@ -21,17 +21,15 @@ from decoyeval.model import (
     DecoyConfig,
     DecoyPair,
     GradeBand,
-    InteractionLog,
     MinGradeGap,
     PairStore,
     Qrels,
     Ranking,
-    SerpInteraction,
     VectorStore,
 )
 from decoyeval.simsig import TopicSimMatrix
 
-from conftest import LOG_EXPECTED, LOG_GRADES, LOG_TOP_SIM, planted_pair_sims
+from conftest import LOG_EXPECTED, LOG_GRADES, LOG_TOP_SIM, log_of, planted_pair_sims
 
 
 def ranking_of(doc_ids):
@@ -361,15 +359,24 @@ def scalar_detect(topic_id, ranking, grades, sims, cfg):
     ]
 
 
-def per_serp_identify_targets(log, qrels, source, cfg, top_n):
-    """identify_targets as one scalar detection per SERP, in log order."""
-    records = []
-    for session in log.sessions:
-        for pair in scalar_detect(session.topic_id, session.serp.head(top_n),
-                                  qrels.grades_for(session.topic_id),
-                                  source.topic_view(session.topic_id), cfg):
-            records.append(SerpPairRecord(session.serp_id, pair))
-    return records, {r.pair.target_doc for r in records}
+def serp_record(serp_id, topic_id, docs):
+    """A log record showing `docs` at ranks 1, 2, ..., with no clicks."""
+    return {"serp_id": serp_id, "session_id": "x", "user_id": "u", "task_id": "k",
+            "topic_id": topic_id, "serp": [{"doc_id": d, "rank": r} for r, d in enumerate(docs, 1)],
+            "clicks": []}
+
+
+def per_serp_identify_targets(records, qrels, source, cfg, top_n):
+    """identify_targets as one scalar detection per SERP of the log
+    `records` (as log_of takes them), in log order."""
+    pair_records = []
+    for rec in records:
+        topic_id = rec["topic_id"]
+        serp = ranking_of([entry["doc_id"] for entry in rec["serp"]])
+        for pair in scalar_detect(topic_id, serp.head(top_n), qrels.grades_for(topic_id),
+                                  source.topic_view(topic_id), cfg):
+            pair_records.append(SerpPairRecord(rec["serp_id"], pair))
+    return pair_records, {r.pair.target_doc for r in pair_records}
 
 
 class RecordingSource:
@@ -406,11 +413,8 @@ def mining_instances(draw):
     topics = [f"t{i}" for i in range(n_topics)]
     pool = [f"d{i}" for i in range(draw(st.integers(1, 9)))]
     rng = random.Random(draw(st.integers(0, 2**32)))
-    sessions = []
-    for i in range(draw(st.integers(0, 14))):
-        topic = rng.choice(topics)
-        docs = rng.sample(pool, rng.randint(0, len(pool)))
-        sessions.append(SerpInteraction(f"s{i}", "x", "u", "k", topic, ranking_of(docs), {}))
+    records = [serp_record(f"s{i}", rng.choice(topics), rng.sample(pool, rng.randint(0, len(pool))))
+               for i in range(draw(st.integers(0, 14)))]
     judged = topics[:draw(st.integers(0, n_topics))]
     qrels = Qrels(4, {t: {d: rng.choice((0, 0, 1, 2, 3, 4)) for d in pool
                           if rng.random() < 0.8} for t in judged})
@@ -432,7 +436,7 @@ def mining_instances(draw):
             for t in topics for i, a in enumerate(pool) for b in pool[i + 1:]
             if rng.random() >= absent
         })
-    return InteractionLog(sessions), qrels, source, cfg, draw(st.integers(1, 7))
+    return records, qrels, source, cfg, draw(st.integers(1, 7))
 
 
 class TestIdentifyTargetsOracle:
@@ -443,9 +447,10 @@ class TestIdentifyTargetsOracle:
     @given(mining_instances())
     @settings(max_examples=300, deadline=None)
     def test_equals_per_serp_detection(self, instance):
-        log, qrels, source, cfg, top_n = instance
+        records, qrels, source, cfg, top_n = instance
+        log = log_of(records)
         try:
-            expected = per_serp_identify_targets(log, qrels, source, cfg, top_n)
+            expected = per_serp_identify_targets(records, qrels, source, cfg, top_n)
         except CoverageError as want:
             with pytest.raises(CoverageError) as got:
                 identify_targets(log, qrels, source, cfg, top_n=top_n)
@@ -456,7 +461,7 @@ class TestIdentifyTargetsOracle:
         assert identify_targets(log, qrels, counted, cfg, top_n=top_n) == expected
         # One lookup per distinct unordered pair the quality rule admits.
         oracle_calls = RecordingSource(source)
-        per_serp_identify_targets(log, qrels, oracle_calls, cfg, top_n)
+        per_serp_identify_targets(records, qrels, oracle_calls, cfg, top_n)
         for topic_id in counted.calls.keys() | oracle_calls.calls.keys():
             pairs = [frozenset(c) for c in counted.calls.get(topic_id, [])]
             assert len(pairs) == len(set(pairs))
@@ -469,14 +474,14 @@ class TestIdentifyTargetsOracle:
         (("t1 a b", "t2 a b", "t1 a c", "t2 a c"), ("t1", "a", "c")),
     ])
     def test_gap_named_is_the_first_in_log_order(self, order, first_gap):
-        sessions = []
+        records = []
         for i, line in enumerate(order):
             topic, *docs = line.split()
-            sessions.append(SerpInteraction(f"s{i}", "x", "u", "k", topic, ranking_of(docs), {}))
+            records.append(serp_record(f"s{i}", topic, docs))
         qrels = Qrels(4, {"t1": {"a": 3}, "t2": {"a": 3}})
         store = PairStore({("t1", "a", "b"): 0.9, ("t2", "a", "b"): 0.9})
         with pytest.raises(CoverageError) as exc:
-            identify_targets(InteractionLog(sessions), qrels, store,
+            identify_targets(log_of(records), qrels, store,
                              DecoyConfig(quality=MinGradeGap(2)))
         assert exc.value.missing == [first_gap]
         assert f"topic {first_gap[0]}:" in str(exc.value)

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 import decoyeval.ingest as ingest
 from decoyeval.ingest import ParseError
-from decoyeval.model import Click, Ranking, RunList, SerpInteraction
+from decoyeval.model import Ranking, RunList
+
+from conftest import log_of
 
 
 def write(path, text):
@@ -111,6 +113,52 @@ MALFORMED_LOG_RECORDS = {
         log_record(serp=[["D1", 1]], clicks=[]),
         ["SERP S-bad: serp entries must have doc_id and rank"]),
 }
+
+# Records with two faults, as line 2 of a log whose line 1 is SERP S-ok: the
+# full message of the fault that is named.
+TWO_FAULT_LOG_RECORDS = {
+    "duplicate-doc-and-float-usefulness": (
+        log_record(serp=[{"doc_id": "D1", "rank": 1}, {"doc_id": "D2", "rank": 2},
+                         {"doc_id": "D1", "rank": 3}], clicks=one_click(usefulness=2.0)),
+        "SERP S-bad: duplicate doc id D1 in ranking"),
+    "click-not-shown-then-negative-dwell": (
+        log_record(clicks=one_click("ZZ") + one_click("D2", dwell_seconds=-1)),
+        "SERP S-bad: click on doc D2: dwell_seconds must be >= 0, got -1.0"),
+    "duplicate-serp-id-and-bad-click": (
+        log_record("S-ok", clicks=one_click(usefulness=-1)),
+        "SERP S-ok: click on doc D1: usefulness must be >= 0, got -1"),
+    "numeric-topic-id-and-serp-not-array": (
+        log_record(topic_id=7, serp="D1"), "topic_id must be a string, got 7"),
+}
+
+
+@st.composite
+def valid_log_records(draw):
+    """The records of a valid log: unique serp_ids, unique docs on each
+    SERP, and at most one click per shown doc."""
+    ids = st.text(min_size=1, max_size=6)
+    records = []
+    for serp_id in draw(st.lists(ids, unique=True, max_size=6)):
+        docs = draw(st.lists(ids, unique=True, max_size=8))
+        ranks = draw(st.lists(st.integers(-5, 10**12), min_size=len(docs), max_size=len(docs)))
+        clicked = draw(st.lists(st.sampled_from(docs), unique=True)) if docs else []
+        session_id, user_id, task_id, topic_id = draw(st.tuples(ids, ids, ids, ids))
+        records.append({
+            "serp_id": serp_id, "session_id": session_id, "user_id": user_id,
+            "task_id": task_id, "topic_id": topic_id,
+            "serp": [{"doc_id": d, "rank": r} for d, r in zip(docs, ranks)],
+            "clicks": [{"doc_id": d,
+                        "dwell_seconds": draw(st.floats(0.0, 1e9, allow_nan=False,
+                                                        allow_infinity=False)),
+                        "usefulness": draw(st.integers(0, 10))} for d in clicked],
+        })
+    return records
+
+
+def write_log(path, records, ensure_ascii=True):
+    path.write_text("".join(json.dumps(r, ensure_ascii=ensure_ascii) + "\n" for r in records),
+                    encoding="utf-8")
+    return path
 
 
 class TestParseRun:
@@ -385,22 +433,22 @@ class TestParseInteractionLog:
     def test_basic(self, tmp_path):
         p = write(tmp_path / "log.jsonl", json.dumps(log_record("s1")) + "\n")
         log = ingest.parse_interaction_log(p)
-        assert len(log.sessions) == 1
-        session = log.sessions[0]
-        assert session.clicks["D1"].dwell_seconds == 30.0
-        assert session.clicks["D1"].usefulness == 3
+        assert len(log) == 1 and log.serp_ids == ["s1"]
+        assert [log.docs[i] for i in log.click_doc] == ["D1"]
+        assert log.click_dwell.tolist() == [30.0] and log.click_usefulness.tolist() == [3]
 
     def test_ranks_renormalised_with_source_kept(self, tmp_path):
         entry = log_record("s1", serp=[{"doc_id": "a", "rank": 3}, {"doc_id": "b", "rank": 7}],
                            clicks=[])
         p = write(tmp_path / "log.jsonl", json.dumps(entry) + "\n")
-        serp = ingest.parse_interaction_log(p).sessions[0].serp
-        assert serp.doc_ids == ("a", "b")
-        assert serp.source_ranks == (3, 7)
+        log = ingest.parse_interaction_log(p)
+        assert [log.docs[i] for i in log.serp_doc] == ["a", "b"]
+        assert log.entry_cols().tolist() == [0, 1]
+        assert log.source_ranks.tolist() == [3, 7]
 
     def test_empty_log_is_valid(self, tmp_path):
         log = ingest.parse_interaction_log(write(tmp_path / "log.jsonl", ""))
-        assert log.sessions == []
+        assert len(log) == 0 and log == log_of([])
 
     def rejected_line(self, tmp_path, *entries):
         """The one diagnostic of a log made of `entries`: (file, line, message)."""
@@ -418,42 +466,25 @@ class TestParseInteractionLog:
         for needle in needles:
             assert needle in message
 
-    @given(st.data())
+    @pytest.mark.parametrize("bad, message", TWO_FAULT_LOG_RECORDS.values(),
+                             ids=list(TWO_FAULT_LOG_RECORDS))
+    def test_first_of_two_faults_named(self, tmp_path, bad, message):
+        assert self.rejected_line(tmp_path, log_record("S-ok"), bad) == (
+            str(tmp_path / "log.jsonl"), 2, message)
+
+    @given(valid_log_records(), st.booleans())
     @settings(max_examples=100, deadline=None)
-    def test_valid_log_round_trips(self, tmp_path_factory, data):
-        ids = st.text(min_size=1, max_size=6)
-        serp_ids = data.draw(st.lists(ids, unique=True, max_size=6))
-        sessions = []
-        for serp_id in serp_ids:
-            docs = data.draw(st.lists(ids, unique=True, max_size=8))
-            ranks = data.draw(st.lists(st.integers(-5, 10**12), min_size=len(docs),
-                                       max_size=len(docs)))
-            clicked = data.draw(st.lists(st.sampled_from(docs), unique=True)) if docs else []
-            clicks = {
-                doc_id: Click(
-                    data.draw(st.floats(0.0, 1e9, allow_nan=False, allow_infinity=False)),
-                    data.draw(st.integers(0, 10)),
-                )
-                for doc_id in clicked
-            }
-            sessions.append(SerpInteraction(
-                serp_id, *data.draw(st.tuples(ids, ids, ids, ids)),
-                Ranking(tuple(docs), (0.0,) * len(docs), tuple(ranks)), clicks,
-            ))
-        lines = [
-            json.dumps({
-                "serp_id": s.serp_id, "session_id": s.session_id, "user_id": s.user_id,
-                "task_id": s.task_id, "topic_id": s.topic_id,
-                "serp": [{"doc_id": d, "rank": r}
-                         for d, r in zip(s.serp.doc_ids, s.serp.source_ranks)],
-                "clicks": [{"doc_id": d, "dwell_seconds": c.dwell_seconds,
-                            "usefulness": c.usefulness} for d, c in s.clicks.items()],
-            }, ensure_ascii=data.draw(st.booleans()))
-            for s in sessions
-        ]
-        p = tmp_path_factory.mktemp("log") / "log.jsonl"
-        p.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        assert ingest.parse_interaction_log(p).sessions == sessions
+    def test_valid_log_round_trips(self, tmp_path_factory, records, ensure_ascii):
+        p = write_log(tmp_path_factory.mktemp("log") / "log.jsonl", records, ensure_ascii)
+        assert ingest.parse_interaction_log(p) == log_of(records)
+
+    @given(valid_log_records())
+    @settings(max_examples=100, deadline=None)
+    def test_checked_read_equals_fast_read(self, tmp_path_factory, records):
+        p = write_log(tmp_path_factory.mktemp("log") / "log.jsonl", records)
+        fast = ingest._read_log(p, None)
+        assert fast is not None
+        assert ingest._read_log(p, {}) == fast
 
     def test_ints_beyond_int64_kept(self, tmp_path):
         # Rank and usefulness columns must neither wrap nor reject such ints.
@@ -463,9 +494,9 @@ class TestParseInteractionLog:
                                        {"doc_id": "c", "rank": 2**63}],
                            clicks=[{"doc_id": "b", "dwell_seconds": big, "usefulness": big}])
         p = write(tmp_path / "log.jsonl", json.dumps(entry) + "\n")
-        [session] = ingest.parse_interaction_log(p).sessions
-        assert session.serp.source_ranks == (big, -big, 2**63)
-        assert session.clicks == {"b": Click(float(big), big)}
+        log = ingest.parse_interaction_log(p)
+        assert log.source_ranks.tolist() == [big, -big, 2**63]
+        assert log.click_dwell.tolist() == [float(big)] and log.click_usefulness.tolist() == [big]
 
     def test_valid_log_read_once_faulty_twice(self, tmp_path, monkeypatch):
         calls = count_reads(monkeypatch)
@@ -928,30 +959,15 @@ class TestSharedIds:
 
     def test_log_ids_and_columns_shared(self, tmp_path):
         p = write(tmp_path / "log.jsonl", "".join(json.dumps(r) + "\n" for r in self.LOG))
-        s1, s2 = ingest.parse_interaction_log(p).sessions
-        for field_name in ("session_id", "user_id", "task_id", "topic_id"):
-            assert getattr(s1, field_name) is getattr(s2, field_name)
-        docs1, docs2 = s1.serp.doc_ids, s2.serp.doc_ids
-        assert docs1[0] is docs2[1] and docs1[1] is docs2[0]
-        click1, = s1.clicks
-        click2, = s2.clicks
-        assert click1 is docs1[1] and click2 is docs1[0]
-        assert s1.serp.source_ranks is s2.serp.source_ranks
-        assert s1.serp.scores is s2.serp.scores == (0.0, 0.0)
-        other, _ = ingest.parse_interaction_log(p).sessions
-        assert other.serp.doc_ids == docs1
-        assert not any(a is b for a, b in zip(other.serp.doc_ids, docs1))
-        assert other.user_id is not s1.user_id
-        assert other.serp.source_ranks is not s1.serp.source_ranks
-
-    def test_rank_column_not_taken_for_a_score_column(self, tmp_path):
-        # (0,) == (0.0,): a SERP's ranks must not stand in for another's scores.
-        recs = [log_record("S-1", serp=[{"doc_id": "D1", "rank": 0}], clicks=[]),
-                log_record("S-2", serp=[{"doc_id": "D1", "rank": 0}], clicks=[])]
-        p = write(tmp_path / "log.jsonl", "".join(json.dumps(r) + "\n" for r in recs))
-        for session in ingest.parse_interaction_log(p).sessions:
-            assert list(map(type, session.serp.scores)) == [float]
-            assert list(map(type, session.serp.source_ranks)) == [int]
+        log = ingest.parse_interaction_log(p)
+        for column in (log.session_ids, log.user_ids, log.task_ids, log.topic_ids):
+            assert column[0] is column[1]
+        assert log.docs == ("doc-1", "doc-2")
+        assert log.serp_doc.tolist() == [0, 1, 1, 0] and log.click_doc.tolist() == [1, 0]
+        other = ingest.parse_interaction_log(p)
+        assert other == log
+        assert other.user_ids[0] is not log.user_ids[0]
+        assert not any(a is b for a, b in zip(other.docs, log.docs))
 
     def test_pair_doc_ids_shared(self, tmp_path):
         p = write(tmp_path / "p.tsv",

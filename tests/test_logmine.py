@@ -29,17 +29,11 @@ from decoyeval.logmine import (
     student_t_two_sided_p,
     welch_t_test,
 )
-from decoyeval.model import (
-    DecoyConfig,
-    InteractionLog,
-    MinGradeGap,
-    PairStore,
-    Ranking,
-    SerpInteraction,
-)
+from decoyeval.model import DecoyConfig, MinGradeGap, PairStore
 from decoyeval.simsig import percentile_threshold
 
-from conftest import LOG_CLICKS, LOG_EXPECTED, LOG_GRADES
+from conftest import LOG_CLICKS, LOG_EXPECTED, LOG_GRADES, log_of
+from test_decoy import serp_record
 
 
 def load_world(planted_log):
@@ -51,7 +45,8 @@ def load_world(planted_log):
 
 def mine_pipeline(log, qrels, source, top_n=10, rel_window=2):
     """The mine workflow up to records, with the log-regime config."""
-    thr = derive_thresholds(log, source)
+    universe = log_doc_universe(log)
+    thr = derive_thresholds(universe, source)
     cfg = DecoyConfig(
         s_min=thr.s_min,
         s_max=0.95,
@@ -61,7 +56,7 @@ def mine_pipeline(log, qrels, source, top_n=10, rel_window=2):
     )
     pair_records, targets = identify_targets(log, qrels, source, cfg, top_n=top_n)
     controls, matched = identify_controls(
-        log_doc_universe(log), qrels, targets, source, thr.s_control, rel_window
+        universe, qrels, targets, source, thr.s_control, rel_window
     )
     records = extract_records(log, pair_records, matched, controls, top_n=top_n)
     return thr, pair_records, matched, controls, records
@@ -82,7 +77,7 @@ class TestThresholds:
 
     def test_planted_log_thresholds(self, planted_log):
         log, _, source = load_world(planted_log)
-        thr = derive_thresholds(log, source)
+        thr = derive_thresholds(log_doc_universe(log), source)
         # 28 pooled sims whose top four tie at 0.945 puts both the P99 and
         # the P99.5 interpolation inside the tie.
         assert thr.pair_count == LOG_EXPECTED.pair_count
@@ -92,7 +87,7 @@ class TestThresholds:
     def test_percentile_order_rejected(self, planted_log):
         log, _, source = load_world(planted_log)
         with pytest.raises(ValueError, match="must be below"):
-            derive_thresholds(log, source, s_min_pct=99.5, s_control_pct=99.0)
+            derive_thresholds(log_doc_universe(log), source, s_min_pct=99.5, s_control_pct=99.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_equal_to_percentiles_of_pooled_values(self, seed):
@@ -100,19 +95,17 @@ class TestThresholds:
         # equal percentile_threshold over the pooled list, to the last bit.
         rng = random.Random(seed)
         pool = [f"d{i}" for i in range(12)]
-        sessions = []
+        records = []
         for i in range(20):
-            docs = tuple(rng.sample(pool, rng.randint(1, 6)))
-            serp = Ranking(docs, (0.0,) * len(docs), tuple(range(1, len(docs) + 1)))
-            topic = rng.choice(("t1", "t2", "t3"))
-            sessions.append(SerpInteraction(f"s{i}", "x", "u", "k", topic, serp, {}))
-        log = InteractionLog(sessions)
+            docs = rng.sample(pool, rng.randint(1, 6))
+            records.append(serp_record(f"s{i}", rng.choice(("t1", "t2", "t3")), docs))
+        universe = log_doc_universe(log_of(records))
         store = PairStore({(t, a, b): rng.uniform(-1.0, 1.0) for t in ("t1", "t2", "t3")
                            for a, b in combinations(pool, 2)})
         pooled = [store.topic_view(t).sim(a, b)
-                  for t, docs in log_doc_universe(log).items() for a, b in combinations(docs, 2)]
+                  for t, docs in universe.items() for a, b in combinations(docs, 2)]
         s_min_pct, s_control_pct = rng.uniform(1, 90), rng.uniform(90, 99.9)
-        thr = derive_thresholds(log, store, s_min_pct, s_control_pct)
+        thr = derive_thresholds(universe, store, s_min_pct, s_control_pct)
         assert thr.pair_count == len(pooled)
         assert thr.s_min == percentile_threshold(pooled, s_min_pct)
         assert thr.s_control == percentile_threshold(pooled, s_control_pct)
@@ -126,7 +119,7 @@ class TestThresholds:
         )
         log = ingest.parse_interaction_log(log_path)
         with pytest.raises(ValueError, match="no within-topic doc pairs"):
-            derive_thresholds(log, PairStore({}))
+            derive_thresholds(log_doc_universe(log), PairStore({}))
 
 
 class TestExtractRecords:

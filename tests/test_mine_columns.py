@@ -1,11 +1,11 @@
-"""The columnar mining path against the object path it replaced.
+"""The columnar mining path against an object path built here.
 
 `InteractionLog` holds a log as columns, and `identify_targets`,
 `log_doc_universe`, `extract_records`, `group_stats` and `emit_records` work
-on them. The oracle here is the object path: each log line read by the
-per-record reader into a SerpInteraction, one scalar detection per SERP
-(test_decoy's oracle), records built per session, the groups compared over
-lists, and each records.jsonl row written by json.dumps.
+on them. The oracle shares no code with the log reader: each generated
+record becomes one SERP object, detection runs once per SERP (test_decoy's
+oracle), records are built per SERP, the groups are compared over lists,
+and each records.jsonl row is written by json.dumps.
 """
 
 import io
@@ -28,30 +28,28 @@ from decoyeval.logmine import (
     log_doc_universe,
     welch_t_test,
 )
-from decoyeval.model import (
-    DecoyConfig,
-    InteractionLog,
-    InteractionRecord,
-    MinGradeGap,
-    PairStore,
-    Qrels,
-)
+from decoyeval.model import DecoyConfig, InteractionRecord, MinGradeGap, PairStore, Qrels
 from decoyeval.report import _RECORD_COLUMNS, _json_value, emit_records
 
+from conftest import log_of
 from test_decoy import SIM_LEVELS, per_serp_identify_targets
 
 
-def object_log(path):
-    """The log's SerpInteractions, each line read by the per-record reader."""
-    same, zeros = {}.setdefault, {}
-    with open(path, encoding="utf-8") as fh:
-        return [ingest._serp_interaction(json.loads(line), same, zeros) for line in fh]
+def object_log(lines):
+    """The SERPs of the generated log records, one object each, with a
+    {doc_id: (dwell, usefulness)} click map."""
+    return [SimpleNamespace(
+        serp_id=rec["serp_id"], task_id=rec["task_id"], user_id=rec["user_id"],
+        topic_id=rec["topic_id"], doc_ids=[entry["doc_id"] for entry in rec["serp"]],
+        clicks={c["doc_id"]: (float(c["dwell_seconds"]), c["usefulness"])
+                for c in rec["clicks"]})
+        for rec in lines]
 
 
 def object_universe(sessions):
     universe = {}
     for session in sessions:
-        universe.setdefault(session.topic_id, set()).update(session.serp.doc_ids)
+        universe.setdefault(session.topic_id, set()).update(session.doc_ids)
     return {topic: sorted(docs) for topic, docs in sorted(universe.items())}
 
 
@@ -61,15 +59,14 @@ def object_records(sessions, pair_records, matched_targets, controls, top_n):
               if r.pair.target_doc in matched_targets}
 
     def build(session, rank, doc_id, group):
-        click = session.clicks.get(doc_id)
+        dwell, usefulness = session.clicks.get(doc_id, (0.0, 0))
         return InteractionRecord(
-            session.serp_id, doc_id, group, click is not None,
-            click.dwell_seconds if click else 0.0, click.usefulness if click else 0,
+            session.serp_id, doc_id, group, doc_id in session.clicks, dwell, usefulness,
             rank, session.task_id, session.user_id)
 
     targets, control_records = [], []
     for session in sessions:
-        for rank, doc_id in enumerate(session.serp.doc_ids[:top_n], 1):
+        for rank, doc_id in enumerate(session.doc_ids[:top_n], 1):
             if (session.serp_id, doc_id) in wanted:
                 targets.append(build(session, rank, doc_id, "target"))
             if doc_id in controls:
@@ -154,14 +151,13 @@ class TestColumnsAgainstObjects:
         path = tmp_path_factory.mktemp("log") / "log.jsonl"
         path.write_text("".join(json.dumps(line) + "\n" for line in world.lines))
         log = ingest.parse_interaction_log(path)
-        sessions = object_log(path)
-        assert log.sessions == sessions
-        assert InteractionLog(sessions) == log
+        assert log == log_of(world.lines)
+        sessions = object_log(world.lines)
 
         qrels, store, cfg, top_n = world.qrels, world.store, world.cfg, world.top_n
         pair_records, targets = identify_targets(log, qrels, store, cfg, top_n=top_n)
         assert (pair_records, targets) == per_serp_identify_targets(
-            SimpleNamespace(sessions=sessions), qrels, store, cfg, top_n)
+            world.lines, qrels, store, cfg, top_n)
         universe = log_doc_universe(log)
         assert list(universe.items()) == list(object_universe(sessions).items())
         controls, matched = identify_controls(universe, qrels, targets, store,

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from decoyeval.model import (
-    Click,
     CoverageError,
     DecoyConfig,
     DecoyPair,
@@ -19,7 +18,6 @@ from decoyeval.model import (
     Ranking,
     RecordColumns,
     RunList,
-    SerpInteraction,
     VectorStore,
     clamp_similarity,
 )
@@ -283,18 +281,6 @@ class TestPairStore:
 
 
 class TestInteractionTypes:
-    def test_click_rejects_negative_dwell(self):
-        with pytest.raises(ValueError):
-            Click(dwell_seconds=-1.0, usefulness=0)
-
-    def test_click_not_in_serp_rejected(self):
-        with pytest.raises(ValueError, match="s1"):
-            SerpInteraction(
-                serp_id="s1", session_id="x", user_id="u", task_id="k",
-                topic_id="t", serp=ranking("a"),
-                clicks={"other": Click(dwell_seconds=1.0, usefulness=1)},
-            )
-
     def test_zero_fill_invariant_enforced(self):
         with pytest.raises(ValueError):
             InteractionRecord(
@@ -329,17 +315,40 @@ def log_lists(**over):
 
 
 class TestInteractionLog:
-    def test_lists_and_objects_agree(self):
-        log = InteractionLog.from_lists(**log_lists())
-        assert log.sessions == [
-            SerpInteraction("s1", "x", "u", "k", "t", Ranking(("a", "b"), (0.0, 0.0), (1, 2)),
-                            {"b": Click(3.5, 2)}),
-            SerpInteraction("s2", "x", "u", "k", "t", Ranking(("c", "a"), (0.0, 0.0), (1, 2)),
-                            {}),
-        ]
-        assert InteractionLog(log.sessions) == log
+    def test_columns(self):
+        log = InteractionLog(**log_lists())
         assert log.offsets.tolist() == [0, 2, 4] and log.click_serp.tolist() == [0]
-        assert len(log) == 2 and len(InteractionLog()) == 0
+        assert log.serp_doc.tolist() == [0, 1, 2, 0] and log.source_ranks.tolist() == [1, 2, 1, 2]
+        assert log.click_dwell.tolist() == [3.5] and log.click_usefulness.tolist() == [2]
+        assert len(log) == 2
+        empty = InteractionLog(**{name: [] for name in log_lists()})
+        assert len(empty) == 0 and empty.offsets.tolist() == [0]
+
+    TWO_CLICKS = dict(click_counts=[2, 0], click_doc=[1, 0], click_dwell=[3.5, 1.0],
+                      click_usefulness=[2, 0])
+
+    @pytest.mark.parametrize("over, equal", [
+        ({}, True),
+        ({"docs": ("c", "a", "b"), "serp_doc": [1, 2, 0, 1], "click_doc": [2]}, True),
+        ({"serp_ids": ("s1", "s2")}, True),
+        ({"click_dwell": [3.25]}, False),
+        ({"click_usefulness": [1]}, False),
+        ({"source_ranks": [1, 2, 1, 3]}, False),
+        ({"serp_doc": [1, 0, 2, 0], "click_doc": [0]}, False),
+        ({"sizes": [3, 1]}, False),
+        ({"task_ids": ["k", "j"]}, False),
+    ])
+    def test_equality_is_content(self, over, equal):
+        assert (InteractionLog(**log_lists()) == InteractionLog(**log_lists(**over))) is equal
+
+    def test_equality_ignores_click_order(self):
+        reordered = dict(click_doc=[0, 1], click_dwell=[1.0, 3.5], click_usefulness=[0, 2])
+        assert (InteractionLog(**log_lists(**self.TWO_CLICKS))
+                == InteractionLog(**log_lists(**{**self.TWO_CLICKS, **reordered})))
+        # The same click on doc a, on SERP s1 and on SERP s2.
+        assert (InteractionLog(**log_lists(click_doc=[0]))
+                != InteractionLog(**log_lists(click_counts=[0, 1], click_doc=[0])))
+        assert InteractionLog(**log_lists()) != "log"
 
     @pytest.mark.parametrize("over, message", [
         ({"serp_doc": [0, 1, 2, 2]}, "SERP s2: duplicate doc id c in ranking"),
@@ -359,10 +368,10 @@ class TestInteractionLog:
     ])
     def test_invariants(self, over, message):
         with pytest.raises(ValueError, match=message):
-            InteractionLog.from_lists(**log_lists(**over))
+            InteractionLog(**log_lists(**over))
 
     def test_immutable(self):
-        log = InteractionLog.from_lists(**log_lists())
+        log = InteractionLog(**log_lists())
         with pytest.raises(AttributeError):
             log.docs = ()
 

@@ -13,6 +13,7 @@ from decoyeval.logmine import GroupComparison, GroupStats, Thresholds, WelchResu
 from decoyeval.metrics import AggregateScores, RunEvaluation, SweepRow, TopicScores
 from decoyeval.model import DecoyPair, InteractionRecord
 from decoyeval.report import (
+    FORMATS,
     _json_value,
     emit_comparison,
     emit_pairs,
@@ -173,11 +174,18 @@ class TestTableFormats:
         ints = [0, -1, 255, 257, 2**63, -(10**40)]
         cells = texts + reals + ints + [True, False, None]
         columns = [f"c{i}" for i in range(len(cells))] + ['q"k\\ey\u00e9']
-        rows = [cells + [cells[0]], cells[::-1] + [True], [cells[i] for i in range(3)]]
+        rows = [cells + [cells[0]], cells[::-1] + [True], cells[1:] + cells[:2]]
         want = "".join(
             json.dumps({c: _json_value(v) for c, v in zip(columns, row)}, ensure_ascii=False)
             + "\n" for row in rows)
         assert render_table(columns, rows, "jsonl") == want
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("row", [[1], [1, 2, 3]], ids=["short", "long"])
+    def test_row_length_must_match_header(self, fmt, row):
+        with pytest.raises(ValueError) as exc:
+            render_table(("a", "b"), [[0, 0], row], fmt)
+        assert str(exc.value) == f"row 2 has {len(row)} cells for 2 columns"
 
     def test_jsonl_rejects_duplicate_columns(self):
         with pytest.raises(ValueError, match="duplicate column names"):
