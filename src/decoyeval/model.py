@@ -404,12 +404,12 @@ class InteractionLog:
     count `click_counts[r]`, the doc table, and the doc-index, rank and
     click lists over all SERPs in file order; ranks and usefulness are
     Python ints, and an int dwell beyond float range raises OverflowError.
-    It checks that the columns agree in length and the log's invariants,
-    raising ValueError: no doc twice on a SERP, every click on a doc its
-    SERP shows, at most one click per doc, and dwell and usefulness finite
-    and non-negative. Two logs are equal when they hold the same SERPs with
-    the same ids, pages, ranks and clicks, whatever their doc-table order
-    and the order of the clicks within a SERP.
+    It raises ValueError unless the columns agree in length, no doc id is
+    twice in the table or on a SERP, every click is on a doc its SERP
+    shows, no doc has two clicks on a SERP, and dwell and usefulness are
+    finite and non-negative. Logs are equal when they hold the same SERPs
+    with the same ids, pages, ranks and clicks, whatever their doc-table
+    order and the order of the clicks within a SERP.
     """
 
     __slots__ = ("serp_ids", "session_ids", "user_ids", "task_ids", "topic_ids", "docs",
@@ -423,6 +423,8 @@ class InteractionLog:
         if not (len(session_ids) == len(user_ids) == len(task_ids) == len(topic_ids)
                 == len(sizes) == len(click_counts) == n):
             raise ValueError("log id columns differ in length")
+        if len(set(docs)) != n_docs:
+            raise ValueError("log doc table holds a doc id twice")
         if min(sizes, default=0) < 0 or min(click_counts, default=0) < 0:
             raise ValueError("log SERP sizes and click counts must be >= 0")
         for name, value in (

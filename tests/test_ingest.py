@@ -129,6 +129,13 @@ TWO_FAULT_LOG_RECORDS = {
         "SERP S-ok: click on doc D1: usefulness must be >= 0, got -1"),
     "numeric-topic-id-and-serp-not-array": (
         log_record(topic_id=7, serp="D1"), "topic_id must be a string, got 7"),
+    "two-duplicate-docs": (
+        log_record(serp=[{"doc_id": d, "rank": 1} for d in ("D1", "D2", "D2", "D1")],
+                   clicks=[]),
+        "SERP S-bad: duplicate doc id D2 in ranking"),
+    "duplicate-click-with-negative-dwell": (
+        log_record(clicks=one_click("D1") + one_click("D1", dwell_seconds=-1)),
+        "SERP S-bad: click on doc D1: duplicate click entry"),
 }
 
 
@@ -471,6 +478,13 @@ class TestParseInteractionLog:
     def test_first_of_two_faults_named(self, tmp_path, bad, message):
         assert self.rejected_line(tmp_path, log_record("S-ok"), bad) == (
             str(tmp_path / "log.jsonl"), 2, message)
+
+    def test_faulty_record_claims_no_serp_id(self, tmp_path):
+        # Only a record that passes its checks claims its serp_id.
+        bad = log_record("s1", clicks=one_click(usefulness=-1))
+        assert self.rejected_line(tmp_path, bad, log_record("s1")) == (
+            str(tmp_path / "log.jsonl"), 1,
+            "SERP s1: click on doc D1: usefulness must be >= 0, got -1")
 
     @given(valid_log_records(), st.booleans())
     @settings(max_examples=100, deadline=None)

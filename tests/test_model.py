@@ -359,6 +359,7 @@ class TestInteractionLog:
         ({"click_dwell": [math.nan]}, "dwell_seconds must be finite and >= 0"),
         ({"click_usefulness": [-1]}, "usefulness must be >= 0"),
         ({"serp_doc": [0, 1, 3, 0]}, "doc index outside the doc table"),
+        ({"docs": ("a", "b", "a")}, "doc table holds a doc id twice"),
         ({"topic_ids": ["t"]}, "id columns differ in length"),
         ({"sizes": [3, 2]}, "sizes do not match"),
         ({"sizes": [5, -1]}, "must be >= 0"),
