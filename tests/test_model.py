@@ -324,9 +324,6 @@ class TestInteractionLog:
         empty = InteractionLog(**{name: [] for name in log_lists()})
         assert len(empty) == 0 and empty.offsets.tolist() == [0]
 
-    TWO_CLICKS = dict(click_counts=[2, 0], click_doc=[1, 0], click_dwell=[3.5, 1.0],
-                      click_usefulness=[2, 0])
-
     @pytest.mark.parametrize("over, equal", [
         ({}, True),
         ({"docs": ("c", "a", "b"), "serp_doc": [1, 2, 0, 1], "click_doc": [2]}, True),
@@ -342,9 +339,11 @@ class TestInteractionLog:
         assert (InteractionLog(**log_lists()) == InteractionLog(**log_lists(**over))) is equal
 
     def test_equality_ignores_click_order(self):
-        reordered = dict(click_doc=[0, 1], click_dwell=[1.0, 3.5], click_usefulness=[0, 2])
-        assert (InteractionLog(**log_lists(**self.TWO_CLICKS))
-                == InteractionLog(**log_lists(**{**self.TWO_CLICKS, **reordered})))
+        two_clicks = log_lists(click_counts=[2, 0], click_doc=[1, 0], click_dwell=[3.5, 1.0],
+                               click_usefulness=[2, 0])
+        reordered = dict(two_clicks, click_doc=[0, 1], click_dwell=[1.0, 3.5],
+                         click_usefulness=[0, 2])
+        assert InteractionLog(**two_clicks) == InteractionLog(**reordered)
         # The same click on doc a, on SERP s1 and on SERP s2.
         assert (InteractionLog(**log_lists(click_doc=[0]))
                 != InteractionLog(**log_lists(click_counts=[0, 1], click_doc=[0])))
@@ -359,13 +358,13 @@ class TestInteractionLog:
         ({"click_dwell": [math.nan]}, "dwell_seconds must be finite and >= 0"),
         ({"click_usefulness": [-1]}, "usefulness must be >= 0"),
         ({"serp_doc": [0, 1, 3, 0]}, "doc index outside the doc table"),
-        ({"docs": ("a", "b", "a")}, "doc table holds a doc id twice"),
         ({"topic_ids": ["t"]}, "id columns differ in length"),
         ({"sizes": [3, 2]}, "sizes do not match"),
         ({"sizes": [5, -1]}, "must be >= 0"),
         ({"source_ranks": [1, 2, 3]}, "sizes do not match"),
         ({"click_counts": [1, 1]}, "click counts do not match"),
         ({"click_dwell": [1.0, 2.0]}, "click counts do not match"),
+        ({"docs": ("a", "b", "a")}, "doc table holds a doc id twice"),
     ])
     def test_invariants(self, over, message):
         with pytest.raises(ValueError, match=message):
