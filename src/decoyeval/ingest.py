@@ -15,6 +15,14 @@ A valid run, pair-similarity file or log is read once. A faulty one is read
 a second time, by the same line loop with per-record checks that name each
 fault at its line (`_read_or_reread`); a log's second read checks each
 record before it joins the same columns, and builds no other object.
+
+JSON is decoded by `json`, except in a log's first read, which uses orjson
+where it is installed (`_first_read_decoder`). That read only tells a valid
+log from a faulty one, and `json` decodes every line that orjson declines
+or that may be nested deeper than `json` can decode, so `json` alone
+decides what is valid and words every diagnostic. The one valid log read
+twice is one whose ints orjson reads differently: an int beyond 64 bits in
+a rank or usefulness, which orjson reads as a float.
 """
 
 import json
@@ -384,7 +392,9 @@ def parse_interaction_log(path: PathLike) -> InteractionLog:
     A valid log is read once, each line straight into the log's columns,
     which are checked as a whole at the end; a faulty log is read again,
     each record checked before it joins the columns, to name each fault at
-    its line.
+    its line. The first read decodes with orjson where it is installed, the
+    second with `json`, so a valid log with an int beyond 64 bits in a rank
+    or usefulness, which orjson reads as a float, is read twice.
     """
     return _read_or_reread(lambda: _read_log(path, None), lambda: _read_log(path, {}))
 
@@ -397,18 +407,55 @@ _dwell = operator.itemgetter("dwell_seconds")
 _usefulness = operator.itemgetter("usefulness")
 
 
+# json.loads raises RecursionError past a nesting depth set by the
+# recursion limit (about 990 levels at the top of the default stack), where
+# orjson decodes any depth. A line with this many brackets, and so at least
+# twice as many characters, is left to json.
+_DEEP_LINE_BRACKETS = 500
+
+
+def _first_read_decoder():
+    """The JSON decoder of a log's first read: `json.loads`, or where orjson
+    is installed, `orjson.loads` with `json.loads` for each line it declines
+    (NaN, Infinity, a number past float range, a lone surrogate escape) and
+    for each line with enough brackets to be nested past json's depth.
+
+    orjson reads an int beyond 64 bits as a float. In a rank or a
+    usefulness that float fails the read's int column checks, so the log is
+    read again by `json`; in an id it fails as the int would, and in a dwell
+    it is the float the int becomes."""
+    try:
+        import orjson
+    except ImportError:
+        return json.loads
+    fast, exact = orjson.loads, json.loads
+
+    def loads(line):
+        if (len(line) >= 2 * _DEEP_LINE_BRACKETS
+                and line.count("[") + line.count("{") >= _DEEP_LINE_BRACKETS):
+            return exact(line)
+        try:
+            return fast(line)
+        except ValueError:  # orjson.JSONDecodeError
+            return exact(line)
+
+    return loads
+
+
 def _read_log(path: PathLike, serp_line: dict[str, int] | None) -> InteractionLog | None:
     """One read of a log into columns, or None on a fault it does not name.
 
     Each line extends flat lists. Without a `serp_line` map, a record of the
     wrong shape fails its line at once, and the JSON types and the value
-    invariants are checked over whole columns after the last line. With a
-    map (serp_id -> first line), each record first passes `_check_record`,
-    and a serp_id seen before names its first line; on a faulty log that
-    has not changed since its first read, this raises the ParseError naming
-    every fault. Of a line, only its serp_id and the first object of each
-    distinct other id outlive it."""
-    loads = json.loads
+    invariants are checked over whole columns after the last line; lines
+    are decoded by `_first_read_decoder`, and an int column that orjson
+    read differently from `json` fails these checks. With a map (serp_id ->
+    first line), each line is decoded by `json`, each record first passes
+    `_check_record`, and a serp_id seen before names its first line; on a
+    faulty log that has not changed since its first read, this raises the
+    ParseError naming every fault. Of a line, only its serp_id and the first
+    object of each distinct other id outlive it."""
+    loads = _first_read_decoder() if serp_line is None else None
     shared: dict[str, str] = {}
     same = shared.setdefault
     doc_table: defaultdict[str, int] = defaultdict(count().__next__)

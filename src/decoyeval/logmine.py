@@ -86,16 +86,16 @@ def derive_thresholds(
     """Pool all within-topic pair similarities over each topic's docs, then
     take percentiles: s_min at s_min_pct and s_control at s_control_pct.
 
-    `universe` maps topic id to its distinct doc ids, as `log_doc_universe`
-    gives them for a log. One whose topics all have fewer than two docs has
-    no pairs and is an error.
+    `universe` maps topic id to its doc ids, as `log_doc_universe` gives
+    them for a log; a repeated id is dropped. One whose topics all have
+    fewer than two distinct docs has no pairs and is an error.
     """
     check_percentiles(s_min_pct, s_control_pct)
-    per_topic = [
-        topic_sim_matrix(source, docs, topic_id).pair_values()
-        for topic_id, docs in universe.items()
-        if len(docs) >= 2
-    ]
+    per_topic = []
+    for topic_id, docs in universe.items():
+        docs = list(dict.fromkeys(docs))
+        if len(docs) >= 2:
+            per_topic.append(topic_sim_matrix(source, docs, topic_id).pair_values())
     if not per_topic:
         raise ValueError("no within-topic doc pairs in the log; cannot derive thresholds")
     values = np.sort(np.concatenate(per_topic))

@@ -3,7 +3,11 @@
 import json
 import logging
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings
@@ -1067,3 +1071,184 @@ class TestByteOrderMark:
         assert [str(d) for d in exc.value.diagnostics] == [
             f"{p}:2: invalid UTF-8: byte 0xff (invalid start byte)"
         ]
+
+
+# --- the first read's two decoders -------------------------------------------
+#
+# Where orjson is installed a log's first read decodes with it, and with
+# `json` where it is not; either way `json` decides validity and words every
+# diagnostic. Each test below runs under both.
+
+
+@pytest.fixture(scope="class")
+def orjson_blocked():
+    """`import orjson` fails for the class's tests, as where it is not
+    installed."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(sys.modules, "orjson", None)
+        yield
+
+
+@pytest.mark.usefixtures("orjson_blocked")
+class TestParseInteractionLogWithoutOrjson(TestParseInteractionLog):
+    """Every log-parsing test again, with `json` alone decoding."""
+
+    # Hypothesis runs a property test from one class only, so the inherited
+    # two are wrapped anew from their bodies.
+    test_valid_log_round_trips = given(valid_log_records(), st.booleans())(
+        TestParseInteractionLog.test_valid_log_round_trips.hypothesis.inner_test)
+    test_checked_read_equals_fast_read = given(valid_log_records())(
+        TestParseInteractionLog.test_checked_read_equals_fast_read.hypothesis.inner_test)
+
+    def test_json_decodes(self):
+        assert ingest._first_read_decoder() is json.loads
+
+
+@pytest.fixture(params=["orjson", "json"])
+def decoder(request, monkeypatch):
+    """The decoder of a log's first read: orjson, or `json` with orjson
+    blocked."""
+    if request.param == "orjson":
+        pytest.importorskip("orjson")
+    else:
+        monkeypatch.setitem(sys.modules, "orjson", None)
+    return request.param
+
+
+def unknown_field(record, value_text):
+    """A record's JSON text with one more field, whose value is `value_text`."""
+    return json.dumps(record)[:-1] + f', "extra": {value_text}}}'
+
+
+BIG = 10**30
+
+# Lines the two decoders read differently, each as line 2 of a log whose
+# line 1 is SERP s0: the record the line parses to, or the message of its
+# one diagnostic, the same under both; and how many times each decoder's
+# parse reads the file.
+DECODER_CASES = {
+    # orjson reads an int beyond 64 bits as a float, which fails the first
+    # read's int columns: under orjson this valid log is read twice.
+    "ints-beyond-64-bits": (
+        json.dumps(log_record("s1", serp=[{"doc_id": "a", "rank": BIG},
+                                          {"doc_id": "b", "rank": -BIG},
+                                          {"doc_id": "c", "rank": 2**64}],
+                              clicks=[{"doc_id": "b", "dwell_seconds": BIG,
+                                       "usefulness": BIG}])),
+        log_record("s1", serp=[{"doc_id": "a", "rank": BIG}, {"doc_id": "b", "rank": -BIG},
+                               {"doc_id": "c", "rank": 2**64}],
+                   clicks=[{"doc_id": "b", "dwell_seconds": BIG, "usefulness": BIG}]),
+        {"orjson": 2, "json": 1}),
+    # As a dwell the float is what the int becomes in the dwell column.
+    "dwell-int-beyond-64-bits": (
+        json.dumps(log_record("s1", clicks=one_click(dwell_seconds=BIG))),
+        log_record("s1", clicks=one_click(dwell_seconds=BIG)),
+        {"orjson": 1, "json": 1}),
+    "nan-dwell": (
+        json.dumps(log_record("s1", clicks=one_click(dwell_seconds=math.nan))),
+        "SERP s1: click on doc D1: dwell_seconds must be finite, got nan",
+        {"orjson": 2, "json": 2}),
+    "infinity-dwell": (
+        json.dumps(log_record("s1", clicks=one_click(dwell_seconds=math.inf))),
+        "SERP s1: click on doc D1: dwell_seconds must be finite, got inf",
+        {"orjson": 2, "json": 2}),
+    "dwell-past-float-range": (
+        json.dumps(log_record("s1", clicks=one_click(dwell_seconds=12.5))).replace(
+            "12.5", "1e400"),
+        "SERP s1: click on doc D1: dwell_seconds must be finite, got inf",
+        {"orjson": 2, "json": 2}),
+    "nan-in-unknown-field": (
+        unknown_field(log_record("s1"), "NaN"), log_record("s1"), {"orjson": 1, "json": 1}),
+    "lone-surrogate-escape-in-id": (
+        json.dumps(log_record("\ud800")), log_record("\ud800"), {"orjson": 1, "json": 1}),
+    "nested-100000-deep": (
+        DEEPLY_NESTED, "invalid JSON: nested too deeply", {"orjson": 2, "json": 2}),
+    # orjson would decode this line, which json cannot.
+    "unknown-field-nested-100000-deep": (
+        unknown_field(log_record("s1"), DEEPLY_NESTED), "invalid JSON: nested too deeply",
+        {"orjson": 2, "json": 2}),
+    "unknown-field-nested-600-deep": (
+        unknown_field(log_record("s1"), "[" * 600 + "]" * 600), log_record("s1"),
+        {"orjson": 1, "json": 1}),
+}
+
+
+class TestFirstReadDecoders:
+    @pytest.mark.parametrize("line, expected, reads", DECODER_CASES.values(),
+                             ids=list(DECODER_CASES))
+    def test_same_result_under_both(self, tmp_path, monkeypatch, decoder, line, expected,
+                                    reads):
+        calls = count_reads(monkeypatch)
+        p = write(tmp_path / "log.jsonl", json.dumps(log_record("s0")) + "\n" + line + "\n")
+        if isinstance(expected, str):
+            with pytest.raises(ParseError) as exc:
+                ingest.parse_interaction_log(p)
+            assert str(exc.value) == f"1 parse error(s) in {p}:\n{p}:2: {expected}"
+        else:
+            assert ingest.parse_interaction_log(p) == log_of([log_record("s0"), expected])
+        assert len(calls) == reads[decoder]
+
+    @pytest.fixture
+    def orjson_decoded(self, monkeypatch):
+        """The lines orjson.loads is called on from now on."""
+        orjson = pytest.importorskip("orjson")
+        decoded = []
+        loads = orjson.loads
+        monkeypatch.setattr(orjson, "loads", lambda line: decoded.append(line) or loads(line))
+        return decoded
+
+    def test_orjson_decodes_the_first_read_only(self, tmp_path, orjson_decoded):
+        decoded = orjson_decoded
+        lines = [json.dumps(log_record("s1")), json.dumps(log_record("s2"))]
+        p = write(tmp_path / "log.jsonl", "".join(line + "\n" for line in lines))
+        ingest.parse_interaction_log(p)
+        assert decoded == [line + "\n" for line in lines]
+        # A faulty log's second read decodes with json.
+        write(p, "".join(line + "\n" for line in lines + lines[:1]))
+        decoded.clear()
+        with pytest.raises(ParseError):
+            ingest.parse_interaction_log(p)
+        assert len(decoded) == 3
+
+    @pytest.mark.parametrize("brackets", [ingest._DEEP_LINE_BRACKETS - 1,
+                                          ingest._DEEP_LINE_BRACKETS])
+    def test_line_with_many_brackets_left_to_json(self, tmp_path, orjson_decoded, brackets):
+        # json may find such a line nested too deeply, where orjson would not.
+        shallow = json.dumps(log_record("s1"))
+        depth = brackets - shallow.count("[") - shallow.count("{")
+        line = unknown_field(log_record("s1"), "[" * depth + "]" * depth)
+        assert line.count("[") + line.count("{") == brackets
+        p = write(tmp_path / "log.jsonl", line + "\n")
+        assert ingest.parse_interaction_log(p) == log_of([log_record("s1")])
+        assert len(orjson_decoded) == (brackets < ingest._DEEP_LINE_BRACKETS)
+
+    def test_json_decodes_without_orjson(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "orjson", None)
+        assert ingest._first_read_decoder() is json.loads
+
+    def test_orjson_imported_by_the_log_read_alone(self, tmp_path):
+        # In a fresh interpreter: importing the CLI and reading every other
+        # format leaves orjson unimported; reading a log imports it.
+        pytest.importorskip("orjson")
+        paths = {kind: write(tmp_path / kind, VALID_LINES[kind] + "\n") for kind in PARSERS}
+        script = textwrap.dedent("""\
+            import json, sys
+            import decoyeval.cli
+            from decoyeval import ingest
+            paths = json.loads(sys.argv[1])
+            loaded = ["orjson" in sys.modules]
+            for read in (ingest.parse_run, lambda p: ingest.parse_qrels(p, g_max=3),
+                         ingest.parse_pair_sims, ingest.parse_vectors, ingest.parse_records,
+                         ingest.parse_interaction_log):
+                read(paths.pop(0))
+                loaded.append("orjson" in sys.modules)
+            print(json.dumps(loaded))
+        """)
+        order = ["run", "qrels", "pair_sims", "vectors", "records", "interaction_log"]
+        src = os.path.dirname(os.path.dirname(ingest.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run(
+            [sys.executable, "-c", script, json.dumps([str(paths[k]) for k in order])],
+            env=env, capture_output=True, text=True, check=True).stdout
+        assert json.loads(out) == [False] * 6 + [True]

@@ -12,6 +12,7 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from scipy import special, stats
 
@@ -29,7 +30,7 @@ from decoyeval.logmine import (
     student_t_two_sided_p,
     welch_t_test,
 )
-from decoyeval.model import DecoyConfig, MinGradeGap, PairStore
+from decoyeval.model import DecoyConfig, MinGradeGap, PairStore, VectorStore
 from decoyeval.simsig import percentile_threshold
 
 from conftest import LOG_CLICKS, LOG_EXPECTED, LOG_GRADES, log_of
@@ -120,6 +121,21 @@ class TestThresholds:
         log = ingest.parse_interaction_log(log_path)
         with pytest.raises(ValueError, match="no within-topic doc pairs"):
             derive_thresholds(log_doc_universe(log), PairStore({}))
+
+    @pytest.mark.parametrize("kind", ["pairs", "vectors"])
+    def test_repeated_universe_ids_dropped(self, kind):
+        # A repeated id adds no pair, and a topic of one id repeated none.
+        if kind == "pairs":
+            source = PairStore({("t", "a", "b"): 0.1, ("t", "a", "c"): 0.5, ("t", "b", "c"): 0.9})
+        else:
+            source = VectorStore({"a": np.array([1.0, 0.0]), "b": np.array([1.0, 1.0]),
+                                  "c": np.array([0.0, 1.0])})
+        distinct = derive_thresholds({"t": ["a", "b", "c"]}, source)
+        assert distinct.pair_count == 3
+        assert derive_thresholds({"t": ["a", "a", "b", "c", "b"], "u": ["a", "a"]},
+                                 source) == distinct
+        with pytest.raises(ValueError, match="no within-topic doc pairs"):
+            derive_thresholds({"t": ["a", "a"]}, source)
 
 
 class TestExtractRecords:
