@@ -1077,7 +1077,7 @@ class TestByteOrderMark:
 #
 # Where orjson is installed a log's first read decodes with it, and with
 # `json` where it is not; either way `json` decides validity and words every
-# diagnostic. Each test below runs under both.
+# diagnostic.
 
 
 @pytest.fixture(scope="class")
