@@ -10,7 +10,10 @@ Exit codes: 0 success, 1 input/validation error (diagnostics on stderr),
 
 import argparse
 import gc
+import os
+import pickle
 import sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -30,7 +33,7 @@ from .metrics import (
     evaluate_run,
     sweep,
 )
-from .model import CoverageError, DecoyConfig, GradeBand, MinGradeGap
+from .model import CoverageError, DecoyConfig, GradeBand, InteractionLog, MinGradeGap
 from .report import (
     FORMATS,
     emit_comparison,
@@ -286,11 +289,112 @@ def _check_mine_flags(args) -> DecoyConfig:
                        delta_rank=args.delta_rank, s_max_inclusive=True)
 
 
+# Python 3.12+ warns on fork() in a process with threads; after numpy's
+# import this one runs OpenBLAS's.
+_FORK_WITH_THREADS = (r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) "
+                      r"may lead to deadlocks in the child")
+
+
+def _log_child_wanted() -> bool:
+    """Whether `mine` reads its log in a forked child: on Linux, with fork,
+    where this process may run on two CPUs or more."""
+    return (sys.platform == "linux" and hasattr(os, "fork")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+class _LogChild:
+    """A forked child that reads an interaction log and sends it back,
+    pickled, through a pipe. On any fault it sends nothing and exits 1: the
+    caller then reads the log itself, so every diagnostic is the caller's."""
+
+    def __init__(self, pid: int, pipe):
+        self.pid, self.pipe = pid, pipe
+
+    @classmethod
+    def start(cls, path: Path) -> "_LogChild | None":
+        """The child reading the log at `path`, or None where no child is
+        wanted or none can be made."""
+        if not _log_child_wanted():
+            return None
+        read_fd, write_fd = os.pipe()
+        try:
+            with warnings.catch_warnings():
+                # Safe here: the child runs only the log read, which calls no
+                # BLAS routine, and then leaves through os._exit.
+                warnings.filterwarnings("ignore", _FORK_WITH_THREADS, DeprecationWarning)
+                pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            return None
+        if pid == 0:
+            code = 1
+            try:
+                os.close(read_fd)
+                with open(write_fd, "wb") as pipe:
+                    pickle.dump(ingest.parse_interaction_log(path), pipe,
+                                pickle.HIGHEST_PROTOCOL)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_fd)
+        return cls(pid, open(read_fd, "rb"))
+
+    def log(self) -> InteractionLog | None:
+        """The log the child sent, or None if it sent none. The child is
+        reaped either way."""
+        try:
+            with self.pipe:
+                # Unpickled as it arrives: reading the whole pickle first
+                # raised mine's peak RSS by about 2 MB.
+                try:
+                    log = pickle.load(self.pipe)
+                except (EOFError, pickle.UnpicklingError):  # cut off
+                    log = None
+            _, status = os.waitpid(self.pid, 0)
+        except BaseException:
+            self.kill()
+            raise
+        return log if status == 0 else None
+
+    def kill(self) -> None:
+        """Stop the child and reap it."""
+        import signal
+
+        self.pipe.close()
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+
+
 def cmd_mine(args) -> int:
+    """Mine an interaction log for decoy/control records into `args.out`.
+
+    On Linux with two CPUs or more, a forked child reads the log while this
+    process reads the qrels and then the similarity source. Where the child
+    sends no log (a faulty or absent file, a child killed), the log is read
+    here, so outputs, diagnostics and exit codes are those of reading the
+    inputs one after another: a fault in the log is named before one in the
+    qrels, and one in the qrels before one in the source.
+    """
     cfg = _check_mine_flags(args)
-    log = ingest.parse_interaction_log(Path(args.logs))
-    qrels = ingest.parse_qrels(Path(args.qrels), g_max=args.g_max)
-    source = _load_source(args)
+    log_path = Path(args.logs)
+    child = _LogChild.start(log_path)
+    try:
+        qrels = ingest.parse_qrels(Path(args.qrels), g_max=args.g_max)
+        source = _load_source(args)
+    except Exception as exc:
+        fault = exc
+    except BaseException:
+        if child is not None:
+            child.kill()
+        raise
+    else:
+        fault = None
+    log = child.log() if child is not None else None
+    if log is None:
+        log = ingest.parse_interaction_log(log_path)
+    if fault is not None:
+        raise fault
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -470,6 +470,11 @@ class InteractionLog:
     def __setattr__(self, name, value):
         raise AttributeError(f"InteractionLog is immutable; cannot set {name}")
 
+    def __reduce__(self):
+        # Pickles by value. The columns were checked when this log was built,
+        # so unpickling restores them as they are, without the constructor.
+        return _restored_log, tuple(getattr(self, name) for name in self.__slots__)
+
     def __len__(self) -> int:
         return len(self.serp_ids)
 
@@ -507,6 +512,15 @@ class InteractionLog:
         return (*map(list, ids), self.offsets.tolist(),
                 list(map(docs.__getitem__, self.serp_doc.tolist())),
                 self.source_ranks.tolist(), sorted(clicks))
+
+
+def _restored_log(*columns) -> InteractionLog:
+    """The InteractionLog whose slots hold `columns`, in slot order, as a
+    pickled log is read back."""
+    log = object.__new__(InteractionLog)
+    for name, value in zip(InteractionLog.__slots__, columns, strict=True):
+        object.__setattr__(log, name, value)
+    return log
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,6 +8,12 @@ definitions and frozen as the %.6g strings the CLI must print.
 
 import gc
 import json
+import os
+import pickle
+import signal
+import sys
+import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -18,6 +24,14 @@ from decoyeval.ingest import parse_records
 from conftest import LOG_EXPECTED, write_corpus, write_planted_log
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """No test leaves a child process behind, running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def write_demo(dest: Path):
@@ -496,3 +510,182 @@ class TestMineFlags:
         assert rc == 1
         assert capsys.readouterr().err == "error: delta_rank must be >= 1, got 0\n"
         assert not (tmp_path / "mined").exists()
+
+
+@pytest.fixture(scope="class")
+def log_child_off():
+    """`mine` reads its log in this process for the class's tests, as where
+    no child is wanted."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_log_child_wanted", lambda: False)
+        yield
+
+
+@pytest.mark.usefixtures("log_child_off")
+class TestMineInProcess(TestMine):
+    """Every `mine` test again, with the log read in this process."""
+
+
+@pytest.mark.usefixtures("log_child_off")
+class TestMineFlagsInProcess(TestMineFlags):
+    """Every `mine` flag test again, with the log read in this process."""
+
+
+@pytest.mark.usefixtures("log_child_off")
+class TestLogExitCodesInProcess:
+    """The log rows of TestExitCodes again, with the log read in this process."""
+
+    test_non_utf8_log_is_1_at_its_line = TestExitCodes.test_non_utf8_log_is_1_at_its_line
+    test_deeply_nested_log_line_is_1_at_its_line = (
+        TestExitCodes.test_deeply_nested_log_line_is_1_at_its_line)
+
+
+@pytest.fixture(params=["child", "in-process"])
+def log_read(request, monkeypatch):
+    """Where `mine` reads its log: in a forked child, or in this process."""
+    if request.param == "child" and not hasattr(os, "fork"):
+        pytest.skip("no os.fork")
+    monkeypatch.setattr(cli, "_log_child_wanted", lambda: request.param == "child")
+    return request.param
+
+
+def parent_reads(monkeypatch):
+    """The paths `ingest.parse_interaction_log` reads in this process from
+    now on; a forked child's reads are not seen."""
+    reads = []
+    parse = ingest.parse_interaction_log
+    monkeypatch.setattr(ingest, "parse_interaction_log",
+                        lambda path: reads.append(path) or parse(path))
+    return reads
+
+
+def in_child(action):
+    """A stand-in for `ingest.parse_interaction_log` that runs `action` in a
+    forked child and reads the log as usual in this process."""
+    parent, parse = os.getpid(), ingest.parse_interaction_log
+
+    def parse_interaction_log(path):
+        if os.getpid() != parent:
+            action()
+        return parse(path)
+
+    return parse_interaction_log
+
+
+def mine(paths, out_dir, log=None, pairs=None):
+    return cli.main(["mine", "--logs", str(log or paths.log), "--qrels", str(paths.qrels),
+                     "--pair-sims", str(pairs or paths.pairs), "--out", str(out_dir)])
+
+
+def outputs(out_dir: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+class TestMineLogChild:
+    """`mine` reads its log in a forked child while it reads the qrels and
+    the source, with the outputs, diagnostics and exit codes of reading the
+    inputs one after another in this process."""
+
+    def test_valid_log_read_once(self, planted_log, tmp_path, monkeypatch, log_read):
+        reads = parent_reads(monkeypatch)
+        assert mine(planted_log, tmp_path / "mined") == 0
+        assert reads == ([] if log_read == "child" else [planted_log.log])
+        assert (tmp_path / "mined" / "targets.txt").read_text() == "A\nD\n"
+
+    def test_faulty_log_read_again_here(self, planted_log, tmp_path, monkeypatch, log_read):
+        planted_log.log.write_text(planted_log.log.read_text() + "{}\n")
+        reads = parent_reads(monkeypatch)
+        assert mine(planted_log, tmp_path / "mined") == 1
+        assert reads == [planted_log.log]
+
+    @pytest.mark.parametrize("case", ["log and qrels faulty", "qrels faulty",
+                                      "log and pairs absent", "pairs faulty"])
+    def test_fault_named(self, planted_log, tmp_path, capsys, log_read, case):
+        log, pairs = planted_log.log, planted_log.pairs
+        if case in ("log and qrels faulty", "qrels faulty"):
+            planted_log.qrels.write_text("t1 0 A four\n")
+        if case == "log and qrels faulty":
+            log.write_bytes(log.read_bytes().replace(b'"s3"', b'"s\xe93"'))
+        if case == "log and pairs absent":
+            log, pairs = tmp_path / "absent.jsonl", tmp_path / "absent.tsv"
+        if case == "pairs faulty":
+            pairs.write_text("t1\tA\tB\tnear\n")
+        # The first fault found reading the log, the qrels and the pairs in turn.
+        try:
+            ingest.parse_interaction_log(log)
+            ingest.parse_qrels(planted_log.qrels, g_max=4)
+            ingest.parse_pair_sims(pairs)
+        except ingest.ParseError as exc:
+            expected = f"{exc}\n"
+        except OSError as exc:
+            expected = f"error: {exc}\n"
+        assert expected.startswith({
+            "log and qrels faulty": f"1 parse error(s) in {log}:\n{log}:3: invalid UTF-8",
+            "qrels faulty": f"1 parse error(s) in {planted_log.qrels}:",
+            "log and pairs absent": f"error: [Errno 2] No such file or directory: '{log}'",
+            "pairs faulty": f"1 parse error(s) in {pairs}:",
+        }[case])
+        assert mine(planted_log, tmp_path / "mined", log, pairs) == 1
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "mined").exists()
+
+    @pytest.mark.parametrize("fault", ["exits", "killed", "cut off while sending"])
+    def test_child_without_a_log(self, planted_log, tmp_path, monkeypatch, fault):
+        monkeypatch.setattr(cli, "_log_child_wanted", lambda: False)
+        assert mine(planted_log, tmp_path / "in-process") == 0
+        monkeypatch.setattr(cli, "_log_child_wanted", lambda: True)
+        if fault == "cut off while sending":
+            # Only the child pickles: half the log, then a broken pipe.
+            def half_dump(obj, file, protocol):
+                data = pickle.dumps(obj, protocol)
+                file.write(data[:len(data) // 2])
+                file.flush()
+                raise BrokenPipeError
+
+            monkeypatch.setattr(pickle, "dump", half_dump)
+        else:
+            action = {"exits": lambda: os._exit(1),
+                      "killed": lambda: os.kill(os.getpid(), signal.SIGKILL)}[fault]
+            monkeypatch.setattr(ingest, "parse_interaction_log", in_child(action))
+        reads = parent_reads(monkeypatch)
+        assert mine(planted_log, tmp_path / "child") == 0
+        assert reads == [planted_log.log]
+        assert outputs(tmp_path / "child") == outputs(tmp_path / "in-process")
+
+    def test_interrupt_stops_the_child(self, planted_log, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_log_child_wanted", lambda: True)
+        monkeypatch.setattr(ingest, "parse_interaction_log", in_child(lambda: time.sleep(60)))
+
+        def interrupted(path, g_max):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ingest, "parse_qrels", interrupted)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            mine(planted_log, tmp_path / "mined")
+        assert time.monotonic() - started < 30
+
+    def test_fork_warning_of_a_threaded_process_ignored(self, planted_log, tmp_path,
+                                                        monkeypatch):
+        # Python 3.12+ warns so on fork() where numpy's BLAS threads run.
+        fork = os.fork
+
+        def warning_fork():
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                          "fork() may lead to deadlocks in the child.",
+                          DeprecationWarning, stacklevel=2)
+            return fork()
+
+        monkeypatch.setattr(cli, "_log_child_wanted", lambda: True)
+        monkeypatch.setattr(os, "fork", warning_fork)
+        reads = parent_reads(monkeypatch)
+        assert mine(planted_log, tmp_path / "mined") == 0
+        assert reads == []
+
+    @pytest.mark.parametrize("platform, cpus, wanted", [
+        ("linux", {0, 1}, True), ("linux", {0}, False), ("darwin", {0, 1}, False),
+    ])
+    def test_child_wanted(self, monkeypatch, platform, cpus, wanted):
+        monkeypatch.setattr(sys, "platform", platform)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        assert cli._log_child_wanted() is (wanted and hasattr(os, "fork"))

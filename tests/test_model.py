@@ -1,10 +1,13 @@
 """Domain type invariants: construction-time validation and lookups."""
 
+import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from decoyeval import ingest
 from decoyeval.model import (
     CoverageError,
     DecoyConfig,
@@ -374,6 +377,53 @@ class TestInteractionLog:
         log = InteractionLog(**log_lists())
         with pytest.raises(AttributeError):
             log.docs = ()
+
+
+class TestInteractionLogPickle:
+    @pytest.fixture(params=["planted", "ints beyond int64"])
+    def log(self, request, planted_log, tmp_path):
+        """A parsed log: the planted one, or one whose rank and usefulness
+        columns hold ints beyond int64, as object arrays."""
+        if request.param == "planted":
+            return ingest.parse_interaction_log(planted_log.log)
+        big = 10**30
+        entry = {"serp_id": "s1", "session_id": "x", "user_id": "u", "task_id": "k",
+                 "topic_id": "t", "serp": [{"doc_id": "a", "rank": big},
+                                           {"doc_id": "b", "rank": -big},
+                                           {"doc_id": "c", "rank": 2**63}],
+                 "clicks": [{"doc_id": "b", "dwell_seconds": big, "usefulness": big}]}
+        path = tmp_path / "log.jsonl"
+        path.write_text(json.dumps(entry) + "\n")
+        log = ingest.parse_interaction_log(path)
+        assert log.source_ranks.dtype == log.click_usefulness.dtype == object
+        return log
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_round_trip_by_value(self, log, protocol):
+        back = pickle.loads(pickle.dumps(log, protocol))
+        assert back == log
+        for name in InteractionLog.__slots__:
+            got, sent = getattr(back, name), getattr(log, name)
+            assert type(got) is type(sent)
+            if isinstance(sent, np.ndarray):
+                assert got.dtype == sent.dtype
+                assert got.tolist() == sent.tolist()
+            else:
+                assert got == sent
+
+    def test_unpickled_without_the_constructor(self, log, monkeypatch):
+        data = pickle.dumps(log)
+        calls = []
+        init = InteractionLog.__init__
+        monkeypatch.setattr(InteractionLog, "__init__",
+                            lambda self, *args: calls.append(args) or init(self, *args))
+        back = pickle.loads(data)
+        assert calls == [] and back == log
+
+    def test_unpickled_immutable(self, log):
+        back = pickle.loads(pickle.dumps(log))
+        with pytest.raises(AttributeError, match="immutable"):
+            back.docs = ()
 
 
 class TestRecordColumns:
