@@ -392,6 +392,8 @@ def cmd_mine(args) -> int:
         fault = None
     log = child.log() if child is not None else None
     if log is None:
+        # Read from this frame, as before the child: json's nesting limit,
+        # and so which lines are valid, depends on the caller's stack depth.
         log = ingest.parse_interaction_log(log_path)
     if fault is not None:
         raise fault
