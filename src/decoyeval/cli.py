@@ -19,7 +19,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import ingest
-from .decoy import detect_decoy_pairs_at_k, identify_controls, identify_targets
+from .decoy import check_cutoff, detect_decoy_pairs_at_k, identify_controls, identify_targets
 from .logmine import (
     check_percentiles,
     derive_thresholds,
@@ -31,7 +31,9 @@ from .metrics import (
     KNOWN_METRICS,
     MetricConfig,
     evaluate_run,
+    resolve_metrics,
     sweep,
+    sweep_cutoffs,
 )
 from .model import CoverageError, DecoyConfig, GradeBand, InteractionLog, MinGradeGap
 from .report import (
@@ -195,14 +197,13 @@ def _parse_cutoffs(text: str) -> list[int]:
         raise ValueError(f"--cutoffs expects comma-separated integers, got {text!r}") from None
     if not cutoffs:
         raise ValueError("--cutoffs is empty")
+    check_cutoff(min(cutoffs))
     return cutoffs
 
 
-def _parse_metrics(text: str) -> list[str]:
-    names = [part.strip().replace("/", "_") for part in text.split(",") if part.strip()]
-    if not names:
-        raise ValueError("--metrics is empty")
-    return names
+def _parse_metrics(text: str) -> tuple[str, ...]:
+    return resolve_metrics(
+        [part.strip().replace("/", "_") for part in text.split(",") if part.strip()])
 
 
 def _quality_rule(args):
@@ -218,13 +219,8 @@ def _quality_rule(args):
 
 
 def _decoy_config(args) -> DecoyConfig:
-    return DecoyConfig(
-        s_min=args.s_min,
-        s_max=args.s_max,
-        quality=_quality_rule(args),
-        delta_rank=args.delta_rank,
-        s_max_inclusive=False,
-    )
+    return DecoyConfig(s_min=args.s_min, s_max=args.s_max, quality=_quality_rule(args),
+                       delta_rank=args.delta_rank, s_max_inclusive=False)
 
 
 def _load_source(args):
@@ -240,18 +236,20 @@ def _load_run_inputs(args):
 
 
 def cmd_eval(args) -> int:
-    run, qrels, source = _load_run_inputs(args)
     cutoffs = _parse_cutoffs(args.cutoffs)
     metrics = _parse_metrics(args.metrics)
     cfg = MetricConfig(g_max=args.g_max, phi=args.phi, alpha=args.alpha)
-    evaluations = evaluate_run(run, qrels, source, _decoy_config(args), cfg, metrics, cutoffs)
+    decoy_cfg = _decoy_config(args)
+    run, qrels, source = _load_run_inputs(args)
+    evaluations = evaluate_run(run, qrels, source, decoy_cfg, cfg, metrics, cutoffs)
     emit_scores(evaluations, args.format, args.out)
     return 0
 
 
 def cmd_decoys(args) -> int:
-    run, qrels, source = _load_run_inputs(args)
     cfg = _decoy_config(args)
+    check_cutoff(args.k)
+    run, qrels, source = _load_run_inputs(args)
     pairs = [
         pair
         for topic_id, ranking in sorted(run.rankings.items())
@@ -265,12 +263,11 @@ def cmd_decoys(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    run, qrels, source = _load_run_inputs(args)
     cfg = MetricConfig(g_max=args.g_max)
-    rows = sweep(
-        run, qrels, source, _decoy_config(args), cfg,
-        args.k_start, args.k_end, args.k_step,
-    )
+    decoy_cfg = _decoy_config(args)
+    sweep_cutoffs(args.k_start, args.k_end, args.k_step)
+    run, qrels, source = _load_run_inputs(args)
+    rows = sweep(run, qrels, source, decoy_cfg, cfg, args.k_start, args.k_end, args.k_step)
     emit_sweep(rows, args.format, args.out)
     return 0
 
@@ -409,6 +406,10 @@ def cmd_mine(args) -> int:
     records: list = []
     if any(len(docs) >= 2 for docs in universe.values()):
         thresholds = derive_thresholds(universe, source, args.s_min_pct, args.s_control_pct)
+        if not 0.0 <= thresholds.s_min < args.s_max:
+            raise ValueError(f"derived s_min {thresholds.s_min} (--s-min-pct {args.s_min_pct} "
+                             f"of {thresholds.pair_count} pooled pair similarities) "
+                             f"must lie in [0, --s-max {args.s_max})")
         cfg = replace(cfg, s_min=thresholds.s_min)
         pair_records, targets = identify_targets(log, qrels, source, cfg, top_n=args.top_n)
         controls, matched = identify_controls(

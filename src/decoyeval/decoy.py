@@ -178,6 +178,12 @@ def detect_decoy_pairs(
     ]
 
 
+def check_cutoff(k: int) -> None:
+    """ValueError unless the cutoff k is at least 1."""
+    if k < 1:
+        raise ValueError(f"cutoff must be >= 1, got {k}")
+
+
 def detect_decoy_pairs_at_k(
     topic_id: str,
     ranking: Ranking,
@@ -188,8 +194,7 @@ def detect_decoy_pairs_at_k(
     dedup: bool = True,
 ) -> list[DecoyPair]:
     """Decoy pairs restricted to the top-k prefix of the ranking."""
-    if k < 1:
-        raise ValueError(f"cutoff must be >= 1, got {k}")
+    check_cutoff(k)
     return detect_decoy_pairs(topic_id, ranking.head(k), grades, sims, cfg, dedup=dedup)
 
 

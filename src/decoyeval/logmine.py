@@ -26,7 +26,7 @@ from .model import (
     SimilaritySource,
     find_sorted,
 )
-from .simsig import sorted_percentile, topic_sim_matrix
+from .simsig import sorted_percentile, topic_pair_values
 
 logger = logging.getLogger(__name__)
 
@@ -95,7 +95,7 @@ def derive_thresholds(
     for topic_id, docs in universe.items():
         docs = list(dict.fromkeys(docs))
         if len(docs) >= 2:
-            per_topic.append(topic_sim_matrix(source, docs, topic_id).pair_values())
+            per_topic.append(topic_pair_values(source, docs, topic_id))
     if not per_topic:
         raise ValueError("no within-topic doc pairs in the log; cannot derive thresholds")
     values = np.sort(np.concatenate(per_topic))

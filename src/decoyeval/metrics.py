@@ -18,7 +18,7 @@ from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import compress, count, repeat
 
-from .decoy import ranking_pairs
+from .decoy import check_cutoff, ranking_pairs
 from .model import DecoyConfig, Qrels, Ranking, RunList, SimilaritySource
 
 EFFECTIVENESS_METRICS = ("ndcg", "recall", "rbp", "err")
@@ -46,8 +46,7 @@ class MetricConfig:
     highly_relevant_min: int = 2
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"cutoff must be >= 1, got {self.k}")
+        check_cutoff(self.k)
         if self.g_max < 1:
             raise ValueError(f"g_max must be >= 1, got {self.g_max}")
         if not 0.0 < self.phi < 1.0:
@@ -239,8 +238,7 @@ def topic_prefix(
     grade column read for the metrics is the one detection reads. With
     `sims` None no pair is counted.
     """
-    if depth < 1:
-        raise ValueError(f"cutoff must be >= 1, got {depth}")
+    check_cutoff(depth)
     top = ranking.head(depth)
     ranked = list(map(grades.get, top.doc_ids, repeat(0)))
 
@@ -492,8 +490,7 @@ def evaluate_run(
     cutoffs = sorted(set(cutoffs))
     if not cutoffs:
         raise ValueError("at least one cutoff is required")
-    if cutoffs[0] < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoffs[0]}")
+    check_cutoff(cutoffs[0])
     return [
         RunEvaluation(run.run_tag, k, metrics, rows, mean)
         for k, rows, mean in _cutoff_scores(run, qrels, source, decoy_cfg, cfg, metrics, cutoffs)
@@ -509,6 +506,17 @@ class SweepRow:
     ndcg: float
     recall: float
     dejavu: float
+
+
+def sweep_cutoffs(k_start: int, k_end: int, k_step: int) -> range:
+    """The cutoffs range(k_start, k_end + 1, k_step); ValueError unless
+    1 <= k_start <= k_end and k_step >= 1."""
+    if k_start < 1 or k_end < k_start or k_step < 1:
+        raise ValueError(
+            f"need 1 <= k_start <= k_end and k_step >= 1, got "
+            f"start={k_start} end={k_end} step={k_step}"
+        )
+    return range(k_start, k_end + 1, k_step)
 
 
 def sweep(
@@ -528,14 +536,9 @@ def sweep(
     means, so it equals evaluate_run's mean at its k exactly; only one
     cutoff's per-topic scores are held at a time.
     """
-    if k_start < 1 or k_end < k_start or k_step < 1:
-        raise ValueError(
-            f"need 1 <= k_start <= k_end and k_step >= 1, got "
-            f"start={k_start} end={k_end} step={k_step}"
-        )
+    cutoffs = sweep_cutoffs(k_start, k_end, k_step)
     if not qrels.judgments:
         raise ValueError("qrels contain no topics")
-    cutoffs = range(k_start, k_end + 1, k_step)
     return [
         SweepRow(k, mean.decoy_pairs, mean.scores["ndcg"], mean.scores["recall"],
                  mean.scores["dejavu"])

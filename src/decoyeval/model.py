@@ -291,8 +291,18 @@ class VectorStore:
         return self._unit[[self._index[d] for d in doc_ids]]
 
     def sim(self, doc_a: str, doc_b: str) -> float:
-        raw = float(np.dot(self.unit_vector(doc_a), self.unit_vector(doc_b)))
+        raw = float(np.vecdot(self.unit_vector(doc_a), self.unit_vector(doc_b)))
         return clamp_similarity(raw, f"cosine({doc_a}, {doc_b})")
+
+    def pair_values(self, doc_ids: list[str]) -> np.ndarray:
+        """sim(doc_ids[i], doc_ids[j]) for every i < j, in np.triu_indices
+        order; the same np.vecdot of the same unit rows, so bit for bit."""
+        unit = self.unit_matrix(doc_ids)
+        rows = [np.vecdot(row, unit[i + 1:]) for i, row in enumerate(unit)]
+        values = np.concatenate([np.empty(0), *rows])
+        if (np.abs(values) > 1.0 + SIMILARITY_EPS).any():
+            raise ValueError(f"cosine outside [-1, 1] by more than {SIMILARITY_EPS}")
+        return np.clip(values, -1.0, 1.0, out=values)
 
     def topic_view(self, topic_id: str) -> "VectorStore":
         return self

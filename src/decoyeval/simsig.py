@@ -10,19 +10,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .model import (
-    SIMILARITY_EPS,
-    CoverageError,
-    PairStore,
-    SimilaritySource,
-    VectorStore,
-    clamp_similarity,
-    rescaled,
-)
+from .model import CoverageError, SimilaritySource, VectorStore
 
 
 def cosine(a, b) -> float:
-    """Cosine similarity dot(a, b) / (|a| * |b|) of two equal-length vectors.
+    """Cosine similarity dot(a, b) / (|a| * |b|) of two equal-length vectors,
+    computed as `VectorStore.sim` computes it.
 
     Zero-norm inputs and dimension mismatches are errors. The result is
     clamped to [-1, 1] when floating-point noise pushes it within 1e-6 of the
@@ -32,12 +25,7 @@ def cosine(a, b) -> float:
     vb = np.asarray(b, dtype=np.float64)
     if va.shape != vb.shape or va.ndim != 1:
         raise ValueError(f"dimension mismatch: {va.shape} vs {vb.shape}")
-    va, vb = rescaled(va), rescaled(vb)
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine of a zero-norm vector is undefined")
-    return clamp_similarity(float(np.dot(va, vb)) / (na * nb), "cosine")
+    return VectorStore({"a": va, "b": vb}).sim("a", "b")
 
 
 @dataclass(frozen=True)
@@ -63,9 +51,6 @@ class TopicSimMatrix:
             raise ValueError("similarity matrix has entries outside [-1, 1]")
         object.__setattr__(self, "_index", {d: i for i, d in enumerate(self.docs)})
 
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._index
-
     def sim(self, doc_a: str, doc_b: str) -> float:
         try:
             return float(self.sims[self._index[doc_a], self._index[doc_b]])
@@ -76,52 +61,45 @@ class TopicSimMatrix:
                 missing,
             ) from None
 
-    def pair_values(self) -> np.ndarray:
-        """Similarities of all distinct unordered pairs (upper triangle)."""
-        iu = np.triu_indices(len(self.docs), k=1)
-        return self.sims[iu]
+
+def topic_pair_values(
+    source: SimilaritySource, docs: Sequence[str], topic_id: str
+) -> np.ndarray:
+    """`source.topic_view(topic_id).sim(docs[i], docs[j])` for every i < j,
+    in np.triu_indices order.
+
+    A VectorStore must cover every doc; any other source must cover every
+    distinct unordered pair, and all its gaps are named in one CoverageError
+    (missing entries are errors, never silent defaults).
+    """
+    if isinstance(source, VectorStore):
+        return source.pair_values(list(docs))
+    view = source.topic_view(topic_id)
+    values, missing = [], []
+    # combinations() yields the i < j pairs in np.triu_indices order.
+    for doc_a, doc_b in combinations(docs, 2):
+        try:
+            values.append(view.sim(doc_a, doc_b))
+        except CoverageError as exc:
+            missing.extend(exc.missing)
+    if missing:
+        shown = ", ".join(f"({a}, {b})" for _, a, b in missing[:10])
+        raise CoverageError(
+            f"{len(missing)} pair(s) absent from topic {topic_id}: {shown}", missing
+        )
+    return np.array(values, dtype=np.float64)
 
 
 def topic_sim_matrix(
     source: SimilaritySource, docs: Sequence[str], topic_id: str
 ) -> TopicSimMatrix:
-    """Full pairwise similarity matrix for `docs` under `topic_id`.
-
-    A VectorStore must cover every doc; a PairStore must cover every distinct
-    unordered pair (missing entries are errors, never silent defaults).
-    """
+    """Full pairwise similarity matrix for `docs` under `topic_id`, filled
+    from `topic_pair_values`, so every entry is the source's own sim()."""
     docs = list(docs)
-    n = len(docs)
-    if isinstance(source, VectorStore):
-        unit = source.unit_matrix(docs)
-        m = unit @ unit.T
-        if (np.abs(m) > 1.0 + SIMILARITY_EPS).any():
-            raise ValueError("cosine values outside [-1, 1] beyond tolerance")
-        np.clip(m, -1.0, 1.0, out=m)
-        upper = np.triu(m, k=1)
-        m = upper + upper.T
-        np.fill_diagonal(m, 1.0)
-        return TopicSimMatrix(topic_id, docs, m)
-    if isinstance(source, PairStore):
-        view = source.topic_view(topic_id)
-        values, missing = [], []
-        # combinations() yields the i < j pairs in np.triu_indices order.
-        for doc_a, doc_b in combinations(docs, 2):
-            try:
-                values.append(view.sim(doc_a, doc_b))
-            except CoverageError as exc:
-                missing.extend(exc.missing)
-        if missing:
-            shown = ", ".join(f"({a}, {b})" for _, a, b in missing[:10])
-            raise CoverageError(
-                f"{len(missing)} pair(s) absent from topic {topic_id}: {shown}", missing
-            )
-        m = np.ones((n, n), dtype=np.float64)
-        rows, cols = np.triu_indices(n, k=1)
-        m[rows, cols] = values
-        m[cols, rows] = values
-        return TopicSimMatrix(topic_id, docs, m)
-    raise TypeError(f"unsupported similarity source {type(source).__name__}")
+    m = np.ones((len(docs), len(docs)), dtype=np.float64)
+    rows, cols = np.triu_indices(len(docs), k=1)
+    m[rows, cols] = m[cols, rows] = topic_pair_values(source, docs, topic_id)
+    return TopicSimMatrix(topic_id, docs, m)
 
 
 def percentile_threshold(values: Sequence[float], p: float) -> float:

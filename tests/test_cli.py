@@ -10,16 +10,22 @@ import gc
 import json
 import os
 import pickle
+import random
 import signal
 import sys
 import time
 import warnings
+from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from decoyeval import cli, ingest
 from decoyeval.ingest import parse_records
+from decoyeval.metrics import KNOWN_METRICS
+from decoyeval.model import VectorStore
 
 from conftest import LOG_EXPECTED, write_corpus, write_planted_log
 
@@ -296,6 +302,133 @@ class TestExitCodes:
         assert rc == 1
 
 
+class TestRunFlags:
+    """Bad `eval`, `decoys` and `sweep` flags are usage errors, found before
+    any input is read, as they are for `mine`."""
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("eval", ["--g-max", "0"], "g_max must be >= 1, got 0"),
+        ("eval", ["--metrics", "bogus"],
+         f"unknown metric 'bogus'; known: {', '.join(KNOWN_METRICS)}"),
+        ("eval", ["--metrics", ","], "at least one metric is required"),
+        ("eval", ["--cutoffs", "abc"], "--cutoffs expects comma-separated integers, got 'abc'"),
+        ("eval", ["--cutoffs", "10,-1,0"], "cutoff must be >= 1, got -1"),
+        ("eval", ["--phi", "1"], "phi must lie in (0, 1), got 1.0"),
+        ("eval", ["--alpha", "2"], "alpha must lie in [0, 1], got 2.0"),
+        ("eval", ["--s-min", "0.99"],
+         "similarity band must satisfy 0 <= s_min < s_max <= 1, got [0.99, 0.95]"),
+        ("decoys", ["--k", "0"], "cutoff must be >= 1, got 0"),
+        ("decoys", ["--delta-rank", "0"], "delta_rank must be >= 1, got 0"),
+        ("decoys", ["--rel-band", "2"], "--rel-band expects two integers T,D, got '2'"),
+        ("sweep", ["--k-step", "0"],
+         "need 1 <= k_start <= k_end and k_step >= 1, got start=10 end=1000 step=0"),
+        ("sweep", ["--k-start", "20", "--k-end", "10"],
+         "need 1 <= k_start <= k_end and k_step >= 1, got start=20 end=10 step=10"),
+        ("sweep", ["--g-max", "0"], "g_max must be >= 1, got 0"),
+        ("sweep", ["--rel-gap", "0"], "grade gap must be >= 1, got 0"),
+    ])
+    @pytest.mark.parametrize("inputs", ["demo", "malformed", "absent"])
+    def test_rejected_before_reading(self, tmp_path, capsys, command, flags, message, inputs):
+        run, qrels, pairs = write_demo(tmp_path)
+        if inputs == "malformed":
+            run.write_text("t1 Q0 d1 one 3.0 demo\n")
+        elif inputs == "absent":
+            run, qrels, pairs = (tmp_path / "absent" / p.name for p in (run, qrels, pairs))
+        rc = cli.main([command, "--run", str(run), "--qrels", str(qrels),
+                       "--pair-sims", str(pairs), *flags])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def write_vectors(path: Path, rng: random.Random, docs, dim: int) -> VectorStore:
+    """One positive `dim`-dimensional vector per doc, as JSONL; returns
+    the store the CLI reads from it."""
+    vectors = {d: [rng.uniform(0.0, 1.0) for _ in range(dim)] for d in docs}
+    with open(path, "w", encoding="utf-8") as fh:
+        for doc_id, vec in vectors.items():
+            fh.write(json.dumps({"doc_id": doc_id, "vector": vec}) + "\n")
+    return VectorStore({d: np.array(v) for d, v in vectors.items()})
+
+
+def write_store_pairs(path: Path, store: VectorStore, topic_docs) -> None:
+    """Every within-topic pair's `VectorStore.sim`, written exactly (repr)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for topic_id, docs in topic_docs.items():
+            for a, b in combinations(docs, 2):
+                fh.write(f"{topic_id}\t{a}\t{b}\t{store.sim(a, b)!r}\n")
+
+
+def write_vector_mine_world(dest: Path, seed: int) -> SimpleNamespace:
+    """One topic whose docs a, b, c are graded 2, 0, 0, four SERPs showing
+    them in random orders, positive 16-dim vectors, and the pair file of
+    their exact similarities."""
+    rng = random.Random(seed)
+    dest.mkdir(parents=True, exist_ok=True)
+    world = SimpleNamespace(log=dest / "log.jsonl", qrels=dest / "qrels.txt",
+                            vectors=dest / "vectors.jsonl", pairs=dest / "pairs.tsv")
+    world.qrels.write_text("t1 0 a 2\nt1 0 b 0\nt1 0 c 0\n")
+    store = write_vectors(world.vectors, rng, "abc", 16)
+    write_store_pairs(world.pairs, store, {"t1": "abc"})
+    with open(world.log, "w", encoding="utf-8") as fh:
+        for i in range(4):
+            order = rng.sample("abc", 3)
+            fh.write(json.dumps({
+                "serp_id": f"s{i}", "session_id": "x", "user_id": "u", "task_id": "k",
+                "topic_id": "t1", "clicks": [],
+                "serp": [{"doc_id": d, "rank": r + 1} for r, d in enumerate(order)],
+            }) + "\n")
+    return world
+
+
+class TestVectorsParity:
+    """A command reads the same similarity for a pair from --vectors as from
+    a --pair-sims file of VectorStore.sim's exact values, so its output is
+    the same bytes; for mine that includes the pooled values its thresholds
+    come from."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--cutoffs", "5,10,40", "--metrics", ALL_METRICS],
+        ["decoys", "--k", "40", "--no-dedup"],
+        ["sweep", "--k-start", "1", "--k-end", "40", "--k-step", "3"],
+    ])
+    def test_run_commands(self, tmp_path, capsys, argv):
+        corpus = write_corpus(tmp_path, n_topics=3, n_docs=40, seed=5)
+        topic_docs = {}
+        for line in corpus.run.read_text().splitlines():
+            topic_id, _, doc_id, *_ = line.split()
+            topic_docs.setdefault(topic_id, []).append(doc_id)
+        store = write_vectors(tmp_path / "vectors.jsonl", random.Random(5),
+                              [d for docs in topic_docs.values() for d in docs], 16)
+        write_store_pairs(tmp_path / "exact.tsv", store, topic_docs)
+        printed = []
+        for source in (["--vectors", str(tmp_path / "vectors.jsonl")],
+                       ["--pair-sims", str(tmp_path / "exact.tsv")]):
+            assert cli.main([*argv, "--run", str(corpus.run), "--qrels", str(corpus.qrels),
+                             *source]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert printed[0].count("\n") > 10
+
+    @pytest.mark.parametrize("flags", [
+        ["--s-min-pct", "50", "--s-control-pct", "75", "--s-max", "1"],
+        ["--s-min-pct", "25", "--s-control-pct", "50", "--s-max", "1"],
+    ])
+    @pytest.mark.parametrize("seed", range(30))
+    def test_mine(self, tmp_path, flags, seed):
+        # With three pairs a percentile of integral rank is one pair's value
+        # itself, so thresholds pooled from any other cosine than the one
+        # detection reads, off in the last bits, change what is found: at
+        # seeds 0, 15, 26 and 28 for the values of a BLAS matrix product.
+        world = write_vector_mine_world(tmp_path / "world", seed)
+        mined = []
+        for source in (["--vectors", str(world.vectors)], ["--pair-sims", str(world.pairs)]):
+            out_dir = tmp_path / source[0].lstrip("-")
+            assert cli.main(["mine", "--logs", str(world.log), "--qrels", str(world.qrels),
+                             *source, "--out", str(out_dir), *flags]) == 0
+            mined.append(outputs(out_dir))
+        assert mined[0] == mined[1]
+
+
 class TestCyclicGc:
     """main pauses the cyclic collector while a command runs and hands the
     caller's setting back on every way out."""
@@ -460,6 +593,30 @@ class TestMine:
         assert self.run_mine(paths, out_dir, "--top-n", top_n) == 1
         assert "--top-n" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("sims, s_max, message", [
+        ((-0.5, -0.2, 0.3), "0.95", "derived s_min -0.2 (--s-min-pct 50.0 of 3 pooled "
+                                    "pair similarities) must lie in [0, --s-max 0.95)"),
+        ((0.6, 0.7, 0.8), "0.7", "derived s_min 0.7 (--s-min-pct 50.0 of 3 pooled "
+                                 "pair similarities) must lie in [0, --s-max 0.7)"),
+    ])
+    def test_derived_s_min_outside_band_is_1(self, tmp_path, capsys, sims, s_max, message):
+        # The band's lower bound comes from the log's pooled similarities,
+        # not from a flag: the error names it as derived.
+        log = tmp_path / "log.jsonl"
+        log.write_text(
+            '{"serp_id": "s1", "session_id": "x", "user_id": "u", "task_id": "k",'
+            ' "topic_id": "t1", "serp": [{"doc_id": "A", "rank": 1},'
+            ' {"doc_id": "B", "rank": 2}, {"doc_id": "C", "rank": 3}], "clicks": []}\n'
+        )
+        paths = SimpleNamespace(log=log, qrels=tmp_path / "qrels.txt", pairs=tmp_path / "p.tsv")
+        paths.qrels.write_text("t1 0 A 2\nt1 0 B 0\nt1 0 C 0\n")
+        paths.pairs.write_text("".join(
+            f"t1\t{a}\t{b}\t{sim}\n" for (a, b), sim in zip(combinations("ABC", 2), sims)))
+        rc = self.run_mine(paths, tmp_path / "mined", "--s-min-pct", "50",
+                           "--s-control-pct", "75", "--s-max", s_max)
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_bad_percentile_order_is_1(self, tmp_path, capsys):
         paths = write_planted_log(tmp_path / "planted")

@@ -111,6 +111,22 @@ class TestThresholds:
         assert thr.s_min == percentile_threshold(pooled, s_min_pct)
         assert thr.s_control == percentile_threshold(pooled, s_control_pct)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_vector_thresholds_from_store_sims(self, seed):
+        # The pooled values are the ones detection and control matching
+        # read, VectorStore.sim's, so each threshold is their percentile to
+        # the last bit.
+        rng = np.random.default_rng(seed)
+        universe = {t: [f"{t}d{i}" for i in range(int(rng.integers(2, 30)))]
+                    for t in ("t1", "t2", "t3")}
+        dim = int(rng.integers(3, 400))
+        store = VectorStore({d: rng.random(dim) * 10.0 ** int(rng.integers(-5, 5))
+                             for docs in universe.values() for d in docs})
+        pooled = [store.sim(a, b) for docs in universe.values() for a, b in combinations(docs, 2)]
+        thr = derive_thresholds(universe, store, 50.0, 75.0)
+        assert thr.s_min == percentile_threshold(pooled, 50.0)
+        assert thr.s_control == percentile_threshold(pooled, 75.0)
+
     def test_no_pairs_rejected(self, tmp_path):
         # Every SERP shows a single doc: no within-topic pairs to pool.
         log_path = tmp_path / "log.jsonl"

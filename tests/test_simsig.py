@@ -1,5 +1,6 @@
-"""Similarity computation against brute-force oracles, and percentile
-interpolation against an independently coded formula and numpy."""
+"""Similarity computation against brute-force oracles, one cosine for every
+vector path, and percentile interpolation against an independently coded
+formula and numpy."""
 
 import math
 import random
@@ -10,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decoyeval.model import CoverageError, PairStore, VectorStore
-from decoyeval.simsig import TopicSimMatrix, cosine, percentile_threshold, topic_sim_matrix
+from decoyeval.simsig import (
+    TopicSimMatrix,
+    cosine,
+    percentile_threshold,
+    topic_pair_values,
+    topic_sim_matrix,
+)
 
 
 def oracle_cosine(a, b):
@@ -142,6 +149,56 @@ class TestTopicSimMatrix:
         bad = np.array([[1.0, 0.5], [0.4, 1.0]])
         with pytest.raises(ValueError):
             TopicSimMatrix("t", ["a", "b"], bad)
+
+
+@st.composite
+def vector_sets(draw):
+    """2 to 8 vectors of one small or odd dimension whose components span
+    extreme magnitudes; some are copies of an earlier vector scaled by 3, by
+    -1 or by a power of two, whose cosine with it is +-1 or within ulps."""
+    dim = draw(st.sampled_from([1, 2, 3, 5, 7, 17, 33, 100]))
+    vectors = []
+    for _ in range(draw(st.integers(2, 8))):
+        if vectors and draw(st.booleans()):
+            base = vectors[draw(st.integers(0, len(vectors) - 1))]
+            vectors.append(base * draw(st.sampled_from([3.0, -1.0, 2.0**-60, 2.0**60])))
+            continue
+        mantissa = draw(st.lists(st.floats(0.5, 1.0), min_size=dim, max_size=dim))
+        signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=dim, max_size=dim))
+        shift = draw(st.integers(-900, 900))
+        spread = draw(st.lists(st.integers(-20, 20), min_size=dim, max_size=dim))
+        vectors.append(np.ldexp(np.multiply(mantissa, signs), np.add(shift, spread)))
+    return vectors
+
+
+class TestOneCosine:
+    """Every vector similarity is VectorStore.sim's, to the last bit: the
+    matrix and the pooled pair values that mine's thresholds are taken from,
+    and cosine."""
+
+    @given(vector_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_matrix_and_pair_values_equal_sim(self, vectors):
+        docs = [f"d{i}" for i in range(len(vectors))]
+        store = VectorStore(dict(zip(docs, vectors)))
+        matrix = topic_sim_matrix(store, docs, "t")
+        expected = [store.sim(a, b) for i, a in enumerate(docs) for b in docs[i + 1:]]
+        assert topic_pair_values(store, docs, "t").tolist() == expected
+        for i, a in enumerate(docs):
+            for j, b in enumerate(docs):
+                if i != j:
+                    assert matrix.sims[i, j] == store.sim(a, b)
+
+    @given(vector_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_cosine_is_vector_store_sim(self, vectors):
+        a, b = vectors[:2]
+        assert cosine(a, b) == VectorStore({"a": a, "b": b}).sim("a", "b")
+
+    def test_pair_values_of_fewer_than_two_docs(self):
+        store = VectorStore({"a": np.array([1.0, 0.0])})
+        assert store.pair_values([]).shape == (0,)
+        assert store.pair_values(["a"]).shape == (0,)
 
 
 class TestPercentileThreshold:
