@@ -35,7 +35,7 @@ from .metrics import (
     sweep,
     sweep_cutoffs,
 )
-from .model import CoverageError, DecoyConfig, GradeBand, InteractionLog, MinGradeGap
+from .model import CoverageError, DecoyConfig, GradeBand, InteractionLog, MinGradeGap, check_g_max
 from .report import (
     FORMATS,
     emit_comparison,
@@ -249,6 +249,7 @@ def cmd_eval(args) -> int:
 def cmd_decoys(args) -> int:
     cfg = _decoy_config(args)
     check_cutoff(args.k)
+    check_g_max(args.g_max)
     run, qrels, source = _load_run_inputs(args)
     pairs = [
         pair
@@ -282,6 +283,7 @@ def _check_mine_flags(args) -> DecoyConfig:
     check_percentiles(args.s_min_pct, args.s_control_pct)
     if args.rel_window < 0:
         raise ValueError(f"relevance window must be >= 0, got {args.rel_window}")
+    check_g_max(args.g_max)
     return DecoyConfig(s_min=0.0, s_max=args.s_max, quality=MinGradeGap(args.rel_gap),
                        delta_rank=args.delta_rank, s_max_inclusive=True)
 
@@ -394,8 +396,6 @@ def cmd_mine(args) -> int:
         log = ingest.parse_interaction_log(log_path)
     if fault is not None:
         raise fault
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     universe = log_doc_universe(log)
     thresholds = None
@@ -418,6 +418,9 @@ def cmd_mine(args) -> int:
         )
         records = extract_records(log, pair_records, matched, controls, top_n=args.top_n)
 
+    # Made only once every check has passed, so a failed run leaves none.
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     emit_thresholds(thresholds, out_dir / "thresholds.json")
     emit_serp_pairs(pair_records, args.format, out_dir / f"decoy_pairs.{args.format}")
     for name, docs in (("targets", targets),

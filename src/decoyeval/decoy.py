@@ -28,6 +28,8 @@ from .model import (
     Qrels,
     Ranking,
     SimilaritySource,
+    int_column,
+    lookup_sims,
 )
 
 logger = logging.getLogger(__name__)
@@ -62,11 +64,12 @@ def detect_rows(
 
     `sims` is any object with a ``sim(doc_a, doc_b) -> float`` method scoped
     to this topic (a TopicSimMatrix, a VectorStore, or a PairStore topic
-    view). Each distinct unordered doc pair the quality rule admits is
-    fetched once, as ``sim(higher-ranked doc, lower-ranked doc)`` where it
-    first shows in (row, rank) order. If any is missing, CoverageError lists
-    every missing key of the first row that lacks one, in that row's rank
-    order, as detection over that row alone would.
+    view), read through `lookup_sims`. Each distinct unordered doc pair the
+    quality rule admits is fetched once, as ``sim(higher-ranked doc,
+    lower-ranked doc)`` where it first shows in (row, rank) order. If any is
+    missing, CoverageError lists every missing key of the first row that
+    lacks one, in that row's rank order, as detection over that row alone
+    would.
     """
     n = len(doc)
     quality = cfg.quality
@@ -98,25 +101,19 @@ def detect_rows(
     by_first = np.argsort(first)
     fetch = shown[first[by_first]]
 
-    values: list[float] = []
-    gaps: list[tuple[int, list]] = []  # (entry, missing keys) per failed lookup
-    for entry, x, y in zip(upper[fetch].tolist(), doc[upper[fetch]].tolist(),
-                           doc[lower[fetch]].tolist()):
-        try:
-            values.append(sims.sim(docs[x], docs[y]))
-        except CoverageError as exc:
-            values.append(float("nan"))
-            gaps.append((entry, exc.missing))
+    entries = upper[fetch]
+    values, gaps = lookup_sims(sims, docs, doc[entries], doc[lower[fetch]])
     if gaps:
         # A pair missing from the first failing row shows first in that row,
         # and is fetched in the orientation that row shows it.
-        row = gaps[0][0] - col[gaps[0][0]]
+        failed = int(entries[gaps[0][0]])
+        row = failed - col[failed]
         seen = list(dict.fromkeys(
-            k for entry, missing in gaps if entry - col[entry] == row for k in missing
+            k for i, exc in gaps if entries[i] - col[entries[i]] == row for k in exc.missing
         ))
         raise _RowCoverageError(
             f"similarity coverage incomplete for topic {topic_id}: {len(seen)} key(s) missing",
-            seen, gaps[0][0],
+            seen, failed,
         )
     distinct = np.empty(len(first))
     distinct[by_first] = values
@@ -289,20 +286,21 @@ def identify_controls(
     matched: set[str] = set()
     for topic_id in sorted(universe):
         docs = list(dict.fromkeys(universe[topic_id]))
-        topic_targets = [d for d in docs if d in targets]
-        if not topic_targets:
+        is_target = np.array([d in targets for d in docs], dtype=bool)
+        if not is_target.any():
             continue
         grades = qrels.grades_for(topic_id)
-        view = source.topic_view(topic_id)
-        for cand in docs:
-            if cand in targets:
-                continue
-            g_cand = grades.get(cand, 0)
-            for tgt in topic_targets:
-                if abs(g_cand - grades.get(tgt, 0)) > rel_window:
-                    continue
-                if view.sim(cand, tgt) >= s_control:
-                    controls.add(cand)
-                    matched.add(tgt)
+        grade = int_column([grades.get(d, 0) for d in docs])
+        # The (candidate, target) pairs within the window, candidates outer,
+        # each in `docs` order.
+        cands, tgts = np.flatnonzero(~is_target), np.flatnonzero(is_target)
+        cand, tgt = np.nonzero(np.abs(grade[cands, None] - grade[tgts]) <= rel_window)
+        cand, tgt = cands[cand], tgts[tgt]
+        values, gaps = lookup_sims(source.topic_view(topic_id), docs, cand, tgt)
+        if gaps:
+            raise gaps[0][1]
+        close = values >= s_control
+        controls.update(map(docs.__getitem__, cand[close].tolist()))
+        matched.update(map(docs.__getitem__, tgt[close].tolist()))
     logger.info("matched %d controls to %d targets", len(controls), len(matched))
     return controls, matched

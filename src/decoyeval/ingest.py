@@ -29,6 +29,7 @@ import json
 import logging
 import math
 import operator
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, count
@@ -44,7 +45,7 @@ from .model import (
     Ranking,
     RunList,
     VectorStore,
-    pair_key,
+    declare_pair,
 )
 
 logger = logging.getLogger(__name__)
@@ -339,22 +340,26 @@ def _finite_number(x) -> bool:
 def parse_pair_sims(path: PathLike) -> PairStore:
     """Parse a TSV of precomputed similarities: topic, doc_a, doc_b, similarity.
 
-    Each line goes through `PairStore.add`: pairs are unordered within a
-    topic, and a re-declaration must repeat the first value after the clamp.
-    A valid file is read once; a faulty one is read again, to name the first
-    line of each pair a fault re-declares.
+    Pairs are unordered within a topic, each value is clamped as
+    `clamp_similarity` clamps it, and a re-declaration must repeat the first
+    value after the clamp. A valid file is read once, into columns; a faulty
+    one is read again, each line checked by `declare_pair`, to name each
+    fault at its line and the first line of each pair a fault re-declares.
     """
     return _read_or_reread(lambda: _read_pair_sims(path, None),
                            lambda: _read_pair_sims(path, {}))
 
 
-def _read_pair_sims(
-    path: PathLike, first_line: dict[str, dict[tuple[str, str], int]] | None
-) -> PairStore:
-    """One read of a pair-similarity file. With a `first_line` map (topic ->
-    pair key -> first line) a fault on a pair declared before names that line."""
-    store = PairStore({})
-    same = {}.setdefault
+def _read_pair_sims(path: PathLike, pairs: dict | None) -> PairStore | None:
+    """One read of a pair-similarity file.
+
+    Without a `pairs` map, each line adds a topic code, two doc codes and a
+    value to flat 8-byte columns, which `PairStore.of_columns` checks as a
+    whole; a fault it finds gives None. With a map, each line goes through
+    `declare_pair`, which names each fault at its line."""
+    topics: defaultdict[str, int] = defaultdict(count().__next__)
+    codes: defaultdict[str, int] = defaultdict(count().__next__)
+    topic_col, a_col, b_col, values = array("q"), array("q"), array("q"), array("d")
 
     def parse_line(lineno, line):
         parts = line.rstrip("\n").split("\t")
@@ -365,19 +370,24 @@ def _read_pair_sims(
             sim = float(sim_s)
         except ValueError:
             raise ValueError(f"non-numeric similarity {sim_s!r}") from None
-        if first_line is None:
-            store.add(topic_id, same(doc_a, doc_a), same(doc_b, doc_b), sim)
+        if pairs is not None:
+            declare_pair(pairs, topic_id, doc_a, doc_b, sim, lineno)
             return
-        lines = first_line.setdefault(topic_id, {})
-        try:
-            key = store.add(topic_id, doc_a, doc_b, sim)
-        except ValueError as exc:
-            seen = lines.get(pair_key(doc_a, doc_b))
-            raise ValueError(f"{exc}, first on line {seen}" if seen else str(exc)) from None
-        lines.setdefault(key, lineno)
+        values.append(sim)
+        topic_col.append(topics[topic_id])
+        a_col.append(codes[doc_a])
+        b_col.append(codes[doc_b])
 
     _read_lines(path, parse_line)
-    return store
+    if pairs is not None:
+        return PairStore({key: value for key, (value, _) in pairs.items()})
+    topics.default_factory = codes.default_factory = None
+    try:
+        return PairStore.of_columns(topics, codes, *(np.frombuffer(column, dtype=np.int64)
+                                                     for column in (topic_col, a_col, b_col)),
+                                    np.frombuffer(values))
+    except ValueError:
+        return None
 
 
 def parse_interaction_log(path: PathLike) -> InteractionLog:

@@ -6,7 +6,7 @@ construction (frozen dataclasses, or conventionally-immutable containers).
 """
 
 from collections import defaultdict
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import count
 
@@ -88,6 +88,12 @@ class Ranking:
         return Ranking(self.doc_ids[:k], self.scores[:k], self.source_ranks[:k])
 
 
+def check_g_max(g_max: int) -> None:
+    """ValueError unless the top relevance grade g_max is non-negative."""
+    if g_max < 0:
+        raise ValueError(f"g_max must be non-negative, got {g_max}")
+
+
 @dataclass(frozen=True)
 class Qrels:
     """Per-topic graded relevance judgments on a 0..g_max scale."""
@@ -96,8 +102,7 @@ class Qrels:
     judgments: Mapping[str, Mapping[str, int]]
 
     def __post_init__(self):
-        if self.g_max < 0:
-            raise ValueError(f"g_max must be non-negative, got {self.g_max}")
+        check_g_max(self.g_max)
         for topic_id, docs in self.judgments.items():
             for doc_id, grade in docs.items():
                 if not isinstance(grade, int):
@@ -308,63 +313,137 @@ class VectorStore:
         return self
 
 
-def pair_key(doc_a: str, doc_b: str) -> tuple[str, str]:
-    """The key of the unordered pair {doc_a, doc_b}: the smaller id first."""
-    return (doc_a, doc_b) if doc_a <= doc_b else (doc_b, doc_a)
+def declare_pair(pairs: dict, topic_id: str, doc_a: str, doc_b: str, value: float,
+                 line: int = 0) -> None:
+    """Enter a pair's similarity, clamped by `clamp_similarity`, into `pairs`:
+    (topic, smaller doc id, larger doc id) -> (value, first line). A pair
+    declared again, in either orientation, must repeat the clamped value;
+    otherwise ValueError, naming the first line if known."""
+    key = (topic_id, *sorted((doc_a, doc_b)))
+    seen = f", first on line {pairs[key][1]}" if pairs.get(key, (0, 0))[1] else ""
+    try:
+        value = clamp_similarity(value)
+    except ValueError as exc:
+        raise ValueError(f"{exc} for pair ({doc_a}, {doc_b}) in topic {topic_id}{seen}") from None
+    known = pairs.setdefault(key, (value, line))[0]
+    if known != value:
+        raise ValueError(f"conflicting similarity for ({doc_a}, {doc_b}) in topic {topic_id}: "
+                         f"{known} vs {value}{seen}")
 
 
 class PairStore:
-    """Similarity source backed by precomputed per-topic pair similarities.
+    """Precomputed per-topic pair similarities, as columns: a doc table of
+    int codes, an int64 key (smaller code * n_docs + larger code) and a
+    float64 clamped value per pair, each topic's pairs one block in key
+    order. `PairStore(sims)` checks each (topic, doc_a, doc_b) -> value by
+    `declare_pair`. `PairStore.of_columns(topics, codes, topic, doc_a, doc_b,
+    values)` holds pair i = (topic[i], doc_a[i], doc_b[i]), codes under the
+    id -> code dicts `topics` and `codes`, with values[i]; ValueError on a
+    value the clamp rejects, or a pair declared again with another value
+    after it. A pair declared again with the same value is kept once."""
 
-    One dict per topic maps each unordered pair, keyed by `pair_key`, to its
-    clamped similarity; lookups are symmetric.
-    """
+    __slots__ = ("_codes", "_topics", "_keys", "_values")
 
     def __init__(self, sims: Mapping[tuple[str, str, str], float]):
-        self._topics: dict[str, dict[tuple[str, str], float]] = {}
+        pairs: dict = {}
         for (topic_id, doc_a, doc_b), value in sims.items():
-            self.add(topic_id, doc_a, doc_b, value)
+            declare_pair(pairs, topic_id, doc_a, doc_b, value)
+        tables = defaultdict(count().__next__), defaultdict(count().__next__)
+        columns = [np.fromiter((tables[i > 0][key[i]] for key in pairs), np.int64, len(pairs))
+                   for i in range(3)]
+        values = np.fromiter((value for value, _ in pairs.values()), np.float64, len(pairs))
+        self._fill(*tables, *columns, values)
 
-    def add(self, topic_id: str, doc_a: str, doc_b: str, value: float) -> tuple[str, str]:
-        """Store one pair's similarity, clamped by `clamp_similarity`, and
-        return its key. A pair declared again, in either orientation, must
-        have the same value after the clamp; otherwise ValueError.
-        """
-        try:
-            value = clamp_similarity(value)
-        except ValueError as exc:
-            raise ValueError(f"{exc} for pair ({doc_a}, {doc_b}) in topic {topic_id}") from None
-        key = pair_key(doc_a, doc_b)
-        known = self._topics.setdefault(topic_id, {}).setdefault(key, value)
-        if known != value:
-            raise ValueError(
-                f"conflicting similarity for ({doc_a}, {doc_b}) in topic {topic_id}: "
-                f"{known} vs {value}"
-            )
-        return key
+    @classmethod
+    def of_columns(cls, topics, codes, topic, doc_a, doc_b, values) -> "PairStore":
+        store = object.__new__(cls)
+        store._fill(topics, codes, topic, doc_a, doc_b, values)
+        return store
+
+    def _fill(self, topics, codes, topic, doc_a, doc_b, values) -> None:
+        if not (np.abs(values) <= 1.0 + SIMILARITY_EPS).all():  # NaN included
+            raise ValueError(f"similarity outside [-1, 1] by more than {SIMILARITY_EPS}")
+        values = np.clip(values, -1.0, 1.0)
+        n = len(codes)
+        key = np.minimum(doc_a, doc_b) * n + np.maximum(doc_a, doc_b)
+        if max(len(topics), 1) * n * n <= np.iinfo(np.int64).max:
+            order = np.argsort(topic * (n * n) + key, kind="stable")
+        else:  # one int64 sort key of topic and pair would overflow
+            order = np.lexsort((key, topic))
+        topic, key, values = topic[order], key[order], values[order]
+        again = np.zeros(len(key), dtype=bool)  # the pair of the entry before, again
+        again[1:] = (key[1:] == key[:-1]) & (topic[1:] == topic[:-1])
+        if (values[again] != values[np.flatnonzero(again) - 1]).any():
+            raise ValueError("conflicting similarity for a pair declared twice")
+        topic, self._keys, self._values = topic[~again], key[~again], values[~again]
+        bounds = np.searchsorted(topic, np.arange(len(topics) + 1)).tolist()
+        self._codes = codes
+        self._topics = {t: (bounds[c], bounds[c + 1]) for t, c in topics.items()}
 
     def __len__(self) -> int:
-        return sum(len(pairs) for pairs in self._topics.values())
+        return len(self._keys)
 
     def topic_view(self, topic_id: str) -> "PairStoreTopicView":
-        return PairStoreTopicView(topic_id, self._topics.get(topic_id, {}))
+        lo, hi = self._topics.get(topic_id, (0, 0))
+        return PairStoreTopicView(topic_id, self._codes, self._keys[lo:hi], self._values[lo:hi])
 
 
 @dataclass(frozen=True, slots=True)
 class PairStoreTopicView:
-    """One topic's pairs of a PairStore, exposing the two-document sim() shape."""
+    """One topic's pairs of a PairStore: the store's doc codes, and the
+    topic's ascending `keys` with their `values`."""
 
     topic_id: str
-    pairs: Mapping[tuple[str, str], float]
+    codes: Mapping[str, int]
+    keys: np.ndarray
+    values: np.ndarray
 
     def sim(self, doc_a: str, doc_b: str) -> float:
+        a, b = self.codes.get(doc_a), self.codes.get(doc_b)
+        if a is not None and b is not None:
+            key = min(a, b) * len(self.codes) + max(a, b)
+            i = int(self.keys.searchsorted(key))
+            if i < len(self.keys) and self.keys[i] == key:
+                return float(self.values[i])
+        raise CoverageError(f"no similarity for pair ({doc_a}, {doc_b}) in topic "
+                            f"{self.topic_id}", [(self.topic_id, doc_a, doc_b)])
+
+    def sim_pairs(self, docs: Sequence[str], a: np.ndarray, b: np.ndarray) -> tuple:
+        """`sim(docs[a[i]], docs[b[i]])` for each i, as (values, found): where
+        the pair is absent, found[i] is False and values[i] is NaN. Only the
+        docs that `a` and `b` index are looked up."""
+        code = np.zeros(len(docs), dtype=np.int64)
+        code[a] = code[b] = 1
+        touched = np.flatnonzero(code)
+        get = self.codes.get
+        code[touched] = np.fromiter((get(docs[i], -1) for i in touched.tolist()), np.int64,
+                                    len(touched))
+        low, high = np.minimum(code[a], code[b]), np.maximum(code[a], code[b])
+        pos, found = find_sorted(self.keys, low * len(self.codes) + high)
+        found &= low >= 0
+        values = np.full(len(a), np.nan)
+        values[found] = self.values[pos[found]]
+        return values, found
+
+
+def lookup_sims(view, docs: Sequence[str], a: np.ndarray, b: np.ndarray) -> tuple:
+    """`view.sim(docs[a[i]], docs[b[i]])` for each i, NaN where the pair is
+    absent, and the (i, CoverageError) of each absent pair in order of i. A
+    view with `sim_pairs` answers in one call, and is asked `sim` only for
+    the pairs it lacks; any other view is asked `sim` for each pair."""
+    if hasattr(view, "sim_pairs"):
+        values, found = view.sim_pairs(docs, a, b)
+        ask = np.flatnonzero(~found)
+    else:
+        values, ask = np.empty(len(a)), np.arange(len(a))
+    gaps = []
+    for i, x, y in zip(ask.tolist(), a[ask].tolist(), b[ask].tolist()):
         try:
-            return self.pairs[pair_key(doc_a, doc_b)]
-        except KeyError:
-            raise CoverageError(
-                f"no similarity for pair ({doc_a}, {doc_b}) in topic {self.topic_id}",
-                [(self.topic_id, doc_a, doc_b)],
-            ) from None
+            values[i] = view.sim(docs[x], docs[y])
+        except CoverageError as exc:
+            values[i] = np.nan
+            gaps.append((i, exc))
+    return values, gaps
 
 
 SimilaritySource = VectorStore | PairStore

@@ -6,11 +6,10 @@ Pure functions.
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
-from .model import CoverageError, SimilaritySource, VectorStore
+from .model import CoverageError, SimilaritySource, VectorStore, lookup_sims
 
 
 def cosine(a, b) -> float:
@@ -74,20 +73,15 @@ def topic_pair_values(
     """
     if isinstance(source, VectorStore):
         return source.pair_values(list(docs))
-    view = source.topic_view(topic_id)
-    values, missing = [], []
-    # combinations() yields the i < j pairs in np.triu_indices order.
-    for doc_a, doc_b in combinations(docs, 2):
-        try:
-            values.append(view.sim(doc_a, doc_b))
-        except CoverageError as exc:
-            missing.extend(exc.missing)
-    if missing:
+    rows, cols = np.triu_indices(len(docs), k=1)
+    values, gaps = lookup_sims(source.topic_view(topic_id), docs, rows, cols)
+    if gaps:
+        missing = [key for _, exc in gaps for key in exc.missing]
         shown = ", ".join(f"({a}, {b})" for _, a, b in missing[:10])
         raise CoverageError(
             f"{len(missing)} pair(s) absent from topic {topic_id}: {shown}", missing
         )
-    return np.array(values, dtype=np.float64)
+    return values
 
 
 def topic_sim_matrix(

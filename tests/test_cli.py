@@ -320,6 +320,7 @@ class TestRunFlags:
         ("decoys", ["--k", "0"], "cutoff must be >= 1, got 0"),
         ("decoys", ["--delta-rank", "0"], "delta_rank must be >= 1, got 0"),
         ("decoys", ["--rel-band", "2"], "--rel-band expects two integers T,D, got '2'"),
+        ("decoys", ["--g-max", "-1"], "g_max must be non-negative, got -1"),
         ("sweep", ["--k-step", "0"],
          "need 1 <= k_start <= k_end and k_step >= 1, got start=10 end=1000 step=0"),
         ("sweep", ["--k-start", "20", "--k-end", "10"],
@@ -624,6 +625,36 @@ class TestMine:
         assert rc == 1
         assert "must be below" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pairs, flags, code, message", [
+        ("t1\tA\tB\t0.9\nt1\tA\tC\t0.9\nt1\tB\tC\t0.9\n", ["--s-max", "0.5"], 1,
+         "error: derived s_min 0.9 (--s-min-pct 99.0 of 3 pooled pair similarities) "
+         "must lie in [0, --s-max 0.5)\n"),
+        ("t1\tA\tB\t0.9\nt1\tA\tC\t0.9\n", [], 2,
+         "similarity coverage error: 1 pair(s) absent from topic t1: (B, C)\n"),
+    ], ids=["empty band", "coverage gap"])
+    def test_failed_run_makes_no_out_dir(self, tmp_path, capsys, pairs, flags, code, message):
+        log = tmp_path / "log.jsonl"
+        log.write_text(
+            '{"serp_id": "s1", "session_id": "x", "user_id": "u", "task_id": "k",'
+            ' "topic_id": "t1", "serp": [{"doc_id": "A", "rank": 1},'
+            ' {"doc_id": "B", "rank": 2}, {"doc_id": "C", "rank": 3}], "clicks": []}\n'
+        )
+        paths = SimpleNamespace(log=log, qrels=tmp_path / "qrels.txt", pairs=tmp_path / "p.tsv")
+        paths.qrels.write_text("t1 0 A 3\nt1 0 B 0\nt1 0 C 0\n")
+        paths.pairs.write_text(pairs)
+        assert self.run_mine(paths, tmp_path / "out" / "mined", *flags) == code
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "out").exists()
+
+    def test_existing_out_dir_is_written(self, tmp_path):
+        paths = write_planted_log(tmp_path / "planted")
+        fresh, existing = tmp_path / "fresh", tmp_path / "existing"
+        existing.mkdir()
+        (existing / "targets.txt").write_text("stale\n")
+        assert self.run_mine(paths, fresh) == 0
+        assert self.run_mine(paths, existing) == 0
+        assert outputs(existing) == outputs(fresh)
+
 
 class TestMineFlags:
     """Bad `mine` flags are usage errors, found before any input is read."""
@@ -640,6 +671,7 @@ class TestMineFlags:
         (["--s-max", "0"], "--s-max must lie in (0, 1], got 0.0"),
         (["--s-max", "1.5"], "--s-max must lie in (0, 1], got 1.5"),
         (["--s-max", "nan"], "--s-max must lie in (0, 1], got nan"),
+        (["--g-max", "-1"], "g_max must be non-negative, got -1"),
     ])
     @pytest.mark.parametrize("logs", ["planted", "absent"])
     def test_rejected_before_reading(self, tmp_path, capsys, flags, message, logs):

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -992,12 +993,14 @@ class TestSharedIds:
                   "t-1\tdoc-1\tdoc-2\t0.5\nt-1\tdoc-3\tdoc-1\t0.25\n"
                   "t-2\tdoc-2\tdoc-1\t0.75\n")
         store = ingest.parse_pair_sims(p)
-        keys = [key for t in ("t-1", "t-2") for key in store.topic_view(t).pairs]
-        assert keys == [("doc-1", "doc-2"), ("doc-1", "doc-3"), ("doc-1", "doc-2")]
-        assert keys[0][0] is keys[1][0] is keys[2][0]
-        assert keys[0][1] is keys[2][1]
-        again = next(iter(ingest.parse_pair_sims(p).topic_view("t-1").pairs))
-        assert again == keys[0] and again[0] is not keys[0][0]
+        one, two = store.topic_view("t-1"), store.topic_view("t-2")
+        # One doc table for every topic, each doc id in it once.
+        assert one.codes is two.codes
+        assert sorted(one.codes) == ["doc-1", "doc-2", "doc-3"]
+        assert (one.sim("doc-1", "doc-3"), two.sim("doc-1", "doc-2")) == (0.25, 0.75)
+        again = ingest.parse_pair_sims(p).topic_view("t-1").codes
+        assert again == one.codes
+        assert not any(a is b for a, b in zip(sorted(again), sorted(one.codes)))
 
 
 class TestPairSimsReads:
@@ -1023,6 +1026,140 @@ class TestPairSimsReads:
             f"{p}:2: conflicting similarity for (b, a) in topic t1: 0.8 vs 0.7, first on line 1"
         ]
         assert exc.value.__context__ is None
+
+
+PAIR_TOPICS = ["t1", "t2", "t3"]
+PAIR_DOCS = ["a", "b", "c", "d", "\u00e9"]
+# Values as written: plain ones, a signed zero, the bounds, and excursions
+# within SIMILARITY_EPS of them, which clamp to the bound.
+PAIR_VALUES = ["0.5", "0.25", "-0.75", "0.0", "-0.0", "1", "-1.0", "1.0000005", "-1.000001",
+               "5e-1", " 0.9"]
+# Lines that are faults wherever they stand.
+BAD_PAIR_LINES = ["t1\ta\t0.5", "t1\ta\tb\thigh", "t1\ta\tb\tc\t0.5", "t2\tb\tc\tnan",
+                  "t2\tc\td\tinf", "t3\ta\tb\t1.5", "t3\tb\ta\t-1.0000011"]
+
+
+def clamped(value: float) -> float:
+    return value if -1.0 <= value <= 1.0 else math.copysign(1.0, value)
+
+
+def pair_file_oracle(text: str):
+    """The pairs (topic, smaller id, larger id) -> clamped value of a pair
+    file, and its diagnostics as (line, message), each line read on its own
+    against a plain dict."""
+    pairs, first, diags = {}, {}, []
+    for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n"), 1):
+        if not line or line.isspace():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            diags.append((lineno, f"expected 4 tab-separated fields, got {len(parts)}"))
+            continue
+        topic, a, b, text_value = parts
+        try:
+            value = float(text_value)
+        except ValueError:
+            diags.append((lineno, f"non-numeric similarity {text_value!r}"))
+            continue
+        key = (topic, min(a, b), max(a, b))
+        seen = f", first on line {first[key]}" if key in first else ""
+        if not abs(value) <= 1.000001:
+            diags.append((lineno, f"similarity {value} outside [-1, 1] by more than 1e-06 "
+                                  f"for pair ({a}, {b}) in topic {topic}{seen}"))
+        elif pairs.setdefault(key, clamped(value)) != clamped(value):
+            diags.append((lineno, f"conflicting similarity for ({a}, {b}) in topic {topic}: "
+                                  f"{pairs[key]} vs {clamped(value)}{seen}"))
+        else:
+            first.setdefault(key, lineno)
+    return pairs, diags
+
+
+@st.composite
+def pair_lines(draw, faulty):
+    """Lines of a pair file: pairs in either orientation, some declared
+    again with a value equal to the first after the clamp; with `faulty`,
+    conflicting values and bad lines as well."""
+    lines, values = [], {}
+    for _ in range(draw(st.integers(0, 25))):
+        topic = draw(st.sampled_from(PAIR_TOPICS))
+        a, b = draw(st.sampled_from(PAIR_DOCS)), draw(st.sampled_from(PAIR_DOCS))
+        value = values.setdefault((topic, *sorted((a, b))), draw(st.sampled_from(PAIR_VALUES)))
+        lines.append(f"{topic}\t{a}\t{b}\t{value}")
+        for _ in range(draw(st.integers(0, 2))):
+            # A signed zero is equal to the other zero; the first is kept.
+            again = draw(st.sampled_from([value, repr(clamped(float(value))),
+                                          *(["0.0", "-0.0"] if float(value) == 0 else [])]))
+            if faulty and draw(st.booleans()):
+                again = draw(st.sampled_from(PAIR_VALUES))
+            lines.append(f"{topic}\t{b}\t{a}\t{again}")
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rng.shuffle(lines)
+    if faulty:
+        for line in draw(st.lists(st.sampled_from(BAD_PAIR_LINES), max_size=3)):
+            lines.insert(rng.randint(0, len(lines)), line)
+    return lines
+
+
+def same_float(x: float, y: float) -> bool:
+    """Equal, with the sign of a zero."""
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+class TestPairSimsAgainstDict:
+    """parse_pair_sims reads a valid file into columns; every declared pair
+    answers as a plain dict of the file's lines does, and a faulty file gives
+    the diagnostics of reading each line against such a dict."""
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_valid_files_answer_as_the_dict(self, tmp_path_factory, data):
+        text = run_text(data.draw, data.draw(pair_lines(faulty=False)))
+        oracle, diags = pair_file_oracle(text)
+        assert diags == []
+        p = tmp_path_factory.mktemp("pairs") / "p.tsv"
+        p.write_bytes(text.encode("utf-8"))
+        with pytest.MonkeyPatch.context() as mp:
+            reads = count_reads(mp)
+            store = ingest.parse_pair_sims(p)
+        assert len(reads) == 1  # a valid file is read once, into columns
+        assert len(store) == len(oracle)
+        for (topic, a, b), value in oracle.items():
+            view = store.topic_view(topic)
+            assert same_float(view.sim(a, b), value) and same_float(view.sim(b, a), value)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_faulty_files_give_the_dict_diagnostics(self, tmp_path_factory, data):
+        text = run_text(data.draw, data.draw(pair_lines(faulty=True)))
+        _, diags = pair_file_oracle(text)
+        p = tmp_path_factory.mktemp("pairs") / "p.tsv"
+        p.write_bytes(text.encode("utf-8"))
+        if not diags:
+            ingest.parse_pair_sims(p)
+            return
+        with pytest.raises(ParseError) as exc:
+            ingest.parse_pair_sims(p)
+        assert [(d.file, d.line, d.message) for d in exc.value.diagnostics] == [
+            (str(p), line, message) for line, message in diags]
+
+    def test_store_holds_at_most_40_bytes_a_pair(self, tmp_path):
+        # Every pair of 40 docs in each of 50 topics: 39,000 pairs. A dict
+        # per topic keyed by doc-id tuples held about 130 bytes a pair.
+        p = tmp_path / "p.tsv"
+        with open(p, "w") as fh:
+            for t in range(50):
+                docs = [f"topic{t:02d}-doc{j:02d}" for j in range(40)]
+                fh.writelines(f"q{t}\t{a}\t{b}\t{(i * 7 + j) % 101 / 100}\n"
+                              for i, a in enumerate(docs) for j, b in enumerate(docs[i + 1:]))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            store = ingest.parse_pair_sims(p)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(store) == 39_000
+        assert held <= 40 * 39_000, f"{held / 39_000:.1f} bytes a pair"
 
 
 DEEPLY_NESTED = "[" * 100_000 + "]" * 100_000

@@ -3,11 +3,18 @@
 import json
 import math
 import pickle
+from collections import Counter
+from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decoyeval import ingest
+from decoyeval.decoy import detect_rows, identify_controls
+from decoyeval.simsig import topic_pair_values
 from decoyeval.model import (
     CoverageError,
     DecoyConfig,
@@ -23,6 +30,7 @@ from decoyeval.model import (
     RunList,
     VectorStore,
     clamp_similarity,
+    declare_pair,
 )
 
 
@@ -273,14 +281,185 @@ class TestPairStore:
         assert store.topic_view("t").sim("b", "a") == 1.0
 
     def test_rejected_add_stores_nothing(self):
-        store = PairStore({("t", "a", "b"): 0.8})
+        pairs = {}
+        declare_pair(pairs, "t", "a", "b", 0.8)
         with pytest.raises(ValueError, match="conflicting"):
-            store.add("t", "b", "a", 0.7)
+            declare_pair(pairs, "t", "b", "a", 0.7)
         with pytest.raises(ValueError, match="outside"):
-            store.add("t", "a", "c", float("nan"))
+            declare_pair(pairs, "t", "a", "c", float("nan"))
+        assert pairs == {("t", "a", "b"): (0.8, 0)}
+        store = PairStore({key: value for key, (value, _) in pairs.items()})
         assert store.topic_view("t").sim("a", "b") == 0.8
         with pytest.raises(CoverageError):
             store.topic_view("t").sim("a", "c")
+
+
+STORE_TOPICS = ["t1", "t2"]
+STORE_DOCS = ["a", "b", "c", "d", "e", "f"]
+STORE_VALUES = [0.1, 0.5, 0.7, 0.9, -0.0, -1.0, 1.0000005]
+
+
+def clamped(value: float) -> float:
+    return value if -1.0 <= value <= 1.0 else math.copysign(1.0, value)
+
+
+def same_float(x: float, y: float) -> bool:
+    """Equal, with the sign of a zero."""
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+@st.composite
+def pair_mappings(draw):
+    """A mapping (topic, doc_a, doc_b) -> similarity, some pairs in both
+    orientations with values equal after the clamp, and the plain dict
+    (topic, smaller id, larger id) -> clamped value it declares."""
+    sims, oracle = {}, {}
+    for _ in range(draw(st.integers(0, 20))):
+        topic = draw(st.sampled_from(STORE_TOPICS))
+        a, b = draw(st.sampled_from(STORE_DOCS)), draw(st.sampled_from(STORE_DOCS))
+        value = oracle.setdefault((topic, *sorted((a, b))),
+                                  clamped(draw(st.sampled_from(STORE_VALUES))))
+        sims[topic, a, b] = draw(st.sampled_from([value, 1.0000005 if value == 1.0 else value]))
+    return sims, oracle
+
+
+class TestPairStoreAgainstDict:
+    @given(pair_mappings())
+    @settings(max_examples=200, deadline=None)
+    def test_sim_answers_as_the_dict(self, case):
+        sims, oracle = case
+        store = PairStore(sims)
+        assert len(store) == len(oracle)
+        for (topic, a, b), value in oracle.items():
+            view = store.topic_view(topic)
+            assert same_float(view.sim(a, b), value) and same_float(view.sim(b, a), value)
+
+    @given(pair_mappings(), st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                                     max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_sim_pairs_equals_sim(self, case, index):
+        store = PairStore(case[0])
+        docs = [*STORE_DOCS, "absent"]
+        a = np.array([i for i, _ in index], dtype=np.intp)
+        b = np.array([j for _, j in index], dtype=np.intp)
+        for topic in [*STORE_TOPICS, "absent"]:
+            view = store.topic_view(topic)
+            values, found = view.sim_pairs(docs, a, b)
+            for i, j, value, hit in zip(a, b, values, found):
+                try:
+                    expected = view.sim(docs[i], docs[j])
+                except CoverageError:
+                    assert not hit and math.isnan(value)
+                else:
+                    assert hit and same_float(value, expected)
+
+    @given(pair_mappings())
+    @settings(max_examples=50, deadline=None)
+    def test_sort_without_one_int64_key(self, case):
+        # With 2**32 doc codes, topic * n_docs**2 + key overflows int64, so
+        # the columns are sorted by (topic, key) in two passes.
+        class Wide(dict):
+            def __len__(self):
+                return 2**32
+
+        sims, oracle = case
+        topics, codes = {}, Wide()
+        columns = [[table.setdefault(key[i], dict.__len__(table)) for key in sims]
+                   for i, table in ((0, topics), (1, codes), (2, codes))]
+        store = PairStore.of_columns(topics, codes, *(np.array(c, dtype=np.int64)
+                                                      for c in columns),
+                                     np.array(list(sims.values()), dtype=np.float64))
+        assert len(store) == len(oracle)
+        for (topic, a, b), value in oracle.items():
+            assert same_float(store.topic_view(topic).sim(b, a), value)
+
+    @pytest.mark.parametrize("sims, message", [
+        ({("t", "a", "b"): 0.8, ("t", "b", "a"): 0.7},
+         "conflicting similarity for (b, a) in topic t: 0.8 vs 0.7"),
+        ({("t", "a", "b"): float("nan")},
+         "similarity nan outside [-1, 1] by more than 1e-06 for pair (a, b) in topic t"),
+        ({("t", "a", "b"): -1.5},
+         "similarity -1.5 outside [-1, 1] by more than 1e-06 for pair (a, b) in topic t"),
+    ])
+    def test_rejected_mapping_wording(self, sims, message):
+        with pytest.raises(ValueError) as exc:
+            PairStore(sims)
+        assert str(exc.value) == message
+
+
+class SimOnlySource:
+    """The topic views of a PairStore reduced to `sim`, which counts its
+    calls by topic and unordered pair."""
+
+    def __init__(self, store: PairStore):
+        self.store, self.calls = store, Counter()
+
+    def topic_view(self, topic_id: str):
+        view = self.store.topic_view(topic_id)
+
+        def sim(doc_a, doc_b):
+            self.calls[topic_id, frozenset((doc_a, doc_b))] += 1
+            return view.sim(doc_a, doc_b)
+
+        return SimpleNamespace(sim=sim)
+
+
+def outcome(call):
+    """What `call()` returns, or the text, keys and entry of its CoverageError."""
+    try:
+        result = call()
+    except CoverageError as exc:
+        return "gap", str(exc), exc.missing, getattr(exc, "entry", None)
+    if isinstance(result, tuple):
+        return tuple(np.asarray(x).tolist() if isinstance(x, np.ndarray) else x for x in result)
+    return result.tolist()
+
+
+@st.composite
+def lookup_cases(draw):
+    """One topic's store with some pairs missing, graded docs, SERP-like rows
+    and a doc universe with targets."""
+    docs = [f"d{i}" for i in range(7)]
+    present = draw(st.lists(st.booleans(), min_size=21, max_size=21))
+    sims = {("t", a, b): draw(st.sampled_from([0.2, 0.6, 0.8, 0.9]))
+            for (a, b), keep in zip(combinations(docs, 2), present) if keep}
+    grades = {d: draw(st.integers(0, 3)) for d in docs}
+    rows = draw(st.lists(st.permutations(range(7)).map(lambda p: p[:5]), min_size=1,
+                         max_size=4))
+    universe = draw(st.lists(st.sampled_from(docs), min_size=2, max_size=7, unique=True))
+    targets = set(draw(st.lists(st.sampled_from(docs), max_size=3)))
+    return SimpleNamespace(store=PairStore(sims), docs=docs, grades=grades, rows=rows,
+                           universe=universe, targets=targets,
+                           s_control=draw(st.sampled_from([0.6, 0.85])),
+                           rel_window=draw(st.integers(0, 2)))
+
+
+class TestLookupThroughSimAlone:
+    """A view with `sim` alone gives detection, pooled pair values and
+    control matching the results, and the coverage errors, of the store's
+    own batched view, asking `sim` once for each distinct pair."""
+
+    @given(lookup_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_same_results_one_call_per_pair(self, case):
+        doc = np.array([d for row in case.rows for d in row])
+        col = np.array([c for row in case.rows for c in range(len(row))])
+        grade = np.array([case.grades[case.docs[d]] for d in doc])
+        cfg = DecoyConfig(s_min=0.5, s_max=0.85, quality=MinGradeGap(1), delta_rank=2)
+        qrels = Qrels(3, {"t": case.grades})
+        calls = {
+            "detect_rows": lambda source: detect_rows(
+                "t", case.docs, doc, grade, col, source.topic_view("t"), cfg),
+            "topic_pair_values": lambda source: topic_pair_values(
+                source, case.universe, "t"),
+            "identify_controls": lambda source: identify_controls(
+                {"t": case.universe}, qrels, case.targets, source, case.s_control,
+                case.rel_window),
+        }
+        for name, call in calls.items():
+            sim_only = SimOnlySource(case.store)
+            assert outcome(lambda: call(sim_only)) == outcome(lambda: call(case.store)), name
+            assert set(sim_only.calls.values()) <= {1}, name
 
 
 class TestInteractionTypes:
