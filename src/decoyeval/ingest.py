@@ -360,6 +360,8 @@ def _read_pair_sims(path: PathLike, pairs: dict | None) -> PairStore | None:
     topics: defaultdict[str, int] = defaultdict(count().__next__)
     codes: defaultdict[str, int] = defaultdict(count().__next__)
     topic_col, a_col, b_col, values = array("q"), array("q"), array("q"), array("d")
+    add_topic, add_a, add_b = topic_col.append, a_col.append, b_col.append
+    add_value = values.append
 
     def parse_line(lineno, line):
         parts = line.rstrip("\n").split("\t")
@@ -373,10 +375,10 @@ def _read_pair_sims(path: PathLike, pairs: dict | None) -> PairStore | None:
         if pairs is not None:
             declare_pair(pairs, topic_id, doc_a, doc_b, sim, lineno)
             return
-        values.append(sim)
-        topic_col.append(topics[topic_id])
-        a_col.append(codes[doc_a])
-        b_col.append(codes[doc_b])
+        add_value(sim)
+        add_topic(topics[topic_id])
+        add_a(codes[doc_a])
+        add_b(codes[doc_b])
 
     _read_lines(path, parse_line)
     if pairs is not None:

@@ -361,23 +361,29 @@ class PairStore:
         return store
 
     def _fill(self, topics, codes, topic, doc_a, doc_b, values) -> None:
+        # The argument arrays are scratch: each temporary reuses one of them.
         if not (np.abs(values) <= 1.0 + SIMILARITY_EPS).all():  # NaN included
             raise ValueError(f"similarity outside [-1, 1] by more than {SIMILARITY_EPS}")
-        values = np.clip(values, -1.0, 1.0)
+        np.clip(values, -1.0, 1.0, out=values)
         n = len(codes)
-        key = np.minimum(doc_a, doc_b) * n + np.maximum(doc_a, doc_b)
+        key = np.maximum(doc_a, doc_b)
+        key += np.multiply(np.minimum(doc_a, doc_b, out=doc_a), n, out=doc_a)
         if max(len(topics), 1) * n * n <= np.iinfo(np.int64).max:
-            order = np.argsort(topic * (n * n) + key, kind="stable")
+            sort_key = np.multiply(topic, n * n, out=doc_b)
+            sort_key += key
+            order = np.argsort(sort_key, kind="stable")
         else:  # one int64 sort key of topic and pair would overflow
             order = np.lexsort((key, topic))
-        topic, key, values = topic[order], key[order], values[order]
+        key, topic = np.take(key, order, out=doc_a), np.take(topic, order, out=doc_b)
+        values = values[order]
         again = np.zeros(len(key), dtype=bool)  # the pair of the entry before, again
         again[1:] = (key[1:] == key[:-1]) & (topic[1:] == topic[:-1])
-        if (values[again] != values[np.flatnonzero(again) - 1]).any():
-            raise ValueError("conflicting similarity for a pair declared twice")
-        topic, self._keys, self._values = topic[~again], key[~again], values[~again]
+        if again.any():
+            if (values[again] != values[np.flatnonzero(again) - 1]).any():
+                raise ValueError("conflicting similarity for a pair declared twice")
+            topic, key, values = topic[~again], key[~again], values[~again]
         bounds = np.searchsorted(topic, np.arange(len(topics) + 1)).tolist()
-        self._codes = codes
+        self._codes, self._keys, self._values = codes, key, values
         self._topics = {t: (bounds[c], bounds[c + 1]) for t, c in topics.items()}
 
     def __len__(self) -> int:
@@ -414,13 +420,15 @@ class PairStoreTopicView:
         docs that `a` and `b` index are looked up."""
         code = np.zeros(len(docs), dtype=np.int64)
         code[a] = code[b] = 1
-        touched = np.flatnonzero(code)
+        touched = code.nonzero()[0]
         get = self.codes.get
-        code[touched] = np.fromiter((get(docs[i], -1) for i in touched.tolist()), np.int64,
-                                    len(touched))
-        low, high = np.minimum(code[a], code[b]), np.maximum(code[a], code[b])
-        pos, found = find_sorted(self.keys, low * len(self.codes) + high)
-        found &= low >= 0
+        code[touched] = [get(docs[i], -1) for i in touched.tolist()]
+        code_a, code_b = code[a], code[b]
+        low = np.minimum(code_a, code_b)
+        key = low * len(self.codes) + np.maximum(code_a, code_b)
+        pos = self.keys.searchsorted(key)
+        found = (pos < len(self.keys)) & (low >= 0)
+        found[found] = self.keys[pos[found]] == key[found]
         values = np.full(len(a), np.nan)
         values[found] = self.values[pos[found]]
         return values, found
@@ -433,7 +441,7 @@ def lookup_sims(view, docs: Sequence[str], a: np.ndarray, b: np.ndarray) -> tupl
     the pairs it lacks; any other view is asked `sim` for each pair."""
     if hasattr(view, "sim_pairs"):
         values, found = view.sim_pairs(docs, a, b)
-        ask = np.flatnonzero(~found)
+        ask = (~found).nonzero()[0]
     else:
         values, ask = np.empty(len(a)), np.arange(len(a))
     gaps = []

@@ -154,20 +154,23 @@ class TestTopicSimMatrix:
 @st.composite
 def vector_sets(draw):
     """2 to 8 vectors of one small or odd dimension whose components span
-    extreme magnitudes; some are copies of an earlier vector scaled by 3, by
-    -1 or by a power of two, whose cosine with it is +-1 or within ulps."""
+    extreme magnitudes; some are copies of an earlier drawn vector scaled by
+    3, by -1 or by a power of two, whose cosine with it is +-1 or within
+    ulps. Copies are not scaled again: a copy of a copy scaled by 2**60
+    twice could overflow."""
     dim = draw(st.sampled_from([1, 2, 3, 5, 7, 17, 33, 100]))
-    vectors = []
+    vectors, drawn = [], []
     for _ in range(draw(st.integers(2, 8))):
-        if vectors and draw(st.booleans()):
-            base = vectors[draw(st.integers(0, len(vectors) - 1))]
+        if drawn and draw(st.booleans()):
+            base = drawn[draw(st.integers(0, len(drawn) - 1))]
             vectors.append(base * draw(st.sampled_from([3.0, -1.0, 2.0**-60, 2.0**60])))
             continue
         mantissa = draw(st.lists(st.floats(0.5, 1.0), min_size=dim, max_size=dim))
         signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=dim, max_size=dim))
         shift = draw(st.integers(-900, 900))
         spread = draw(st.lists(st.integers(-20, 20), min_size=dim, max_size=dim))
-        vectors.append(np.ldexp(np.multiply(mantissa, signs), np.add(shift, spread)))
+        drawn.append(np.ldexp(np.multiply(mantissa, signs), np.add(shift, spread)))
+        vectors.append(drawn[-1])
     return vectors
 
 
