@@ -320,13 +320,13 @@ class TestRunFlags:
         ("decoys", ["--k", "0"], "cutoff must be >= 1, got 0"),
         ("decoys", ["--delta-rank", "0"], "delta_rank must be >= 1, got 0"),
         ("decoys", ["--rel-band", "2"], "--rel-band expects two integers T,D, got '2'"),
-        ("decoys", ["--g-max", "-1"], "g_max must be non-negative, got -1"),
         ("sweep", ["--k-step", "0"],
          "need 1 <= k_start <= k_end and k_step >= 1, got start=10 end=1000 step=0"),
         ("sweep", ["--k-start", "20", "--k-end", "10"],
          "need 1 <= k_start <= k_end and k_step >= 1, got start=20 end=10 step=10"),
         ("sweep", ["--g-max", "0"], "g_max must be >= 1, got 0"),
         ("sweep", ["--rel-gap", "0"], "grade gap must be >= 1, got 0"),
+        ("decoys", ["--g-max", "-1"], "g_max must be non-negative, got -1"),
     ])
     @pytest.mark.parametrize("inputs", ["demo", "malformed", "absent"])
     def test_rejected_before_reading(self, tmp_path, capsys, command, flags, message, inputs):
