@@ -63,7 +63,6 @@ from .model import (
     DecoyPair,
     GradeBand,
     InteractionLog,
-    InteractionRecord,
     MinGradeGap,
     PairStore,
     Qrels,
@@ -73,17 +72,17 @@ from .model import (
     VectorStore,
     clamp_similarity,
 )
-from .simsig import TopicSimMatrix, cosine, percentile_threshold, topic_sim_matrix
+from .simsig import cosine, percentile_threshold, topic_sim_matrix
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AggregateScores", "CoverageError", "DecoyConfig", "DecoyPair",
     "GradeBand", "GroupComparison", "GroupStats", "InteractionLog",
-    "InteractionRecord", "MetricConfig", "MinGradeGap", "PairStore",
+    "MetricConfig", "MinGradeGap", "PairStore",
     "ParseDiagnostic", "ParseError", "Qrels", "Ranking", "RecordColumns", "RunEvaluation",
     "RunList", "SerpPairRecord", "SweepRow",
-    "Thresholds", "TopicScores", "TopicSimMatrix", "VectorStore",
+    "Thresholds", "TopicScores", "VectorStore",
     "WelchResult", "aggregate", "clamp_similarity", "cosine", "dejavu",
     "dejavu_at_k", "derive_thresholds", "detect_decoy_pairs",
     "detect_decoy_pairs_at_k", "err_at_k", "err_grade_map", "evaluate_run",

@@ -403,7 +403,6 @@ def cmd_mine(args) -> int:
     targets: set[str] = set()
     controls: set[str] = set()
     matched: set[str] = set()
-    records: list = []
     if any(len(docs) >= 2 for docs in universe.values()):
         thresholds = derive_thresholds(universe, source, args.s_min_pct, args.s_control_pct)
         if not 0.0 <= thresholds.s_min < args.s_max:
@@ -416,7 +415,7 @@ def cmd_mine(args) -> int:
             universe, qrels, targets, source, thresholds.s_control,
             rel_window=args.rel_window,
         )
-        records = extract_records(log, pair_records, matched, controls, top_n=args.top_n)
+    records = extract_records(log, pair_records, matched, controls, top_n=args.top_n)
 
     # Made only once every check has passed, so a failed run leaves none.
     out_dir = Path(args.out)

@@ -63,13 +63,12 @@ def detect_rows(
     rank) order.
 
     `sims` is any object with a ``sim(doc_a, doc_b) -> float`` method scoped
-    to this topic (a TopicSimMatrix, a VectorStore, or a PairStore topic
-    view), read through `lookup_sims`. Each distinct unordered doc pair the
-    quality rule admits is fetched once, as ``sim(higher-ranked doc,
-    lower-ranked doc)`` where it first shows in (row, rank) order. If any is
-    missing, CoverageError lists every missing key of the first row that
-    lacks one, in that row's rank order, as detection over that row alone
-    would.
+    to this topic (a VectorStore or a PairStore topic view), read through
+    `lookup_sims`. Each distinct unordered doc pair the quality rule admits
+    is fetched once, as ``sim(higher-ranked doc, lower-ranked doc)`` where
+    it first shows in (row, rank) order. If any is missing, CoverageError
+    lists every missing key of the first row that lacks one, in that row's
+    rank order, as detection over that row alone would.
     """
     n = len(doc)
     quality = cfg.quality

@@ -18,34 +18,37 @@ record before it joins the same columns, and builds no other object.
 
 JSON is decoded by `json`, except in a log's first read, which uses orjson
 where it is installed (`_first_read_decoder`). That read only tells a valid
-log from a faulty one, and `json` decodes every line that orjson declines
-or that may be nested deeper than `json` can decode, so `json` alone
-decides what is valid and words every diagnostic. The one valid log read
-twice is one whose ints orjson reads differently: an int beyond 64 bits in
-a rank or usefulness, which orjson reads as a float.
+log from a faulty one, and `json` decodes every line that orjson declines,
+so `json` alone decides what is valid and words every diagnostic. A line
+nested more than `_DEEP_LINE_BRACKETS` levels deep is invalid in every read,
+whatever the depth of the caller's stack. The one valid log read twice is
+one whose ints orjson reads differently: an int beyond 64 bits in a rank or
+usefulness, which orjson reads as a float.
 """
 
 import json
 import logging
 import math
 import operator
+import re
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import accumulate, chain, count
 from pathlib import Path
 
 import numpy as np
 
 from .model import (
     InteractionLog,
-    InteractionRecord,
     PairStore,
     Qrels,
     Ranking,
+    RecordColumns,
     RunList,
     VectorStore,
     declare_pair,
+    int_column,
 )
 
 logger = logging.getLogger(__name__)
@@ -119,9 +122,30 @@ def _undecodable_line(path: PathLike, text_error: UnicodeDecodeError) -> int:
     raise text_error  # the file changed between the two reads
 
 
+# The deepest nesting of arrays and objects a JSON line may have. json.loads
+# runs out of stack at a depth set by the recursion limit and by how deep its
+# caller is (about 990 levels at the top of the default stack), so a fixed
+# limit, checked first, makes a line's validity a property of the file.
+_DEEP_LINE_BRACKETS = 500
+# Compiled on first use, by `re`'s cache, not at import.
+_JSON_STRING = r'(?s)"[^"\\]*(?:\\.[^"\\]*)*"?'
+_BRACKETS = r"[][{}]"
+
+
+def _nesting_depth(line: str) -> int:
+    """The deepest nesting of arrays and objects in a JSON text, brackets
+    inside strings left out (an unterminated string runs to the end)."""
+    brackets = re.findall(_BRACKETS, re.sub(_JSON_STRING, "", line))
+    return max(accumulate(1 if b in "[{" else -1 for b in brackets), default=0)
+
+
 def _json(line: str):
-    """One JSON value, or a ValueError with the decoder's own message (or
-    "nested too deeply" where the decoder runs out of stack)."""
+    """One JSON value, or a ValueError with the decoder's own message, or
+    "nested too deeply" past `_DEEP_LINE_BRACKETS` levels."""
+    if (len(line) > _DEEP_LINE_BRACKETS
+            and line.count("[") + line.count("{") > _DEEP_LINE_BRACKETS
+            and _nesting_depth(line) > _DEEP_LINE_BRACKETS):
+        raise ValueError("invalid JSON: nested too deeply")
     try:
         return json.loads(line)
     except json.JSONDecodeError as exc:
@@ -419,18 +443,12 @@ _dwell = operator.itemgetter("dwell_seconds")
 _usefulness = operator.itemgetter("usefulness")
 
 
-# json.loads raises RecursionError past a nesting depth set by the
-# recursion limit (about 990 levels at the top of the default stack), where
-# orjson decodes any depth. A line with this many brackets, and so at least
-# twice as many characters, is left to json.
-_DEEP_LINE_BRACKETS = 500
-
-
 def _first_read_decoder():
-    """The JSON decoder of a log's first read: `json.loads`, or where orjson
-    is installed, `orjson.loads` with `json.loads` for each line it declines
+    """The JSON decoder of a log's first read: `_json`, or where orjson is
+    installed, `orjson.loads` with `json.loads` for each line it declines
     (NaN, Infinity, a number past float range, a lone surrogate escape) and
-    for each line with enough brackets to be nested past json's depth.
+    `_json` for each line long enough, and with enough brackets, to be a
+    valid line nested past `_DEEP_LINE_BRACKETS` levels.
 
     orjson reads an int beyond 64 bits as a float. In a rank or a
     usefulness that float fails the read's int column checks, so the log is
@@ -439,13 +457,13 @@ def _first_read_decoder():
     try:
         import orjson
     except ImportError:
-        return json.loads
+        return _json
     fast, exact = orjson.loads, json.loads
 
     def loads(line):
         if (len(line) >= 2 * _DEEP_LINE_BRACKETS
                 and line.count("[") + line.count("{") >= _DEEP_LINE_BRACKETS):
-            return exact(line)
+            return _json(line)
         try:
             return fast(line)
         except ValueError:  # orjson.JSONDecodeError
@@ -588,8 +606,8 @@ def _check_record(rec) -> None:
             raise ValueError(f"click on doc {doc_id} absent from SERP {rec['serp_id']}")
 
 
-# InteractionRecord's fields, each with the JSON type it must have; a bool
-# is never taken for a number.
+# A record's fields, each with the JSON type it must have; a bool is never
+# taken for a number.
 _RECORD_TYPES = {
     "serp_id": (str, "a string"), "doc_id": (str, "a string"), "group": (str, "a string"),
     "is_clicked": (bool, "a boolean"), "dwell_seconds": ((int, float), "a number"),
@@ -598,11 +616,13 @@ _RECORD_TYPES = {
 }
 
 
-def parse_records(path: PathLike) -> list[InteractionRecord]:
-    """Parse line-delimited InteractionRecord objects, as written by the
-    report module. Field names match InteractionRecord exactly, and each
-    field must have its JSON type: nothing is coerced."""
-    records: list[InteractionRecord] = []
+def parse_records(path: PathLike) -> RecordColumns:
+    """Parse line-delimited interaction records, as `emit_records` writes
+    them, into columns. Each record has exactly the fields of
+    `_RECORD_TYPES`, each of its JSON type: nothing is coerced. Its group is
+    target or control, an unclicked record has dwell and usefulness 0, dwell
+    and usefulness are >= 0 and rank >= 1."""
+    columns = {name: [] for name in _RECORD_TYPES}
 
     def parse_line(lineno, line):
         rec = _json(line)
@@ -612,10 +632,25 @@ def parse_records(path: PathLike) -> list[InteractionRecord]:
             value = rec[field_name]
             if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
                 raise ValueError(f"{field_name} must be {label}, got {value!r}")
-        dwell = float(rec["dwell_seconds"])
+        dwell = rec["dwell_seconds"] = float(rec["dwell_seconds"])
         if not math.isfinite(dwell):
             raise ValueError(f"dwell_seconds must be finite, got {dwell!r}")
-        records.append(InteractionRecord(**{**rec, "dwell_seconds": dwell}))
+        group, usefulness, rank = rec["group"], rec["usefulness"], rec["rank"]
+        if group not in ("target", "control"):
+            raise ValueError(f"group must be 'target' or 'control', got {group!r}")
+        if not rec["is_clicked"] and (dwell != 0 or usefulness != 0):
+            raise ValueError("unclicked record must have dwell_seconds = 0 and usefulness = 0")
+        if dwell < 0:
+            raise ValueError(f"dwell_seconds must be >= 0, got {dwell}")
+        if usefulness < 0:
+            raise ValueError(f"usefulness must be >= 0, got {usefulness}")
+        if rank < 1:
+            raise ValueError(f"rank must be >= 1, got {rank}")
+        for name, column in columns.items():
+            column.append(rec[name])
 
     _read_lines(path, parse_line)
-    return records
+    serp_id, doc_id, group, clicked, dwell, usefulness, rank, task_id, user_id = columns.values()
+    return RecordColumns(serp_id, doc_id, np.array([g == "target" for g in group], dtype=bool),
+                         np.array(clicked, dtype=bool), np.array(dwell, dtype=np.float64),
+                         int_column(usefulness), int_column(rank), task_id, user_id)

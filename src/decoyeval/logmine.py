@@ -13,19 +13,13 @@ stats dependency.
 
 import logging
 import math
-from collections.abc import Iterable, Mapping, Sequence, Set
+from collections.abc import Mapping, Sequence, Set
 from dataclasses import dataclass
 
 import numpy as np
 
 from .decoy import SerpPairRecord
-from .model import (
-    InteractionLog,
-    InteractionRecord,
-    RecordColumns,
-    SimilaritySource,
-    find_sorted,
-)
+from .model import InteractionLog, RecordColumns, SimilaritySource, find_sorted
 from .simsig import sorted_percentile, topic_pair_values
 
 logger = logging.getLogger(__name__)
@@ -388,13 +382,12 @@ def _stats(group: str, values: dict[str, list[float]]) -> GroupStats:
     )
 
 
-def group_stats(records: RecordColumns | Iterable[InteractionRecord]) -> GroupComparison:
+def group_stats(columns: RecordColumns) -> GroupComparison:
     """Split records by group and compare clickthrough, dwell and usefulness.
 
     Clickthrough treats each record as a 0/1 observation; dwell and
     usefulness are the zero-filled per-record values.
     """
-    columns = RecordColumns.of(records)
     samples = {
         group: {
             "clickthrough": columns.is_clicked[mask].astype(np.float64).tolist(),

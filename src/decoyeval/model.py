@@ -6,7 +6,7 @@ construction (frozen dataclasses, or conventionally-immutable containers).
 """
 
 from collections import defaultdict
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import count
 
@@ -620,51 +620,19 @@ def _restored_log(*columns) -> InteractionLog:
     return log
 
 
-@dataclass(frozen=True, slots=True)
-class InteractionRecord:
-    """One (SERP, document) behavioral observation used by the group analysis.
-
-    Unclicked documents are zero-filled: is_clicked False forces dwell and
-    usefulness to 0.
-    """
-
-    serp_id: str
-    doc_id: str
-    group: str
-    is_clicked: bool
-    dwell_seconds: float
-    usefulness: int
-    rank: int
-    task_id: str
-    user_id: str
-
-    def __post_init__(self):
-        if self.group not in ("target", "control"):
-            raise ValueError(f"group must be 'target' or 'control', got {self.group!r}")
-        if not self.is_clicked and (self.dwell_seconds != 0 or self.usefulness != 0):
-            raise ValueError(
-                "unclicked record must have dwell_seconds = 0 and usefulness = 0"
-            )
-        if self.dwell_seconds < 0:
-            raise ValueError(f"dwell_seconds must be >= 0, got {self.dwell_seconds}")
-        if self.usefulness < 0:
-            raise ValueError(f"usefulness must be >= 0, got {self.usefulness}")
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
-
-
 _GROUPS = ("control", "target")
 
 
 @dataclass(frozen=True, slots=True, eq=False)
 class RecordColumns:
-    """InteractionRecords as columns, one entry per record in order.
+    """The records of the group analysis as columns, one entry per (SERP,
+    document) observation, in order.
 
-    The id columns are lists of strings; `is_target` (the group),
-    `is_clicked`, `dwell_seconds` (float64), `usefulness` and `rank` are
-    arrays. `usefulness` is int64, or an object array of ints when a value
-    lies outside int64. Iterating yields the InteractionRecord of each
-    entry.
+    The id columns are lists of strings; `is_target` (the group, target or
+    control), `is_clicked`, `dwell_seconds` (float64), `usefulness` and
+    `rank` are arrays. `usefulness` and `rank` are int64, or object arrays
+    of ints when a value lies outside int64. An unclicked record has dwell
+    and usefulness 0.
     """
 
     serp_id: list[str]
@@ -677,31 +645,9 @@ class RecordColumns:
     task_id: list[str]
     user_id: list[str]
 
-    @classmethod
-    def of(cls, records: "RecordColumns | Iterable[InteractionRecord]") -> "RecordColumns":
-        """`records` as columns; columns are returned as they are."""
-        if isinstance(records, RecordColumns):
-            return records
-        records = list(records)
-
-        def column(name):
-            return [getattr(r, name) for r in records]
-
-        return cls(column("serp_id"), column("doc_id"),
-                   np.array([r.group == "target" for r in records], dtype=bool),
-                   np.array(column("is_clicked"), dtype=bool),
-                   np.array(column("dwell_seconds"), dtype=np.float64),
-                   int_column(column("usefulness")), int_column(column("rank")),
-                   column("task_id"), column("user_id"))
-
     def groups(self) -> list[str]:
         """The group name of each record."""
         return list(map(_GROUPS.__getitem__, self.is_target.tolist()))
 
     def __len__(self) -> int:
         return len(self.serp_id)
-
-    def __iter__(self) -> Iterator[InteractionRecord]:
-        return map(InteractionRecord, self.serp_id, self.doc_id, self.groups(),
-                   self.is_clicked.tolist(), self.dwell_seconds.tolist(),
-                   self.usefulness.tolist(), self.rank.tolist(), self.task_id, self.user_id)

@@ -19,7 +19,7 @@ import numpy as np
 from .decoy import SerpPairRecord
 from .logmine import GroupComparison, Thresholds
 from .metrics import RunEvaluation, SweepRow
-from .model import DecoyPair, InteractionRecord, RecordColumns
+from .model import DecoyPair, RecordColumns
 
 FORMATS = ("tsv", "csv", "jsonl")
 
@@ -192,11 +192,9 @@ def _memo_texts(column: Sequence) -> list[str]:
     return [texts[v] if v in texts else texts.setdefault(v, _json_text(v)) for v in column]
 
 
-def emit_records(records: RecordColumns | Sequence[InteractionRecord], fmt: str = "jsonl",
-                 destination=None):
+def emit_records(records: RecordColumns, fmt: str = "jsonl", destination=None):
     """Interaction records; the jsonl form round-trips through the record
     parser."""
-    records = RecordColumns.of(records)
     columns = [records.serp_id, records.doc_id, records.groups(), records.is_clicked,
                records.dwell_seconds, records.usefulness, records.rank, records.task_id,
                records.user_id]

@@ -5,7 +5,6 @@ Pure functions.
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,40 +24,6 @@ def cosine(a, b) -> float:
     if va.shape != vb.shape or va.ndim != 1:
         raise ValueError(f"dimension mismatch: {va.shape} vs {vb.shape}")
     return VectorStore({"a": va, "b": vb}).sim("a", "b")
-
-
-@dataclass(frozen=True)
-class TopicSimMatrix:
-    """Dense symmetric similarity matrix over one topic's documents."""
-
-    topic_id: str
-    docs: list[str]
-    sims: np.ndarray
-    _index: dict[str, int] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        n = len(self.docs)
-        if self.sims.shape != (n, n):
-            raise ValueError(f"matrix shape {self.sims.shape} does not match {n} docs")
-        if len(set(self.docs)) != n:
-            raise ValueError("duplicate doc ids in similarity matrix")
-        if not np.array_equal(self.sims, self.sims.T):
-            raise ValueError("similarity matrix is not symmetric")
-        if n and not np.all(np.diag(self.sims) == 1.0):
-            raise ValueError("similarity matrix diagonal is not 1")
-        if n and (np.abs(self.sims) > 1.0).any():
-            raise ValueError("similarity matrix has entries outside [-1, 1]")
-        object.__setattr__(self, "_index", {d: i for i, d in enumerate(self.docs)})
-
-    def sim(self, doc_a: str, doc_b: str) -> float:
-        try:
-            return float(self.sims[self._index[doc_a], self._index[doc_b]])
-        except KeyError:
-            missing = [d for d in (doc_a, doc_b) if d not in self._index]
-            raise CoverageError(
-                f"doc(s) absent from topic {self.topic_id} matrix: {', '.join(missing)}",
-                missing,
-            ) from None
 
 
 def topic_pair_values(
@@ -86,14 +51,14 @@ def topic_pair_values(
 
 def topic_sim_matrix(
     source: SimilaritySource, docs: Sequence[str], topic_id: str
-) -> TopicSimMatrix:
-    """Full pairwise similarity matrix for `docs` under `topic_id`, filled
-    from `topic_pair_values`, so every entry is the source's own sim()."""
-    docs = list(docs)
+) -> np.ndarray:
+    """The symmetric matrix of `docs`' pairwise similarities under
+    `topic_id`, 1 on the diagonal, filled from `topic_pair_values`, so every
+    other entry is the source's own sim()."""
     m = np.ones((len(docs), len(docs)), dtype=np.float64)
     rows, cols = np.triu_indices(len(docs), k=1)
     m[rows, cols] = m[cols, rows] = topic_pair_values(source, docs, topic_id)
-    return TopicSimMatrix(topic_id, docs, m)
+    return m
 
 
 def percentile_threshold(values: Sequence[float], p: float) -> float:

@@ -7,12 +7,14 @@ interaction log whose decoy/control structure is known exactly.
 
 import json
 import random
+from collections import namedtuple
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from decoyeval.model import InteractionLog
+from decoyeval.model import InteractionLog, RecordColumns, int_column
 
 
 def write_corpus(
@@ -81,6 +83,29 @@ def log_of(records) -> InteractionLog:
         [len(r["clicks"]) for r in records], click_doc,
         [c["dwell_seconds"] for r in records for c in r["clicks"]],
         [c["usefulness"] for r in records for c in r["clicks"]])
+
+
+# One interaction record, its fields in the order of the record file.
+Record = namedtuple("Record", "serp_id doc_id group is_clicked dwell_seconds usefulness "
+                              "rank task_id user_id")
+
+
+def record_rows(columns: RecordColumns) -> list[Record]:
+    """The records of `columns`, one Record each, in order."""
+    return list(map(Record, columns.serp_id, columns.doc_id, columns.groups(),
+                    columns.is_clicked.tolist(), columns.dwell_seconds.tolist(),
+                    columns.usefulness.tolist(), columns.rank.tolist(), columns.task_id,
+                    columns.user_id))
+
+
+def record_columns(rows) -> RecordColumns:
+    """RecordColumns holding `rows` (Records, or tuples of the same fields)
+    in order, typed as `extract_records` types them."""
+    serp_id, doc_id, group, clicked, dwell, usefulness, rank, task_id, user_id = (
+        map(list, zip(*rows, strict=True)) if rows else ([] for _ in Record._fields))
+    return RecordColumns(serp_id, doc_id, np.array([g == "target" for g in group], dtype=bool),
+                         np.array(clicked, dtype=bool), np.array(dwell, dtype=np.float64),
+                         int_column(usefulness), int_column(rank), task_id, user_id)
 
 
 # --- planted interaction-log world -----------------------------------------

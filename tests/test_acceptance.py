@@ -50,10 +50,10 @@ from decoyeval.metrics import (
     rbp_at_k,
     recall_at_k,
 )
-from decoyeval.model import DecoyConfig, DecoyPair, MinGradeGap, Ranking
-from decoyeval.simsig import TopicSimMatrix, percentile_threshold
+from decoyeval.model import DecoyConfig, DecoyPair, MinGradeGap, PairStore, Ranking
+from decoyeval.simsig import percentile_threshold
 
-from conftest import LOG_CLICKS, LOG_EXPECTED, write_corpus, write_planted_log
+from conftest import LOG_CLICKS, LOG_EXPECTED, record_rows, write_corpus, write_planted_log
 
 
 def ranking_of(doc_ids):
@@ -63,14 +63,10 @@ def ranking_of(doc_ids):
 
 
 def matrix_for(doc_ids, table, topic="t"):
-    """TopicSimMatrix from a {frozenset(pair): sim} dict; unlisted pairs 0."""
-    n = len(doc_ids)
-    m = np.zeros((n, n))
-    np.fill_diagonal(m, 1.0)
-    for i, a in enumerate(doc_ids):
-        for j in range(i + 1, n):
-            m[i, j] = m[j, i] = table.get(frozenset((a, doc_ids[j])), 0.0)
-    return TopicSimMatrix(topic, list(doc_ids), m)
+    """The topic view of a PairStore listing every pair of `doc_ids`, from a
+    {frozenset(pair): sim} dict; unlisted pairs 0."""
+    return PairStore({(topic, a, b): table.get(frozenset((a, b)), 0.0)
+                      for i, a in enumerate(doc_ids) for b in doc_ids[i + 1:]}).topic_view(topic)
 
 
 def full_random_table(rng, docs):
@@ -391,9 +387,10 @@ def test_criterion_09_logmine(tmp_path):
     pair_records, targets = identify_targets(log, qrels, source, cfg)
     controls, matched = identify_controls(universe, qrels, targets, source, thr.s_control)
     records = extract_records(log, pair_records, matched, controls)
+    rows = record_rows(records)
 
-    target_keys = [(r.serp_id, r.doc_id) for r in records if r.group == "target"]
-    control_keys = [(r.serp_id, r.doc_id) for r in records if r.group == "control"]
+    target_keys = [(r.serp_id, r.doc_id) for r in rows if r.group == "target"]
+    control_keys = [(r.serp_id, r.doc_id) for r in rows if r.group == "control"]
     assert len(set(target_keys)) == len(target_keys)
     assert len(set(control_keys)) == len(control_keys)
     assert target_keys == [(s, d) for s, d, _ in LOG_EXPECTED.target_records]
@@ -408,7 +405,7 @@ def test_criterion_09_logmine(tmp_path):
     again = extract_records(log, list(pair_records) + [extra], matched, controls)
     assert len(again) == len(records)
 
-    for rec in records:
+    for rec in rows:
         if not rec.is_clicked:
             assert rec.dwell_seconds == 0.0
             assert rec.usefulness == 0

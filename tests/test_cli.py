@@ -27,7 +27,7 @@ from decoyeval.ingest import parse_records
 from decoyeval.metrics import KNOWN_METRICS
 from decoyeval.model import VectorStore
 
-from conftest import LOG_EXPECTED, write_corpus, write_planted_log
+from conftest import LOG_EXPECTED, record_rows, write_corpus, write_planted_log
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -515,7 +515,7 @@ class TestMine:
         assert (out_dir / "controls.txt").read_text() == "C\nE\nF\n"
         assert (out_dir / "targets_matched.txt").read_text() == "A\nD\n"
 
-        records = parse_records(out_dir / "records.jsonl")
+        records = record_rows(parse_records(out_dir / "records.jsonl"))
         got = [(r.serp_id, r.doc_id, r.rank) for r in records]
         assert got == LOG_EXPECTED.target_records + LOG_EXPECTED.control_records
         assert [r.group for r in records] == ["target"] * 4 + ["control"] * 4
@@ -578,7 +578,7 @@ class TestMine:
         paths = write_planted_log(tmp_path / "planted")
         out_dir = tmp_path / "mined"
         assert self.run_mine(paths, out_dir, "--top-n", "3") == 0
-        records = parse_records(out_dir / "records.jsonl")
+        records = record_rows(parse_records(out_dir / "records.jsonl"))
         got = [(r.serp_id, r.doc_id, r.group) for r in records]
         # (s2, A) sits at rank 4 and drops out of the scanned prefix.
         assert got == [

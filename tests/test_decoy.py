@@ -27,7 +27,6 @@ from decoyeval.model import (
     Ranking,
     VectorStore,
 )
-from decoyeval.simsig import TopicSimMatrix
 
 from conftest import LOG_EXPECTED, LOG_GRADES, LOG_TOP_SIM, log_of, planted_pair_sims
 
@@ -38,17 +37,18 @@ def ranking_of(doc_ids):
                    tuple(range(1, n + 1)))
 
 
+def pair_table(doc_ids, sims, topic="t"):
+    """Every pair of `doc_ids` in `topic`, as PairStore's (topic, doc_a,
+    doc_b) -> sim mapping, with the sims of a {frozenset(pair): sim} dict;
+    unlisted pairs default to 0."""
+    return {(topic, a, b): sims.get(frozenset((a, b)), 0.0)
+            for i, a in enumerate(doc_ids) for b in doc_ids[i + 1:]}
+
+
 def matrix_for(doc_ids, sims, topic="t"):
-    """Build a TopicSimMatrix from a {frozenset(pair): sim} dict; unlisted
-    pairs default to 0."""
-    n = len(doc_ids)
-    m = np.zeros((n, n))
-    np.fill_diagonal(m, 1.0)
-    for i, a in enumerate(doc_ids):
-        for j in range(i + 1, n):
-            s = sims.get(frozenset((a, doc_ids[j])), 0.0)
-            m[i, j] = m[j, i] = s
-    return TopicSimMatrix(topic, list(doc_ids), m)
+    """The topic view of a PairStore that lists every pair of `doc_ids`, with
+    the sims of a {frozenset(pair): sim} dict; unlisted pairs default to 0."""
+    return PairStore(pair_table(doc_ids, sims, topic)).topic_view(topic)
 
 
 def oracle_detect(doc_ids, grades, sim_of, cfg, dedup):

@@ -18,7 +18,7 @@ import decoyeval.ingest as ingest
 from decoyeval.ingest import ParseError
 from decoyeval.model import Ranking, RunList
 
-from conftest import log_of
+from conftest import log_of, record_rows
 
 
 def write(path, text):
@@ -562,7 +562,7 @@ class TestParseRecords:
             "rank": 3, "task_id": "k", "user_id": "u",
         }
         p = write(tmp_path / "r.jsonl", json.dumps(row) + "\n")
-        rec = ingest.parse_records(p)[0]
+        rec = record_rows(ingest.parse_records(p))[0]
         assert rec.dwell_seconds == 12.5
         assert rec.group == "target"
         assert rec.rank == 3
@@ -599,7 +599,7 @@ class TestParseRecords:
 
     def test_integer_dwell_read_as_float(self, tmp_path):
         p = write(tmp_path / "r.jsonl", json.dumps(record_row(dwell_seconds=12)) + "\n")
-        rec = ingest.parse_records(p)[0]
+        rec = record_rows(ingest.parse_records(p))[0]
         assert rec.dwell_seconds == 12.0 and isinstance(rec.dwell_seconds, float)
 
 
@@ -618,7 +618,8 @@ PARSERS = {
     "vectors": ingest.parse_vectors,
     "pair_sims": ingest.parse_pair_sims,
     "interaction_log": ingest.parse_interaction_log,
-    "records": ingest.parse_records,
+    # As rows, which compare by value.
+    "records": lambda p: record_rows(ingest.parse_records(p)),
 }
 
 # (parser, the malformed line, the one diagnostic's message)
@@ -656,6 +657,13 @@ BAD_LINES = [
      "double quotes"),
     ("records", json.dumps({"serp_id": "s1"}), "record fields do not match InteractionRecord"),
     ("records", json.dumps(record_row(dwell_seconds=10**400)), "int too large to convert to float"),
+    ("records", json.dumps(record_row(group="both")),
+     "group must be 'target' or 'control', got 'both'"),
+    ("records", json.dumps(record_row(is_clicked=False)),
+     "unclicked record must have dwell_seconds = 0 and usefulness = 0"),
+    ("records", json.dumps(record_row(dwell_seconds=-1)), "dwell_seconds must be >= 0, got -1.0"),
+    ("records", json.dumps(record_row(usefulness=-1)), "usefulness must be >= 0, got -1"),
+    ("records", json.dumps(record_row(rank=0)), "rank must be >= 1, got 0"),
 ]
 
 
@@ -1175,6 +1183,48 @@ class TestDeeplyNestedJson:
             (2, "invalid JSON: nested too deeply")
         ]
 
+    @pytest.mark.parametrize("depth", [500, 501])
+    def test_fixed_depth_limit(self, depth):
+        text = "[" * depth + "]" * depth
+        if depth <= ingest._DEEP_LINE_BRACKETS:
+            assert ingest._json(text) is not None
+        else:
+            with pytest.raises(ValueError, match="^invalid JSON: nested too deeply$"):
+                ingest._json(text)
+
+    def test_validity_does_not_depend_on_the_stack(self, tmp_path, decoder):
+        # json.loads alone decodes this line near the top of the stack, and
+        # runs out of stack 300 frames further down.
+        line = unknown_field(log_record("s1"), "[" * 700 + "]" * 700)
+        p = write(tmp_path / "log.jsonl", line + "\n")
+        messages = []
+        for frames in (0, 300):
+            with pytest.raises(ParseError) as exc:
+                called_deeper(frames, lambda: ingest.parse_interaction_log(p))
+            messages.append(str(exc.value))
+        assert messages == [f"1 parse error(s) in {p}:\n{p}:1: invalid JSON: nested too deeply"] * 2
+
+    @pytest.mark.parametrize("text", ['"' + "[" * 700 + '"', '"\\"' + "[" * 700 + '"',
+                                      '"' + "[" * 700], ids=["plain", "escaped-quote", "open"])
+    def test_brackets_in_strings_do_not_nest(self, text):
+        assert ingest._nesting_depth(f'{{"a": [{text}') == 2
+
+    @pytest.mark.parametrize("text", ["[" * 700, '\\"' + "[" * 700],
+                             ids=["plain", "escaped-quote"])
+    def test_record_with_brackets_in_a_string_parses(self, tmp_path, text):
+        p = write(tmp_path / "r.jsonl", json.dumps(record_row(serp_id=text)) + "\n")
+        assert [r.serp_id for r in record_rows(ingest.parse_records(p))] == [text]
+
+    def test_log_with_brackets_in_a_string_parses(self, tmp_path, decoder):
+        line = unknown_field(log_record("s1"), json.dumps("[" * 700))
+        p = write(tmp_path / "log.jsonl", line + "\n")
+        assert ingest.parse_interaction_log(p) == log_of([log_record("s1")])
+
+
+def called_deeper(frames, call):
+    """`call()`, made `frames` Python frames further down the stack."""
+    return call() if frames == 0 else called_deeper(frames - 1, call)
+
 
 class TestByteOrderMark:
     @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
@@ -1238,7 +1288,7 @@ class TestParseInteractionLogWithoutOrjson(TestParseInteractionLog):
         TestParseInteractionLog.test_checked_read_equals_fast_read.hypothesis.inner_test)
 
     def test_json_decodes(self):
-        assert ingest._first_read_decoder() is json.loads
+        assert ingest._first_read_decoder() is ingest._json
 
 
 @pytest.fixture(params=["orjson", "json"])
@@ -1304,9 +1354,17 @@ DECODER_CASES = {
     "unknown-field-nested-100000-deep": (
         unknown_field(log_record("s1"), DEEPLY_NESTED), "invalid JSON: nested too deeply",
         {"orjson": 2, "json": 2}),
-    "unknown-field-nested-600-deep": (
-        unknown_field(log_record("s1"), "[" * 600 + "]" * 600), log_record("s1"),
+    # The record's object is one level more: 500 levels is the most a line
+    # may have, whatever the decoder.
+    "unknown-field-nested-499-deep": (
+        unknown_field(log_record("s1"), "[" * 499 + "]" * 499), log_record("s1"),
         {"orjson": 1, "json": 1}),
+    "unknown-field-nested-500-deep": (
+        unknown_field(log_record("s1"), "[" * 500 + "]" * 500), "invalid JSON: nested too deeply",
+        {"orjson": 2, "json": 2}),
+    "unknown-field-nested-600-deep": (
+        unknown_field(log_record("s1"), "[" * 600 + "]" * 600), "invalid JSON: nested too deeply",
+        {"orjson": 2, "json": 2}),
 }
 
 
@@ -1361,7 +1419,7 @@ class TestFirstReadDecoders:
 
     def test_json_decodes_without_orjson(self, monkeypatch):
         monkeypatch.setitem(sys.modules, "orjson", None)
-        assert ingest._first_read_decoder() is json.loads
+        assert ingest._first_read_decoder() is ingest._json
 
     def test_orjson_imported_by_the_log_read_alone(self, tmp_path):
         # In a fresh interpreter: importing the CLI and reading every other

@@ -33,7 +33,9 @@ from decoyeval.logmine import (
 from decoyeval.model import DecoyConfig, MinGradeGap, PairStore, VectorStore
 from decoyeval.simsig import percentile_threshold
 
-from conftest import LOG_CLICKS, LOG_EXPECTED, LOG_GRADES, log_of
+from conftest import (
+    LOG_CLICKS, LOG_EXPECTED, LOG_GRADES, Record, log_of, record_columns, record_rows,
+)
 from test_decoy import serp_record
 
 
@@ -163,14 +165,15 @@ class TestExtractRecords:
         assert matched == LOG_EXPECTED.matched
         assert controls == LOG_EXPECTED.controls
 
-        got = [(r.serp_id, r.doc_id, r.rank) for r in records]
+        rows = record_rows(records)
+        got = [(r.serp_id, r.doc_id, r.rank) for r in rows]
         assert got == LOG_EXPECTED.target_records + LOG_EXPECTED.control_records
-        assert [r.group for r in records] == ["target"] * 4 + ["control"] * 4
+        assert [r.group for r in rows] == ["target"] * 4 + ["control"] * 4
 
     def test_click_fields_and_zero_fill(self, planted_log):
         log, qrels, source = load_world(planted_log)
         *_, records = mine_pipeline(log, qrels, source)
-        for rec in records:
+        for rec in record_rows(records):
             click = LOG_CLICKS[rec.serp_id].get(rec.doc_id)
             if click is None:
                 assert not rec.is_clicked
@@ -187,14 +190,14 @@ class TestExtractRecords:
         log, qrels, source = load_world(planted_log)
         thr, pair_records, _, controls, _ = mine_pipeline(log, qrels, source)
         records = extract_records(log, pair_records, {"A"}, controls)
-        got = [(r.serp_id, r.doc_id) for r in records if r.group == "target"]
+        got = [(r.serp_id, r.doc_id) for r in record_rows(records) if r.group == "target"]
         assert got == [("s1", "A"), ("s2", "A"), ("s3", "A")]
 
     def test_top_n_truncates_both_groups(self, planted_log):
         log, qrels, source = load_world(planted_log)
         thr, pair_records, matched, controls, _ = mine_pipeline(log, qrels, source)
         records = extract_records(log, pair_records, matched, controls, top_n=3)
-        got = [(r.serp_id, r.doc_id, r.group) for r in records]
+        got = [(r.serp_id, r.doc_id, r.group) for r in record_rows(records)]
         # (s2, A) sits at rank 4 and falls outside the window.
         assert got == [
             ("s1", "A", "target"), ("s2", "D", "target"), ("s3", "A", "target"),
@@ -434,18 +437,16 @@ class TestGroupStats:
             )
 
     def test_small_group_skips_tests(self, caplog):
-        from decoyeval.model import InteractionRecord
-
-        records = [
-            InteractionRecord(
+        records = record_columns([
+            Record(
                 serp_id="s1", doc_id="A", group="target", is_clicked=True,
                 dwell_seconds=3.0, usefulness=1, rank=1, task_id="k", user_id="u",
             ),
-            InteractionRecord(
+            Record(
                 serp_id="s1", doc_id="B", group="control", is_clicked=False,
                 dwell_seconds=0.0, usefulness=0, rank=2, task_id="k", user_id="u",
             ),
-        ]
+        ])
         with caplog.at_level("WARNING", logger="decoyeval.logmine"):
             cmp = group_stats(records)
         assert cmp.tests == ()
@@ -454,7 +455,7 @@ class TestGroupStats:
         assert any("skipping t-tests" in r.message for r in caplog.records)
 
     def test_empty_records(self):
-        cmp = group_stats([])
+        cmp = group_stats(record_columns([]))
         assert cmp.target == GroupStats("target", 0, 0.0, 0.0, 0.0)
         assert cmp.control == GroupStats("control", 0, 0.0, 0.0, 0.0)
         assert cmp.tests == ()

@@ -30,7 +30,7 @@ from decoyeval.metrics import (
 )
 from decoyeval.model import CoverageError, DecoyConfig, PairStore, Qrels, Ranking, RunList
 
-from test_decoy import matrix_for, ranking_of
+from test_decoy import matrix_for, pair_table, ranking_of
 
 
 # independent formula evaluations, structured differently from the library
@@ -418,7 +418,7 @@ class TestAggregate:
 
 
 def small_world(rng, n_topics=4, n_docs=25):
-    rankings, judgments, mats = {}, {}, {}
+    rankings, judgments, pairs = {}, {}, {}
     for t in range(n_topics):
         topic = f"t{t}"
         docs, grades, sims = make_instance(rng, n=n_docs)
@@ -427,15 +427,10 @@ def small_world(rng, n_topics=4, n_docs=25):
         sims = {frozenset(f"{topic}_{x}" for x in fs): v for fs, v in sims.items()}
         rankings[topic] = ranking_of(docs)
         judgments[topic] = grades
-        mats[topic] = matrix_for(docs, sims, topic=topic)
+        pairs.update(pair_table(docs, sims, topic=topic))
     run = RunList(run_tag="synth", rankings=rankings)
     qrels = Qrels(g_max=3, judgments=judgments)
-
-    class MatrixSource:
-        def topic_view(self, topic_id):
-            return mats[topic_id]
-
-    return run, qrels, MatrixSource()
+    return run, qrels, PairStore(pairs)
 
 
 class TestEvaluateRun:

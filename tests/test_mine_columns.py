@@ -12,6 +12,7 @@ import io
 import json
 import math
 import random
+from collections import namedtuple
 from types import SimpleNamespace
 
 from hypothesis import given, settings
@@ -28,10 +29,10 @@ from decoyeval.logmine import (
     log_doc_universe,
     welch_t_test,
 )
-from decoyeval.model import DecoyConfig, InteractionRecord, MinGradeGap, PairStore, Qrels
+from decoyeval.model import DecoyConfig, MinGradeGap, PairStore, Qrels
 from decoyeval.report import _RECORD_COLUMNS, _json_value, emit_records
 
-from conftest import log_of
+from conftest import log_of, record_rows
 from test_decoy import SIM_LEVELS, per_serp_identify_targets
 
 
@@ -53,6 +54,10 @@ def object_universe(sessions):
     return {topic: sorted(docs) for topic, docs in sorted(universe.items())}
 
 
+ObjectRecord = namedtuple("ObjectRecord", "serp_id doc_id group is_clicked dwell_seconds "
+                                          "usefulness rank task_id user_id")
+
+
 def object_records(sessions, pair_records, matched_targets, controls, top_n):
     """Target records, then control records, each in log and rank order."""
     wanted = {(r.serp_id, r.pair.target_doc) for r in pair_records
@@ -60,7 +65,7 @@ def object_records(sessions, pair_records, matched_targets, controls, top_n):
 
     def build(session, rank, doc_id, group):
         dwell, usefulness = session.clicks.get(doc_id, (0.0, 0))
-        return InteractionRecord(
+        return ObjectRecord(
             session.serp_id, doc_id, group, doc_id in session.clicks, dwell, usefulness,
             rank, session.task_id, session.user_id)
 
@@ -166,7 +171,7 @@ class TestColumnsAgainstObjects:
         records = extract_records(log, pair_records, matched, controls, top_n=top_n)
         expected = object_records(sessions, pair_records, matched, controls, top_n)
         assert len(records) == len(expected)
-        assert list(records) == expected
+        assert record_rows(records) == expected
         assert group_stats(records) == object_group_stats(expected)
         buf = io.StringIO()
         emit_records(records, "jsonl", buf)

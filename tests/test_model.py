@@ -21,12 +21,10 @@ from decoyeval.model import (
     DecoyPair,
     GradeBand,
     InteractionLog,
-    InteractionRecord,
     MinGradeGap,
     PairStore,
     Qrels,
     Ranking,
-    RecordColumns,
     RunList,
     VectorStore,
     clamp_similarity,
@@ -462,27 +460,6 @@ class TestLookupThroughSimAlone:
             assert set(sim_only.calls.values()) <= {1}, name
 
 
-class TestInteractionTypes:
-    def test_zero_fill_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            InteractionRecord(
-                serp_id="s", doc_id="d", group="target", is_clicked=False,
-                dwell_seconds=3.0, usefulness=0, rank=1, task_id="k", user_id="u",
-            )
-        with pytest.raises(ValueError):
-            InteractionRecord(
-                serp_id="s", doc_id="d", group="target", is_clicked=False,
-                dwell_seconds=0.0, usefulness=2, rank=1, task_id="k", user_id="u",
-            )
-
-    def test_group_label_validated(self):
-        with pytest.raises(ValueError):
-            InteractionRecord(
-                serp_id="s", doc_id="d", group="other", is_clicked=True,
-                dwell_seconds=1.0, usefulness=1, rank=1, task_id="k", user_id="u",
-            )
-
-
 def log_lists(**over):
     """The lists of a valid two-SERP log over docs a, b, c, with `over`
     replacing some; SERP s1 shows (a, b) with a click on b, s2 shows (c, a)."""
@@ -603,15 +580,3 @@ class TestInteractionLogPickle:
         back = pickle.loads(pickle.dumps(log))
         with pytest.raises(AttributeError, match="immutable"):
             back.docs = ()
-
-
-class TestRecordColumns:
-    def test_records_round_trip(self):
-        records = [
-            InteractionRecord("s1", "a", "control", False, 0.0, 0, 2, "k", "u"),
-            InteractionRecord("s2", "b", "target", True, 4.5, 10**30, 1, "k", "v"),
-        ]
-        columns = RecordColumns.of(records)
-        assert len(columns) == 2 and list(columns) == records
-        assert columns.is_target.tolist() == [False, True]
-        assert RecordColumns.of(columns) is columns

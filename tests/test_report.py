@@ -6,12 +6,14 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decoyeval.decoy import SerpPairRecord
 from decoyeval.ingest import parse_records
 from decoyeval.logmine import GroupComparison, GroupStats, Thresholds, WelchResult
 from decoyeval.metrics import AggregateScores, RunEvaluation, SweepRow, TopicScores
-from decoyeval.model import DecoyPair, InteractionRecord
+from decoyeval.model import DecoyPair
 from decoyeval.report import (
     FORMATS,
     _json_value,
@@ -25,6 +27,8 @@ from decoyeval.report import (
     format_real,
     render_table,
 )
+
+from conftest import Record, record_columns, record_rows
 
 
 class TestFormatReal:
@@ -229,15 +233,31 @@ class TestPairAndSweepTables:
         )
 
 
+@st.composite
+def drawn_records(draw):
+    """One valid record: unicode ids, dwell from -0.0 to the float maximum,
+    usefulness and rank beyond int64, and zero signals when unclicked."""
+    clicked = draw(st.booleans())
+    zero = st.sampled_from([0.0, -0.0])
+    dwell, usefulness = draw(zero), 0
+    if clicked:
+        dwell = draw(st.one_of(zero, st.floats(0.0, allow_infinity=False),
+                               st.integers(0, 10**30).map(float)))
+        usefulness = draw(st.integers(0, 2**80))
+    ids = st.text(max_size=4)
+    return Record(draw(ids), draw(ids), draw(st.sampled_from(["target", "control"])), clicked,
+                  dwell, usefulness, draw(st.integers(1, 2**80)), draw(ids), draw(ids))
+
+
 class TestRecords:
     def records(self):
         return [
-            InteractionRecord(
+            Record(
                 serp_id="s1", doc_id="A", group="target", is_clicked=True,
                 dwell_seconds=30.5, usefulness=3, rank=1, task_id="task1",
                 user_id="user_s1",
             ),
-            InteractionRecord(
+            Record(
                 serp_id="s1", doc_id="C", group="control", is_clicked=False,
                 dwell_seconds=0.0, usefulness=0, rank=3, task_id="task1",
                 user_id="user_s1",
@@ -246,15 +266,37 @@ class TestRecords:
 
     def test_jsonl_round_trip(self, tmp_path):
         path = tmp_path / "records.jsonl"
-        emit_records(self.records(), "jsonl", path)
-        assert parse_records(path) == self.records()
+        emit_records(record_columns(self.records()), "jsonl", path)
+        assert record_rows(parse_records(path)) == self.records()
 
     def test_tsv_form(self):
         buf = io.StringIO()
-        emit_records(self.records(), "tsv", buf)
+        emit_records(record_columns(self.records()), "tsv", buf)
         lines = buf.getvalue().splitlines()
         assert lines[1] == "s1\tA\ttarget\ttrue\t30.5\t3\t1\ttask1\tuser_s1"
         assert lines[2] == "s1\tC\tcontrol\tfalse\t0\t0\t3\ttask1\tuser_s1"
+
+    @given(st.lists(drawn_records(), max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_parsed_records_emit_as_drawn(self, tmp_path_factory, rows):
+        drawn = record_columns(rows)
+        path = tmp_path_factory.mktemp("records") / "records.jsonl"
+        emit_records(drawn, "jsonl", path)
+        parsed = parse_records(path)
+        assert emitted(parsed, "jsonl").encode("utf-8") == path.read_bytes()
+        for fmt in ("tsv", "csv"):
+            assert emitted(parsed, fmt) == emitted(drawn, fmt)
+
+
+def emitted(columns, fmt):
+    """What `emit_records` writes of `columns` in `fmt`, or its ValueError's
+    message (a TSV cell may not hold a tab or a line break)."""
+    buf = io.StringIO()
+    try:
+        emit_records(columns, fmt, buf)
+    except ValueError as exc:
+        return str(exc)
+    return buf.getvalue()
 
 
 class TestJsonSummaries:
