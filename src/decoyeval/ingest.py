@@ -9,7 +9,9 @@ that is not UTF-8 is reported at its line.
 Within one read, each repeated id (and each run rank) is kept as one shared
 object, not one per occurrence. The interaction log is read into columns
 (see `InteractionLog`): each SERP's ids, one doc table, a flat doc-index
-column with per-SERP offsets, the rank column and flat click columns.
+column with per-SERP offsets, and flat click columns. A rank is a position:
+the rank fields of a run or a log are checked, and in a run they break score
+ties, but no model value keeps them.
 
 A valid run, pair-similarity file or log is read once. A faulty one is read
 a second time, by the same line loop with per-record checks that name each
@@ -173,17 +175,17 @@ def parse_run(path: PathLike) -> RunList:
 
     Docs are ordered by score descending, then by the file's rank column
     ascending, then by doc id ascending; the rank of a doc is its position.
-    Scores are kept as parsed. Ranking.source_ranks is the file's rank
-    column, kept as read; it breaks score ties. A valid file is read once; a
-    file with a bad line or a doc twice in one topic is read again, to name
-    each duplicate's first line.
+    Scores are kept as parsed; the file's rank column only breaks score
+    ties, and is not kept. A valid file is read once; a file with a bad line
+    or a doc twice in one topic is read again, to name each duplicate's
+    first line.
     """
     return _read_or_reread(lambda: _read_run(path, None), lambda: _read_run(path, {}))
 
 
 def _read_run(path: PathLike, first_line: dict[str, dict[str, int]] | None) -> RunList | None:
-    """One read of a run file into a doc id, a score and a rank column per
-    topic, or None if a topic has a doc twice.
+    """One read of a run file into a doc id and a score column per topic,
+    sorted with the file's rank column, or None if a topic has a doc twice.
 
     With a `first_line` map (topic -> doc id -> first line) the read keeps
     no columns and only names the faults, each duplicate at its line with
@@ -192,8 +194,9 @@ def _read_run(path: PathLike, first_line: dict[str, dict[str, int]] | None) -> R
     """
     topics: dict[str, tuple[list[str], list[float], list[int]]] = {}
     run_tag = None
-    # Rank text -> int: a run repeats its ranks in every topic. Doc ids and
-    # scores are not shared; they rarely repeat across a real run's lines.
+    # Rank text -> int: a run repeats its ranks in every topic, and the read
+    # holds every topic's ranks until its last line. Doc ids and scores are
+    # not shared; they rarely repeat across a real run's lines.
     ranks: dict[str, int] = {}
 
     def parse_line(lineno, line):
@@ -204,14 +207,14 @@ def _read_run(path: PathLike, first_line: dict[str, dict[str, int]] | None) -> R
         topic_id, q0, doc_id, rank_s, score_s, tag = parts
         if q0.lower() != "q0":
             raise ValueError(f"expected literal Q0, got {q0!r}")
-        source_rank = ranks.get(rank_s)
-        if source_rank is None:
+        file_rank = ranks.get(rank_s)
+        if file_rank is None:
             try:
-                source_rank = int(rank_s)
+                file_rank = int(rank_s)
             except ValueError:
                 raise ValueError(f"non-numeric rank {rank_s!r}") from None
             if len(ranks) < RANK_TABLE_SIZE:
-                ranks[rank_s] = source_rank
+                ranks[rank_s] = file_rank
         try:
             score = float(score_s)
         except ValueError:
@@ -231,7 +234,7 @@ def _read_run(path: PathLike, first_line: dict[str, dict[str, int]] | None) -> R
             run_tag = run_tag or tag
         columns[0].append(doc_id)
         columns[1].append(score)
-        columns[2].append(source_rank)
+        columns[2].append(file_rank)
 
     _read_lines(path, parse_line)
     if not topics:
@@ -239,11 +242,11 @@ def _read_run(path: PathLike, first_line: dict[str, dict[str, int]] | None) -> R
     rankings: dict[str, Ranking] = {}
     for topic_id in list(topics):
         # Popping frees each topic's lists once converted.
-        doc_ids, scores, source_ranks = topics.pop(topic_id)
-        rows = sorted(zip(map(operator.neg, scores), source_ranks, doc_ids, scores))
-        _, source_ranks, doc_ids, scores = zip(*rows)
+        doc_ids, scores, file_ranks = topics.pop(topic_id)
+        rows = sorted(zip(map(operator.neg, scores), file_ranks, doc_ids, scores))
+        _, _, doc_ids, scores = zip(*rows)
         try:
-            rankings[topic_id] = Ranking(doc_ids, scores, source_ranks)
+            rankings[topic_id] = Ranking(doc_ids, scores)
         except ValueError:  # a doc twice in the topic, found with no line map
             return None
     return RunList(run_tag, rankings)
@@ -421,9 +424,10 @@ def parse_interaction_log(path: PathLike) -> InteractionLog:
 
     Each record is an object with serp_id, session_id, user_id, task_id,
     topic_id, serp (ordered array of {doc_id, rank}) and clicks (array of
-    {doc_id, dwell_seconds, usefulness}). SERP ranks are re-normalized to the
-    array order; clicked docs must appear on the SERP, with at most one click
-    entry per doc; serp_ids are unique.
+    {doc_id, dwell_seconds, usefulness}). A SERP's ranks must be ints, and
+    are not kept: a doc's rank is its position in the array. Clicked docs
+    must appear on the SERP, with at most one click entry per doc; serp_ids
+    are unique.
 
     A valid log is read once, each line straight into the log's columns,
     which are checked as a whole at the end; a faulty log is read again,
@@ -532,8 +536,8 @@ def _read_log(path: PathLike, serp_line: dict[str, int] | None) -> InteractionLo
             or len(set(serp_ids)) != len(serp_ids)):
         return None
     try:
-        return InteractionLog(*ids, tuple(doc_table), sizes, serp_doc, ranks, click_counts,
-                              click_doc, dwell, usefulness)
+        return InteractionLog(*ids, tuple(doc_table), sizes, serp_doc, click_counts, click_doc,
+                              dwell, usefulness)
     except (ValueError, OverflowError):  # a broken invariant, or a dwell past float range
         return None
 

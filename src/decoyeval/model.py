@@ -49,25 +49,21 @@ def rescaled(vec: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, slots=True)
 class Ranking:
-    """One ranked list as parallel columns: doc ids, scores and the rank
-    column as it appeared on disk.
+    """One ranked list as parallel columns: doc ids and scores.
 
-    The rank of the doc at position i is i + 1. `source_ranks` is the file's
-    rank column, kept as read; in a run it breaks score ties. Doc ids are
-    unique. `Ranking()` is the empty list, and a Ranking is falsy exactly
-    when it is empty.
+    The rank of the doc at position i is i + 1. Doc ids are unique.
+    `Ranking()` is the empty list, and a Ranking is falsy exactly when it is
+    empty.
     """
 
     doc_ids: tuple[str, ...] = ()
     scores: tuple[float, ...] = ()
-    source_ranks: tuple[int, ...] = ()
 
     def __post_init__(self):
         n = len(self.doc_ids)
-        if len(self.scores) != n or len(self.source_ranks) != n:
+        if len(self.scores) != n:
             raise ValueError(
-                f"ranking columns differ in length: {n} doc ids, "
-                f"{len(self.scores)} scores, {len(self.source_ranks)} source ranks"
+                f"ranking columns differ in length: {n} doc ids, {len(self.scores)} scores"
             )
         if len(set(self.doc_ids)) != n:
             seen = set()
@@ -85,7 +81,7 @@ class Ranking:
             raise ValueError(f"ranking prefix length must be >= 0, got {k}")
         if k >= len(self.doc_ids):
             return self
-        return Ranking(self.doc_ids[:k], self.scores[:k], self.source_ranks[:k])
+        return Ranking(self.doc_ids[:k], self.scores[:k])
 
 
 def check_g_max(g_max: int) -> None:
@@ -490,32 +486,30 @@ class InteractionLog:
     `task_ids[r]` and `topic_ids[r]` (lists of strings; equal ids are
     usually one shared object). `docs` is the doc table, each displayed doc
     id once. SERP r shows, in rank order, the docs `docs[i]` for i in
-    `serp_doc[offsets[r]:offsets[r + 1]]`, with the file's rank column in
-    `source_ranks` beside them. Click j, in file order, is on doc
-    `docs[click_doc[j]]` of SERP `click_serp[j]`, with `click_dwell[j]`
-    seconds and usefulness `click_usefulness[j]`. Rank and usefulness
-    columns are int64, or object arrays of ints when a value lies outside
-    int64.
+    `serp_doc[offsets[r]:offsets[r + 1]]`; a doc's rank is its position
+    there. Click j, in file order, is on doc `docs[click_doc[j]]` of SERP
+    `click_serp[j]`, with `click_dwell[j]` seconds and usefulness
+    `click_usefulness[j]`. The usefulness column is int64, or an object
+    array of ints when a value lies outside int64.
 
     The constructor takes SERP r's ids, its doc count `sizes[r]` and click
-    count `click_counts[r]`, the doc table, and the doc-index, rank and
-    click lists over all SERPs in file order; ranks and usefulness are
-    Python ints, and an int dwell beyond float range raises OverflowError.
-    It raises ValueError unless the columns agree in length, no doc id is
-    twice in the table or on a SERP, every click is on a doc its SERP
-    shows, no doc has two clicks on a SERP, and dwell and usefulness are
-    finite and non-negative. Logs are equal when they hold the same SERPs
-    with the same ids, pages, ranks and clicks, whatever their doc-table
-    order and the order of the clicks within a SERP.
+    count `click_counts[r]`, the doc table, and the doc-index and click
+    lists over all SERPs in file order; usefulness values are Python ints,
+    and an int dwell beyond float range raises OverflowError. It raises
+    ValueError unless the columns agree in length, no doc id is twice in
+    the table or on a SERP, every click is on a doc its SERP shows, no doc
+    has two clicks on a SERP, and dwell and usefulness are finite and
+    non-negative. Logs are equal when they hold the same SERPs with the
+    same ids, pages and clicks, whatever their doc-table order and the
+    order of the clicks within a SERP.
     """
 
     __slots__ = ("serp_ids", "session_ids", "user_ids", "task_ids", "topic_ids", "docs",
-                 "offsets", "serp_doc", "source_ranks", "click_serp", "click_doc",
-                 "click_dwell", "click_usefulness")
+                 "offsets", "serp_doc", "click_serp", "click_doc", "click_dwell",
+                 "click_usefulness")
 
     def __init__(self, serp_ids, session_ids, user_ids, task_ids, topic_ids, docs, sizes,
-                 serp_doc, source_ranks, click_counts, click_doc, click_dwell,
-                 click_usefulness):
+                 serp_doc, click_counts, click_doc, click_dwell, click_usefulness):
         n, n_docs = len(serp_ids), len(docs)
         if not (len(session_ids) == len(user_ids) == len(task_ids) == len(topic_ids)
                 == len(sizes) == len(click_counts) == n):
@@ -528,15 +522,14 @@ class InteractionLog:
             ("serp_ids", serp_ids), ("session_ids", session_ids), ("user_ids", user_ids),
             ("task_ids", task_ids), ("topic_ids", topic_ids), ("docs", docs),
             ("offsets", np.cumsum([0, *sizes])), ("serp_doc", np.array(serp_doc, dtype=np.intp)),
-            ("source_ranks", int_column(source_ranks)),
             ("click_serp", np.repeat(np.arange(n), np.array(click_counts, dtype=np.intp))),
             ("click_doc", np.array(click_doc, dtype=np.intp)),
             ("click_dwell", np.array(click_dwell, dtype=np.float64)),
             ("click_usefulness", int_column(click_usefulness)),
         ):
             object.__setattr__(self, name, value)
-        if not (self.offsets[-1] == len(self.serp_doc) == len(self.source_ranks)):
-            raise ValueError("log SERP sizes do not match its doc and rank columns")
+        if self.offsets[-1] != len(self.serp_doc):
+            raise ValueError("log SERP sizes do not match its doc column")
         if not (len(self.click_serp) == len(self.click_doc) == len(self.click_dwell)
                 == len(self.click_usefulness)):
             raise ValueError("log click counts do not match its click columns")
@@ -600,15 +593,14 @@ class InteractionLog:
         return list(table), codes
 
     def _content(self) -> tuple:
-        """What `==` compares: each SERP's ids, doc ids and ranks in order,
+        """What `==` compares: each SERP's ids and doc ids in order,
         and the clicks as (SERP row, doc id, dwell, usefulness) in that order."""
         docs = self.docs
         clicks = zip(self.click_serp.tolist(), map(docs.__getitem__, self.click_doc.tolist()),
                      self.click_dwell.tolist(), self.click_usefulness.tolist())
         ids = (self.serp_ids, self.session_ids, self.user_ids, self.task_ids, self.topic_ids)
         return (*map(list, ids), self.offsets.tolist(),
-                list(map(docs.__getitem__, self.serp_doc.tolist())),
-                self.source_ranks.tolist(), sorted(clicks))
+                list(map(docs.__getitem__, self.serp_doc.tolist())), sorted(clicks))
 
 
 def _restored_log(*columns) -> InteractionLog:
@@ -632,7 +624,7 @@ class RecordColumns:
     control), `is_clicked`, `dwell_seconds` (float64), `usefulness` and
     `rank` are arrays. `usefulness` and `rank` are int64, or object arrays
     of ints when a value lies outside int64. An unclicked record has dwell
-    and usefulness 0.
+    and usefulness 0. ValueError unless all nine columns have one length.
     """
 
     serp_id: list[str]
@@ -644,6 +636,10 @@ class RecordColumns:
     rank: np.ndarray
     task_id: list[str]
     user_id: list[str]
+
+    def __post_init__(self):
+        if len({len(getattr(self, name)) for name in self.__slots__}) > 1:
+            raise ValueError("record columns differ in length")
 
     def groups(self) -> list[str]:
         """The group name of each record."""

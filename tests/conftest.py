@@ -79,7 +79,6 @@ def log_of(records) -> InteractionLog:
         *([r[name] for r in records]
           for name in ("serp_id", "session_id", "user_id", "task_id", "topic_id")),
         tuple(table), [len(r["serp"]) for r in records], serp_doc,
-        [e["rank"] for r in records for e in r["serp"]],
         [len(r["clicks"]) for r in records], click_doc,
         [c["dwell_seconds"] for r in records for c in r["clicks"]],
         [c["usefulness"] for r in records for c in r["clicks"]])

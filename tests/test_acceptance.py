@@ -58,8 +58,7 @@ from conftest import LOG_CLICKS, LOG_EXPECTED, record_rows, write_corpus, write_
 
 def ranking_of(doc_ids):
     n = len(doc_ids)
-    return Ranking(tuple(doc_ids), tuple(float(n - i) for i in range(n)),
-                   tuple(range(1, n + 1)))
+    return Ranking(tuple(doc_ids), tuple(float(n - i) for i in range(n)))
 
 
 def matrix_for(doc_ids, table, topic="t"):

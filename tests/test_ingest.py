@@ -10,6 +10,7 @@ import sys
 import textwrap
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -192,7 +193,7 @@ class TestParseRun:
         run = ingest.parse_run(p)
         docs = run.rankings["t1"]
         assert docs.doc_ids == ("high", "low")
-        assert docs.source_ranks == (2, 1)
+        assert docs.scores == (9.0, 1.0)
 
     def test_score_ties_break_by_rank_column(self, tmp_path):
         p = write(tmp_path / "run.txt",
@@ -287,16 +288,7 @@ class TestRunRoundTrip:
         original = ingest.parse_run(write(tmp_path / "a.txt", "".join(lines)))
         out = tmp_path / "b.txt"
         ingest.write_run(original, out)
-        reparsed = ingest.parse_run(out)
-        # source_ranks record the rank column of the file actually parsed,
-        # so identity is on the canonical content.
-        def canonical(run):
-            return {
-                t: (ranking.doc_ids, ranking.scores)
-                for t, ranking in run.rankings.items()
-            }
-        assert canonical(reparsed) == canonical(original)
-        assert reparsed.run_tag == original.run_tag
+        assert ingest.parse_run(out) == original
 
     def test_written_file_is_canonically_ordered(self, tmp_path):
         p = write(tmp_path / "run.txt",
@@ -456,7 +448,25 @@ class TestParseInteractionLog:
         log = ingest.parse_interaction_log(p)
         assert [log.docs[i] for i in log.serp_doc] == ["a", "b"]
         assert log.entry_cols().tolist() == [0, 1]
-        assert log.source_ranks.tolist() == [3, 7]
+
+    def test_rank_values_not_kept(self, tmp_path):
+        # A doc's rank is its position on the SERP, whatever the file states.
+        logs = []
+        for ranks in ((1, 2), (7, -3)):
+            serp = [{"doc_id": d, "rank": r} for d, r in zip(("D1", "D2"), ranks)]
+            entry = log_record("s1", serp=serp)
+            p = write(tmp_path / f"log{ranks[0]}.jsonl", json.dumps(entry) + "\n")
+            logs.append(ingest.parse_interaction_log(p))
+        assert logs[0] == logs[1]
+
+    def test_log_arrays_hold_8_bytes_an_entry(self, planted_log):
+        # An offset per SERP and one more, a doc index per displayed entry and
+        # four values per click. A kept rank column took 8 more bytes an entry.
+        log = ingest.parse_interaction_log(planted_log.log)
+        columns = (getattr(log, name) for name in log.__slots__)
+        held = sum(column.nbytes for column in columns if isinstance(column, np.ndarray))
+        assert len(log.serp_doc) and len(log.click_doc)
+        assert held <= 8 * (len(log.serp_doc) + len(log) + 1) + 32 * len(log.click_doc)
 
     def test_empty_log_is_valid(self, tmp_path):
         log = ingest.parse_interaction_log(write(tmp_path / "log.jsonl", ""))
@@ -514,7 +524,7 @@ class TestParseInteractionLog:
                            clicks=[{"doc_id": "b", "dwell_seconds": big, "usefulness": big}])
         p = write(tmp_path / "log.jsonl", json.dumps(entry) + "\n")
         log = ingest.parse_interaction_log(p)
-        assert log.source_ranks.tolist() == [big, -big, 2**63]
+        assert [log.docs[i] for i in log.serp_doc] == ["a", "b", "c"]
         assert log.click_dwell.tolist() == [float(big)] and log.click_usefulness.tolist() == [big]
 
     def test_valid_log_read_once_faulty_twice(self, tmp_path, monkeypatch):
@@ -745,7 +755,7 @@ def tuple_sort_parse_run(path):
         if q0.lower() != "q0":
             raise ValueError(f"expected literal Q0, got {q0!r}")
         try:
-            source_rank = int(rank_s)
+            file_rank = int(rank_s)
         except ValueError:
             raise ValueError(f"non-numeric rank {rank_s!r}") from None
         try:
@@ -759,7 +769,7 @@ def tuple_sort_parse_run(path):
         if seen != lineno:
             raise ValueError(f"duplicate (topic, doc) ({topic_id}, {doc_id}), first on line {seen}")
         run_tag = run_tag or tag
-        rows.append((-score, source_rank, doc_id))
+        rows.append((-score, file_rank, doc_id))
 
     ingest._read_lines(path, parse_line)
     if not topics:
@@ -767,11 +777,7 @@ def tuple_sort_parse_run(path):
     rankings = {}
     for topic_id, (_, rows) in topics.items():
         rows.sort()
-        rankings[topic_id] = Ranking(
-            tuple(row[2] for row in rows),
-            tuple(-row[0] for row in rows),
-            tuple(row[1] for row in rows),
-        )
+        rankings[topic_id] = Ranking(tuple(row[2] for row in rows), tuple(-row[0] for row in rows))
     return RunList(run_tag or "", rankings)
 
 
@@ -881,7 +887,7 @@ class TestParseRunAgainstTupleSort:
         run = ingest.parse_run(write(tmp_path / "run.txt",
                                      "t1 Q0 a 1 0.0 tag\nt1 Q0 b 2 -0.0 tag\n"))
         assert list(map(repr, run.rankings["t1"].scores)) == ["0.0", "-0.0"]
-        assert run.rankings["t1"].source_ranks == (1, 2)
+        assert run.rankings["t1"].doc_ids == ("a", "b")
 
     @pytest.mark.parametrize("text, reads", [
         ("t1 Q0 d1 1 9.0 tag\nt1 Q0 d2 2 8.0 tag\nt2 Q0 d1 1 1.0 tag\n", 1),
@@ -949,7 +955,6 @@ class TestRankTable:
         p = write(tmp_path / "run.txt", "\n".join(lines) + "\n")
         got, want = parse_both(p)
         assert got == want
-        assert sorted(got.rankings["t1"].source_ranks)[:3] == [-3, 1, 2]
 
     def test_bad_rank_past_the_bound(self, tmp_path):
         n = ingest.RANK_TABLE_SIZE + 10
@@ -959,15 +964,6 @@ class TestRankTable:
         p = write(tmp_path / "run.txt", "\n".join(lines) + "\n")
         got, want = parse_both(p)
         assert got == want == [(str(p), n, f"non-numeric rank 'x{n}'")]
-
-    def test_ranks_shared_within_a_read_only(self, tmp_path):
-        text = "".join(f"{t} Q0 d{r} {r} {-r} tag\n" for t in ("t1", "t2") for r in (300, 301))
-        p = write(tmp_path / "run.txt", text)
-        first, second = ingest.parse_run(p), ingest.parse_run(p)
-        one, two = first.rankings["t1"].source_ranks, first.rankings["t2"].source_ranks
-        assert one == two == (300, 301)
-        assert all(a is b for a, b in zip(one, two))
-        assert not any(a is b for a, b in zip(one, second.rankings["t1"].source_ranks))
 
 
 class TestSharedIds:

@@ -25,6 +25,7 @@ from decoyeval.model import (
     PairStore,
     Qrels,
     Ranking,
+    RecordColumns,
     RunList,
     VectorStore,
     clamp_similarity,
@@ -34,7 +35,7 @@ from decoyeval.model import (
 
 def ranking(*doc_ids):
     n = len(doc_ids)
-    return Ranking(doc_ids, (0.0,) * n, tuple(range(1, n + 1)))
+    return Ranking(doc_ids, (0.0,) * n)
 
 
 class TestClampSimilarity:
@@ -60,14 +61,9 @@ class TestClampSimilarity:
 class TestRanking:
     def test_columns_must_align(self):
         with pytest.raises(ValueError, match="length"):
-            Ranking(("a", "b"), (1.0,), (1, 2))
+            Ranking(("a", "b"), (1.0,))
         with pytest.raises(ValueError, match="length"):
-            Ranking(("a",), (1.0,), ())
-
-    def test_source_ranks_preserved(self):
-        r = Ranking(("d", "e"), (2.0, 1.0), (17, 3))
-        assert r.source_ranks == (17, 3)
-        assert r.head(1) == Ranking(("d",), (2.0,), (17,))
+            Ranking(("a",), (1.0, 2.0))
 
     def test_empty_ranking_is_falsy(self):
         assert not Ranking()
@@ -466,7 +462,7 @@ def log_lists(**over):
     lists = dict(
         serp_ids=["s1", "s2"], session_ids=["x", "x"], user_ids=["u", "u"],
         task_ids=["k", "k"], topic_ids=["t", "t"], docs=("a", "b", "c"), sizes=[2, 2],
-        serp_doc=[0, 1, 2, 0], source_ranks=[1, 2, 1, 2], click_counts=[1, 0],
+        serp_doc=[0, 1, 2, 0], click_counts=[1, 0],
         click_doc=[1], click_dwell=[3.5], click_usefulness=[2],
     )
     lists.update(over)
@@ -477,7 +473,7 @@ class TestInteractionLog:
     def test_columns(self):
         log = InteractionLog(**log_lists())
         assert log.offsets.tolist() == [0, 2, 4] and log.click_serp.tolist() == [0]
-        assert log.serp_doc.tolist() == [0, 1, 2, 0] and log.source_ranks.tolist() == [1, 2, 1, 2]
+        assert log.serp_doc.tolist() == [0, 1, 2, 0]
         assert log.click_dwell.tolist() == [3.5] and log.click_usefulness.tolist() == [2]
         assert len(log) == 2
         empty = InteractionLog(**{name: [] for name in log_lists()})
@@ -489,7 +485,7 @@ class TestInteractionLog:
         ({"serp_ids": ("s1", "s2")}, True),
         ({"click_dwell": [3.25]}, False),
         ({"click_usefulness": [1]}, False),
-        ({"source_ranks": [1, 2, 1, 3]}, False),
+        ({"topic_ids": ["t", "u"]}, False),
         ({"serp_doc": [1, 0, 2, 0], "click_doc": [0]}, False),
         ({"sizes": [3, 1]}, False),
         ({"task_ids": ["k", "j"]}, False),
@@ -520,7 +516,7 @@ class TestInteractionLog:
         ({"topic_ids": ["t"]}, "id columns differ in length"),
         ({"sizes": [3, 2]}, "sizes do not match"),
         ({"sizes": [5, -1]}, "must be >= 0"),
-        ({"source_ranks": [1, 2, 3]}, "sizes do not match"),
+        ({"serp_doc": [0, 1, 2]}, "sizes do not match"),
         ({"click_counts": [1, 1]}, "click counts do not match"),
         ({"click_dwell": [1.0, 2.0]}, "click counts do not match"),
         ({"docs": ("a", "b", "a")}, "doc table holds a doc id twice"),
@@ -538,8 +534,8 @@ class TestInteractionLog:
 class TestInteractionLogPickle:
     @pytest.fixture(params=["planted", "ints beyond int64"])
     def log(self, request, planted_log, tmp_path):
-        """A parsed log: the planted one, or one whose rank and usefulness
-        columns hold ints beyond int64, as object arrays."""
+        """A parsed log: the planted one, or one with ints beyond int64 in its
+        ranks and usefulness, whose usefulness column is an object array."""
         if request.param == "planted":
             return ingest.parse_interaction_log(planted_log.log)
         big = 10**30
@@ -551,7 +547,7 @@ class TestInteractionLogPickle:
         path = tmp_path / "log.jsonl"
         path.write_text(json.dumps(entry) + "\n")
         log = ingest.parse_interaction_log(path)
-        assert log.source_ranks.dtype == log.click_usefulness.dtype == object
+        assert log.click_usefulness.dtype == object
         return log
 
     @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
@@ -580,3 +576,17 @@ class TestInteractionLogPickle:
         back = pickle.loads(pickle.dumps(log))
         with pytest.raises(AttributeError, match="immutable"):
             back.docs = ()
+
+
+class TestRecordColumns:
+    @staticmethod
+    def columns(doc_id):
+        two = np.zeros(2, dtype=np.int64)
+        return RecordColumns(["s1", "s2"], doc_id, two == 0, two == 1, two.astype(np.float64),
+                             two, two + 1, ["k", "k"], ["u", "u"])
+
+    def test_columns_must_align(self):
+        assert len(self.columns(["a", "b"])) == 2
+        # emit_records zips the columns: one short would drop a record.
+        with pytest.raises(ValueError, match="record columns differ in length"):
+            self.columns(["a"])
