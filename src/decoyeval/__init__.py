@@ -22,7 +22,6 @@ from .ingest import (
     parse_records,
     parse_run,
     parse_vectors,
-    write_run,
 )
 from .logmine import (
     GroupComparison,
@@ -92,5 +91,5 @@ __all__ = [
     "parse_records", "parse_run", "parse_vectors", "percentile_threshold",
     "rbp_at_k", "recall_at_k", "regularized_incomplete_beta",
     "resolve_metrics", "student_t_two_sided_p", "sweep", "topic_sim_matrix",
-    "welch_t_test", "write_run",
+    "welch_t_test",
 ]

@@ -1,4 +1,4 @@
-"""Parsers and writers for every on-disk format the toolkit consumes.
+"""Parsers for every on-disk format the toolkit consumes.
 
 Every parser is a per-line function run by one reader, `_read_lines`. It is
 total: it returns a fully valid model value or raises ParseError listing each
@@ -10,8 +10,8 @@ Within one read, each repeated id (and each run rank) is kept as one shared
 object, not one per occurrence. The interaction log is read into columns
 (see `InteractionLog`): each SERP's ids, one doc table, a flat doc-index
 column with per-SERP offsets, and flat click columns. A rank is a position:
-the rank fields of a run or a log are checked, and in a run they break score
-ties, but no model value keeps them.
+the rank fields of a run or a log are checked, and a run's scores and ranks
+order its docs while each topic is sorted, but no model value keeps them.
 
 A valid run, pair-similarity file or log is read once. A faulty one is read
 a second time, by the same line loop with per-record checks that name each
@@ -175,28 +175,28 @@ def parse_run(path: PathLike) -> RunList:
 
     Docs are ordered by score descending, then by the file's rank column
     ascending, then by doc id ascending; the rank of a doc is its position.
-    Scores are kept as parsed; the file's rank column only breaks score
-    ties, and is not kept. A valid file is read once; a file with a bad line
-    or a doc twice in one topic is read again, to name each duplicate's
-    first line.
+    The score and rank columns are checked and order the docs, and neither
+    is kept. A valid file is read once; a file with a bad line or a doc
+    twice in one topic is read again, to name each duplicate's first line.
     """
     return _read_or_reread(lambda: _read_run(path, None), lambda: _read_run(path, {}))
 
 
 def _read_run(path: PathLike, first_line: dict[str, dict[str, int]] | None) -> RunList | None:
-    """One read of a run file into a doc id and a score column per topic,
-    sorted with the file's rank column, or None if a topic has a doc twice.
+    """One read of a run file into a doc id, a score and a rank column per
+    topic, each topic then sorted into its doc ids, or None if a topic has a
+    doc twice.
 
     With a `first_line` map (topic -> doc id -> first line) the read keeps
     no columns and only names the faults, each duplicate at its line with
     the line of its first occurrence. On a file whose first read failed,
     and that has not changed since, it raises the ParseError naming them all.
     """
-    topics: dict[str, tuple[list[str], list[float], list[int]]] = {}
+    topics: dict[str, tuple[list[str], array, list[int]]] = {}
     run_tag = None
     # Rank text -> int: a run repeats its ranks in every topic, and the read
-    # holds every topic's ranks until its last line. Doc ids and scores are
-    # not shared; they rarely repeat across a real run's lines.
+    # holds every topic's ranks until its last line. Doc ids are not shared;
+    # they rarely repeat across a real run's lines.
     ranks: dict[str, int] = {}
 
     def parse_line(lineno, line):
@@ -230,7 +230,7 @@ def _read_run(path: PathLike, first_line: dict[str, dict[str, int]] | None) -> R
             return
         columns = topics.get(topic_id)
         if columns is None:
-            columns = topics[topic_id] = ([], [], [])
+            columns = topics[topic_id] = ([], array("d"), [])
             run_tag = run_tag or tag
         columns[0].append(doc_id)
         columns[1].append(score)
@@ -241,26 +241,14 @@ def _read_run(path: PathLike, first_line: dict[str, dict[str, int]] | None) -> R
         raise ParseError(path, [ParseDiagnostic(str(path), 1, "run file has no ranked lines")])
     rankings: dict[str, Ranking] = {}
     for topic_id in list(topics):
-        # Popping frees each topic's lists once converted.
+        # Popping frees each topic's columns once sorted.
         doc_ids, scores, file_ranks = topics.pop(topic_id)
-        rows = sorted(zip(map(operator.neg, scores), file_ranks, doc_ids, scores))
-        _, _, doc_ids, scores = zip(*rows)
+        rows = sorted(zip(map(operator.neg, scores), file_ranks, doc_ids))
         try:
-            rankings[topic_id] = Ranking(doc_ids, scores)
+            rankings[topic_id] = Ranking(tuple(map(operator.itemgetter(2), rows)))
         except ValueError:  # a doc twice in the topic, found with no line map
             return None
     return RunList(run_tag, rankings)
-
-
-def write_run(run: RunList, path: PathLike) -> None:
-    """Write a RunList back to the TREC run layout, one doc per line.
-
-    Scores are printed with repr so that write -> parse round-trips exactly.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        for topic_id, ranking in run.rankings.items():
-            for rank, (doc_id, score) in enumerate(zip(ranking.doc_ids, ranking.scores), 1):
-                fh.write(f"{topic_id} Q0 {doc_id} {rank} {score!r} {run.run_tag}\n")
 
 
 def parse_qrels(path: PathLike, g_max: int) -> Qrels:

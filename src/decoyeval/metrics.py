@@ -35,7 +35,8 @@ class MetricConfig:
     cutoffs separately), g_max the top relevance grade (RBP utility and ERR
     normalisation), phi the RBP persistence, alpha the LC weight on DEJA-VU,
     and the two floors say which grades count as relevant for Recall and as
-    highly relevant for DEJA-VU's r.
+    highly relevant for DEJA-VU's r. A floor lies in [1, g_max]: grade 0 is
+    not relevant, and an unjudged doc counts as grade 0.
     """
 
     k: int = 10
@@ -55,8 +56,8 @@ class MetricConfig:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         for name, floor in (("recall_min", self.recall_min),
                             ("highly_relevant_min", self.highly_relevant_min)):
-            if not 0 <= floor <= self.g_max:
-                raise ValueError(f"{name} must lie in [0, g_max], got {floor}")
+            if not 1 <= floor <= self.g_max:
+                raise ValueError(f"{name} must lie in [1, g_max], got {floor}")
 
 
 # Largest double below 1; keeps the metric inside its documented [0, 1)
@@ -279,11 +280,9 @@ def topic_prefix(
         rbp=rbp,
         err=err,
         ideal_dcg=ideal_dcg,
-        relevant=[i for i, g in enumerate(ranked, start=1) if g >= cfg.recall_min],
+        relevant=[i for i in graded if ranked[i - 1] >= cfg.recall_min],
         total_relevant=sum(1 for g in grades.values() if g >= cfg.recall_min),
-        highly_relevant=[
-            i for i, g in enumerate(ranked, start=1) if g >= cfg.highly_relevant_min
-        ],
+        highly_relevant=[i for i in graded if ranked[i - 1] >= cfg.highly_relevant_min],
         decoy_depths=sorted(first_seen.values()),
     )
 

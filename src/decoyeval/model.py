@@ -49,23 +49,18 @@ def rescaled(vec: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, slots=True)
 class Ranking:
-    """One ranked list as parallel columns: doc ids and scores.
+    """One ranked list: its doc ids, best first.
 
-    The rank of the doc at position i is i + 1. Doc ids are unique.
+    The rank of the doc at position i is i + 1; a run's scores order its
+    docs while it is read, and are not kept. Doc ids are unique.
     `Ranking()` is the empty list, and a Ranking is falsy exactly when it is
     empty.
     """
 
     doc_ids: tuple[str, ...] = ()
-    scores: tuple[float, ...] = ()
 
     def __post_init__(self):
-        n = len(self.doc_ids)
-        if len(self.scores) != n:
-            raise ValueError(
-                f"ranking columns differ in length: {n} doc ids, {len(self.scores)} scores"
-            )
-        if len(set(self.doc_ids)) != n:
+        if len(set(self.doc_ids)) != len(self.doc_ids):
             seen = set()
             for doc_id in self.doc_ids:
                 if doc_id in seen:
@@ -81,7 +76,7 @@ class Ranking:
             raise ValueError(f"ranking prefix length must be >= 0, got {k}")
         if k >= len(self.doc_ids):
             return self
-        return Ranking(self.doc_ids[:k], self.scores[:k])
+        return Ranking(self.doc_ids[:k])
 
 
 def check_g_max(g_max: int) -> None:
@@ -101,7 +96,7 @@ class Qrels:
         check_g_max(self.g_max)
         for topic_id, docs in self.judgments.items():
             for doc_id, grade in docs.items():
-                if not isinstance(grade, int):
+                if not isinstance(grade, int) or isinstance(grade, bool):
                     raise ValueError(
                         f"grade for topic {topic_id} doc {doc_id} must be an integer, "
                         f"got {grade!r}"

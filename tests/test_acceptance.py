@@ -57,8 +57,7 @@ from conftest import LOG_CLICKS, LOG_EXPECTED, record_rows, write_corpus, write_
 
 
 def ranking_of(doc_ids):
-    n = len(doc_ids)
-    return Ranking(tuple(doc_ids), tuple(float(n - i) for i in range(n)))
+    return Ranking(tuple(doc_ids))
 
 
 def matrix_for(doc_ids, table, topic="t"):

@@ -32,8 +32,7 @@ from conftest import LOG_EXPECTED, LOG_GRADES, LOG_TOP_SIM, log_of, planted_pair
 
 
 def ranking_of(doc_ids):
-    n = len(doc_ids)
-    return Ranking(tuple(doc_ids), tuple(float(n - i) for i in range(n)))
+    return Ranking(tuple(doc_ids))
 
 
 def pair_table(doc_ids, sims, topic="t"):

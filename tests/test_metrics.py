@@ -308,9 +308,8 @@ class TestOracleEquivalence:
 
 
 class TestRelevanceFloors:
-    @pytest.mark.parametrize("recall_min, highly_relevant_min", [(0, 0), (0, 2), (1, 0), (3, 1)])
+    @pytest.mark.parametrize("recall_min, highly_relevant_min", [(1, 1), (1, 3), (2, 1), (3, 1)])
     def test_rank_lists_match_a_brute_force_count(self, recall_min, highly_relevant_min):
-        # At floor 0 every rank counts, judged or not.
         cfg = MetricConfig(recall_min=recall_min, highly_relevant_min=highly_relevant_min)
         rng = random.Random(909)
         for _ in range(60):
@@ -331,6 +330,18 @@ class TestRelevanceFloors:
                 assert values["recall"] == pytest.approx(
                     oracle_recall(in_order, list(grades.values()), k, floor=recall_min),
                     abs=1e-12)
+
+    @pytest.mark.parametrize("name, floor", [
+        ("recall_min", 0), ("highly_relevant_min", 0), ("recall_min", 4)])
+    def test_floor_outside_the_grades_rejected(self, name, floor):
+        # At floor 0 every unjudged doc in the ranking would be a hit, while
+        # the denominator counts judged docs only: recall could exceed 1.
+        with pytest.raises(ValueError, match=rf"{name} must lie in \[1, g_max\], got {floor}"):
+            MetricConfig(**{name: floor})
+
+    def test_recall_floor_zero_rejected(self):
+        with pytest.raises(ValueError, match=r"recall_min must lie in \[1, g_max\], got 0"):
+            recall_at_k(ranking_of(["a", "b", "c"]), {"a": 1}, 3, recall_min=0)
 
 
 class TestEvaluateTopic:

@@ -34,8 +34,7 @@ from decoyeval.model import (
 
 
 def ranking(*doc_ids):
-    n = len(doc_ids)
-    return Ranking(doc_ids, (0.0,) * n)
+    return Ranking(doc_ids)
 
 
 class TestClampSimilarity:
@@ -59,11 +58,10 @@ class TestClampSimilarity:
 
 
 class TestRanking:
-    def test_columns_must_align(self):
-        with pytest.raises(ValueError, match="length"):
-            Ranking(("a", "b"), (1.0,))
-        with pytest.raises(ValueError, match="length"):
-            Ranking(("a",), (1.0, 2.0))
+    def test_keeps_only_doc_ids(self):
+        assert Ranking.__slots__ == ("doc_ids",)
+        with pytest.raises(TypeError):
+            Ranking(("a", "b"), (2.0, 1.0))
 
     def test_empty_ranking_is_falsy(self):
         assert not Ranking()
@@ -93,6 +91,12 @@ class TestQrels:
     def test_negative_grade_rejected(self):
         with pytest.raises(ValueError):
             Qrels(g_max=3, judgments={"t": {"d": -1}})
+
+    @pytest.mark.parametrize("grade", [False, True])
+    def test_boolean_grade_rejected(self, grade):
+        # A bool is an int to isinstance, and would print as a JSON boolean.
+        with pytest.raises(ValueError, match=f"doc b must be an integer, got {grade}"):
+            Qrels(3, {"t": {"b": grade}})
 
     def test_grades_for_missing_topic_is_empty(self):
         q = Qrels(g_max=3, judgments={"t": {"d": 2}})
