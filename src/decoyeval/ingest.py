@@ -7,11 +7,13 @@ a leading byte-order mark is dropped, blank lines are skipped, and a byte
 that is not UTF-8 is reported at its line.
 
 Within one read, each repeated id (and each run rank) is kept as one shared
-object, not one per occurrence. The interaction log is read into columns
-(see `InteractionLog`): each SERP's ids, one doc table, a flat doc-index
-column with per-SERP offsets, and flat click columns. A rank is a position:
-the rank fields of a run or a log are checked, and a run's scores and ranks
-order its docs while each topic is sorted, but no model value keeps them.
+object, not one per occurrence. A run's doc ids become one string per topic
+(see `Ranking`) as the read leaves the topic's block. The interaction log is
+read into columns (see `InteractionLog`): each SERP's ids, one doc table, a
+flat doc-index column with per-SERP offsets, and flat click columns. A rank
+is a position: the rank fields of a run or a log are checked, and a run's
+scores and ranks order its docs while each topic is sorted, but no model
+value keeps them.
 
 A valid run, pair-similarity file or log is read once. A faulty one is read
 a second time, by the same line loop with per-record checks that name each
@@ -183,24 +185,37 @@ def parse_run(path: PathLike) -> RunList:
 
 
 def _read_run(path: PathLike, first_line: dict[str, dict[str, int]] | None) -> RunList | None:
-    """One read of a run file into a doc id, a score and a rank column per
-    topic, each topic then sorted into its doc ids, or None if a topic has a
-    doc twice.
+    """One read of a run file into a Ranking per topic, or None if a topic
+    has a doc twice. A topic's lines go into a doc id, a score and a rank
+    column. As the read leaves a topic's block, the block is sorted into a
+    Ranking, and its scores and ranks (8 bytes a line each) wait in case the
+    topic shows up again; then it is expanded back once and stays open.
 
     With a `first_line` map (topic -> doc id -> first line) the read keeps
     no columns and only names the faults, each duplicate at its line with
     the line of its first occurrence. On a file whose first read failed,
     and that has not changed since, it raises the ParseError naming them all.
     """
-    topics: dict[str, tuple[list[str], array, list[int]]] = {}
-    run_tag = None
+    # Topic -> (doc ids, or its closed block's Ranking; negated scores; file ranks)
+    topics: dict[str, tuple] = {}
+    block = block_id = run_tag = None
+    block_is_first = duplicate = False
     # Rank text -> int: a run repeats its ranks in every topic, and the read
     # holds every topic's ranks until its last line. Doc ids are not shared;
     # they rarely repeat across a real run's lines.
     ranks: dict[str, int] = {}
 
+    def close(columns):
+        nonlocal duplicate
+        rows = sorted(zip(columns[1], columns[2], columns[0]))
+        try:
+            return Ranking(list(map(operator.itemgetter(2), rows))), *columns[1:]
+        except ValueError:  # a doc twice in the topic, found with no line map
+            duplicate = True
+            return columns
+
     def parse_line(lineno, line):
-        nonlocal run_tag
+        nonlocal block, block_id, block_is_first, run_tag
         parts = line.split()
         if len(parts) != 6:
             raise ValueError(f"expected 6 fields, got {len(parts)}")
@@ -229,11 +244,19 @@ def _read_run(path: PathLike, first_line: dict[str, dict[str, int]] | None) -> R
                 )
             return
         columns = topics.get(topic_id)
-        if columns is None:
-            columns = topics[topic_id] = ([], array("d"), [])
-            run_tag = run_tag or tag
+        if columns is None or columns is not block:
+            if block_is_first:
+                topics[block_id] = close(block)
+            if block_is_first := columns is None:
+                columns = topics[topic_id] = ([], array("d"), [])
+                run_tag = run_tag or tag
+            elif isinstance(columns[0], Ranking):  # expanded back: its sorted keys are its ids'
+                scores, file_ranks = zip(*sorted(zip(columns[1], columns[2])))
+                columns = topics[topic_id] = (list(columns[0].doc_ids), array("d", scores),
+                                              list(file_ranks))
+            block, block_id = columns, topic_id
         columns[0].append(doc_id)
-        columns[1].append(score)
+        columns[1].append(-score)
         columns[2].append(file_rank)
 
     _read_lines(path, parse_line)
@@ -241,14 +264,9 @@ def _read_run(path: PathLike, first_line: dict[str, dict[str, int]] | None) -> R
         raise ParseError(path, [ParseDiagnostic(str(path), 1, "run file has no ranked lines")])
     rankings: dict[str, Ranking] = {}
     for topic_id in list(topics):
-        # Popping frees each topic's columns once sorted.
-        doc_ids, scores, file_ranks = topics.pop(topic_id)
-        rows = sorted(zip(map(operator.neg, scores), file_ranks, doc_ids))
-        try:
-            rankings[topic_id] = Ranking(tuple(map(operator.itemgetter(2), rows)))
-        except ValueError:  # a doc twice in the topic, found with no line map
-            return None
-    return RunList(run_tag, rankings)
+        columns = topics.pop(topic_id)  # so each topic's scores are freed in turn
+        rankings[topic_id] = (columns if isinstance(columns[0], Ranking) else close(columns))[0]
+    return None if duplicate else RunList(run_tag, rankings)
 
 
 def parse_qrels(path: PathLike, g_max: int) -> Qrels:

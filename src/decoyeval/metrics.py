@@ -240,8 +240,8 @@ def topic_prefix(
     `sims` None no pair is counted.
     """
     check_cutoff(depth)
-    top = ranking.head(depth)
-    ranked = list(map(grades.get, top.doc_ids, repeat(0)))
+    docs = ranking.head(depth).doc_ids
+    ranked = list(map(grades.get, docs, repeat(0)))
 
     graded = list(compress(count(1), ranked))
     dcg, rbp, err = [0.0], [0.0], [0.0]
@@ -266,7 +266,7 @@ def topic_prefix(
 
     first_seen: dict[int, int] = {}  # target index -> rank of its first decoy
     if sims is not None:
-        targets, decoys, _ = ranking_pairs(topic_id, top.doc_ids, ranked, sims, decoy_cfg)
+        targets, decoys, _ = ranking_pairs(topic_id, docs, ranked, sims, decoy_cfg)
         for ti, di in zip(targets, decoys):
             seen_at = max(ti, di) + 1
             if seen_at < first_seen.get(ti, seen_at + 1):

@@ -47,36 +47,58 @@ def rescaled(vec: np.ndarray) -> np.ndarray:
     return np.ldexp(vec, -np.frexp(np.abs(vec).max(initial=0.0))[1])
 
 
-@dataclass(frozen=True, slots=True)
 class Ranking:
     """One ranked list: its doc ids, best first.
 
     The rank of the doc at position i is i + 1; a run's scores order its
-    docs while it is read, and are not kept. Doc ids are unique.
-    `Ranking()` is the empty list, and a Ranking is falsy exactly when it is
-    empty.
+    docs while it is read, and are not kept. Doc ids are unique strings
+    without a line break, held as one "\\n"-joined string that `doc_ids`
+    splits into a tuple on each read. `Ranking()` is the empty list, and a
+    Ranking is falsy exactly when it is empty.
     """
 
-    doc_ids: tuple[str, ...] = ()
+    __slots__ = ("_text", "_len")
 
-    def __post_init__(self):
-        if len(set(self.doc_ids)) != len(self.doc_ids):
+    def __init__(self, doc_ids: Sequence[str] = ()):
+        text = "\n".join(doc_ids)
+        if text.count("\n") != max(len(doc_ids) - 1, 0):
+            bad = next(doc_id for doc_id in doc_ids if "\n" in doc_id)
+            raise ValueError(f"doc id {bad!r} holds a line break")
+        if len(set(doc_ids)) != len(doc_ids):
             seen = set()
-            for doc_id in self.doc_ids:
-                if doc_id in seen:
-                    raise ValueError(f"duplicate doc id {doc_id} in ranking")
-                seen.add(doc_id)
+            twice = next(d for d in doc_ids if d in seen or seen.add(d))
+            raise ValueError(f"duplicate doc id {twice} in ranking")
+        self._text, self._len = text, len(doc_ids)
+
+    @property
+    def doc_ids(self) -> tuple[str, ...]:
+        return tuple(self._text.split("\n")) if self._len else ()
 
     def __len__(self) -> int:
-        return len(self.doc_ids)
+        return self._len
+
+    def __eq__(self, other):
+        return ((self._len, self._text) == (other._len, other._text)
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash((self.doc_ids,))
+
+    def __repr__(self) -> str:
+        return f"Ranking(doc_ids={self.doc_ids!r})"
+
+    def __reduce__(self):
+        return Ranking, (self.doc_ids,)
 
     def head(self, k: int) -> "Ranking":
         """The top k of the ranking (all of it when k >= its length)."""
         if k < 0:
             raise ValueError(f"ranking prefix length must be >= 0, got {k}")
-        if k >= len(self.doc_ids):
+        if k >= self._len:
             return self
-        return Ranking(self.doc_ids[:k])
+        top = object.__new__(Ranking)  # a prefix of unique ids needs no check
+        top._text, top._len = "\n".join(self._text.split("\n", k)[:k]), k
+        return top
 
 
 def check_g_max(g_max: int) -> None:

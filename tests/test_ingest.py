@@ -274,27 +274,49 @@ class TestParseRun:
         with pytest.raises(ParseError):
             ingest.parse_run(write(tmp_path / "run.txt", "t1 QX d1 1 9.0 tag\n"))
 
+    @staticmethod
+    def bytes_a_ranked_doc(path, n_docs):
+        """Bytes a ranked doc that parse_run's RunList holds, ids included,
+        and that the read held at its peak (tracemalloc)."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run = ingest.parse_run(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, run.rankings.values())) == n_docs
+        return (held - before) / n_docs, (peak - before) / n_docs
+
     def test_parsed_run_keeps_no_scores(self, tmp_path):
-        # 20 topics of 500 docs with distinct scores. Bytes a ranked doc,
-        # its doc-id string left out: kept scores held about 51 after the
-        # read, and a list of float objects peaked near 70 during it.
+        # 20 topics of 500 docs with distinct scores. With one str object a
+        # doc id, a run held about 77 bytes a ranked doc and peaked near 104;
+        # joined ids hold about 18, and a closed block's scores and ranks
+        # wait for the end of the read at 8 bytes a line each.
         p = tmp_path / "run.txt"
         rng = random.Random(5)
         with open(p, "w") as fh:
             fh.writelines(f"q{t} Q0 q{t}-doc{j:04d} {j + 1} {rng.uniform(-50, 50)!r} sys\n"
                           for t in range(20) for j in range(500))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            run = ingest.parse_run(p)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        ids = sum(sys.getsizeof(d) for ranking in run.rankings.values() for d in ranking.doc_ids)
-        held, peak = (held - before - ids) / 10_000, (peak - before - ids) / 10_000
-        assert held <= 24, f"{held:.1f} bytes a ranked doc"
-        assert peak <= 56, f"{peak:.1f} bytes a ranked doc at the peak"
+        held, peak = self.bytes_a_ranked_doc(p, 10_000)
+        assert held <= 32, f"{held:.1f} bytes a ranked doc"
+        assert peak <= 64, f"{peak:.1f} bytes a ranked doc at the peak"
+
+    def test_interleaved_run_is_expanded_once(self, tmp_path):
+        # 200 topics of 50 docs, the topic changing on every line: each
+        # topic's first block closes after one line and is reopened at its
+        # second, and then stays open, as every topic did before ids were
+        # joined (about 93 bytes a doc at the peak). Closing every block
+        # again, with one segment kept per block, peaked at 382.
+        p = tmp_path / "run.txt"
+        rng = random.Random(5)
+        with open(p, "w") as fh:
+            fh.writelines(f"q{t} Q0 q{t}-doc{j:04d} {j + 1} {rng.uniform(-50, 50)!r} sys\n"
+                          for j in range(50) for t in range(200))
+        held, peak = self.bytes_a_ranked_doc(p, 10_000)
+        assert held <= 32, f"{held:.1f} bytes a ranked doc"
+        assert peak <= 100, f"{peak:.1f} bytes a ranked doc at the peak"
 
 
 class TestParseQrels:

@@ -37,6 +37,20 @@ def ranking(*doc_ids):
     return Ranking(doc_ids)
 
 
+# Unicode ids, the empty id among them; a small alphabet repeats ids.
+RANKING_IDS = st.text(st.sampled_from("ab\né") | st.characters(), max_size=3)
+
+
+def tuple_ranking_fault(doc_ids):
+    """The ValueError message Ranking(doc_ids) must raise, from plain tuple
+    scans: a line break in an id first, then the first id seen twice."""
+    broken = next((d for d in doc_ids if "\n" in d), None)
+    if broken is not None:
+        return f"doc id {broken!r} holds a line break"
+    twice = next((d for i, d in enumerate(doc_ids) if d in doc_ids[:i]), None)
+    return None if twice is None else f"duplicate doc id {twice} in ranking"
+
+
 class TestClampSimilarity:
     def test_within_range_passes_through(self):
         assert clamp_similarity(0.5, "x") == 0.5
@@ -59,9 +73,45 @@ class TestClampSimilarity:
 
 class TestRanking:
     def test_keeps_only_doc_ids(self):
-        assert Ranking.__slots__ == ("doc_ids",)
+        # The ids as one string and their count: no score, no per-id object.
+        r = ranking("a", "b")
+        assert not hasattr(r, "__dict__")
+        assert sorted(map(repr, (getattr(r, name) for name in Ranking.__slots__))) == [
+            "'a\\nb'", "2"]
         with pytest.raises(TypeError):
             Ranking(("a", "b"), (2.0, 1.0))
+
+    @pytest.mark.parametrize("doc_ids", [("a\nb",), ("a", "\n"), ("\n", "\n")])
+    def test_line_break_in_a_doc_id_rejected(self, doc_ids):
+        with pytest.raises(ValueError, match="holds a line break"):
+            Ranking(doc_ids)
+
+    @given(st.lists(RANKING_IDS, max_size=6), st.lists(RANKING_IDS, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_tuple_oracle(self, first, second):
+        ids, other = tuple(first), tuple(second)
+        fault = tuple_ranking_fault(ids)
+        if fault is not None:
+            with pytest.raises(ValueError) as exc:
+                Ranking(ids)
+            assert str(exc.value) == fault
+            return
+        r = Ranking(ids)
+        assert r.doc_ids == ids
+        assert (len(r), bool(r)) == (len(ids), bool(ids))
+        assert repr(r) == f"Ranking(doc_ids={ids!r})"
+        assert hash(r) == hash((ids,))
+        for k in range(len(ids) + 2):
+            top = r.head(k)
+            assert (top.doc_ids, len(top), bool(top)) == (ids[:k], len(ids[:k]), bool(ids[:k]))
+            assert top == Ranking(ids[:k]) and hash(top) == hash((ids[:k],))
+            assert (top == r) == (ids[:k] == ids)
+        if tuple_ranking_fault(other) is None:
+            assert (Ranking(other) == r) == (other == ids)
+        assert r != ids and r.__eq__(ids) is NotImplemented
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(r, protocol))
+            assert type(back) is Ranking and back == r and back.doc_ids == ids
 
     def test_empty_ranking_is_falsy(self):
         assert not Ranking()
