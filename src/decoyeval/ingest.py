@@ -250,7 +250,7 @@ def _read_run(path: PathLike, first_line: dict[str, dict[str, int]] | None) -> R
             if block_is_first := columns is None:
                 columns = topics[topic_id] = ([], array("d"), [])
                 run_tag = run_tag or tag
-            elif isinstance(columns[0], Ranking):  # expanded back: its sorted keys are its ids'
+            elif isinstance(columns[0], Ranking):  # reopened: its keys, sorted, align with its ids
                 scores, file_ranks = zip(*sorted(zip(columns[1], columns[2])))
                 columns = topics[topic_id] = (list(columns[0].doc_ids), array("d", scores),
                                               list(file_ranks))
