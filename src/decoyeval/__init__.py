@@ -48,7 +48,6 @@ from .metrics import (
     err_at_k,
     err_grade_map,
     evaluate_run,
-    evaluate_topic,
     linear_combination,
     ndcg_at_k,
     rbp_at_k,
@@ -85,7 +84,7 @@ __all__ = [
     "WelchResult", "aggregate", "clamp_similarity", "cosine", "dejavu",
     "dejavu_at_k", "derive_thresholds", "detect_decoy_pairs",
     "detect_decoy_pairs_at_k", "err_at_k", "err_grade_map", "evaluate_run",
-    "evaluate_topic", "extract_records", "group_stats", "identify_controls",
+    "extract_records", "group_stats", "identify_controls",
     "identify_targets", "linear_combination", "log_doc_universe",
     "ndcg_at_k", "parse_interaction_log", "parse_pair_sims", "parse_qrels",
     "parse_records", "parse_run", "parse_vectors", "percentile_threshold",

@@ -49,6 +49,10 @@ from .report import (
 
 
 class _Parser(argparse.ArgumentParser):
+    # Every parser, subcommands included, shows its defaults in --help.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kwargs)
+
     # Usage errors are input errors: exit 1, reserving 2 for coverage gaps.
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -112,13 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Evaluate ranked retrieval for effectiveness and "
                     "decoy-effect vulnerability, and mine SERP logs for "
                     "decoy/control interactions.",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p_eval = sub.add_parser(
-        "eval", help="score a run per topic and on average",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        "eval", help="score a run per topic and on average")
     _add_run_flags(p_eval)
     p_eval.add_argument("--cutoffs", default="10,20", metavar="LIST",
                         help="comma-separated cutoffs")
@@ -131,8 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_decoys = sub.add_parser(
-        "decoys", help="list detected decoy pairs",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        "decoys", help="list detected decoy pairs")
     _add_run_flags(p_decoys)
     p_decoys.add_argument("--k", type=int, default=10, metavar="N",
                           help="ranking prefix to scan")
@@ -145,8 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_decoys.set_defaults(func=cmd_decoys)
 
     p_sweep = sub.add_parser(
-        "sweep", help="mean metrics across a range of cutoffs",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        "sweep", help="mean metrics across a range of cutoffs")
     _add_run_flags(p_sweep)
     p_sweep.add_argument("--k-start", type=int, default=10, metavar="N",
                          help="first cutoff")
@@ -160,8 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_mine = sub.add_parser(
-        "mine", help="mine an interaction log for decoy/control records",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        "mine", help="mine an interaction log for decoy/control records")
     p_mine.add_argument("--logs", required=True, metavar="PATH",
                         help="JSONL interaction log")
     _add_source_flags(p_mine)

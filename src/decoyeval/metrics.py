@@ -29,17 +29,15 @@ KNOWN_METRICS = ("dejavu",) + EFFECTIVENESS_METRICS + tuple(
 
 @dataclass(frozen=True)
 class MetricConfig:
-    """Shared knobs for all metrics.
+    """Shared knobs for all metrics; the cutoffs are passed separately.
 
-    k is the cutoff of evaluate_topic (evaluate_run and sweep take their
-    cutoffs separately), g_max the top relevance grade (RBP utility and ERR
-    normalisation), phi the RBP persistence, alpha the LC weight on DEJA-VU,
-    and the two floors say which grades count as relevant for Recall and as
-    highly relevant for DEJA-VU's r. A floor lies in [1, g_max]: grade 0 is
-    not relevant, and an unjudged doc counts as grade 0.
+    g_max is the top relevance grade (RBP utility and ERR normalisation),
+    phi the RBP persistence, alpha the LC weight on DEJA-VU, and the two
+    floors say which grades count as relevant for Recall and as highly
+    relevant for DEJA-VU's r. A floor lies in [1, g_max]: grade 0 is not
+    relevant, and an unjudged doc counts as grade 0.
     """
 
-    k: int = 10
     g_max: int = 3
     phi: float = 0.8
     alpha: float = 0.5
@@ -47,7 +45,6 @@ class MetricConfig:
     highly_relevant_min: int = 2
 
     def __post_init__(self):
-        check_cutoff(self.k)
         if self.g_max < 1:
             raise ValueError(f"g_max must be >= 1, got {self.g_max}")
         if not 0.0 < self.phi < 1.0:
@@ -287,8 +284,8 @@ def topic_prefix(
     )
 
 
-def _read_at_k(name: str, ranking, grades, cfg: MetricConfig) -> float:
-    return topic_prefix("", ranking, grades, None, None, cfg, cfg.k).values_at(cfg.k)[0][name]
+def _read_at_k(name: str, ranking, grades, cfg: MetricConfig, k: int) -> float:
+    return topic_prefix("", ranking, grades, None, None, cfg, k).values_at(k)[0][name]
 
 
 def _scale_of(grades: Mapping[str, int], floor: int) -> int:
@@ -316,7 +313,7 @@ def dejavu_at_k(
     docs in the top k, then apply 1 - exp(d - r)."""
     if sims is None:
         raise ValueError("dejavu requires a similarity source")
-    cfg = MetricConfig(k=k, g_max=_scale_of(grades, highly_relevant_min),
+    cfg = MetricConfig(g_max=_scale_of(grades, highly_relevant_min),
                        highly_relevant_min=highly_relevant_min)
     prefix = topic_prefix(topic_id, ranking, grades, sims, decoy_cfg, cfg, k)
     values, d, r = prefix.values_at(k)
@@ -335,7 +332,7 @@ def ndcg_at_k(
     just retrieved ones, then truncated at k. A topic with no relevant
     judgments scores 0.
     """
-    return _read_at_k("ndcg", ranking, grades, MetricConfig(k=k, g_max=g_max))
+    return _read_at_k("ndcg", ranking, grades, MetricConfig(g_max=g_max), k)
 
 
 def recall_at_k(
@@ -346,8 +343,8 @@ def recall_at_k(
 ) -> float:
     """Fraction of the topic's relevant docs (grade >= recall_min) retrieved
     in the top k. Topics with no relevant docs score 0."""
-    cfg = MetricConfig(k=k, g_max=_scale_of(grades, recall_min), recall_min=recall_min)
-    return _read_at_k("recall", ranking, grades, cfg)
+    cfg = MetricConfig(g_max=_scale_of(grades, recall_min), recall_min=recall_min)
+    return _read_at_k("recall", ranking, grades, cfg, k)
 
 
 def rbp_at_k(
@@ -359,7 +356,7 @@ def rbp_at_k(
 ) -> float:
     """Rank-biased precision (1 - phi) * sum_i r_i * phi^(i-1), truncated at
     k, with graded utility r_i = grade_i / g_max."""
-    return _read_at_k("rbp", ranking, grades, MetricConfig(k=k, g_max=g_max, phi=phi))
+    return _read_at_k("rbp", ranking, grades, MetricConfig(g_max=g_max, phi=phi), k)
 
 
 def err_at_k(
@@ -369,32 +366,7 @@ def err_at_k(
     g_max: int = 3,
 ) -> float:
     """Expected reciprocal rank: sum_i (1/i) * R_i * prod_{j<i} (1 - R_j)."""
-    return _read_at_k("err", ranking, grades, MetricConfig(k=k, g_max=g_max))
-
-
-def evaluate_topic(
-    topic_id: str,
-    ranking: Ranking,
-    grades: Mapping[str, int],
-    sims,
-    decoy_cfg: DecoyConfig,
-    cfg: MetricConfig,
-    metrics: Sequence[str],
-) -> TopicScores:
-    """Compute the requested metrics for one topic at cfg.k.
-
-    `metrics` must already be dependency-closed (see resolve_metrics).
-    `sims` may be None when no dejavu-family metric is requested.
-    """
-    metrics = tuple(metrics)
-    if resolve_metrics(metrics) != metrics:
-        raise ValueError(f"metrics {metrics} are not dependency-closed; call resolve_metrics")
-    needs_sims = "dejavu" in metrics
-    if needs_sims and sims is None:
-        raise ValueError("dejavu requires a similarity source")
-    prefix = topic_prefix(topic_id, ranking, grades, sims if needs_sims else None,
-                          decoy_cfg, cfg, cfg.k)
-    return prefix.scores_at(cfg.k, metrics, cfg.alpha)
+    return _read_at_k("err", ranking, grades, MetricConfig(g_max=g_max), k)
 
 
 @dataclass(frozen=True, slots=True)
@@ -483,7 +455,8 @@ def evaluate_run(
     scores as an empty ranking. Each topic goes through topic_prefix once,
     down to the deepest cutoff, so decoy detection runs once per topic and
     every cutoff is a read of the same summary: the result at cutoff k
-    equals that of evaluate_run at k alone. cfg.k is not read.
+    equals that of evaluate_run at k alone. A run and qrels of one topic
+    score that topic alone.
     """
     metrics = resolve_metrics(metrics)
     cutoffs = sorted(set(cutoffs))

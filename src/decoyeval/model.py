@@ -437,11 +437,10 @@ class PairStoreTopicView:
         get = self.codes.get
         code[touched] = [get(docs[i], -1) for i in touched.tolist()]
         code_a, code_b = code[a], code[b]
-        low = np.minimum(code_a, code_b)
-        key = low * len(self.codes) + np.maximum(code_a, code_b)
-        pos = self.keys.searchsorted(key)
-        found = (pos < len(self.keys)) & (low >= 0)
-        found[found] = self.keys[pos[found]] == key[found]
+        # A doc the store lacks has code -1, so its pair key is negative and
+        # matches no stored key.
+        key = np.minimum(code_a, code_b) * len(self.codes) + np.maximum(code_a, code_b)
+        pos, found = find_sorted(self.keys, key)
         values = np.full(len(a), np.nan)
         values[found] = self.values[pos[found]]
         return values, found

@@ -19,7 +19,6 @@ from decoyeval.metrics import (
     err_at_k,
     err_grade_map,
     evaluate_run,
-    evaluate_topic,
     linear_combination,
     ndcg_at_k,
     rbp_at_k,
@@ -345,28 +344,56 @@ class TestRelevanceFloors:
 
 
 class TestEvaluateTopic:
+    """One topic scored on several metrics: a one-topic run through
+    evaluate_run."""
+
     def test_single_metric_only(self):
         docs = ["a", "b"]
-        grades = {"a": 2}
-        scores = evaluate_topic("t", ranking_of(docs), grades, None,
-                                DecoyConfig(), MetricConfig(k=2), ["recall"])
+        run = RunList(run_tag="r", rankings={"t": ranking_of(docs)})
+        qrels = Qrels(g_max=3, judgments={"t": {"a": 2}})
+        [ev] = evaluate_run(run, qrels, None, DecoyConfig(), MetricConfig(), ["recall"], [2])
+        [scores] = ev.topics
         assert list(scores.scores) == ["recall"]
         assert scores.scores["recall"] == 1.0
 
-    def test_lc_requires_resolved_operands(self):
-        with pytest.raises(ValueError):
-            evaluate_topic("t", Ranking(), {}, None, DecoyConfig(), MetricConfig(), ["lc_ndcg"])
-
     def test_lc_composes_computed_operands(self):
         docs = ["a", "b", "c"]
-        grades = {"a": 3, "b": 0, "c": 2}
-        m = matrix_for(docs, {frozenset(("a", "b")): 0.9})
-        metrics = resolve_metrics(["lc_ndcg"])
-        scores = evaluate_topic("t", ranking_of(docs), grades, m,
-                                DecoyConfig(), MetricConfig(k=3), metrics)
+        run = RunList(run_tag="r", rankings={"t": ranking_of(docs)})
+        qrels = Qrels(g_max=3, judgments={"t": {"a": 3, "b": 0, "c": 2}})
+        store = PairStore(pair_table(docs, {frozenset(("a", "b")): 0.9}))
+        [ev] = evaluate_run(run, qrels, store, DecoyConfig(), MetricConfig(), ["lc_ndcg"], [3])
+        [scores] = ev.topics
+        assert list(scores.scores) == ["lc_ndcg", "dejavu", "ndcg"]
         expected = 0.5 * scores.scores["dejavu"] + 0.5 * scores.scores["ndcg"]
         assert scores.scores["lc_ndcg"] == pytest.approx(expected, abs=1e-12)
         assert scores.decoy_pairs == 1 and scores.highly_relevant == 2
+
+    def test_scores_equal_the_single_metric_helpers(self):
+        rng = random.Random(66)
+        for _ in range(40):
+            docs, grades, sims = make_instance(rng)
+            k = rng.randint(1, len(docs) + 3)
+            run = RunList(run_tag="r", rankings={"t": ranking_of(docs)})
+            qrels = Qrels(g_max=3, judgments={"t": grades})
+            store = PairStore(pair_table(docs, sims))
+            [ev] = evaluate_run(run, qrels, store, DecoyConfig(), MetricConfig(),
+                                ["dejavu", "ndcg", "recall", "rbp", "err"], [k])
+            [scores] = ev.topics
+            ranking = ranking_of(docs)
+            outcome = dejavu_at_k("t", ranking, grades, store.topic_view("t"), DecoyConfig(), k)
+            assert scores.scores == {
+                "dejavu": outcome.score,
+                "ndcg": ndcg_at_k(ranking, grades, k),
+                "recall": recall_at_k(ranking, grades, k),
+                "rbp": rbp_at_k(ranking, grades, k),
+                "err": err_at_k(ranking, grades, k),
+            }
+            assert (scores.decoy_pairs, scores.highly_relevant) == (
+                outcome.decoy_pairs, outcome.highly_relevant)
+
+    def test_cutoff_is_not_a_config_field(self):
+        with pytest.raises(TypeError):
+            MetricConfig(k=5)
 
     def test_resolve_metrics_dependency_closure(self):
         assert resolve_metrics(["lc_ndcg"]) == ("lc_ndcg", "dejavu", "ndcg")
