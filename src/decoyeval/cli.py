@@ -426,7 +426,7 @@ def cmd_mine(args) -> int:
             for doc_id in sorted(docs):
                 fh.write(doc_id + "\n")
     # Records stay jsonl regardless of --format so they re-parse losslessly.
-    emit_records(records, "jsonl", out_dir / "records.jsonl")
+    emit_records(records, out_dir / "records.jsonl")
     emit_comparison(group_stats(records), out_dir / "group_stats.json")
     return 0
 

@@ -3,7 +3,8 @@
 Effectiveness: nDCG, Recall, RBP, ERR, each at a cutoff k. Vulnerability:
 DEJA-VU@k = 1 - exp(d - r) where d counts deduplicated decoy pairs in the
 top k and r counts highly relevant documents there (so 0 <= d <= r and the
-score lives in [0, 1)). The two sides combine linearly:
+score lives in [0, 1)). A doc is relevant, for Recall and for DEJA-VU's r and
+d, when its grade is at least RELEVANT_GRADE. The two sides combine linearly:
 LC = alpha * DEJA-VU + (1 - alpha) * effectiveness.
 
 Every metric is a read of one per-topic kernel, topic_prefix, which makes
@@ -25,6 +26,7 @@ EFFECTIVENESS_METRICS = ("ndcg", "recall", "rbp", "err")
 KNOWN_METRICS = ("dejavu",) + EFFECTIVENESS_METRICS + tuple(
     f"lc_{m}" for m in EFFECTIVENESS_METRICS
 )
+RELEVANT_GRADE = 2  # TREC DL's 0-3 scale: grade 2 and up is relevant
 
 
 @dataclass(frozen=True)
@@ -32,29 +34,21 @@ class MetricConfig:
     """Shared knobs for all metrics; the cutoffs are passed separately.
 
     g_max is the top relevance grade (RBP utility and ERR normalisation),
-    phi the RBP persistence, alpha the LC weight on DEJA-VU, and the two
-    floors say which grades count as relevant for Recall and as highly
-    relevant for DEJA-VU's r. A floor lies in [1, g_max]: grade 0 is not
-    relevant, and an unjudged doc counts as grade 0.
+    phi the RBP persistence and alpha the LC weight on DEJA-VU. The scale
+    must reach RELEVANT_GRADE, or no doc could be relevant.
     """
 
     g_max: int = 3
     phi: float = 0.8
     alpha: float = 0.5
-    recall_min: int = 2
-    highly_relevant_min: int = 2
 
     def __post_init__(self):
-        if self.g_max < 1:
-            raise ValueError(f"g_max must be >= 1, got {self.g_max}")
+        if self.g_max < RELEVANT_GRADE:
+            raise ValueError(f"g_max must be >= {RELEVANT_GRADE}, got {self.g_max}")
         if not 0.0 < self.phi < 1.0:
             raise ValueError(f"phi must lie in (0, 1), got {self.phi}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        for name, floor in (("recall_min", self.recall_min),
-                            ("highly_relevant_min", self.highly_relevant_min)):
-            if not 1 <= floor <= self.g_max:
-                raise ValueError(f"{name} must lie in [1, g_max], got {floor}")
 
 
 # Largest double below 1; keeps the metric inside its documented [0, 1)
@@ -83,7 +77,7 @@ def dejavu(decoy_pairs: int, highly_relevant: int) -> float:
     if decoy_pairs > highly_relevant:
         raise ValueError(
             f"decoy pairs ({decoy_pairs}) cannot exceed highly relevant docs "
-            f"({highly_relevant}); dedup guarantees every target is counted in r"
+            f"({highly_relevant}); each counted target is a highly relevant doc"
         )
     return min(-math.expm1(decoy_pairs - highly_relevant), _MAX_BELOW_ONE)
 
@@ -176,10 +170,9 @@ class TopicPrefix:
     rbp: list[float]
     err: list[float]
     ideal_dcg: list[float]      # entry i: DCG of the i best judged grades
-    relevant: list[int]         # ranks with grade >= recall_min
-    total_relevant: int         # judged docs with grade >= recall_min
-    highly_relevant: list[int]  # ranks with grade >= highly_relevant_min
-    decoy_depths: list[int]     # per distinct target, the rank where its first decoy shows
+    relevant: list[int]         # ranks with grade >= RELEVANT_GRADE
+    total_relevant: int         # judged docs with grade >= RELEVANT_GRADE
+    decoy_depths: list[int]     # per distinct relevant target, the rank of its first decoy
 
     def values_at(self, k: int) -> tuple[dict[str, float], int, int]:
         """Every base metric at cutoff k, with DEJA-VU's d and r."""
@@ -187,18 +180,17 @@ class TopicPrefix:
             raise ValueError(f"cutoff must lie in [1, {self.depth}], got {k}")
         j = bisect.bisect_right(self.graded, k)
         d = bisect.bisect_right(self.decoy_depths, k)
-        r = bisect.bisect_right(self.highly_relevant, k)
+        r = bisect.bisect_right(self.relevant, k)  # also Recall's hits
         idcg = self.ideal_dcg[min(k, len(self.ideal_dcg) - 1)]
         ndcg = self.dcg[j] / idcg if idcg else 0.0
         # A perfect ranking can land a few ulps above 1 because DCG and IDCG
         # sum the same terms in different orders.
         if 1.0 < ndcg <= 1.0 + 1e-9:
             ndcg = 1.0
-        hits = bisect.bisect_right(self.relevant, k)
         values = {
             "dejavu": dejavu(d, r),
             "ndcg": ndcg,
-            "recall": hits / self.total_relevant if self.total_relevant else 0.0,
+            "recall": r / self.total_relevant if self.total_relevant else 0.0,
             "rbp": self.rbp[j],
             "err": self.err[j],
         }
@@ -231,9 +223,10 @@ def topic_prefix(
 
     Every grade met in the ranking must lie in [0, cfg.g_max]. When `sims`
     is given, decoy detection runs once over the whole prefix without
-    dedup, and each target keeps the smallest max(target rank, decoy rank)
-    of its pairs: the first cutoff at which it has a visible decoy. The
-    grade column read for the metrics is the one detection reads. With
+    dedup, and each relevant target keeps the smallest max(target rank,
+    decoy rank) of its pairs: the first cutoff at which it has a visible
+    decoy. A target graded below RELEVANT_GRADE is not counted, so d <= r.
+    The grade column read for the metrics is the one detection reads. With
     `sims` None no pair is counted.
     """
     check_cutoff(depth)
@@ -266,7 +259,7 @@ def topic_prefix(
         targets, decoys, _ = ranking_pairs(topic_id, docs, ranked, sims, decoy_cfg)
         for ti, di in zip(targets, decoys):
             seen_at = max(ti, di) + 1
-            if seen_at < first_seen.get(ti, seen_at + 1):
+            if ranked[ti] >= RELEVANT_GRADE and seen_at < first_seen.get(ti, seen_at + 1):
                 first_seen[ti] = seen_at
 
     return TopicPrefix(
@@ -277,9 +270,8 @@ def topic_prefix(
         rbp=rbp,
         err=err,
         ideal_dcg=ideal_dcg,
-        relevant=[i for i in graded if ranked[i - 1] >= cfg.recall_min],
-        total_relevant=sum(1 for g in grades.values() if g >= cfg.recall_min),
-        highly_relevant=[i for i in graded if ranked[i - 1] >= cfg.highly_relevant_min],
+        relevant=[i for i in graded if ranked[i - 1] >= RELEVANT_GRADE],
+        total_relevant=sum(1 for g in grades.values() if g >= RELEVANT_GRADE),
         decoy_depths=sorted(first_seen.values()),
     )
 
@@ -288,9 +280,9 @@ def _read_at_k(name: str, ranking, grades, cfg: MetricConfig, k: int) -> float:
     return topic_prefix("", ranking, grades, None, None, cfg, k).values_at(k)[0][name]
 
 
-def _scale_of(grades: Mapping[str, int], floor: int) -> int:
-    """A g_max for metrics that never read it: covers every grade and floor."""
-    return max(3, floor, *grades.values())
+def _scale_of(grades: Mapping[str, int]) -> int:
+    """A g_max for metrics that never read it: covers every grade."""
+    return max([3, *grades.values()])
 
 
 @dataclass(frozen=True, slots=True)
@@ -307,14 +299,12 @@ def dejavu_at_k(
     sims,
     decoy_cfg: DecoyConfig,
     k: int,
-    highly_relevant_min: int = 2,
 ) -> DejavuOutcome:
     """DEJA-VU@k for one topic: count dedup decoy pairs and highly relevant
     docs in the top k, then apply 1 - exp(d - r)."""
     if sims is None:
         raise ValueError("dejavu requires a similarity source")
-    cfg = MetricConfig(g_max=_scale_of(grades, highly_relevant_min),
-                       highly_relevant_min=highly_relevant_min)
+    cfg = MetricConfig(g_max=_scale_of(grades))
     prefix = topic_prefix(topic_id, ranking, grades, sims, decoy_cfg, cfg, k)
     values, d, r = prefix.values_at(k)
     return DejavuOutcome(d, r, values["dejavu"])
@@ -324,7 +314,6 @@ def ndcg_at_k(
     ranking: Ranking,
     grades: Mapping[str, int],
     k: int,
-    g_max: int = 3,
 ) -> float:
     """nDCG@k with gain 2^g - 1 and discount log2(rank + 1).
 
@@ -332,19 +321,17 @@ def ndcg_at_k(
     just retrieved ones, then truncated at k. A topic with no relevant
     judgments scores 0.
     """
-    return _read_at_k("ndcg", ranking, grades, MetricConfig(g_max=g_max), k)
+    return _read_at_k("ndcg", ranking, grades, MetricConfig(g_max=_scale_of(grades)), k)
 
 
 def recall_at_k(
     ranking: Ranking,
     grades: Mapping[str, int],
     k: int,
-    recall_min: int = 2,
 ) -> float:
-    """Fraction of the topic's relevant docs (grade >= recall_min) retrieved
-    in the top k. Topics with no relevant docs score 0."""
-    cfg = MetricConfig(g_max=_scale_of(grades, recall_min), recall_min=recall_min)
-    return _read_at_k("recall", ranking, grades, cfg, k)
+    """Fraction of the topic's relevant docs (grade >= RELEVANT_GRADE)
+    retrieved in the top k. Topics with no relevant docs score 0."""
+    return _read_at_k("recall", ranking, grades, MetricConfig(g_max=_scale_of(grades)), k)
 
 
 def rbp_at_k(
@@ -425,6 +412,8 @@ def _cutoff_scores(
     """Per ascending cutoff k: k, every judged topic's scores at k (sorted
     by topic) and their mean, one cutoff at a time. Each topic is summarised
     once, down to the last cutoff; detection runs only for dejavu."""
+    if not qrels.judgments:
+        raise ValueError("qrels contain no topics")
     needs_sims = "dejavu" in metrics
     if needs_sims and source is None:
         raise ValueError("dejavu requires a similarity source")
@@ -509,8 +498,6 @@ def sweep(
     cutoff's per-topic scores are held at a time.
     """
     cutoffs = sweep_cutoffs(k_start, k_end, k_step)
-    if not qrels.judgments:
-        raise ValueError("qrels contain no topics")
     return [
         SweepRow(k, mean.decoy_pairs, mean.scores["ndcg"], mean.scores["recall"],
                  mean.scores["dejavu"])

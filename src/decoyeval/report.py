@@ -192,16 +192,12 @@ def _memo_texts(column: Sequence) -> list[str]:
     return [texts[v] if v in texts else texts.setdefault(v, _json_text(v)) for v in column]
 
 
-def emit_records(records: RecordColumns, fmt: str = "jsonl", destination=None):
-    """Interaction records; the jsonl form round-trips through the record
+def emit_records(records: RecordColumns, destination=None):
+    """Interaction records as JSONL, which round-trips through the record
     parser."""
     columns = [records.serp_id, records.doc_id, records.groups(), records.is_clicked,
                records.dwell_seconds, records.usefulness, records.rank, records.task_id,
                records.user_id]
-    if fmt != "jsonl":
-        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
-        _write_table(_RECORD_COLUMNS, list(rows), fmt, destination)
-        return
     # One str.format per row, of cell texts made column by column: the bytes
     # of _write_table's jsonl rows.
     template = "{{" + ", ".join(k + "{}" for k in _jsonl_keys(_RECORD_COLUMNS)) + "}}\n"

@@ -136,6 +136,28 @@ class TestEval:
         assert outputs["20,5,10"] == outputs["5"] + outputs["10"] + outputs["20"]
         assert len(outputs["20,5,10"].splitlines()) == 3 * 21
 
+    @pytest.mark.parametrize("grades, sims, score, r", [
+        # (a, b) is a pair under a one-grade gap, but its target a is graded
+        # 1: it is not among r's relevant docs, so it is not among d's.
+        ({"a": 1, "b": 0, "c": 3}, {("a", "b"): 0.7, ("a", "c"): 0.1, ("b", "c"): 0.1},
+         "0.632121", "1"),
+        ({"a": 1, "b": 0}, {("a", "b"): 0.7}, "0", "0"),
+    ])
+    def test_dejavu_counts_only_relevant_targets(self, tmp_path, capsys, grades, sims, score, r):
+        run, qrels, pairs = (tmp_path / name for name in ("run.txt", "qrels.txt", "pairs.tsv"))
+        run.write_text("".join(f"t1 Q0 {d} {i} {-i} demo\n" for i, d in enumerate(grades, 1)))
+        qrels.write_text("".join(f"t1 0 {d} {g}\n" for d, g in grades.items()))
+        pairs.write_text("".join(f"t1\t{a}\t{b}\t{s}\n" for (a, b), s in sims.items()))
+        rc = cli.main([
+            "eval", "--run", str(run), "--qrels", str(qrels), "--pair-sims", str(pairs),
+            "--rel-gap", "1", "--metrics", "dejavu", "--cutoffs", "3",
+        ])
+        assert rc == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+        # dejavu(0, 0) prints as -0 (the open -0 fault), so it is read as a number.
+        assert [(row[2], float(row[3]), row[4:]) for row in rows] == [
+            (topic, float(score), ["0", r]) for topic in ("t1", "all")]
+
 
 class TestDecoys:
     def test_golden(self, tmp_path, capsys):
@@ -251,6 +273,16 @@ class TestExitCodes:
         assert rc == 1
         assert f"{paths.log}:2: invalid JSON: nested too deeply" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_qrels_without_topics_is_1(self, tmp_path, capsys, command):
+        run, qrels, pairs = write_demo(tmp_path)
+        qrels.write_text("")
+        rc = cli.main([
+            command, "--run", str(run), "--qrels", str(qrels), "--pair-sims", str(pairs),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: qrels contain no topics\n"
+
     def test_missing_file_is_1(self, tmp_path, capsys):
         run, qrels, pairs = write_demo(tmp_path)
         rc = cli.main([
@@ -307,7 +339,7 @@ class TestRunFlags:
     any input is read, as they are for `mine`."""
 
     @pytest.mark.parametrize("command, flags, message", [
-        ("eval", ["--g-max", "0"], "g_max must be >= 1, got 0"),
+        ("eval", ["--g-max", "0"], "g_max must be >= 2, got 0"),
         ("eval", ["--metrics", "bogus"],
          f"unknown metric 'bogus'; known: {', '.join(KNOWN_METRICS)}"),
         ("eval", ["--metrics", ","], "at least one metric is required"),
@@ -324,9 +356,12 @@ class TestRunFlags:
          "need 1 <= k_start <= k_end and k_step >= 1, got start=10 end=1000 step=0"),
         ("sweep", ["--k-start", "20", "--k-end", "10"],
          "need 1 <= k_start <= k_end and k_step >= 1, got start=20 end=10 step=10"),
-        ("sweep", ["--g-max", "0"], "g_max must be >= 1, got 0"),
+        ("sweep", ["--g-max", "0"], "g_max must be >= 2, got 0"),
         ("sweep", ["--rel-gap", "0"], "grade gap must be >= 1, got 0"),
         ("decoys", ["--g-max", "-1"], "g_max must be non-negative, got -1"),
+        # No doc is relevant on a scale below grade 2.
+        ("eval", ["--g-max", "1"], "g_max must be >= 2, got 1"),
+        ("sweep", ["--g-max", "1"], "g_max must be >= 2, got 1"),
     ])
     @pytest.mark.parametrize("inputs", ["demo", "malformed", "absent"])
     def test_rejected_before_reading(self, tmp_path, capsys, command, flags, message, inputs):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from decoyeval.decoy import detect_decoy_pairs_at_k
 from decoyeval.metrics import (
     KNOWN_METRICS,
+    RELEVANT_GRADE,
     MetricConfig,
     TopicScores,
     aggregate,
@@ -27,7 +28,9 @@ from decoyeval.metrics import (
     sweep,
     topic_prefix,
 )
-from decoyeval.model import CoverageError, DecoyConfig, PairStore, Qrels, Ranking, RunList
+from decoyeval.model import (
+    CoverageError, DecoyConfig, GradeBand, MinGradeGap, PairStore, Qrels, Ranking, RunList,
+)
 
 from test_decoy import matrix_for, pair_table, ranking_of
 
@@ -42,11 +45,11 @@ def oracle_ndcg(grades_in_rank_order, all_judged_grades, k):
     return dcg(grades_in_rank_order) / denom if denom > 0 else 0.0
 
 
-def oracle_recall(grades_in_rank_order, all_judged_grades, k, floor=2):
-    total = len([g for g in all_judged_grades if g >= floor])
+def oracle_recall(grades_in_rank_order, all_judged_grades, k):
+    total = len([g for g in all_judged_grades if g >= 2])
     if total == 0:
         return 0.0
-    return len([g for g in grades_in_rank_order[:k] if g >= floor]) / total
+    return len([g for g in grades_in_rank_order[:k] if g >= 2]) / total
 
 
 def oracle_rbp(grades_in_rank_order, k, phi=0.8, g_max=3):
@@ -136,6 +139,24 @@ class TestDejavuAtK:
             r = sum(1 for doc in docs[:k] if grades[doc] >= 2)
             assert (out.decoy_pairs, out.highly_relevant) == (d, r)
             assert out.score == pytest.approx(1 - math.exp(d - r), abs=1e-12)
+
+    @pytest.mark.parametrize("quality", [
+        MinGradeGap(1), MinGradeGap(2), GradeBand(1, 0), GradeBand(3, 0)])
+    def test_d_counts_the_relevant_targets_of_detected_pairs(self, quality):
+        # A rule may admit targets graded below 2; d counts only those r
+        # counts, so d <= r under every rule.
+        rng = random.Random(43)
+        cfg = DecoyConfig(quality=quality)
+        for _ in range(50):
+            docs, grades, sims = make_instance(rng)
+            m = matrix_for(docs, sims)
+            k = rng.randint(1, len(docs) + 5)
+            out = dejavu_at_k("t", ranking_of(docs), grades, m, cfg, k)
+            pairs = detect_decoy_pairs_at_k("t", ranking_of(docs), grades, m, cfg, k,
+                                            dedup=False)
+            d = len({p.target_doc for p in pairs if p.target_grade >= 2})
+            r = sum(1 for doc in docs[:k] if grades[doc] >= 2)
+            assert (out.decoy_pairs, out.highly_relevant) == (d, r)
 
 
 class TestNdcg:
@@ -307,9 +328,8 @@ class TestOracleEquivalence:
 
 
 class TestRelevanceFloors:
-    @pytest.mark.parametrize("recall_min, highly_relevant_min", [(1, 1), (1, 3), (2, 1), (3, 1)])
-    def test_rank_lists_match_a_brute_force_count(self, recall_min, highly_relevant_min):
-        cfg = MetricConfig(recall_min=recall_min, highly_relevant_min=highly_relevant_min)
+    def test_rank_lists_match_a_brute_force_count(self):
+        assert RELEVANT_GRADE == 2
         rng = random.Random(909)
         for _ in range(60):
             docs, grades, _ = make_instance(rng)
@@ -318,29 +338,13 @@ class TestRelevanceFloors:
             rng.shuffle(order)
             in_order = [grades.get(d, 0) for d in order]
             depth = rng.randint(1, len(order))
-            prefix = topic_prefix("t", ranking_of(order), grades, None, None, cfg, depth)
-            assert prefix.relevant == [
-                i + 1 for i, g in enumerate(in_order[:depth]) if g >= recall_min]
-            assert prefix.highly_relevant == [
-                i + 1 for i, g in enumerate(in_order[:depth]) if g >= highly_relevant_min]
+            prefix = topic_prefix("t", ranking_of(order), grades, None, None, MetricConfig(), depth)
+            assert prefix.relevant == [i + 1 for i, g in enumerate(in_order[:depth]) if g >= 2]
             for k in range(1, depth + 1):
                 values, _, r = prefix.values_at(k)
-                assert r == sum(1 for g in in_order[:k] if g >= highly_relevant_min)
+                assert r == sum(1 for g in in_order[:k] if g >= 2)
                 assert values["recall"] == pytest.approx(
-                    oracle_recall(in_order, list(grades.values()), k, floor=recall_min),
-                    abs=1e-12)
-
-    @pytest.mark.parametrize("name, floor", [
-        ("recall_min", 0), ("highly_relevant_min", 0), ("recall_min", 4)])
-    def test_floor_outside_the_grades_rejected(self, name, floor):
-        # At floor 0 every unjudged doc in the ranking would be a hit, while
-        # the denominator counts judged docs only: recall could exceed 1.
-        with pytest.raises(ValueError, match=rf"{name} must lie in \[1, g_max\], got {floor}"):
-            MetricConfig(**{name: floor})
-
-    def test_recall_floor_zero_rejected(self):
-        with pytest.raises(ValueError, match=r"recall_min must lie in \[1, g_max\], got 0"):
-            recall_at_k(ranking_of(["a", "b", "c"]), {"a": 1}, 3, recall_min=0)
+                    oracle_recall(in_order, list(grades.values()), k), abs=1e-12)
 
 
 class TestEvaluateTopic:

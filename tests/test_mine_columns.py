@@ -174,5 +174,5 @@ class TestColumnsAgainstObjects:
         assert record_rows(records) == expected
         assert group_stats(records) == object_group_stats(expected)
         buf = io.StringIO()
-        emit_records(records, "jsonl", buf)
+        emit_records(records, buf)
         assert buf.getvalue() == object_jsonl(expected)

@@ -266,37 +266,18 @@ class TestRecords:
 
     def test_jsonl_round_trip(self, tmp_path):
         path = tmp_path / "records.jsonl"
-        emit_records(record_columns(self.records()), "jsonl", path)
+        emit_records(record_columns(self.records()), path)
         assert record_rows(parse_records(path)) == self.records()
-
-    def test_tsv_form(self):
-        buf = io.StringIO()
-        emit_records(record_columns(self.records()), "tsv", buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[1] == "s1\tA\ttarget\ttrue\t30.5\t3\t1\ttask1\tuser_s1"
-        assert lines[2] == "s1\tC\tcontrol\tfalse\t0\t0\t3\ttask1\tuser_s1"
 
     @given(st.lists(drawn_records(), max_size=6))
     @settings(max_examples=150, deadline=None)
     def test_parsed_records_emit_as_drawn(self, tmp_path_factory, rows):
         drawn = record_columns(rows)
         path = tmp_path_factory.mktemp("records") / "records.jsonl"
-        emit_records(drawn, "jsonl", path)
-        parsed = parse_records(path)
-        assert emitted(parsed, "jsonl").encode("utf-8") == path.read_bytes()
-        for fmt in ("tsv", "csv"):
-            assert emitted(parsed, fmt) == emitted(drawn, fmt)
-
-
-def emitted(columns, fmt):
-    """What `emit_records` writes of `columns` in `fmt`, or its ValueError's
-    message (a TSV cell may not hold a tab or a line break)."""
-    buf = io.StringIO()
-    try:
-        emit_records(columns, fmt, buf)
-    except ValueError as exc:
-        return str(exc)
-    return buf.getvalue()
+        emit_records(drawn, path)
+        buf = io.StringIO()
+        emit_records(parse_records(path), buf)
+        assert buf.getvalue().encode("utf-8") == path.read_bytes()
 
 
 class TestJsonSummaries:
