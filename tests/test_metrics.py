@@ -328,20 +328,29 @@ class TestOracleEquivalence:
 
 
 class TestRelevanceFloors:
-    def test_rank_lists_match_a_brute_force_count(self):
+    @pytest.mark.parametrize("grade_gap, delta_rank", [(1, 1), (1, 3), (2, 1), (3, 1)])
+    def test_rank_lists_match_a_brute_force_count(self, grade_gap, delta_rank):
+        # Under a grade gap of 1 a target graded 1 can have a decoy; it is
+        # below the relevant grade, so neither r nor d counts it.
         assert RELEVANT_GRADE == 2
+        decoy_cfg = DecoyConfig(quality=MinGradeGap(grade_gap), delta_rank=delta_rank)
         rng = random.Random(909)
         for _ in range(60):
-            docs, grades, _ = make_instance(rng)
+            docs, grades, sims = make_instance(rng)
             unjudged = [f"u{i}" for i in range(rng.randint(0, 5))]
             order = docs + unjudged
             rng.shuffle(order)
             in_order = [grades.get(d, 0) for d in order]
             depth = rng.randint(1, len(order))
-            prefix = topic_prefix("t", ranking_of(order), grades, None, None, MetricConfig(), depth)
+            m = matrix_for(order, sims)
+            prefix = topic_prefix("t", ranking_of(order), grades, m, decoy_cfg,
+                                  MetricConfig(), depth)
             assert prefix.relevant == [i + 1 for i, g in enumerate(in_order[:depth]) if g >= 2]
             for k in range(1, depth + 1):
-                values, _, r = prefix.values_at(k)
+                values, d, r = prefix.values_at(k)
+                pairs = detect_decoy_pairs_at_k("t", ranking_of(order), grades, m, decoy_cfg,
+                                                k, dedup=False)
+                assert d == len({p.target_doc for p in pairs if p.target_grade >= 2})
                 assert r == sum(1 for g in in_order[:k] if g >= 2)
                 assert values["recall"] == pytest.approx(
                     oracle_recall(in_order, list(grades.values()), k), abs=1e-12)
