@@ -35,7 +35,7 @@ from .metrics import (
     sweep,
     sweep_cutoffs,
 )
-from .model import CoverageError, DecoyConfig, GradeBand, InteractionLog, MinGradeGap, check_g_max
+from .model import CoverageError, DecoyConfig, GradeBand, MinGradeGap, check_g_max
 from .report import (
     FORMATS,
     emit_comparison,
@@ -228,10 +228,147 @@ def _load_source(args):
     return ingest.parse_pair_sims(Path(args.pair_sims))
 
 
+# Python 3.12+ warns on fork() in a process with threads; after numpy's
+# import this one runs OpenBLAS's.
+_FORK_WITH_THREADS = (r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) "
+                      r"may lead to deadlocks in the child")
+
+
+def _child_wanted() -> bool:
+    """Whether an input is read in a forked child (`mine`'s log, or the back
+    part of a run): on Linux, with fork, where this process may run on two
+    CPUs or more."""
+    return (sys.platform == "linux" and hasattr(os, "fork")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+class _Child:
+    """A forked child that runs one read and sends its value back, pickled,
+    through a pipe. Where the read returns None or raises, the child sends
+    nothing and exits 1: the caller then reads the input itself, so every
+    diagnostic is the caller's."""
+
+    def __init__(self, pid: int, pipe):
+        self.pid, self.pipe = pid, pipe
+
+    @classmethod
+    def start(cls, read) -> "_Child | None":
+        """The child running `read()`, or None where none can be made."""
+        read_fd, write_fd = os.pipe()
+        try:
+            with warnings.catch_warnings():
+                # Safe here: the child runs only a file read, which calls no
+                # BLAS routine, and then leaves through os._exit.
+                warnings.filterwarnings("ignore", _FORK_WITH_THREADS, DeprecationWarning)
+                pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            return None
+        if pid == 0:
+            code = 1
+            try:
+                os.close(read_fd)
+                value = read()
+                if value is not None:
+                    with open(write_fd, "wb") as pipe:
+                        pickle.dump(value, pipe, pickle.HIGHEST_PROTOCOL)
+                    code = 0
+            finally:
+                os._exit(code)
+        os.close(write_fd)
+        return cls(pid, open(read_fd, "rb"))
+
+    def value(self):
+        """The value the child sent, or None if it sent none. The child is
+        reaped either way."""
+        try:
+            with self.pipe:
+                # Unpickled as it arrives: reading the whole pickle first
+                # raised mine's peak RSS by about 2 MB.
+                try:
+                    value = pickle.load(self.pipe)
+                except (EOFError, pickle.UnpicklingError):  # cut off
+                    value = None
+            _, status = os.waitpid(self.pid, 0)
+        except BaseException:
+            self.kill()
+            raise
+        return value if status == 0 else None
+
+    def kill(self) -> None:
+        """Stop the child and reap it."""
+        import signal
+
+        self.pipe.close()
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+
+
+# The smallest run file read in two parts at once. At 1 MiB, on a 2-core
+# Xeon host, the whole read took 64 ms and a child sent back the part past
+# the cut in 41 ms, of which its fork and reap took 3 ms; below the floor the
+# saving shrinks toward the child's fixed cost.
+_SPLIT_RUN_BYTES = 1 << 20
+
+
+def _run_cut(path: Path) -> int | None:
+    """The byte past which a forked child reads the run at `path`, or None
+    where this process reads it whole: where no child is wanted, where the
+    file is smaller than `_SPLIT_RUN_BYTES` or cannot be read, or where no
+    topic changes past its middle (`ingest.run_cut`)."""
+    if not _child_wanted():
+        return None
+    try:
+        return ingest.run_cut(path) if path.stat().st_size >= _SPLIT_RUN_BYTES else None
+    except OSError:
+        return None
+
+
 def _load_run_inputs(args):
-    run = ingest.parse_run(Path(args.run))
-    qrels = ingest.parse_qrels(Path(args.qrels), g_max=args.g_max)
-    return run, qrels, _load_source(args)
+    """The run, qrels and similarity source of `eval`, `decoys` and `sweep`.
+
+    On Linux with two CPUs or more, a run of `_SPLIT_RUN_BYTES` or more is
+    cut at the first topic change past its middle: a forked child reads the
+    part after the cut while this process reads the part before it, then the
+    qrels, then the similarity source. Where a part is faulty or empty, the
+    child sends none, or a topic is in both parts, the run is read whole
+    here, so outputs, diagnostics and exit codes are those of reading the
+    inputs one after another, as in `cmd_mine`: a fault in the run is named
+    before one in the qrels, with no qrels warning, and one in the qrels
+    before one in the source.
+    """
+    run_path = Path(args.run)
+    cut = _run_cut(run_path)
+    child = None if cut is None else _Child.start(lambda: ingest.read_run_part(run_path, cut))
+    if child is None:
+        run = ingest.parse_run(run_path)
+        qrels = ingest.parse_qrels(Path(args.qrels), g_max=args.g_max)
+        return run, qrels, _load_source(args)
+    front = None
+    held = []  # the qrels read's warnings, shown once the run is known to be valid
+    ingest.logger.addFilter(held.append)
+    try:
+        front = ingest.read_run_part(run_path, 0, cut)
+        qrels = ingest.parse_qrels(Path(args.qrels), g_max=args.g_max)
+        source = _load_source(args)
+    except Exception as exc:
+        fault = exc
+    except BaseException:
+        child.kill()
+        raise
+    else:
+        fault = None
+    finally:
+        ingest.logger.removeFilter(held.append)
+    run = ingest.joined_run(front, child.value())
+    if run is None:
+        run = ingest.parse_run(run_path)
+    for record in held:
+        ingest.logger.handle(record)
+    if fault is not None:
+        raise fault
+    return run, qrels, source
 
 
 def cmd_eval(args) -> int:
@@ -287,83 +424,6 @@ def _check_mine_flags(args) -> DecoyConfig:
                        delta_rank=args.delta_rank, s_max_inclusive=True)
 
 
-# Python 3.12+ warns on fork() in a process with threads; after numpy's
-# import this one runs OpenBLAS's.
-_FORK_WITH_THREADS = (r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) "
-                      r"may lead to deadlocks in the child")
-
-
-def _log_child_wanted() -> bool:
-    """Whether `mine` reads its log in a forked child: on Linux, with fork,
-    where this process may run on two CPUs or more."""
-    return (sys.platform == "linux" and hasattr(os, "fork")
-            and len(os.sched_getaffinity(0)) >= 2)
-
-
-class _LogChild:
-    """A forked child that reads an interaction log and sends it back,
-    pickled, through a pipe. On any fault it sends nothing and exits 1: the
-    caller then reads the log itself, so every diagnostic is the caller's."""
-
-    def __init__(self, pid: int, pipe):
-        self.pid, self.pipe = pid, pipe
-
-    @classmethod
-    def start(cls, path: Path) -> "_LogChild | None":
-        """The child reading the log at `path`, or None where no child is
-        wanted or none can be made."""
-        if not _log_child_wanted():
-            return None
-        read_fd, write_fd = os.pipe()
-        try:
-            with warnings.catch_warnings():
-                # Safe here: the child runs only the log read, which calls no
-                # BLAS routine, and then leaves through os._exit.
-                warnings.filterwarnings("ignore", _FORK_WITH_THREADS, DeprecationWarning)
-                pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            return None
-        if pid == 0:
-            code = 1
-            try:
-                os.close(read_fd)
-                with open(write_fd, "wb") as pipe:
-                    pickle.dump(ingest.parse_interaction_log(path), pipe,
-                                pickle.HIGHEST_PROTOCOL)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(write_fd)
-        return cls(pid, open(read_fd, "rb"))
-
-    def log(self) -> InteractionLog | None:
-        """The log the child sent, or None if it sent none. The child is
-        reaped either way."""
-        try:
-            with self.pipe:
-                # Unpickled as it arrives: reading the whole pickle first
-                # raised mine's peak RSS by about 2 MB.
-                try:
-                    log = pickle.load(self.pipe)
-                except (EOFError, pickle.UnpicklingError):  # cut off
-                    log = None
-            _, status = os.waitpid(self.pid, 0)
-        except BaseException:
-            self.kill()
-            raise
-        return log if status == 0 else None
-
-    def kill(self) -> None:
-        """Stop the child and reap it."""
-        import signal
-
-        self.pipe.close()
-        os.kill(self.pid, signal.SIGKILL)
-        os.waitpid(self.pid, 0)
-
-
 def cmd_mine(args) -> int:
     """Mine an interaction log for decoy/control records into `args.out`.
 
@@ -376,7 +436,7 @@ def cmd_mine(args) -> int:
     """
     cfg = _check_mine_flags(args)
     log_path = Path(args.logs)
-    child = _LogChild.start(log_path)
+    child = _Child.start(lambda: ingest.parse_interaction_log(log_path)) if _child_wanted() else None
     try:
         qrels = ingest.parse_qrels(Path(args.qrels), g_max=args.g_max)
         source = _load_source(args)
@@ -388,7 +448,7 @@ def cmd_mine(args) -> int:
         raise
     else:
         fault = None
-    log = child.log() if child is not None else None
+    log = child.value() if child is not None else None
     if log is None:
         log = ingest.parse_interaction_log(log_path)
     if fault is not None:

@@ -20,6 +20,16 @@ a second time, by the same line loop with per-record checks that name each
 fault at its line (`_read_or_reread`); a log's second read checks each
 record before it joins the same columns, and builds no other object.
 
+A run can also be read as two byte ranges, cut at a line start where the
+topic changes (`run_cut`), so that two processes can read one part each
+(`read_run_part`); `joined_run` joins the parts. The part from the cut is
+decoded as `utf-8`, so a U+FEFF there stays part of its topic id, as on
+any line past the first. The part before the cut is read up to as many
+lines as its bytes hold line feeds; a lone carriage return there, which
+text mode also reads as a line end, fails the part. A part only tells a
+valid range from a faulty one: a caller reads the file whole, with
+`parse_run`, for the diagnostics.
+
 JSON is decoded by `json`, except in a log's first read, which uses orjson
 where it is installed (`_first_read_decoder`). That read only tells a valid
 log from a faulty one, and `json` decodes every line that orjson declines,
@@ -30,6 +40,7 @@ one whose ints orjson reads differently: an int beyond 64 bits in a rank or
 usefulness, which orjson reads as a float.
 """
 
+import io
 import json
 import logging
 import math
@@ -38,7 +49,7 @@ import re
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import accumulate, chain, count
+from itertools import accumulate, chain, count, islice
 from pathlib import Path
 
 import numpy as np
@@ -92,33 +103,43 @@ class ParseError(Exception):
         super().__init__(f"{len(self.diagnostics)} parse error(s) in {self.path}:\n{shown}")
 
 
-def _read_lines(path: PathLike, parse_line) -> None:
+def _read_lines(path: PathLike, parse_line, start: int = 0, lines: int | None = None) -> None:
     """Call `parse_line(lineno, line)` on each non-blank line of a UTF-8 file,
     after a leading byte-order mark. The ValueError or OverflowError (an int
     beyond float range) it raises is that line's diagnostic; all are raised as
     one ParseError after the last line. A non-UTF-8 byte ends the reading;
-    lines in its block go unchecked."""
+    lines in its block go unchecked.
+
+    From a `start` byte offset past 0, which must begin a line, the file is
+    read as `utf-8`, so a U+FEFF there is text, as on any line past the
+    first, and lines are numbered from there. With a `lines` count, the
+    reading stops after that many lines, blank ones included."""
     diags: list[ParseDiagnostic] = []
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            for lineno, line in enumerate(fh, 1):
-                if line.isspace():
-                    continue
-                try:
-                    parse_line(lineno, line)
-                except (ValueError, OverflowError) as exc:
-                    diags.append(ParseDiagnostic(str(path), lineno, str(exc)))
+        with open(path, "rb") as raw:
+            raw.seek(start)
+            with io.TextIOWrapper(raw, encoding="utf-8" if start else "utf-8-sig") as fh:
+                for lineno, line in enumerate(fh if lines is None else islice(fh, lines), 1):
+                    if line.isspace():
+                        continue
+                    try:
+                        parse_line(lineno, line)
+                    except (ValueError, OverflowError) as exc:
+                        diags.append(ParseDiagnostic(str(path), lineno, str(exc)))
     except UnicodeDecodeError as exc:
         message = f"invalid UTF-8: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
-        diags.append(ParseDiagnostic(str(path), _undecodable_line(path, exc), message))
+        diags.append(ParseDiagnostic(str(path), _undecodable_line(path, exc, start), message))
     if diags:
         raise ParseError(path, diags)
 
 
-def _undecodable_line(path: PathLike, text_error: UnicodeDecodeError) -> int:
-    """The line of the first byte of `path` that is not UTF-8. Text mode decodes
-    in blocks, so its error has no line; bytes.splitlines breaks lines as it does."""
-    data = Path(path).read_bytes()
+def _undecodable_line(path: PathLike, text_error: UnicodeDecodeError, start: int) -> int:
+    """The line, numbered from byte `start`, of the first byte of `path` past
+    it that is not UTF-8. Text mode decodes in blocks, so its error has no
+    line; bytes.splitlines breaks lines as it does."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        data = fh.read()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -184,7 +205,70 @@ def parse_run(path: PathLike) -> RunList:
     return _read_or_reread(lambda: _read_run(path, None), lambda: _read_run(path, {}))
 
 
-def _read_run(path: PathLike, first_line: dict[str, dict[str, int]] | None) -> RunList | None:
+def run_cut(path: PathLike) -> int | None:
+    """Where to cut a run file in two: the byte offset of the first line
+    whose topic differs from that of the non-blank line before it, among
+    the lines after the first whole line past the middle byte; None where
+    there is none. Lines are split at line feeds only, so a cut is a line
+    start whatever else the file holds."""
+    with open(path, "rb") as fh:
+        middle = fh.seek(0, io.SEEK_END) // 2
+        fh.seek(middle)
+        offset = middle + len(fh.readline())  # the end of the line holding the middle byte
+        topic = None
+        for line in fh:
+            fields = line.split(None, 1)
+            if fields:
+                if topic is not None and fields[0] != topic:
+                    return offset
+                topic = fields[0]
+            offset += len(line)
+    return None
+
+
+def read_run_part(path: PathLike, start: int, stop: int | None = None) -> RunList | None:
+    """The run in bytes [start, stop) of a run file, to its end where `stop`
+    is None, read as `parse_run` first reads a whole file; None where the
+    part has a bad line, a doc twice in a topic or no ranked line, or, with
+    a `stop`, a lone carriage return (see the module docstring). `start` and
+    `stop` must be line starts, as a `run_cut` is."""
+    lines = None if stop is None else _line_count(path, start, stop)
+    if stop is not None and lines is None:
+        return None
+    try:
+        return _read_run(path, None, start, lines)
+    except ParseError:
+        return None
+
+
+def joined_run(front: RunList | None, back: RunList | None) -> RunList | None:
+    """The run whose parts before and after a cut are `front` and `back`:
+    the rankings of the front, then those of the back, with the front's run
+    tag. None where either part is None or a topic is in both, as the whole
+    file may then hold a fault that neither part shows."""
+    if front is None or back is None or not front.rankings.keys().isdisjoint(back.rankings):
+        return None
+    return RunList(front.run_tag, {**front.rankings, **back.rankings})
+
+
+def _line_count(path: PathLike, start: int, stop: int) -> int | None:
+    """The line feeds in bytes [start, stop) of a file, or None where a
+    carriage return there is not followed by a line feed."""
+    feeds = returns = pairs = 0
+    last = b""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        for chunk in iter(lambda: fh.read(min(1 << 20, stop - fh.tell())), b""):
+            feeds += chunk.count(b"\n")
+            if last == b"\r" or b"\r" in chunk:  # counting them costs as much as the feeds
+                returns += chunk.count(b"\r")
+                pairs += chunk.count(b"\r\n") + (last == b"\r" and chunk[:1] == b"\n")
+            last = chunk[-1:]
+    return feeds if returns == pairs else None
+
+
+def _read_run(path: PathLike, first_line: dict[str, dict[str, int]] | None,
+              start: int = 0, lines: int | None = None) -> RunList | None:
     """One read of a run file into a Ranking per topic, or None if a topic
     has a doc twice. A topic's lines go into a doc id, a score and a rank
     column. As the read leaves a topic's block, the block is sorted into a
@@ -195,6 +279,11 @@ def _read_run(path: PathLike, first_line: dict[str, dict[str, int]] | None) -> R
     no columns and only names the faults, each duplicate at its line with
     the line of its first occurrence. On a file whose first read failed,
     and that has not changed since, it raises the ParseError naming them all.
+
+    With a `start` byte offset the read begins there, decoding as `utf-8`,
+    and numbers lines from there; with a `lines` count it stops after that
+    many lines. So it reads one part of a run cut at a line start, as
+    `read_run_part` asks.
     """
     # Topic -> (doc ids, or its closed block's Ranking; negated scores; file ranks)
     topics: dict[str, tuple] = {}
@@ -259,7 +348,7 @@ def _read_run(path: PathLike, first_line: dict[str, dict[str, int]] | None) -> R
         columns[1].append(-score)
         columns[2].append(file_rank)
 
-    _read_lines(path, parse_line)
+    _read_lines(path, parse_line, start, lines)
     if not topics:
         raise ParseError(path, [ParseDiagnostic(str(path), 1, "run file has no ranked lines")])
     rankings: dict[str, Ranking] = {}

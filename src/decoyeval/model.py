@@ -88,7 +88,7 @@ class Ranking:
         return f"Ranking(doc_ids={self.doc_ids!r})"
 
     def __reduce__(self):
-        return Ranking, (self.doc_ids,)
+        return _joined_ranking, (self._text, self._len)
 
     def head(self, k: int) -> "Ranking":
         """The top k of the ranking (all of it when k >= its length)."""
@@ -99,6 +99,20 @@ class Ranking:
         top = object.__new__(Ranking)  # a prefix of unique ids needs no check
         top._text, top._len = "\n".join(self._text.split("\n", k)[:k]), k
         return top
+
+
+def _joined_ranking(text: str, length: int) -> Ranking:
+    """The Ranking a pickle holds, rebuilt from its joined text and length
+    with no split, join or duplicate check; a length that does not match
+    the text's line breaks is a ValueError."""
+    breaks = text.count("\n")
+    # One doc id more than line breaks, except in the empty list: "" and 0.
+    if length != (breaks + 1 if text or length else 0):
+        raise ValueError(f"{length} doc ids do not fit a ranking text of {len(text)} "
+                         f"characters and {breaks} line breaks")
+    ranking = object.__new__(Ranking)
+    ranking._text, ranking._len = text, length
+    return ranking
 
 
 def check_g_max(g_max: int) -> None:

@@ -15,7 +15,7 @@ import signal
 import sys
 import time
 import warnings
-from itertools import combinations
+from itertools import accumulate, combinations
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -741,7 +741,7 @@ def log_child_off():
     """`mine` reads its log in this process for the class's tests, as where
     no child is wanted."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_log_child_wanted", lambda: False)
+        mp.setattr(cli, "_child_wanted", lambda: False)
         yield
 
 
@@ -769,7 +769,7 @@ def log_read(request, monkeypatch):
     """Where `mine` reads its log: in a forked child, or in this process."""
     if request.param == "child" and not hasattr(os, "fork"):
         pytest.skip("no os.fork")
-    monkeypatch.setattr(cli, "_log_child_wanted", lambda: request.param == "child")
+    monkeypatch.setattr(cli, "_child_wanted", lambda: request.param == "child")
     return request.param
 
 
@@ -783,17 +783,40 @@ def parent_reads(monkeypatch):
     return reads
 
 
-def in_child(action):
-    """A stand-in for `ingest.parse_interaction_log` that runs `action` in a
-    forked child and reads the log as usual in this process."""
-    parent, parse = os.getpid(), ingest.parse_interaction_log
+def in_child(action, name="parse_interaction_log"):
+    """A stand-in for the `ingest` read `name` that runs `action` first in a
+    forked child, and reads as usual in this process."""
+    parent, read = os.getpid(), getattr(ingest, name)
 
-    def parse_interaction_log(path):
+    def stand_in(*args):
         if os.getpid() != parent:
             action()
-        return parse(path)
+        return read(*args)
 
-    return parse_interaction_log
+    return stand_in
+
+
+def half_dump(obj, file, protocol):
+    """A `pickle.dump` that writes half the pickle, then meets a broken
+    pipe; only a child pickles."""
+    data = pickle.dumps(obj, protocol)
+    file.write(data[:len(data) // 2])
+    file.flush()
+    raise BrokenPipeError
+
+
+def warning_fork(fork=os.fork):
+    """`os.fork` after the warning Python 3.12+ gives on fork() where
+    numpy's BLAS threads run."""
+    warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                  "fork() may lead to deadlocks in the child.",
+                  DeprecationWarning, stacklevel=2)
+    return fork()
+
+
+# How a child fails to send its value, other than cut off while sending.
+CHILD_FAULTS = {"exits": lambda: os._exit(1),
+                "killed": lambda: os.kill(os.getpid(), signal.SIGKILL)}
 
 
 def mine(paths, out_dir, log=None, pairs=None):
@@ -855,29 +878,20 @@ class TestMineLogChild:
 
     @pytest.mark.parametrize("fault", ["exits", "killed", "cut off while sending"])
     def test_child_without_a_log(self, planted_log, tmp_path, monkeypatch, fault):
-        monkeypatch.setattr(cli, "_log_child_wanted", lambda: False)
+        monkeypatch.setattr(cli, "_child_wanted", lambda: False)
         assert mine(planted_log, tmp_path / "in-process") == 0
-        monkeypatch.setattr(cli, "_log_child_wanted", lambda: True)
+        monkeypatch.setattr(cli, "_child_wanted", lambda: True)
         if fault == "cut off while sending":
-            # Only the child pickles: half the log, then a broken pipe.
-            def half_dump(obj, file, protocol):
-                data = pickle.dumps(obj, protocol)
-                file.write(data[:len(data) // 2])
-                file.flush()
-                raise BrokenPipeError
-
             monkeypatch.setattr(pickle, "dump", half_dump)
         else:
-            action = {"exits": lambda: os._exit(1),
-                      "killed": lambda: os.kill(os.getpid(), signal.SIGKILL)}[fault]
-            monkeypatch.setattr(ingest, "parse_interaction_log", in_child(action))
+            monkeypatch.setattr(ingest, "parse_interaction_log", in_child(CHILD_FAULTS[fault]))
         reads = parent_reads(monkeypatch)
         assert mine(planted_log, tmp_path / "child") == 0
         assert reads == [planted_log.log]
         assert outputs(tmp_path / "child") == outputs(tmp_path / "in-process")
 
     def test_interrupt_stops_the_child(self, planted_log, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_log_child_wanted", lambda: True)
+        monkeypatch.setattr(cli, "_child_wanted", lambda: True)
         monkeypatch.setattr(ingest, "parse_interaction_log", in_child(lambda: time.sleep(60)))
 
         def interrupted(path, g_max):
@@ -891,16 +905,7 @@ class TestMineLogChild:
 
     def test_fork_warning_of_a_threaded_process_ignored(self, planted_log, tmp_path,
                                                         monkeypatch):
-        # Python 3.12+ warns so on fork() where numpy's BLAS threads run.
-        fork = os.fork
-
-        def warning_fork():
-            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
-                          "fork() may lead to deadlocks in the child.",
-                          DeprecationWarning, stacklevel=2)
-            return fork()
-
-        monkeypatch.setattr(cli, "_log_child_wanted", lambda: True)
+        monkeypatch.setattr(cli, "_child_wanted", lambda: True)
         monkeypatch.setattr(os, "fork", warning_fork)
         reads = parent_reads(monkeypatch)
         assert mine(planted_log, tmp_path / "mined") == 0
@@ -912,4 +917,236 @@ class TestMineLogChild:
     def test_child_wanted(self, monkeypatch, platform, cpus, wanted):
         monkeypatch.setattr(sys, "platform", platform)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        assert cli._log_child_wanted() is (wanted and hasattr(os, "fork"))
+        assert cli._child_wanted() is (wanted and hasattr(os, "fork"))
+
+
+# --- the run read in two parts -------------------------------------------------
+
+
+@pytest.fixture
+def split_forced(monkeypatch):
+    """A run of any size is read in two parts where a topic changes past its
+    middle, whatever the platform and CPU count."""
+    monkeypatch.setattr(cli, "_SPLIT_RUN_BYTES", 0)
+    monkeypatch.setattr(cli, "_child_wanted", lambda: True)
+
+
+@pytest.mark.usefixtures("split_forced")
+class TestEvalSplit(TestEval):
+    """Every `eval` golden test again, with the run read in two parts."""
+
+
+@pytest.mark.usefixtures("split_forced")
+class TestDecoysSplit(TestDecoys):
+    """Every `decoys` golden test again, with the run read in two parts."""
+
+
+@pytest.mark.usefixtures("split_forced")
+class TestSweepSplit(TestSweep):
+    """Every `sweep` golden test again, with the run read in two parts."""
+
+
+def run_reads(monkeypatch):
+    """The paths `ingest.parse_run` reads whole in this process from now on."""
+    reads = []
+    parse = ingest.parse_run
+    monkeypatch.setattr(ingest, "parse_run", lambda path: reads.append(path) or parse(path))
+    return reads
+
+
+def cut_world(dest: Path) -> SimpleNamespace:
+    """Six topics of 30 docs, in topic blocks: the run's byte lines, and the
+    index of the line the run is cut at."""
+    world = write_corpus(dest, n_topics=6, n_docs=30, seed=11)
+    world.lines = world.run.read_bytes().splitlines(keepends=True)
+    world.cut = list(accumulate(map(len, world.lines))).index(ingest.run_cut(world.run)) + 1
+    assert 60 <= world.cut <= 120
+    return world
+
+
+def replaced(line: bytes, field: int, value: bytes) -> bytes:
+    """`line` with its field at index `field` replaced."""
+    fields = line.split()
+    fields[field] = value
+    return b" ".join(fields) + b"\n"
+
+
+def tied(lines):
+    """`lines` in reverse order, each scored 1.0, with each file rank shared
+    by three docs: a topic's ties, broken by file rank, then by doc id, put
+    its docs back in the order of `lines`."""
+    return [replaced(replaced(line, 4, b"1.0"), 3, b"%d" % ((int(line.split()[3]) + 2) // 3))
+            for line in reversed(lines)]
+
+
+# Each case: the run's lines, from the world's lines and the index of the cut
+# line, and whether this process then reads the run whole: where the parts
+# fail to make the run, or where the run is not cut.
+RUN_CASES = {
+    "in blocks": (lambda ls, c: ls, False),
+    "interleaved": (lambda ls, c: random.Random(3).sample(ls, len(ls)), True),
+    "reopened across the cut": (lambda ls, c: ls[1:] + ls[:1], True),
+    "reopened past the cut": (lambda ls, c: ls[:c] + ls[c + 1:] + ls[c:c + 1], False),
+    "one block from before the middle": (
+        lambda ls, c: ls[:30] + [replaced(line, 0, b"t0001") for line in ls[30:]], True),
+    "tied scores": (lambda ls, c: tied(ls[:c]) + tied(ls[c:]), False),
+    "another tag past the cut": (lambda ls, c: ls[:c] + [replaced(line, 5, b"other")
+                                                        for line in ls[c:]], False),
+    "crlf": (lambda ls, c: [line.replace(b"\n", b"\r\n") for line in ls], False),
+    "lone cr before the cut": (
+        lambda ls, c: ls[:5] + [ls[5].replace(b"\n", b"\r \n")] + ls[6:], True),
+    "lone cr past the cut": (
+        lambda ls, c: ls[:-5] + [ls[-5].replace(b"\n", b"\r \n")] + ls[-4:], False),
+    "leading bom": (lambda ls, c: [b"\xef\xbb\xbf" + ls[0]] + ls[1:], False),
+    "bom at the cut": (lambda ls, c: ls[:c] + [b"\xef\xbb\xbf" + ls[c]] + ls[c + 1:], False),
+    "blank lines at the cut": (
+        lambda ls, c: ls[:c] + [b"\n", b" \t\n"] + ls[c:c + 1] + [b"\r\n"] + ls[c + 1:], False),
+    "non-utf-8 before the cut": (
+        lambda ls, c: ls[:3] + [replaced(ls[3], 1, b"Q\xff")] + ls[4:], True),
+    "non-utf-8 past the cut": (
+        lambda ls, c: ls[:-3] + [replaced(ls[-3], 1, b"Q\xff")] + ls[-2:], True),
+    "duplicate doc before the cut": (lambda ls, c: ls[:4] + ls[3:], True),
+    "duplicate doc past the cut": (lambda ls, c: ls[:-3] + ls[-4:], True),
+    "wrong field count before the cut": (
+        lambda ls, c: ls[:2] + [b"t0000 Q0 x 1\n"] + ls[2:], True),
+    "wrong field count past the cut": (
+        lambda ls, c: ls[:-2] + [b"t0005 Q0 x 1 2.0 a b\n"] + ls[-2:], True),
+}
+FAULTY_RUN_CASES = ("non-utf-8", "duplicate doc", "wrong field count")
+
+
+def split_and_whole(world, capsys, monkeypatch, caplog, argv):
+    """What `argv`, with the world's inputs and an --out file, returns,
+    prints, logs and writes with the run read in two parts where it can be,
+    then with no child; and whether the first read the run whole here."""
+    seen = []
+    for split in (True, False):
+        with monkeypatch.context() as mp:
+            mp.setattr(cli, "_SPLIT_RUN_BYTES", 0)
+            mp.setattr(cli, "_child_wanted", lambda: split)
+            reads = run_reads(mp)
+            caplog.clear()
+            out = world.run.with_name(f"out-{split}")
+            rc = cli.main([*argv, "--run", str(world.run), "--qrels", str(world.qrels),
+                           "--pair-sims", str(world.pairs), "--out", str(out)])
+        printed = capsys.readouterr()
+        seen.append((rc, printed.out, printed.err, [r.getMessage() for r in caplog.records],
+                     out.read_bytes() if out.exists() else None))
+        if split:
+            assert reads in ([], [world.run])
+            read_whole = reads == [world.run]
+    return *seen, read_whole
+
+
+class TestRunSplitParity:
+    """A run read in two parts, a forked child reading the part past the
+    cut, gives the exit code, stdout, stderr, warnings and output bytes of
+    the run read whole in this process; where a part is faulty or empty, or
+    a topic is in both parts, this process reads the run whole."""
+
+    @pytest.mark.parametrize("case", RUN_CASES)
+    def test_run_case(self, tmp_path, capsys, monkeypatch, caplog, case):
+        world = cut_world(tmp_path)
+        lines, read_whole = RUN_CASES[case]
+        world.run.write_bytes(b"".join(lines(world.lines, world.cut)))
+        split, whole, was_read_whole = split_and_whole(
+            world, capsys, monkeypatch, caplog,
+            ["eval", "--metrics", ALL_METRICS, "--cutoffs", "5,10,30"])
+        assert split == whole
+        assert was_read_whole is read_whole
+        assert whole[0] == (1 if case.startswith(FAULTY_RUN_CASES) else 0)
+
+    @pytest.mark.parametrize("run_case", ["in blocks", "wrong field count before the cut",
+                                          "wrong field count past the cut"])
+    @pytest.mark.parametrize("fault", ["qrels faulty", "qrels warns", "pairs faulty"])
+    def test_fault_order(self, tmp_path, capsys, monkeypatch, caplog, run_case, fault):
+        world = cut_world(tmp_path)
+        world.run.write_bytes(b"".join(RUN_CASES[run_case][0](world.lines, world.cut)))
+        judged = world.qrels.read_text()
+        if fault == "qrels faulty":
+            world.qrels.write_text(judged + "t0000 0 x four\n")
+        elif fault == "qrels warns":  # each judgment twice, with its grade
+            world.qrels.write_text(judged * 2)
+        else:
+            world.pairs.write_text(world.pairs.read_text() + "t0000\ta\tb\tnear\n")
+        split, whole, _ = split_and_whole(world, capsys, monkeypatch, caplog, ["decoys"])
+        assert split == whole
+        rc, _, err, warned, _ = whole
+        first_fault = (world.run if run_case != "in blocks"
+                       else None if fault == "qrels warns"
+                       else world.qrels if fault == "qrels faulty" else world.pairs)
+        if first_fault is None:
+            assert rc == 0 and len(warned) == judged.count("\n")
+        else:
+            assert rc == 1 and err.startswith(f"1 parse error(s) in {first_fault}:")
+            # A faulty run is named alone: the qrels are not read before it.
+            assert warned == []
+
+
+def eval_world(world, out: Path) -> int:
+    return cli.main(["eval", "--run", str(world.run), "--qrels", str(world.qrels),
+                     "--pair-sims", str(world.pairs), "--out", str(out)])
+
+
+class TestRunChild:
+    """Where the child reading the part past the cut sends nothing, this
+    process reads the run whole, with the same outputs; an interrupt stops
+    the child; and no child is made where the run is read whole anyway."""
+
+    @pytest.mark.parametrize("fault", ["exits", "killed", "cut off while sending"])
+    def test_child_without_a_part(self, tmp_path, monkeypatch, fault):
+        world = cut_world(tmp_path)
+        monkeypatch.setattr(cli, "_child_wanted", lambda: False)
+        assert eval_world(world, tmp_path / "in-process.tsv") == 0
+        monkeypatch.setattr(cli, "_child_wanted", lambda: True)
+        monkeypatch.setattr(cli, "_SPLIT_RUN_BYTES", 0)
+        if fault == "cut off while sending":
+            monkeypatch.setattr(pickle, "dump", half_dump)
+        else:
+            monkeypatch.setattr(ingest, "read_run_part",
+                                in_child(CHILD_FAULTS[fault], "read_run_part"))
+        reads = run_reads(monkeypatch)
+        assert eval_world(world, tmp_path / "child.tsv") == 0
+        assert reads == [world.run]
+        assert (tmp_path / "child.tsv").read_bytes() == (tmp_path / "in-process.tsv").read_bytes()
+
+    @pytest.mark.usefixtures("split_forced")
+    def test_interrupt_stops_the_child(self, tmp_path, monkeypatch):
+        world = cut_world(tmp_path)
+        monkeypatch.setattr(ingest, "read_run_part", in_child(lambda: time.sleep(60),
+                                                              "read_run_part"))
+
+        def interrupted(path, g_max):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ingest, "parse_qrels", interrupted)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            eval_world(world, tmp_path / "scores.tsv")
+        assert time.monotonic() - started < 30
+
+    @pytest.mark.usefixtures("split_forced")
+    def test_fork_warning_of_a_threaded_process_ignored(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "fork", warning_fork)
+        world = cut_world(tmp_path)
+        reads = run_reads(monkeypatch)
+        assert eval_world(world, tmp_path / "scores.tsv") == 0
+        assert reads == []
+
+    @pytest.mark.parametrize("case", ["one CPU", "off Linux", "below the size floor",
+                                      "no topic change past the middle"])
+    def test_no_fork(self, tmp_path, monkeypatch, case):
+        world = cut_world(tmp_path)
+        if case != "below the size floor":
+            monkeypatch.setattr(cli, "_SPLIT_RUN_BYTES", 0)
+        monkeypatch.setattr(sys, "platform", "darwin" if case == "off Linux" else "linux")
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: {0} if case == "one CPU" else {0, 1}, raising=False)
+        if case == "no topic change past the middle":
+            world.run.write_bytes(b"".join(RUN_CASES["one block from before the middle"][0](
+                world.lines, world.cut)))
+        forks = []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None))
+        reads = run_reads(monkeypatch)
+        assert eval_world(world, tmp_path / "scores.tsv") == 0
+        assert forks == [] and reads == [world.run]

@@ -921,9 +921,9 @@ class TestParseRunAgainstTupleSort:
         calls = []
         read_lines = ingest._read_lines
 
-        def counting(path, parse_line):
+        def counting(path, parse_line, *part):
             calls.append(path)
-            return read_lines(path, parse_line)
+            return read_lines(path, parse_line, *part)
 
         monkeypatch.setattr(ingest, "_read_lines", counting)
         p = write(tmp_path / "run.txt", text)
@@ -951,12 +951,80 @@ def count_reads(monkeypatch):
     calls = []
     read_lines = ingest._read_lines
 
-    def counting(path, parse_line):
+    def counting(path, parse_line, *part):
         calls.append(path)
-        return read_lines(path, parse_line)
+        return read_lines(path, parse_line, *part)
 
     monkeypatch.setattr(ingest, "_read_lines", counting)
     return calls
+
+
+class TestRunParts:
+    """A run cut at a topic change past its middle (`run_cut`) and read as
+    two parts (`read_run_part`): where they join (`joined_run`), they make
+    the run that `parse_run` reads, in its topic order; where `parse_run`
+    fails, they do not join."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_parts_make_the_run(self, tmp_path_factory, data):
+        rows = data.draw(run_rows([f"d{i}" for i in range(6)], unique=False))
+        if data.draw(st.booleans()):
+            rows.sort(key=lambda r: RUN_TOPICS.index(r[0]))
+        lines = [f"{t} Q0 {d} {rank} {score} tag{i % 2}" for i, (t, d, rank, score)
+                 in enumerate(rows)]
+        # Bad lines, and a valid one whose topic id starts with a U+FEFF.
+        extra = [line for kind, line, _ in BAD_LINES if kind == "run"] + ["\ufefft1 Q0 d9 1 1 x"]
+        for line in data.draw(st.lists(st.sampled_from(extra), max_size=2)):
+            lines.insert(data.draw(st.integers(0, len(lines))), line)
+        text = run_text(data.draw, lines)
+        if text and data.draw(st.booleans()):  # a lone carriage return somewhere
+            i = data.draw(st.integers(0, len(text) - 1))
+            text = text[:i] + "\r " + text[i:]
+        prefix = data.draw(st.sampled_from(["", "\ufeff"]))
+        p = tmp_path_factory.mktemp("run") / "run.txt"
+        data_bytes = (prefix + text).encode("utf-8")
+        p.write_bytes(data_bytes)
+        cut = ingest.run_cut(p)
+        if cut is None:
+            return
+        assert len(data_bytes) // 2 < cut < len(data_bytes) and data_bytes[cut - 1] == ord("\n")
+        joined = ingest.joined_run(ingest.read_run_part(p, 0, cut), ingest.read_run_part(p, cut))
+        try:
+            whole = ingest.parse_run(p)
+        except ParseError:
+            assert joined is None
+            return
+        if joined is not None:
+            assert joined == whole and list(joined.rankings) == list(whole.rankings)
+
+    @pytest.mark.parametrize("topics, cut_line", [
+        (["t1"] * 6, None),
+        (["t1"] * 5 + ["t2"], 5),
+        (["t1", "t2", "t2", "t2", "t2", "t3"], 5),
+        (["t1"] * 5 + ["", "  "] + ["t2"], 7),
+        (["t1"] * 5 + ["\ufefft1"], 5),
+    ], ids=["one topic", "change", "first change past the middle", "blank lines",
+            "marked topic"])
+    def test_cut(self, tmp_path, topics, cut_line):
+        # Lines of 15 bytes or so: the middle byte lies in line 3, and line 4
+        # is the first whole line past it.
+        lines = [f"{t} Q0 d{i} {i} 1 x\n".encode() if t.strip() else f"{t}\n".encode()
+                 for i, t in enumerate(topics)]
+        p = tmp_path / "run.txt"
+        p.write_bytes(b"".join(lines))
+        assert ingest.run_cut(p) == (None if cut_line is None
+                                     else sum(map(len, lines[:cut_line])))
+
+    @pytest.mark.parametrize("tail, count", [
+        (b"\r\n", 2), (b"\r\r\n", None), (b"\rx\n", None), (b"\n\r", None),
+    ], ids=["crlf", "lone cr, then crlf", "lone cr", "lone cr at the end"])
+    def test_line_count_across_a_read_block(self, tmp_path, tail, count):
+        # The tail starts on the last byte of the first 1 MiB block.
+        p = tmp_path / "run.txt"
+        p.write_bytes(b"x" * ((1 << 20) - 2) + b"\n" + tail)
+        assert ingest._line_count(p, 0, p.stat().st_size) == count
+        assert ingest._line_count(p, 1, (1 << 20) - 1) == 1
 
 
 class TestRankTable:

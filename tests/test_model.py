@@ -113,6 +113,7 @@ class TestRanking:
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             back = pickle.loads(pickle.dumps(r, protocol))
             assert type(back) is Ranking and back == r and back.doc_ids == ids
+            assert hash(back) == hash(r)
 
     def test_empty_ranking_is_falsy(self):
         assert not Ranking()
@@ -132,6 +133,34 @@ class TestRanking:
     def test_duplicate_doc_named(self):
         with pytest.raises(ValueError, match="duplicate doc id b in ranking"):
             ranking("a", "b", "c", "b")
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickled_as_its_joined_text(self, protocol, monkeypatch):
+        # Neither side splits, joins or checks the ids for duplicates.
+        r = ranking("a", "b", "c")
+        monkeypatch.setattr(Ranking, "__init__", None)
+        monkeypatch.setattr(Ranking, "doc_ids", None)
+        back = pickle.loads(pickle.dumps(r, protocol))
+        monkeypatch.undo()
+        assert type(back) is Ranking and back == r and back.doc_ids == ("a", "b", "c")
+        assert hash(back) == hash(r)
+
+    @pytest.mark.parametrize("text, length", [
+        ("a\nb", 1), ("a", 2), ("a", 0), ("", -1), ("a\nb", 3),
+    ])
+    def test_unpickled_length_must_fit_the_text(self, text, length):
+        with pytest.raises(ValueError, match=f"^{length} doc ids do not fit"):
+            pickle.loads(pickle.dumps(_ForgedRanking(text, length)))
+
+
+class _ForgedRanking:
+    """Pickles as a Ranking of this joined text and length."""
+
+    def __init__(self, text: str, length: int):
+        self.args = text, length
+
+    def __reduce__(self):
+        return Ranking().__reduce__()[0], self.args
 
 
 class TestQrels:
