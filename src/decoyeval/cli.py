@@ -305,22 +305,15 @@ class _Child:
         os.waitpid(self.pid, 0)
 
 
-# The smallest run file read in two parts at once. At 1 MiB, on a 2-core
-# Xeon host, the whole read took 64 ms and a child sent back the part past
-# the cut in 41 ms, of which its fork and reap took 3 ms; below the floor the
-# saving shrinks toward the child's fixed cost.
-_SPLIT_RUN_BYTES = 1 << 20
-
-
 def _run_cut(path: Path) -> int | None:
     """The byte past which a forked child reads the run at `path`, or None
-    where this process reads it whole: where no child is wanted, where the
-    file is smaller than `_SPLIT_RUN_BYTES` or cannot be read, or where no
-    topic changes past its middle (`ingest.run_cut`)."""
+    where this process reads it whole: where no child is wanted, where it
+    is no regular file (a pipe can be read only once, in order) or cannot
+    be read, or where no topic changes past its middle (`ingest.run_cut`)."""
     if not _child_wanted():
         return None
     try:
-        return ingest.run_cut(path) if path.stat().st_size >= _SPLIT_RUN_BYTES else None
+        return ingest.run_cut(path) if path.is_file() else None
     except OSError:
         return None
 
@@ -328,28 +321,38 @@ def _run_cut(path: Path) -> int | None:
 def _load_run_inputs(args):
     """The run, qrels and similarity source of `eval`, `decoys` and `sweep`.
 
-    On Linux with two CPUs or more, a run of `_SPLIT_RUN_BYTES` or more is
-    cut at the first topic change past its middle: a forked child reads the
-    part after the cut while this process reads the part before it, then the
-    qrels, then the similarity source. Where a part is faulty or empty, the
-    child sends none, or a topic is in both parts, the run is read whole
-    here, so outputs, diagnostics and exit codes are those of reading the
-    inputs one after another, as in `cmd_mine`: a fault in the run is named
-    before one in the qrels, with no qrels warning, and one in the qrels
-    before one in the source.
+    On Linux with two CPUs or more, a run file is cut at the first topic
+    change past its middle: a forked child reads the part after the cut
+    while this process reads the part before it, then the qrels, then the
+    similarity source. Where a part is faulty or empty, the child sends
+    none, or a topic is in both parts, the run is read whole here, so
+    outputs, diagnostics and exit codes are those of reading the inputs one
+    after another, as in `cmd_mine`: a fault in the run is named before one
+    in the qrels, with no qrels warning, and one in the qrels before one in
+    the source. Where the part before the cut fails, which it does at once
+    on a topic out of its block, the child is stopped then and there. So
+    the part before the cut is read for nothing only where the part past it
+    is faulty, or where the parts are each in topic blocks but share a topic.
     """
     run_path = Path(args.run)
     cut = _run_cut(run_path)
     child = None if cut is None else _Child.start(lambda: ingest.read_run_part(run_path, cut))
-    if child is None:
+    front = None
+    if child is not None:
+        try:
+            front = ingest.read_run_part(run_path, 0, cut)
+        except Exception:
+            pass  # read whole below, which names the fault
+        finally:
+            if front is None:  # the part past the cut is of no use
+                child.kill()
+    if front is None:
         run = ingest.parse_run(run_path)
         qrels = ingest.parse_qrels(Path(args.qrels), g_max=args.g_max)
         return run, qrels, _load_source(args)
-    front = None
     held = []  # the qrels read's warnings, shown once the run is known to be valid
     ingest.logger.addFilter(held.append)
     try:
-        front = ingest.read_run_part(run_path, 0, cut)
         qrels = ingest.parse_qrels(Path(args.qrels), g_max=args.g_max)
         source = _load_source(args)
     except Exception as exc:

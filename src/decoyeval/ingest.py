@@ -26,7 +26,8 @@ topic changes (`run_cut`), so that two processes can read one part each
 decoded as `utf-8`, so a U+FEFF there stays part of its topic id, as on
 any line past the first. The part before the cut is read up to as many
 lines as its bytes hold line feeds; a lone carriage return there, which
-text mode also reads as a line end, fails the part. A part only tells a
+text mode also reads as a line end, fails the part, as does a topic out
+of its block there, which ends that read at once. A part only tells a
 valid range from a faulty one: a caller reads the file whole, with
 `parse_run`, for the diagnostics.
 
@@ -112,12 +113,13 @@ def _read_lines(path: PathLike, parse_line, start: int = 0, lines: int | None = 
 
     From a `start` byte offset past 0, which must begin a line, the file is
     read as `utf-8`, so a U+FEFF there is text, as on any line past the
-    first, and lines are numbered from there. With a `lines` count, the
-    reading stops after that many lines, blank ones included."""
+    first. With a `lines` count, the reading stops after that many lines,
+    blank ones included."""
     diags: list[ParseDiagnostic] = []
     try:
         with open(path, "rb") as raw:
-            raw.seek(start)
+            if start:  # a pipe cannot seek, even to 0
+                raw.seek(start)
             with io.TextIOWrapper(raw, encoding="utf-8" if start else "utf-8-sig") as fh:
                 for lineno, line in enumerate(fh if lines is None else islice(fh, lines), 1):
                     if line.isspace():
@@ -128,18 +130,15 @@ def _read_lines(path: PathLike, parse_line, start: int = 0, lines: int | None = 
                         diags.append(ParseDiagnostic(str(path), lineno, str(exc)))
     except UnicodeDecodeError as exc:
         message = f"invalid UTF-8: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
-        diags.append(ParseDiagnostic(str(path), _undecodable_line(path, exc, start), message))
+        diags.append(ParseDiagnostic(str(path), _undecodable_line(path, exc), message))
     if diags:
         raise ParseError(path, diags)
 
 
-def _undecodable_line(path: PathLike, text_error: UnicodeDecodeError, start: int) -> int:
-    """The line, numbered from byte `start`, of the first byte of `path` past
-    it that is not UTF-8. Text mode decodes in blocks, so its error has no
-    line; bytes.splitlines breaks lines as it does."""
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        data = fh.read()
+def _undecodable_line(path: PathLike, text_error: UnicodeDecodeError) -> int:
+    """The line of the first byte of `path` that is not UTF-8. Text mode decodes
+    in blocks, so its error has no line; bytes.splitlines breaks lines as it does."""
+    data = Path(path).read_bytes()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -229,14 +228,22 @@ def run_cut(path: PathLike) -> int | None:
 def read_run_part(path: PathLike, start: int, stop: int | None = None) -> RunList | None:
     """The run in bytes [start, stop) of a run file, to its end where `stop`
     is None, read as `parse_run` first reads a whole file; None where the
-    part has a bad line, a doc twice in a topic or no ranked line, or, with
-    a `stop`, a lone carriage return (see the module docstring). `start` and
-    `stop` must be line starts, as a `run_cut` is."""
-    lines = None if stop is None else _line_count(path, start, stop)
-    if stop is not None and lines is None:
-        return None
+    part has a bad line, a doc twice in a topic or no ranked line. With a
+    `stop`, also None where the part holds a lone carriage return (see the
+    module docstring), or where a topic's lines are not in one block or the
+    topic of the line at `stop` shows up: the file is then not in topic
+    blocks, so the parts would likely share a topic, and the read stops at
+    once. `start` and `stop` must be line starts, as a `run_cut` is."""
+    closed = lines = None
+    if stop is not None:
+        lines = _line_count(path, start, stop)
+        if lines is None:
+            return None
+        with open(path, "rb") as fh:
+            fh.seek(stop)
+            closed = set(fh.readline().decode("utf-8", "replace").split()[:1])
     try:
-        return _read_run(path, None, start, lines)
+        return _read_run(path, None, start, lines, closed)
     except ParseError:
         return None
 
@@ -268,7 +275,8 @@ def _line_count(path: PathLike, start: int, stop: int) -> int | None:
 
 
 def _read_run(path: PathLike, first_line: dict[str, dict[str, int]] | None,
-              start: int = 0, lines: int | None = None) -> RunList | None:
+              start: int = 0, lines: int | None = None,
+              closed: set[str] | None = None) -> RunList | None:
     """One read of a run file into a Ranking per topic, or None if a topic
     has a doc twice. A topic's lines go into a doc id, a score and a rank
     column. As the read leaves a topic's block, the block is sorted into a
@@ -280,10 +288,11 @@ def _read_run(path: PathLike, first_line: dict[str, dict[str, int]] | None,
     the line of its first occurrence. On a file whose first read failed,
     and that has not changed since, it raises the ParseError naming them all.
 
-    With a `start` byte offset the read begins there, decoding as `utf-8`,
-    and numbers lines from there; with a `lines` count it stops after that
-    many lines. So it reads one part of a run cut at a line start, as
-    `read_run_part` asks.
+    With a `start` byte offset the read begins there, decoding as `utf-8`;
+    with a `lines` count it stops after that many lines; with a `closed`
+    set it raises a ParseError at the first line of a topic in the set or
+    in a second block. So it reads one part of a run cut at a line start,
+    as `read_run_part` asks.
     """
     # Topic -> (doc ids, or its closed block's Ranking; negated scores; file ranks)
     topics: dict[str, tuple] = {}
@@ -334,6 +343,9 @@ def _read_run(path: PathLike, first_line: dict[str, dict[str, int]] | None,
             return
         columns = topics.get(topic_id)
         if columns is None or columns is not block:
+            if closed is not None and (columns is not None or topic_id in closed):
+                raise ParseError(path, [ParseDiagnostic(str(path), lineno,
+                                                        f"topic {topic_id} out of its block")])
             if block_is_first:
                 topics[block_id] = close(block)
             if block_is_first := columns is None:

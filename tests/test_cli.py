@@ -925,9 +925,8 @@ class TestMineLogChild:
 
 @pytest.fixture
 def split_forced(monkeypatch):
-    """A run of any size is read in two parts where a topic changes past its
-    middle, whatever the platform and CPU count."""
-    monkeypatch.setattr(cli, "_SPLIT_RUN_BYTES", 0)
+    """A run is read in two parts where a topic changes past its middle,
+    whatever the platform and CPU count."""
     monkeypatch.setattr(cli, "_child_wanted", lambda: True)
 
 
@@ -1022,7 +1021,6 @@ def split_and_whole(world, capsys, monkeypatch, caplog, argv):
     seen = []
     for split in (True, False):
         with monkeypatch.context() as mp:
-            mp.setattr(cli, "_SPLIT_RUN_BYTES", 0)
             mp.setattr(cli, "_child_wanted", lambda: split)
             reads = run_reads(mp)
             caplog.clear()
@@ -1090,8 +1088,9 @@ def eval_world(world, out: Path) -> int:
 
 class TestRunChild:
     """Where the child reading the part past the cut sends nothing, this
-    process reads the run whole, with the same outputs; an interrupt stops
-    the child; and no child is made where the run is read whole anyway."""
+    process reads the run whole, with the same outputs; where the part
+    before the cut fails, or an interrupt comes, the child is stopped with
+    no wait; and no child is made where the run is read whole anyway."""
 
     @pytest.mark.parametrize("fault", ["exits", "killed", "cut off while sending"])
     def test_child_without_a_part(self, tmp_path, monkeypatch, fault):
@@ -1099,7 +1098,6 @@ class TestRunChild:
         monkeypatch.setattr(cli, "_child_wanted", lambda: False)
         assert eval_world(world, tmp_path / "in-process.tsv") == 0
         monkeypatch.setattr(cli, "_child_wanted", lambda: True)
-        monkeypatch.setattr(cli, "_SPLIT_RUN_BYTES", 0)
         if fault == "cut off while sending":
             monkeypatch.setattr(pickle, "dump", half_dump)
         else:
@@ -1126,6 +1124,20 @@ class TestRunChild:
         assert time.monotonic() - started < 30
 
     @pytest.mark.usefixtures("split_forced")
+    @pytest.mark.parametrize("case", ["wrong field count before the cut", "interleaved"])
+    def test_part_before_the_cut_failing_stops_the_child(self, tmp_path, monkeypatch, case):
+        world = cut_world(tmp_path)
+        lines, _ = RUN_CASES[case]
+        world.run.write_bytes(b"".join(lines(world.lines, world.cut)))
+        monkeypatch.setattr(ingest, "read_run_part", in_child(lambda: time.sleep(60),
+                                                              "read_run_part"))
+        reads = run_reads(monkeypatch)
+        started = time.monotonic()
+        assert eval_world(world, tmp_path / "scores.tsv") == (1 if case.startswith("wrong") else 0)
+        assert time.monotonic() - started < 30
+        assert reads == [world.run]
+
+    @pytest.mark.usefixtures("split_forced")
     def test_fork_warning_of_a_threaded_process_ignored(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "fork", warning_fork)
         world = cut_world(tmp_path)
@@ -1133,12 +1145,19 @@ class TestRunChild:
         assert eval_world(world, tmp_path / "scores.tsv") == 0
         assert reads == []
 
-    @pytest.mark.parametrize("case", ["one CPU", "off Linux", "below the size floor",
+    @pytest.mark.parametrize("case", ["one CPU", "off Linux", "a pipe",
                                       "no topic change past the middle"])
     def test_no_fork(self, tmp_path, monkeypatch, case):
         world = cut_world(tmp_path)
-        if case != "below the size floor":
-            monkeypatch.setattr(cli, "_SPLIT_RUN_BYTES", 0)
+        if case == "a pipe":
+            if not Path("/dev/fd").is_dir():
+                pytest.skip("no /dev/fd to name a pipe by")
+            want = tmp_path / "from-the-file.tsv"
+            assert eval_world(world, want) == 0
+            read_fd, write_fd = os.pipe()
+            os.write(write_fd, world.run.read_bytes())  # within the pipe's buffer
+            os.close(write_fd)
+            world.run = Path(f"/dev/fd/{read_fd}")
         monkeypatch.setattr(sys, "platform", "darwin" if case == "off Linux" else "linux")
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: {0} if case == "one CPU" else {0, 1}, raising=False)
@@ -1148,5 +1167,11 @@ class TestRunChild:
         forks = []
         monkeypatch.setattr(os, "fork", lambda: forks.append(None))
         reads = run_reads(monkeypatch)
-        assert eval_world(world, tmp_path / "scores.tsv") == 0
+        try:
+            assert eval_world(world, tmp_path / "scores.tsv") == 0
+        finally:
+            if case == "a pipe":
+                os.close(read_fd)
         assert forks == [] and reads == [world.run]
+        if case == "a pipe":
+            assert (tmp_path / "scores.tsv").read_bytes() == want.read_bytes()

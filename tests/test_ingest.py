@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -946,6 +947,23 @@ class TestParseRunAgainstTupleSort:
         assert exc.value.__cause__ is None
 
 
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd to name a pipe by")
+@pytest.mark.parametrize("parse, text", [
+    (ingest.parse_run, "\ufefft1 Q0 a 1 2.0 x\nt1 Q0 b 2 1.0 x\n"),
+    (lambda path: ingest.parse_qrels(path, g_max=3), "t1 0 a 2\nt1 0 b 0\n"),
+], ids=["run", "qrels"])
+def test_read_from_a_pipe(tmp_path, parse, text):
+    # As a shell's <(...) names one; a pipe cannot seek.
+    want = parse(write(tmp_path / "in.txt", text))
+    read_fd, write_fd = os.pipe()
+    os.write(write_fd, text.encode())
+    os.close(write_fd)
+    try:
+        assert parse(f"/dev/fd/{read_fd}") == want
+    finally:
+        os.close(read_fd)
+
+
 def count_reads(monkeypatch):
     """The paths `ingest._read_lines` is called on from now on."""
     calls = []
@@ -1015,6 +1033,25 @@ class TestRunParts:
         p.write_bytes(b"".join(lines))
         assert ingest.run_cut(p) == (None if cut_line is None
                                      else sum(map(len, lines[:cut_line])))
+
+    @pytest.mark.parametrize("topics", [["t1", "t2", "t1"], ["t3", "t2"]],
+                             ids=["reopened", "the topic at the cut"])
+    def test_part_out_of_topic_blocks_stops_at_once(self, tmp_path, monkeypatch, topics):
+        # Blocks of 3 lines, then 2,000 lines of t9 and a non-UTF-8 byte, all
+        # before the cut; past it, t3. The read of the part before the cut
+        # ends at the first topic out of its block, and decodes no byte more
+        # than its next 8 KiB block.
+        front = [f"{t} Q0 d{i} {i} 1 x\n".encode() for t in topics for i in range(3)]
+        front += [f"t9 Q0 d{i} {i} 1 x\n".encode() for i in range(2000)] + [b"t9 Q0 \xff 1 1 x\n"]
+        p = tmp_path / "run.txt"
+        p.write_bytes(b"".join(front) + b"t3 Q0 d0 0 1 x\n")
+
+        def decoded(path, text_error):
+            raise AssertionError("read past the topic out of its block")
+
+        monkeypatch.setattr(ingest, "_undecodable_line", decoded)
+        assert ingest.read_run_part(p, 0, sum(map(len, front))) is None
+        assert ingest.read_run_part(p, 0, sum(map(len, front[:3]))) is not None
 
     @pytest.mark.parametrize("tail, count", [
         (b"\r\n", 2), (b"\r\r\n", None), (b"\rx\n", None), (b"\n\r", None),
