@@ -318,39 +318,36 @@ def _run_cut(path: Path) -> int | None:
         return None
 
 
-def _load_run_inputs(args):
-    """The run, qrels and similarity source of `eval`, `decoys` and `sweep`.
+def _read_inputs(args, whole, back=None, front=None, join=None):
+    """A command's first input (its log or its run), qrels and similarity
+    source, with the outputs, diagnostics and exit codes of reading them one
+    after another here: a fault in the first input is named alone, and one
+    in the qrels before one in the source.
 
-    On Linux with two CPUs or more, a run file is cut at the first topic
-    change past its middle: a forked child reads the part after the cut
-    while this process reads the part before it, then the qrels, then the
-    similarity source. Where a part is faulty or empty, the child sends
-    none, or a topic is in both parts, the run is read whole here, so
-    outputs, diagnostics and exit codes are those of reading the inputs one
-    after another, as in `cmd_mine`: a fault in the run is named before one
-    in the qrels, with no qrels warning, and one in the qrels before one in
-    the source. Where the part before the cut fails, which it does at once
-    on a topic out of its block, the child is stopped then and there. So
-    the part before the cut is read for nothing only where the part past it
-    is faulty, or where the parts are each in topic blocks but share a topic.
+    `whole()` reads the first input. Where `back` is None, or no child can
+    be made, the three are read in turn. Otherwise a forked child runs
+    `back()` while this process runs `front()`, if given, then reads the
+    qrels and the source, holding back the warnings and fault of that read.
+    The first input is then the child's value, joined to the front part by
+    `join(part, value)` where there is one; where that is None, `whole()`
+    reads it. Then the held warnings are shown and the held fault raised.
+    Where `front()` fails or returns None, the child is stopped at once and
+    the three are read in turn.
     """
-    run_path = Path(args.run)
-    cut = _run_cut(run_path)
-    child = None if cut is None else _Child.start(lambda: ingest.read_run_part(run_path, cut))
-    front = None
-    if child is not None:
+    child = None if back is None else _Child.start(back)
+    part = None
+    if child is not None and front is not None:
         try:
-            front = ingest.read_run_part(run_path, 0, cut)
+            part = front()
         except Exception:
             pass  # read whole below, which names the fault
         finally:
-            if front is None:  # the part past the cut is of no use
+            if part is None:  # the child's part is of no use
                 child.kill()
-    if front is None:
-        run = ingest.parse_run(run_path)
-        qrels = ingest.parse_qrels(Path(args.qrels), g_max=args.g_max)
-        return run, qrels, _load_source(args)
-    held = []  # the qrels read's warnings, shown once the run is known to be valid
+                child = None
+    if child is None:
+        return whole(), ingest.parse_qrels(Path(args.qrels), g_max=args.g_max), _load_source(args)
+    held = []  # the qrels read's warnings, shown once the first input is valid
     ingest.logger.addFilter(held.append)
     try:
         qrels = ingest.parse_qrels(Path(args.qrels), g_max=args.g_max)
@@ -364,14 +361,27 @@ def _load_run_inputs(args):
         fault = None
     finally:
         ingest.logger.removeFilter(held.append)
-    run = ingest.joined_run(front, child.value())
-    if run is None:
-        run = ingest.parse_run(run_path)
+    first = child.value() if front is None else join(part, child.value())
+    if first is None:
+        first = whole()
     for record in held:
         ingest.logger.handle(record)
     if fault is not None:
         raise fault
-    return run, qrels, source
+    return first, qrels, source
+
+
+def _load_run_inputs(args):
+    """The run, qrels and similarity source of `eval`, `decoys` and `sweep`,
+    read by `_read_inputs`: a forked child reads the run past its cut
+    (`_run_cut`) while this process reads the part before it."""
+    run_path = Path(args.run)
+    cut = _run_cut(run_path)
+    return _read_inputs(
+        args, lambda: ingest.parse_run(run_path),
+        None if cut is None else lambda: ingest.read_run_part(run_path, cut),
+        lambda: ingest.read_run_part(run_path, 0, cut),
+        ingest.joined_run)
 
 
 def cmd_eval(args) -> int:
@@ -430,32 +440,15 @@ def _check_mine_flags(args) -> DecoyConfig:
 def cmd_mine(args) -> int:
     """Mine an interaction log for decoy/control records into `args.out`.
 
-    On Linux with two CPUs or more, a forked child reads the log while this
-    process reads the qrels and then the similarity source. Where the child
-    sends no log (a faulty or absent file, a child killed), the log is read
-    here, so outputs, diagnostics and exit codes are those of reading the
-    inputs one after another: a fault in the log is named before one in the
-    qrels, and one in the qrels before one in the source.
-    """
+    The log, qrels and similarity source are read by `_read_inputs`, the
+    whole log in a forked child where one is wanted (`_child_wanted`)."""
     cfg = _check_mine_flags(args)
     log_path = Path(args.logs)
-    child = _Child.start(lambda: ingest.parse_interaction_log(log_path)) if _child_wanted() else None
-    try:
-        qrels = ingest.parse_qrels(Path(args.qrels), g_max=args.g_max)
-        source = _load_source(args)
-    except Exception as exc:
-        fault = exc
-    except BaseException:
-        if child is not None:
-            child.kill()
-        raise
-    else:
-        fault = None
-    log = child.value() if child is not None else None
-    if log is None:
-        log = ingest.parse_interaction_log(log_path)
-    if fault is not None:
-        raise fault
+
+    def read_log():
+        return ingest.parse_interaction_log(log_path)
+
+    log, qrels, source = _read_inputs(args, read_log, read_log if _child_wanted() else None)
 
     universe = log_doc_universe(log)
     thresholds = None

@@ -25,11 +25,10 @@ topic changes (`run_cut`), so that two processes can read one part each
 (`read_run_part`); `joined_run` joins the parts. The part from the cut is
 decoded as `utf-8`, so a U+FEFF there stays part of its topic id, as on
 any line past the first. The part before the cut is read up to as many
-lines as its bytes hold line feeds; a lone carriage return there, which
-text mode also reads as a line end, fails the part, as does a topic out
-of its block there, which ends that read at once. A part only tells a
-valid range from a faulty one: a caller reads the file whole, with
-`parse_run`, for the diagnostics.
+lines as text mode reads in its bytes; a topic out of its block there
+fails the part and ends that read at once. A part only tells a valid
+range from a faulty one: a caller reads the file whole, with `parse_run`,
+for the diagnostics.
 
 JSON is decoded by `json`, except in a log's first read, which uses orjson
 where it is installed (`_first_read_decoder`). That read only tells a valid
@@ -229,16 +228,13 @@ def read_run_part(path: PathLike, start: int, stop: int | None = None) -> RunLis
     """The run in bytes [start, stop) of a run file, to its end where `stop`
     is None, read as `parse_run` first reads a whole file; None where the
     part has a bad line, a doc twice in a topic or no ranked line. With a
-    `stop`, also None where the part holds a lone carriage return (see the
-    module docstring), or where a topic's lines are not in one block or the
+    `stop`, also None where a topic's lines are not in one block or the
     topic of the line at `stop` shows up: the file is then not in topic
     blocks, so the parts would likely share a topic, and the read stops at
     once. `start` and `stop` must be line starts, as a `run_cut` is."""
     closed = lines = None
     if stop is not None:
         lines = _line_count(path, start, stop)
-        if lines is None:
-            return None
         with open(path, "rb") as fh:
             fh.seek(stop)
             closed = set(fh.readline().decode("utf-8", "replace").split()[:1])
@@ -258,20 +254,20 @@ def joined_run(front: RunList | None, back: RunList | None) -> RunList | None:
     return RunList(front.run_tag, {**front.rankings, **back.rankings})
 
 
-def _line_count(path: PathLike, start: int, stop: int) -> int | None:
-    """The line feeds in bytes [start, stop) of a file, or None where a
-    carriage return there is not followed by a line feed."""
-    feeds = returns = pairs = 0
+def _line_count(path: PathLike, start: int, stop: int) -> int:
+    """The line ends that text mode reads in bytes [start, stop) of a file:
+    its line feeds and carriage returns, a CRLF pair counted once."""
+    ends = 0
     last = b""
     with open(path, "rb") as fh:
         fh.seek(start)
         for chunk in iter(lambda: fh.read(min(1 << 20, stop - fh.tell())), b""):
-            feeds += chunk.count(b"\n")
+            ends += chunk.count(b"\n")
             if last == b"\r" or b"\r" in chunk:  # counting them costs as much as the feeds
-                returns += chunk.count(b"\r")
-                pairs += chunk.count(b"\r\n") + (last == b"\r" and chunk[:1] == b"\n")
+                ends += (chunk.count(b"\r") - chunk.count(b"\r\n")
+                         - (last == b"\r" and chunk[:1] == b"\n"))
             last = chunk[-1:]
-    return feeds if returns == pairs else None
+    return ends
 
 
 def _read_run(path: PathLike, first_line: dict[str, dict[str, int]] | None,

@@ -783,6 +783,15 @@ def parent_reads(monkeypatch):
     return reads
 
 
+def qrels_reads(monkeypatch):
+    """The paths `ingest.parse_qrels` reads in this process from now on."""
+    reads = []
+    parse = ingest.parse_qrels
+    monkeypatch.setattr(ingest, "parse_qrels",
+                        lambda path, g_max: reads.append(path) or parse(path, g_max))
+    return reads
+
+
 def in_child(action, name="parse_interaction_log"):
     """A stand-in for the `ingest` read `name` that runs `action` first in a
     forked child, and reads as usual in this process."""
@@ -845,13 +854,24 @@ class TestMineLogChild:
         assert mine(planted_log, tmp_path / "mined") == 1
         assert reads == [planted_log.log]
 
+    def test_faulty_log_read_before_the_qrels_without_a_child(self, planted_log, tmp_path,
+                                                              monkeypatch):
+        monkeypatch.setattr(cli, "_child_wanted", lambda: False)
+        planted_log.log.write_text(planted_log.log.read_text() + "{}\n")
+        reads = qrels_reads(monkeypatch)
+        assert mine(planted_log, tmp_path / "mined") == 1
+        assert reads == []
+
     @pytest.mark.parametrize("case", ["log and qrels faulty", "qrels faulty",
+                                      "log faulty, qrels warns",
                                       "log and pairs absent", "pairs faulty"])
-    def test_fault_named(self, planted_log, tmp_path, capsys, log_read, case):
+    def test_fault_named(self, planted_log, tmp_path, capsys, caplog, log_read, case):
         log, pairs = planted_log.log, planted_log.pairs
         if case in ("log and qrels faulty", "qrels faulty"):
             planted_log.qrels.write_text("t1 0 A four\n")
-        if case == "log and qrels faulty":
+        if case == "log faulty, qrels warns":  # each judgment twice, with its grade
+            planted_log.qrels.write_text(planted_log.qrels.read_text() * 2)
+        if case in ("log and qrels faulty", "log faulty, qrels warns"):
             log.write_bytes(log.read_bytes().replace(b'"s3"', b'"s\xe93"'))
         if case == "log and pairs absent":
             log, pairs = tmp_path / "absent.jsonl", tmp_path / "absent.tsv"
@@ -869,11 +889,15 @@ class TestMineLogChild:
         assert expected.startswith({
             "log and qrels faulty": f"1 parse error(s) in {log}:\n{log}:3: invalid UTF-8",
             "qrels faulty": f"1 parse error(s) in {planted_log.qrels}:",
+            "log faulty, qrels warns": f"1 parse error(s) in {log}:\n{log}:3: invalid UTF-8",
             "log and pairs absent": f"error: [Errno 2] No such file or directory: '{log}'",
             "pairs faulty": f"1 parse error(s) in {pairs}:",
         }[case])
+        caplog.clear()
         assert mine(planted_log, tmp_path / "mined", log, pairs) == 1
         assert capsys.readouterr().err == expected
+        # A faulty log is named alone, with no warning from the qrels.
+        assert caplog.records == []
         assert not (tmp_path / "mined").exists()
 
     @pytest.mark.parametrize("fault", ["exits", "killed", "cut off while sending"])
@@ -993,7 +1017,7 @@ RUN_CASES = {
                                                         for line in ls[c:]], False),
     "crlf": (lambda ls, c: [line.replace(b"\n", b"\r\n") for line in ls], False),
     "lone cr before the cut": (
-        lambda ls, c: ls[:5] + [ls[5].replace(b"\n", b"\r \n")] + ls[6:], True),
+        lambda ls, c: ls[:5] + [ls[5].replace(b"\n", b"\r \n")] + ls[6:], False),
     "lone cr past the cut": (
         lambda ls, c: ls[:-5] + [ls[-5].replace(b"\n", b"\r \n")] + ls[-4:], False),
     "leading bom": (lambda ls, c: [b"\xef\xbb\xbf" + ls[0]] + ls[1:], False),
@@ -1107,6 +1131,14 @@ class TestRunChild:
         assert eval_world(world, tmp_path / "child.tsv") == 0
         assert reads == [world.run]
         assert (tmp_path / "child.tsv").read_bytes() == (tmp_path / "in-process.tsv").read_bytes()
+
+    def test_faulty_run_read_before_the_qrels_without_a_child(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_child_wanted", lambda: False)
+        world = cut_world(tmp_path)
+        world.run.write_bytes(world.run.read_bytes() + b"t0005 Q0 x 1\n")
+        reads = qrels_reads(monkeypatch)
+        assert eval_world(world, tmp_path / "scores.tsv") == 1
+        assert reads == []
 
     @pytest.mark.usefixtures("split_forced")
     def test_interrupt_stops_the_child(self, tmp_path, monkeypatch):

@@ -1054,7 +1054,7 @@ class TestRunParts:
         assert ingest.read_run_part(p, 0, sum(map(len, front[:3]))) is not None
 
     @pytest.mark.parametrize("tail, count", [
-        (b"\r\n", 2), (b"\r\r\n", None), (b"\rx\n", None), (b"\n\r", None),
+        (b"\r\n", 2), (b"\r\r\n", 3), (b"\rx\n", 3), (b"\n\r", 3),
     ], ids=["crlf", "lone cr, then crlf", "lone cr", "lone cr at the end"])
     def test_line_count_across_a_read_block(self, tmp_path, tail, count):
         # The tail starts on the last byte of the first 1 MiB block.
