@@ -38,6 +38,7 @@ from .metrics import (
 from .model import CoverageError, DecoyConfig, GradeBand, MinGradeGap, check_g_max
 from .report import (
     FORMATS,
+    check_serp_pairs,
     emit_comparison,
     emit_pairs,
     emit_records,
@@ -305,42 +306,28 @@ class _Child:
         os.waitpid(self.pid, 0)
 
 
-def _run_cut(path: Path) -> int | None:
-    """The byte past which a forked child reads the run at `path`, or None
-    where this process reads it whole: where no child is wanted, where it
-    is no regular file (a pipe can be read only once, in order) or cannot
-    be read, or where no topic changes past its middle (`ingest.run_cut`)."""
-    if not _child_wanted():
-        return None
-    try:
-        return ingest.run_cut(path) if path.is_file() else None
-    except OSError:
-        return None
-
-
 def _read_inputs(args, whole, back=None, front=None, join=None):
     """A command's first input (its log or its run), qrels and similarity
     source, with the outputs, diagnostics and exit codes of reading them one
     after another here: a fault in the first input is named alone, and one
     in the qrels before one in the source.
 
-    `whole()` reads the first input. Where `back` is None, or no child can
+    `whole()` reads the first input and alone names its faults; `back()`
+    and `front()` return None on one. Where `back` is None, or no child can
     be made, the three are read in turn. Otherwise a forked child runs
     `back()` while this process runs `front()`, if given, then reads the
     qrels and the source, holding back the warnings and fault of that read.
     The first input is then the child's value, joined to the front part by
     `join(part, value)` where there is one; where that is None, `whole()`
     reads it. Then the held warnings are shown and the held fault raised.
-    Where `front()` fails or returns None, the child is stopped at once and
-    the three are read in turn.
+    Where `front()` returns None, the child is stopped at once and the
+    three are read in turn.
     """
     child = None if back is None else _Child.start(back)
     part = None
     if child is not None and front is not None:
         try:
             part = front()
-        except Exception:
-            pass  # read whole below, which names the fault
         finally:
             if part is None:  # the child's part is of no use
                 child.kill()
@@ -373,10 +360,10 @@ def _read_inputs(args, whole, back=None, front=None, join=None):
 
 def _load_run_inputs(args):
     """The run, qrels and similarity source of `eval`, `decoys` and `sweep`,
-    read by `_read_inputs`: a forked child reads the run past its cut
-    (`_run_cut`) while this process reads the part before it."""
+    read by `_read_inputs`: a forked child, where wanted, reads the run past
+    its cut (`ingest.run_cut`) while this process reads the part before it."""
     run_path = Path(args.run)
-    cut = _run_cut(run_path)
+    cut = ingest.run_cut(run_path) if _child_wanted() else None
     return _read_inputs(
         args, lambda: ingest.parse_run(run_path),
         None if cut is None else lambda: ingest.read_run_part(run_path, cut),
@@ -440,15 +427,14 @@ def _check_mine_flags(args) -> DecoyConfig:
 def cmd_mine(args) -> int:
     """Mine an interaction log for decoy/control records into `args.out`.
 
-    The log, qrels and similarity source are read by `_read_inputs`, the
-    whole log in a forked child where one is wanted (`_child_wanted`)."""
+    The log, qrels and similarity source are read by `_read_inputs`; where
+    one is wanted (`_child_wanted`), a forked child reads the log once,
+    and this process reads it again only where that read fails."""
     cfg = _check_mine_flags(args)
     log_path = Path(args.logs)
-
-    def read_log():
-        return ingest.parse_interaction_log(log_path)
-
-    log, qrels, source = _read_inputs(args, read_log, read_log if _child_wanted() else None)
+    log, qrels, source = _read_inputs(
+        args, lambda: ingest.parse_interaction_log(log_path),
+        (lambda: ingest.read_interaction_log(log_path)) if _child_wanted() else None)
 
     universe = log_doc_universe(log)
     thresholds = None
@@ -470,6 +456,7 @@ def cmd_mine(args) -> int:
         )
     records = extract_records(log, pair_records, matched, controls, top_n=args.top_n)
 
+    check_serp_pairs(pair_records, args.format)
     # Made only once every check has passed, so a failed run leaves none.
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -24,19 +24,17 @@ A run can also be read as two byte ranges, cut at a line start where the
 topic changes (`run_cut`), so that two processes can read one part each
 (`read_run_part`); `joined_run` joins the parts. The part from the cut is
 decoded as `utf-8`, so a U+FEFF there stays part of its topic id, as on
-any line past the first. The part before the cut is read up to as many
-lines as text mode reads in its bytes; a topic out of its block there
-fails the part and ends that read at once. A part only tells a valid
-range from a faulty one: a caller reads the file whole, with `parse_run`,
-for the diagnostics.
+any line past the first. A part's read ends at its first fault and names
+none; `parse_run` reads the file whole to name them.
 
-JSON is decoded by `json`, except in a log's first read, which uses orjson
-where it is installed (`_first_read_decoder`). That read only tells a valid
-log from a faulty one, and `json` decodes every line that orjson declines,
-so `json` alone decides what is valid and words every diagnostic. A line
-nested more than `_DEEP_LINE_BRACKETS` levels deep is invalid in every read,
-whatever the depth of the caller's stack. The one valid log read twice is
-one whose ints orjson reads differently: an int beyond 64 bits in a rank or
+JSON is decoded by `json`, except in a log's first read
+(`read_interaction_log`), which uses orjson where it is installed
+(`_first_read_decoder`). That read only tells a valid log from a faulty
+one, and `json` decodes every line that orjson declines, so `json` alone
+decides what is valid and words every diagnostic. A line nested more than
+`_DEEP_LINE_BRACKETS` levels deep is invalid in every read, whatever the
+depth of the caller's stack. The one valid log read twice is one whose
+ints orjson reads differently: an int beyond 64 bits in a rank or
 usefulness, which orjson reads as a float.
 """
 
@@ -48,8 +46,9 @@ import operator
 import re
 from array import array
 from collections import defaultdict
+from contextlib import suppress
 from dataclasses import dataclass
-from itertools import accumulate, chain, count, islice
+from itertools import accumulate, chain, count, filterfalse
 from pathlib import Path
 
 import numpy as np
@@ -103,30 +102,22 @@ class ParseError(Exception):
         super().__init__(f"{len(self.diagnostics)} parse error(s) in {self.path}:\n{shown}")
 
 
-def _read_lines(path: PathLike, parse_line, start: int = 0, lines: int | None = None) -> None:
+def _read_lines(path: PathLike, parse_line) -> None:
     """Call `parse_line(lineno, line)` on each non-blank line of a UTF-8 file,
     after a leading byte-order mark. The ValueError or OverflowError (an int
     beyond float range) it raises is that line's diagnostic; all are raised as
     one ParseError after the last line. A non-UTF-8 byte ends the reading;
-    lines in its block go unchecked.
-
-    From a `start` byte offset past 0, which must begin a line, the file is
-    read as `utf-8`, so a U+FEFF there is text, as on any line past the
-    first. With a `lines` count, the reading stops after that many lines,
-    blank ones included."""
+    lines in its block go unchecked."""
     diags: list[ParseDiagnostic] = []
     try:
-        with open(path, "rb") as raw:
-            if start:  # a pipe cannot seek, even to 0
-                raw.seek(start)
-            with io.TextIOWrapper(raw, encoding="utf-8" if start else "utf-8-sig") as fh:
-                for lineno, line in enumerate(fh if lines is None else islice(fh, lines), 1):
-                    if line.isspace():
-                        continue
-                    try:
-                        parse_line(lineno, line)
-                    except (ValueError, OverflowError) as exc:
-                        diags.append(ParseDiagnostic(str(path), lineno, str(exc)))
+        with open(path, encoding="utf-8-sig") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if line.isspace():
+                    continue
+                try:
+                    parse_line(lineno, line)
+                except (ValueError, OverflowError) as exc:
+                    diags.append(ParseDiagnostic(str(path), lineno, str(exc)))
     except UnicodeDecodeError as exc:
         message = f"invalid UTF-8: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
         diags.append(ParseDiagnostic(str(path), _undecodable_line(path, exc), message))
@@ -207,41 +198,63 @@ def run_cut(path: PathLike) -> int | None:
     """Where to cut a run file in two: the byte offset of the first line
     whose topic differs from that of the non-blank line before it, among
     the lines after the first whole line past the middle byte; None where
-    there is none. Lines are split at line feeds only, so a cut is a line
-    start whatever else the file holds."""
-    with open(path, "rb") as fh:
-        middle = fh.seek(0, io.SEEK_END) // 2
-        fh.seek(middle)
-        offset = middle + len(fh.readline())  # the end of the line holding the middle byte
-        topic = None
-        for line in fh:
-            fields = line.split(None, 1)
-            if fields:
-                if topic is not None and fields[0] != topic:
-                    return offset
-                topic = fields[0]
-            offset += len(line)
+    there is none, or where `path` is no regular file (a pipe can be read
+    only once, in order) or cannot be read. Lines are split at line feeds
+    only, so a cut is a line start whatever else the file holds."""
+    with suppress(OSError):
+        if Path(path).is_file():
+            with open(path, "rb") as fh:
+                middle = fh.seek(0, io.SEEK_END) // 2
+                fh.seek(middle)
+                offset = middle + len(fh.readline())  # the end of the line holding the middle byte
+                topic = None
+                for line in fh:
+                    fields = line.split(None, 1)
+                    if fields:
+                        if topic is not None and fields[0] != topic:
+                            return offset
+                        topic = fields[0]
+                    offset += len(line)
     return None
 
 
 def read_run_part(path: PathLike, start: int, stop: int | None = None) -> RunList | None:
     """The run in bytes [start, stop) of a run file, to its end where `stop`
-    is None, read as `parse_run` first reads a whole file; None where the
-    part has a bad line, a doc twice in a topic or no ranked line. With a
-    `stop`, also None where a topic's lines are not in one block or the
-    topic of the line at `stop` shows up: the file is then not in topic
-    blocks, so the parts would likely share a topic, and the read stops at
-    once. `start` and `stop` must be line starts, as a `run_cut` is."""
-    closed = lines = None
-    if stop is not None:
-        lines = _line_count(path, start, stop)
-        with open(path, "rb") as fh:
-            fh.seek(stop)
-            closed = set(fh.readline().decode("utf-8", "replace").split()[:1])
+    is None, as `parse_run` first reads a whole file; None where the part
+    has a doc twice in a topic or no ranked line, or cannot be read, and at
+    once, naming no fault, at its first bad line or byte that is not UTF-8,
+    or with a `stop`, at the first line of a topic out of its block or of
+    the topic of the line at `stop` (the parts would then likely share a
+    topic). `start` and `stop` must be line starts, as a `run_cut` is."""
     try:
-        return _read_run(path, None, start, lines, closed)
-    except ParseError:
+        with open(path, "rb") as raw:
+            closed = None
+            if stop is None:
+                stop = raw.seek(0, io.SEEK_END)
+            else:
+                raw.seek(stop)
+                closed = set(raw.readline().decode("utf-8", "replace").split()[:1])
+            raw.seek(start)
+            with io.TextIOWrapper(_ByteRange(raw, stop - start),
+                                  encoding="utf-8" if start else "utf-8-sig") as lines:
+                return _read_run(path, None, lines, closed)
+    except (ValueError, OSError, ParseError):  # a UnicodeDecodeError is a ValueError
         return None
+
+
+class _ByteRange(io.RawIOBase):
+    """The next `size` bytes of a binary file, as a raw stream."""
+
+    def __init__(self, raw, size: int):
+        self._raw, self._left = raw, size
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        read = self._raw.readinto(memoryview(buffer)[:self._left])
+        self._left -= read
+        return read
 
 
 def joined_run(front: RunList | None, back: RunList | None) -> RunList | None:
@@ -254,25 +267,8 @@ def joined_run(front: RunList | None, back: RunList | None) -> RunList | None:
     return RunList(front.run_tag, {**front.rankings, **back.rankings})
 
 
-def _line_count(path: PathLike, start: int, stop: int) -> int:
-    """The line ends that text mode reads in bytes [start, stop) of a file:
-    its line feeds and carriage returns, a CRLF pair counted once."""
-    ends = 0
-    last = b""
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        for chunk in iter(lambda: fh.read(min(1 << 20, stop - fh.tell())), b""):
-            ends += chunk.count(b"\n")
-            if last == b"\r" or b"\r" in chunk:  # counting them costs as much as the feeds
-                ends += (chunk.count(b"\r") - chunk.count(b"\r\n")
-                         - (last == b"\r" and chunk[:1] == b"\n"))
-            last = chunk[-1:]
-    return ends
-
-
 def _read_run(path: PathLike, first_line: dict[str, dict[str, int]] | None,
-              start: int = 0, lines: int | None = None,
-              closed: set[str] | None = None) -> RunList | None:
+              lines=None, closed: set[str] | None = None) -> RunList | None:
     """One read of a run file into a Ranking per topic, or None if a topic
     has a doc twice. A topic's lines go into a doc id, a score and a rank
     column. As the read leaves a topic's block, the block is sorted into a
@@ -284,11 +280,9 @@ def _read_run(path: PathLike, first_line: dict[str, dict[str, int]] | None,
     the line of its first occurrence. On a file whose first read failed,
     and that has not changed since, it raises the ParseError naming them all.
 
-    With a `start` byte offset the read begins there, decoding as `utf-8`;
-    with a `lines` count it stops after that many lines; with a `closed`
-    set it raises a ParseError at the first line of a topic in the set or
-    in a second block. So it reads one part of a run cut at a line start,
-    as `read_run_part` asks.
+    With `lines`, the text lines of a part of a run file, the read parses
+    those and raises a ValueError at the first bad line, or with a `closed`
+    set, at the first line of a topic in the set or in a second block.
     """
     # Topic -> (doc ids, or its closed block's Ranking; negated scores; file ranks)
     topics: dict[str, tuple] = {}
@@ -340,8 +334,7 @@ def _read_run(path: PathLike, first_line: dict[str, dict[str, int]] | None,
         columns = topics.get(topic_id)
         if columns is None or columns is not block:
             if closed is not None and (columns is not None or topic_id in closed):
-                raise ParseError(path, [ParseDiagnostic(str(path), lineno,
-                                                        f"topic {topic_id} out of its block")])
+                raise ValueError(f"topic {topic_id} out of its block")
             if block_is_first:
                 topics[block_id] = close(block)
             if block_is_first := columns is None:
@@ -356,7 +349,11 @@ def _read_run(path: PathLike, first_line: dict[str, dict[str, int]] | None,
         columns[1].append(-score)
         columns[2].append(file_rank)
 
-    _read_lines(path, parse_line, start, lines)
+    if lines is None:
+        _read_lines(path, parse_line)
+    else:
+        for line in filterfalse(str.isspace, lines):
+            parse_line(None, line)
     if not topics:
         raise ParseError(path, [ParseDiagnostic(str(path), 1, "run file has no ranked lines")])
     rankings: dict[str, Ranking] = {}
@@ -539,7 +536,13 @@ def parse_interaction_log(path: PathLike) -> InteractionLog:
     second with `json`, so a valid log with an int beyond 64 bits in a rank
     or usefulness, which orjson reads as a float, is read twice.
     """
-    return _read_or_reread(lambda: _read_log(path, None), lambda: _read_log(path, {}))
+    return _read_or_reread(lambda: read_interaction_log(path), lambda: _read_log(path, {}))
+
+
+def read_interaction_log(path: PathLike) -> InteractionLog | None:
+    """`parse_interaction_log`'s first read: the log, or on a fault None or
+    a ParseError that need not name each fault."""
+    return _read_log(path, None)
 
 
 _LOG_FIELDS = operator.itemgetter(

@@ -11,7 +11,7 @@ import io
 import json
 import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 
 import numpy as np
@@ -96,11 +96,7 @@ def _jsonl_keys(columns: Sequence[str]) -> list[str]:
 
 
 def _write_table(columns: Sequence[str], rows: Sequence[Sequence], fmt: str, destination):
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r}; known: {', '.join(FORMATS)}")
-    for number, row in enumerate(rows, 1):
-        if len(row) != len(columns):
-            raise ValueError(f"row {number} has {len(row)} cells for {len(columns)} columns")
+    _check_table(len(columns), rows, fmt)
     with _open_dest(destination) as out:
         if fmt == "jsonl":
             # Each row is the text json.dumps(..., ensure_ascii=False) gives
@@ -117,13 +113,21 @@ def _write_table(columns: Sequence[str], rows: Sequence[Sequence], fmt: str, des
             return
         out.write("\t".join(columns) + "\n")
         for row in rows:
-            cells = [_cell(v) for v in row]
-            for cell in cells:
-                if "\t" in cell or "\n" in cell or "\r" in cell:
-                    raise ValueError(
-                        f"field {cell!r} contains a TSV delimiter; use csv or jsonl"
-                    )
-            out.write("\t".join(cells) + "\n")
+            out.write("\t".join(map(_cell, row)) + "\n")
+
+
+def _check_table(width: int, rows: Iterable[Sequence], fmt: str) -> None:
+    """The ValueError for a table that `fmt` cannot hold: an unknown format,
+    a row of other than `width` cells, or a TSV cell with a tab or a line
+    end (only a string cell can hold one)."""
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}; known: {', '.join(FORMATS)}")
+    for number, row in enumerate(rows, 1):
+        if len(row) != width:
+            raise ValueError(f"row {number} has {len(row)} cells for {width} columns")
+        for cell in row if fmt == "tsv" else ():
+            if isinstance(cell, str) and ("\t" in cell or "\n" in cell or "\r" in cell):
+                raise ValueError(f"field {cell!r} contains a TSV delimiter; use csv or jsonl")
 
 
 def emit_scores(evaluations: Sequence[RunEvaluation], fmt: str = "tsv", destination=None):
@@ -178,6 +182,11 @@ def emit_serp_pairs(records: Sequence[SerpPairRecord], fmt: str = "tsv", destina
     """Per-SERP decoy pair records from log mining."""
     rows = [[r.serp_id, *_pair_row(r.pair)] for r in records]
     _write_table(("serp_id", *_PAIR_COLUMNS), rows, fmt, destination)
+
+
+def check_serp_pairs(records: Sequence[SerpPairRecord], fmt: str) -> None:
+    """The ValueError `emit_serp_pairs(records, fmt)` raises, if any."""
+    _check_table(1 + len(_PAIR_COLUMNS), ([r.serp_id, *_pair_row(r.pair)] for r in records), fmt)
 
 
 def _memo_texts(column: Sequence) -> list[str]:

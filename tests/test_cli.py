@@ -660,26 +660,46 @@ class TestMine:
         assert rc == 1
         assert "must be below" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("pairs, flags, code, message", [
-        ("t1\tA\tB\t0.9\nt1\tA\tC\t0.9\nt1\tB\tC\t0.9\n", ["--s-max", "0.5"], 1,
-         "error: derived s_min 0.9 (--s-min-pct 99.0 of 3 pooled pair similarities) "
-         "must lie in [0, --s-max 0.5)\n"),
-        ("t1\tA\tB\t0.9\nt1\tA\tC\t0.9\n", [], 2,
-         "similarity coverage error: 1 pair(s) absent from topic t1: (B, C)\n"),
-    ], ids=["empty band", "coverage gap"])
-    def test_failed_run_makes_no_out_dir(self, tmp_path, capsys, pairs, flags, code, message):
+    @staticmethod
+    def one_serp(tmp_path, pairs, serp_id="s1"):
+        """A log of one SERP showing A, B and C, judged 3, 0 and 0, with the
+        pair similarities `pairs`."""
         log = tmp_path / "log.jsonl"
         log.write_text(
-            '{"serp_id": "s1", "session_id": "x", "user_id": "u", "task_id": "k",'
-            ' "topic_id": "t1", "serp": [{"doc_id": "A", "rank": 1},'
+            f'{{"serp_id": {json.dumps(serp_id)}, "session_id": "x", "user_id": "u",'
+            ' "task_id": "k", "topic_id": "t1", "serp": [{"doc_id": "A", "rank": 1},'
             ' {"doc_id": "B", "rank": 2}, {"doc_id": "C", "rank": 3}], "clicks": []}\n'
         )
         paths = SimpleNamespace(log=log, qrels=tmp_path / "qrels.txt", pairs=tmp_path / "p.tsv")
         paths.qrels.write_text("t1 0 A 3\nt1 0 B 0\nt1 0 C 0\n")
         paths.pairs.write_text(pairs)
+        return paths
+
+    @pytest.mark.parametrize("serp_id, pairs, flags, code, message", [
+        ("s1", "t1\tA\tB\t0.9\nt1\tA\tC\t0.9\nt1\tB\tC\t0.9\n", ["--s-max", "0.5"], 1,
+         "error: derived s_min 0.9 (--s-min-pct 99.0 of 3 pooled pair similarities) "
+         "must lie in [0, --s-max 0.5)\n"),
+        ("s1", "t1\tA\tB\t0.9\nt1\tA\tC\t0.9\n", [], 2,
+         "similarity coverage error: 1 pair(s) absent from topic t1: (B, C)\n"),
+        ("s\t1", "t1\tA\tB\t0.9\nt1\tA\tC\t0.1\nt1\tB\tC\t0.1\n", [], 1,
+         "error: field 's\\t1' contains a TSV delimiter; use csv or jsonl\n"),
+    ], ids=["empty band", "coverage gap", "tsv delimiter in a cell"])
+    def test_failed_run_makes_no_out_dir(self, tmp_path, capsys, serp_id, pairs, flags, code,
+                                         message):
+        paths = self.one_serp(tmp_path, pairs, serp_id)
         assert self.run_mine(paths, tmp_path / "out" / "mined", *flags) == code
         assert capsys.readouterr().err == message
         assert not (tmp_path / "out").exists()
+
+    def test_tsv_delimiter_in_a_cell_written_as_csv(self, tmp_path):
+        paths = self.one_serp(tmp_path, "t1\tA\tB\t0.9\nt1\tA\tC\t0.1\nt1\tB\tC\t0.1\n",
+                              "s\t1")
+        assert self.run_mine(paths, tmp_path / "mined", "--format", "csv") == 0
+        assert (tmp_path / "mined" / "decoy_pairs.csv").read_text().splitlines() == [
+            "serp_id,topic,target_doc,decoy_doc,similarity,target_rank,decoy_rank,"
+            "target_grade,decoy_grade",
+            "s\t1,t1,A,B,0.9,1,2,3,0",
+        ]
 
     def test_existing_out_dir_is_written(self, tmp_path):
         paths = write_planted_log(tmp_path / "planted")
@@ -792,17 +812,28 @@ def qrels_reads(monkeypatch):
     return reads
 
 
-def in_child(action, name="parse_interaction_log"):
-    """A stand-in for the `ingest` read `name` that runs `action` first in a
-    forked child, and reads as usual in this process."""
+def in_child(action, marker: Path, name="read_interaction_log"):
+    """A stand-in for the `ingest` read `name`. In a forked child it makes
+    `marker`, then runs `action`, then reads as usual. In this process it
+    first waits for the marker, so that the child has reached the read."""
     parent, read = os.getpid(), getattr(ingest, name)
 
     def stand_in(*args):
         if os.getpid() != parent:
+            marker.touch()
             action()
+        else:
+            wait_for(marker)
         return read(*args)
 
     return stand_in
+
+
+def wait_for(marker: Path, seconds: float = 10.0) -> None:
+    """Return once `marker` exists, or after `seconds`."""
+    deadline = time.monotonic() + seconds
+    while not marker.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
 
 
 def half_dump(obj, file, protocol):
@@ -905,20 +936,47 @@ class TestMineLogChild:
         monkeypatch.setattr(cli, "_child_wanted", lambda: False)
         assert mine(planted_log, tmp_path / "in-process") == 0
         monkeypatch.setattr(cli, "_child_wanted", lambda: True)
+        marker = tmp_path / "child-read"
         if fault == "cut off while sending":
             monkeypatch.setattr(pickle, "dump", half_dump)
         else:
-            monkeypatch.setattr(ingest, "parse_interaction_log", in_child(CHILD_FAULTS[fault]))
+            monkeypatch.setattr(ingest, "read_interaction_log",
+                                in_child(CHILD_FAULTS[fault], marker))
         reads = parent_reads(monkeypatch)
         assert mine(planted_log, tmp_path / "child") == 0
         assert reads == [planted_log.log]
         assert outputs(tmp_path / "child") == outputs(tmp_path / "in-process")
+        assert marker.exists() is (fault != "cut off while sending")
+
+    def test_faulty_log_read_exactly_only_here(self, planted_log, tmp_path, monkeypatch):
+        # The child's one read fails; the read that names each fault runs
+        # once, in this process.
+        monkeypatch.setattr(cli, "_child_wanted", lambda: True)
+        planted_log.log.write_text(planted_log.log.read_text() + "{}\n")
+        parent, read_log = os.getpid(), ingest._read_log
+        exact = []
+
+        def logged(path, serp_line):
+            if os.getpid() != parent:
+                (tmp_path / ("child-once" if serp_line is None else "child-exact")).touch()
+            elif serp_line is not None:
+                exact.append(path)
+            return read_log(path, serp_line)
+
+        monkeypatch.setattr(ingest, "_read_log", logged)
+        assert mine(planted_log, tmp_path / "mined") == 1
+        assert exact == [planted_log.log]
+        assert (tmp_path / "child-once").exists()
+        assert not (tmp_path / "child-exact").exists()
 
     def test_interrupt_stops_the_child(self, planted_log, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_child_wanted", lambda: True)
-        monkeypatch.setattr(ingest, "parse_interaction_log", in_child(lambda: time.sleep(60)))
+        marker = tmp_path / "child-read"
+        monkeypatch.setattr(ingest, "read_interaction_log",
+                            in_child(lambda: time.sleep(60), marker))
 
         def interrupted(path, g_max):
+            wait_for(marker)
             raise KeyboardInterrupt
 
         monkeypatch.setattr(ingest, "parse_qrels", interrupted)
@@ -926,6 +984,7 @@ class TestMineLogChild:
         with pytest.raises(KeyboardInterrupt):
             mine(planted_log, tmp_path / "mined")
         assert time.monotonic() - started < 30
+        assert marker.exists()
 
     def test_fork_warning_of_a_threaded_process_ignored(self, planted_log, tmp_path,
                                                         monkeypatch):
@@ -1122,15 +1181,17 @@ class TestRunChild:
         monkeypatch.setattr(cli, "_child_wanted", lambda: False)
         assert eval_world(world, tmp_path / "in-process.tsv") == 0
         monkeypatch.setattr(cli, "_child_wanted", lambda: True)
+        marker = tmp_path / "child-read"
         if fault == "cut off while sending":
             monkeypatch.setattr(pickle, "dump", half_dump)
         else:
             monkeypatch.setattr(ingest, "read_run_part",
-                                in_child(CHILD_FAULTS[fault], "read_run_part"))
+                                in_child(CHILD_FAULTS[fault], marker, "read_run_part"))
         reads = run_reads(monkeypatch)
         assert eval_world(world, tmp_path / "child.tsv") == 0
         assert reads == [world.run]
         assert (tmp_path / "child.tsv").read_bytes() == (tmp_path / "in-process.tsv").read_bytes()
+        assert marker.exists() is (fault != "cut off while sending")
 
     def test_faulty_run_read_before_the_qrels_without_a_child(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_child_wanted", lambda: False)
@@ -1143,8 +1204,9 @@ class TestRunChild:
     @pytest.mark.usefixtures("split_forced")
     def test_interrupt_stops_the_child(self, tmp_path, monkeypatch):
         world = cut_world(tmp_path)
-        monkeypatch.setattr(ingest, "read_run_part", in_child(lambda: time.sleep(60),
-                                                              "read_run_part"))
+        marker = tmp_path / "child-read"
+        monkeypatch.setattr(ingest, "read_run_part",
+                            in_child(lambda: time.sleep(60), marker, "read_run_part"))
 
         def interrupted(path, g_max):
             raise KeyboardInterrupt
@@ -1154,6 +1216,7 @@ class TestRunChild:
         with pytest.raises(KeyboardInterrupt):
             eval_world(world, tmp_path / "scores.tsv")
         assert time.monotonic() - started < 30
+        assert marker.exists()
 
     @pytest.mark.usefixtures("split_forced")
     @pytest.mark.parametrize("case", ["wrong field count before the cut", "interleaved"])
@@ -1161,13 +1224,15 @@ class TestRunChild:
         world = cut_world(tmp_path)
         lines, _ = RUN_CASES[case]
         world.run.write_bytes(b"".join(lines(world.lines, world.cut)))
-        monkeypatch.setattr(ingest, "read_run_part", in_child(lambda: time.sleep(60),
-                                                              "read_run_part"))
+        marker = tmp_path / "child-read"
+        monkeypatch.setattr(ingest, "read_run_part",
+                            in_child(lambda: time.sleep(60), marker, "read_run_part"))
         reads = run_reads(monkeypatch)
         started = time.monotonic()
         assert eval_world(world, tmp_path / "scores.tsv") == (1 if case.startswith("wrong") else 0)
         assert time.monotonic() - started < 30
         assert reads == [world.run]
+        assert marker.exists()
 
     @pytest.mark.usefixtures("split_forced")
     def test_fork_warning_of_a_threaded_process_ignored(self, tmp_path, monkeypatch):

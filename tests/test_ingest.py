@@ -969,9 +969,9 @@ def count_reads(monkeypatch):
     calls = []
     read_lines = ingest._read_lines
 
-    def counting(path, parse_line, *part):
+    def counting(path, parse_line):
         calls.append(path)
-        return read_lines(path, parse_line, *part)
+        return read_lines(path, parse_line)
 
     monkeypatch.setattr(ingest, "_read_lines", counting)
     return calls
@@ -1053,15 +1053,56 @@ class TestRunParts:
         assert ingest.read_run_part(p, 0, sum(map(len, front))) is None
         assert ingest.read_run_part(p, 0, sum(map(len, front[:3]))) is not None
 
-    @pytest.mark.parametrize("tail, count", [
-        (b"\r\n", 2), (b"\r\r\n", 3), (b"\rx\n", 3), (b"\n\r", 3),
-    ], ids=["crlf", "lone cr, then crlf", "lone cr", "lone cr at the end"])
-    def test_line_count_across_a_read_block(self, tmp_path, tail, count):
-        # The tail starts on the last byte of the first 1 MiB block.
+    @pytest.mark.parametrize("first", [b"t1 Q0 d0 1\n", b"t1 Q\xff d0 0 1 x\n"],
+                             ids=["bad line", "non-utf-8"])
+    @pytest.mark.parametrize("part", ["before the cut", "from the cut"])
+    def test_part_stops_at_its_first_fault(self, tmp_path, monkeypatch, first, part):
+        # The part's first line is faulty. After it come 2,000 valid lines
+        # of two topics, then a non-UTF-8 byte, well past the next 8 KiB
+        # block: a read past the fault would close the first topic's block
+        # into a Ranking.
+        lines = [first] + [f"t{1 + i // 1000} Q0 d{i} {i} 1 x\n".encode() for i in range(2000)]
+        faulty = b"".join(lines) + b"t2 Q0 \xff 1 1 x\n"
+        valid = b"t9 Q0 d0 1 1 x\n"
         p = tmp_path / "run.txt"
-        p.write_bytes(b"x" * ((1 << 20) - 2) + b"\n" + tail)
-        assert ingest._line_count(p, 0, p.stat().st_size) == count
-        assert ingest._line_count(p, 1, (1 << 20) - 1) == 1
+
+        def refused(*args):
+            raise AssertionError("read past the part's first fault")
+
+        monkeypatch.setattr(ingest, "_undecodable_line", refused)
+        monkeypatch.setattr(ingest, "Ranking", refused)
+        if part == "before the cut":
+            p.write_bytes(faulty + valid)
+            assert ingest.read_run_part(p, 0, len(faulty)) is None
+        else:
+            p.write_bytes(valid + faulty)
+            assert ingest.read_run_part(p, len(valid)) is None
+
+    @pytest.mark.parametrize("tail", [b"\r\n", b"\r\r\n", b"\r", b"\n\r"],
+                             ids=["crlf", "lone cr, then crlf", "lone cr", "lone cr at the end"])
+    def test_line_ends_across_a_read_block(self, tmp_path, tail):
+        # Lines of about 1 KiB. The last line that ends at or before byte
+        # 2**20 - 1 is followed by the tail, so the tail starts on the last
+        # byte of the first 1 MiB; topic t1 runs on to 1.2 MiB, then t2 to
+        # 2.2 MiB, so the cut falls at t2's first line.
+        def lines(topic, first, size):
+            made = []
+            while size > 0:
+                line = b"%s Q0 d%06d %d 1 " % (topic, first + len(made), first + len(made))
+                width = size - len(line) - 1 if size < 2100 else 1000
+                made.append(line + b"x" * width + b"\n")
+                size -= len(made[-1])
+            return made
+
+        front = b"".join(lines(b"t1", 0, (1 << 20) - 1)) + tail
+        front += b"".join(lines(b"t1", front.count(b"Q0"), 200_000))
+        p = tmp_path / "run.txt"
+        p.write_bytes(front + b"".join(lines(b"t2", 0, 1 << 20)))
+        assert front.index(tail) == (1 << 20) - 1
+        cut = ingest.run_cut(p)
+        assert cut == len(front)
+        assert ingest.joined_run(ingest.read_run_part(p, 0, cut),
+                                 ingest.read_run_part(p, cut)) == ingest.parse_run(p)
 
 
 class TestRankTable:
