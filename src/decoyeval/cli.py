@@ -427,14 +427,15 @@ def _check_mine_flags(args) -> DecoyConfig:
 def cmd_mine(args) -> int:
     """Mine an interaction log for decoy/control records into `args.out`.
 
-    The log, qrels and similarity source are read by `_read_inputs`; where
-    one is wanted (`_child_wanted`), a forked child reads the log once,
-    and this process reads it again only where that read fails."""
+    The log, qrels and similarity source are read by `_read_inputs`. Where a
+    child is wanted (`_child_wanted`) and the log is a regular file, not a
+    pipe, a forked child reads it once; this process reads it where that fails."""
     cfg = _check_mine_flags(args)
     log_path = Path(args.logs)
     log, qrels, source = _read_inputs(
         args, lambda: ingest.parse_interaction_log(log_path),
-        (lambda: ingest.read_interaction_log(log_path)) if _child_wanted() else None)
+        (lambda: ingest.read_interaction_log(log_path))
+        if _child_wanted() and os.path.isfile(log_path) else None)
 
     universe = log_doc_universe(log)
     thresholds = None

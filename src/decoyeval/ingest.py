@@ -1,8 +1,9 @@
 """Parsers for every on-disk format the toolkit consumes.
 
-Every parser is a per-line function run by one reader, `_read_lines`. It is
-total: it returns a fully valid model value or raises ParseError listing each
-bad line as `file:line: message`. Input is UTF-8 with LF or CRLF line ends;
+Every parser reads a file's text lines through one reader, `_text_lines`,
+and names faults through `_read_lines`. It is total: it returns a fully
+valid model value or raises ParseError listing each bad line as
+`file:line: message`. Input is UTF-8 with LF or CRLF line ends;
 a leading byte-order mark is dropped, blank lines are skipped, and a byte
 that is not UTF-8 is reported at its line.
 
@@ -15,17 +16,17 @@ is a position: the rank fields of a run or a log are checked, and a run's
 scores and ranks order its docs while each topic is sorted, but no model
 value keeps them.
 
-A valid run, pair-similarity file or log is read once. A faulty one is read
-a second time, by the same line loop with per-record checks that name each
-fault at its line (`_read_or_reread`); a log's second read checks each
-record before it joins the same columns, and builds no other object.
+A valid run, pair-similarity file or log is read once, by a first read that
+ends at its first fault and names none. A faulty one is read a second time,
+with per-record checks that name each fault at its line (`_read_or_reread`);
+a log's second read checks each record before it joins the same columns. An
+input that cannot seek, such as a pipe, is copied once to a temporary file.
 
 A run can also be read as two byte ranges, cut at a line start where the
 topic changes (`run_cut`), so that two processes can read one part each
-(`read_run_part`); `joined_run` joins the parts. The part from the cut is
-decoded as `utf-8`, so a U+FEFF there stays part of its topic id, as on
-any line past the first. A part's read ends at its first fault and names
-none; `parse_run` reads the file whole to name them.
+(`read_run_part`, the loop of `parse_run`'s first read); `joined_run` joins
+the parts. The part from the cut is decoded as `utf-8`, so a U+FEFF there
+stays part of its topic id, as on any line past the first.
 
 JSON is decoded by `json`, except in a log's first read
 (`read_interaction_log`), which uses orjson where it is installed
@@ -44,9 +45,11 @@ import logging
 import math
 import operator
 import re
+import shutil
+import tempfile
 from array import array
 from collections import defaultdict
-from contextlib import suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 from itertools import accumulate, chain, count, filterfalse
 from pathlib import Path
@@ -102,33 +105,73 @@ class ParseError(Exception):
         super().__init__(f"{len(self.diagnostics)} parse error(s) in {self.path}:\n{shown}")
 
 
-def _read_lines(path: PathLike, parse_line) -> None:
-    """Call `parse_line(lineno, line)` on each non-blank line of a UTF-8 file,
-    after a leading byte-order mark. The ValueError or OverflowError (an int
-    beyond float range) it raises is that line's diagnostic; all are raised as
-    one ParseError after the last line. A non-UTF-8 byte ends the reading;
-    lines in its block go unchecked."""
+def _read_lines(path: PathLike, parse_line, file=None) -> None:
+    """Call `parse_line(lineno, line)` on each non-blank line of the UTF-8 file
+    `path`, read from `file` where given, after a leading byte-order mark.
+    The ValueError or OverflowError (an int beyond float range) it raises is
+    that line's diagnostic; all are raised as one ParseError after the last
+    line. A non-UTF-8 byte ends the reading; lines in its block go unchecked."""
     diags: list[ParseDiagnostic] = []
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            for lineno, line in enumerate(fh, 1):
+    with _opened(path) if file is None else nullcontext(file) as file, _text_lines(file) as lines:
+        try:
+            for lineno, line in enumerate(lines, 1):
                 if line.isspace():
                     continue
                 try:
                     parse_line(lineno, line)
                 except (ValueError, OverflowError) as exc:
                     diags.append(ParseDiagnostic(str(path), lineno, str(exc)))
-    except UnicodeDecodeError as exc:
-        message = f"invalid UTF-8: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
-        diags.append(ParseDiagnostic(str(path), _undecodable_line(path, exc), message))
+        except UnicodeDecodeError as exc:
+            message = f"invalid UTF-8: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
+            diags.append(ParseDiagnostic(str(path), _undecodable_line(file, exc), message))
     if diags:
         raise ParseError(path, diags)
 
 
-def _undecodable_line(path: PathLike, text_error: UnicodeDecodeError) -> int:
-    """The line of the first byte of `path` that is not UTF-8. Text mode decodes
+def _first_read(file, parse_line) -> bool:
+    """Whether `parse_line(None, line)` passes each non-blank line of the binary
+    `file`; the read ends, naming nothing, at its first ValueError or OverflowError."""
+    with _text_lines(file) as lines:
+        try:
+            for line in filterfalse(str.isspace, lines):
+                parse_line(None, line)
+        except (ValueError, OverflowError):
+            return False
+    return True
+
+
+@contextmanager
+def _opened(path: PathLike):
+    """`path` opened for binary reading, or where it cannot seek (a pipe), a
+    copy of its bytes in an unnamed temporary file, not held in memory."""
+    with open(path, "rb") as file, \
+            nullcontext(file) if file.seekable() else tempfile.TemporaryFile() as copy:
+        if copy is not file:
+            shutil.copyfileobj(file, copy)
+            copy.seek(0)
+        yield copy
+
+
+@contextmanager
+def _text_lines(file, start: int = 0, stop: int | None = None):
+    """The UTF-8 text lines of bytes [start, stop) of the binary `file` (to its
+    end where `stop` is None), past a byte-order mark at byte 0. `file` is
+    left open, and sought to `start` unless read from byte 0 to its end."""
+    if start or stop is not None:
+        file.seek(start)
+    lines = io.TextIOWrapper(file if stop is None else _ByteRange(file, stop - start),
+                             encoding="utf-8" if start else "utf-8-sig")
+    try:
+        yield lines
+    finally:
+        lines.detach()
+
+
+def _undecodable_line(file, text_error: UnicodeDecodeError) -> int:
+    """The line of the first byte of `file` that is not UTF-8. Text mode decodes
     in blocks, so its error has no line; bytes.splitlines breaks lines as it does."""
-    data = Path(path).read_bytes()
+    file.seek(0)
+    data = file.read()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -168,18 +211,16 @@ def _json(line: str):
         raise ValueError("invalid JSON: nested too deeply") from None
 
 
-def _read_or_reread(fast, exact):
-    """The value of `fast()`, a read that only tells a valid file from a
-    faulty one, by returning None or raising ParseError on a fault; on a
-    fault, that of `exact()`, a read that names each fault at its line.
-
-    The second read runs outside the handler: the first read's data are
-    freed before it, and its ParseError carries no context."""
-    try:
-        value = fast()
-    except ParseError:
-        value = None
-    return value if value is not None else exact()
+def _read_or_reread(path: PathLike, fast, exact):
+    """The value of `fast(file)`, a read that only tells a valid file from a
+    faulty one, by returning None on a fault; on a fault, that of
+    `exact(file)`, a read that names each fault at its line. `file` is
+    `path` as `_opened` gives it, rewound for the second read."""
+    with _opened(path) as file:
+        if (value := fast(file)) is None:
+            file.seek(0)
+            value = exact(file)
+    return value
 
 
 def parse_run(path: PathLike) -> RunList:
@@ -188,10 +229,10 @@ def parse_run(path: PathLike) -> RunList:
     Docs are ordered by score descending, then by the file's rank column
     ascending, then by doc id ascending; the rank of a doc is its position.
     The score and rank columns are checked and order the docs, and neither
-    is kept. A valid file is read once; a file with a bad line or a doc
-    twice in one topic is read again, to name each duplicate's first line.
+    is kept. A valid file is read once, as `read_run_part(path, 0)`; a file
+    with a bad line or a doc twice in one topic is read again, to name them.
     """
-    return _read_or_reread(lambda: _read_run(path, None), lambda: _read_run(path, {}))
+    return _read_or_reread(path, lambda f: _run_part(f, 0, None), lambda f: _read_run(path, f))
 
 
 def run_cut(path: PathLike) -> int | None:
@@ -226,20 +267,9 @@ def read_run_part(path: PathLike, start: int, stop: int | None = None) -> RunLis
     or with a `stop`, at the first line of a topic out of its block or of
     the topic of the line at `stop` (the parts would then likely share a
     topic). `start` and `stop` must be line starts, as a `run_cut` is."""
-    try:
-        with open(path, "rb") as raw:
-            closed = None
-            if stop is None:
-                stop = raw.seek(0, io.SEEK_END)
-            else:
-                raw.seek(stop)
-                closed = set(raw.readline().decode("utf-8", "replace").split()[:1])
-            raw.seek(start)
-            with io.TextIOWrapper(_ByteRange(raw, stop - start),
-                                  encoding="utf-8" if start else "utf-8-sig") as lines:
-                return _read_run(path, None, lines, closed)
-    except (ValueError, OSError, ParseError):  # a UnicodeDecodeError is a ValueError
-        return None
+    with suppress(OSError), open(path, "rb") as file:
+        return _run_part(file, start, stop)
+    return None
 
 
 class _ByteRange(io.RawIOBase):
@@ -267,100 +297,101 @@ def joined_run(front: RunList | None, back: RunList | None) -> RunList | None:
     return RunList(front.run_tag, {**front.rankings, **back.rankings})
 
 
-def _read_run(path: PathLike, first_line: dict[str, dict[str, int]] | None,
-              lines=None, closed: set[str] | None = None) -> RunList | None:
-    """One read of a run file into a Ranking per topic, or None if a topic
-    has a doc twice. A topic's lines go into a doc id, a score and a rank
-    column. As the read leaves a topic's block, the block is sorted into a
-    Ranking, and its scores and ranks (8 bytes a line each) wait in case the
-    topic shows up again; then it is expanded back once and stays open.
-
-    With a `first_line` map (topic -> doc id -> first line) the read keeps
-    no columns and only names the faults, each duplicate at its line with
-    the line of its first occurrence. On a file whose first read failed,
-    and that has not changed since, it raises the ParseError naming them all.
-
-    With `lines`, the text lines of a part of a run file, the read parses
-    those and raises a ValueError at the first bad line, or with a `closed`
-    set, at the first line of a topic in the set or in a second block.
-    """
-    # Topic -> (doc ids, or its closed block's Ranking; negated scores; file ranks)
+def _run_part(file, start: int, stop: int | None) -> RunList | None:
+    """`read_run_part` of the binary `file`. A topic's lines go into a doc id, a
+    score and a rank column, looked up only where the topic changes. As the
+    read leaves a topic's first block, the block is sorted into a Ranking,
+    and its scores and ranks (8 bytes a line each) wait in case the topic
+    shows up again; then it is expanded back once and stays open."""
+    closed = None
+    if stop is not None:
+        file.seek(stop)
+        closed = set(file.readline().decode("utf-8", "replace").split()[:1])
+    # Topic -> (doc ids, or its first block's Ranking; negated scores; file ranks)
     topics: dict[str, tuple] = {}
-    block = block_id = run_tag = None
-    block_is_first = duplicate = False
+    topic = run_tag = None
+    first_block = False
     # Rank text -> int: a run repeats its ranks in every topic, and the read
     # holds every topic's ranks until its last line. Doc ids are not shared;
     # they rarely repeat across a real run's lines.
     ranks: dict[str, int] = {}
+    try:  # a ValueError is a fault: a field count, a rank or score, a byte, a doc twice
+        with _text_lines(file, start, stop) as lines:
+            for parts in filter(None, map(str.split, lines)):  # the non-blank lines
+                topic_id, q0, doc_id, rank_s, score_s, tag = parts  # unless 6 fields
+                rank = ranks.get(rank_s)
+                if rank is None:
+                    rank = int(rank_s)
+                    if len(ranks) < RANK_TABLE_SIZE:
+                        ranks[rank_s] = rank
+                score = float(score_s)
+                if score != score or q0 != "Q0" and q0.lower() != "q0":  # NaN, or no Q0
+                    return None
+                if topic_id != topic:
+                    if first_block:
+                        topics[topic] = _ranked(topics[topic])
+                    columns = topics.get(topic_id)
+                    first_block = columns is None
+                    if closed is not None and (not first_block or topic_id in closed):
+                        return None
+                    if first_block:
+                        columns = topics[topic_id] = ([], array("d"), [])
+                        run_tag = run_tag or tag
+                    elif isinstance(columns[0], Ranking):  # reopened: sorted keys align with ids
+                        scores, file_ranks = zip(*sorted(zip(columns[1], columns[2])))
+                        columns = topics[topic_id] = (list(columns[0].doc_ids),
+                                                      array("d", scores), list(file_ranks))
+                    add_doc, add_score, add_rank = (column.append for column in columns)
+                    topic = topic_id
+                add_doc(doc_id)
+                add_score(-score)
+                add_rank(rank)
+        rankings: dict[str, Ranking] = {}
+        for topic_id in list(topics):
+            columns = topics.pop(topic_id)  # so each topic's scores are freed in turn
+            rankings[topic_id] = (columns if isinstance(columns[0], Ranking)
+                                  else _ranked(columns))[0]
+    except ValueError:
+        return None
+    return RunList(run_tag, rankings) if rankings else None
 
-    def close(columns):
-        nonlocal duplicate
-        rows = sorted(zip(columns[1], columns[2], columns[0]))
-        try:
-            return Ranking(list(map(operator.itemgetter(2), rows))), *columns[1:]
-        except ValueError:  # a doc twice in the topic, found with no line map
-            duplicate = True
-            return columns
+
+def _ranked(columns: tuple) -> tuple:
+    """A topic's (doc ids, negated scores, file ranks) with its docs, sorted by
+    score, rank and doc id, as a Ranking; a ValueError where a doc is twice."""
+    rows = sorted(zip(columns[1], columns[2], columns[0]))
+    return Ranking(list(map(operator.itemgetter(2), rows))), *columns[1:]
+
+
+def _read_run(path: PathLike, file) -> None:
+    """Raise the ParseError that names each fault of a run file, each doc twice
+    in a topic with its first line; where it finds none, as where the first
+    read failed on an unchanged file, the file has no ranked line."""
+    first_line: dict[str, dict[str, int]] = {}  # topic -> doc id -> first line
 
     def parse_line(lineno, line):
-        nonlocal block, block_id, block_is_first, run_tag
         parts = line.split()
         if len(parts) != 6:
             raise ValueError(f"expected 6 fields, got {len(parts)}")
-        topic_id, q0, doc_id, rank_s, score_s, tag = parts
+        topic_id, q0, doc_id, rank_s, score_s, _tag = parts
         if q0.lower() != "q0":
             raise ValueError(f"expected literal Q0, got {q0!r}")
-        file_rank = ranks.get(rank_s)
-        if file_rank is None:
-            try:
-                file_rank = int(rank_s)
-            except ValueError:
-                raise ValueError(f"non-numeric rank {rank_s!r}") from None
-            if len(ranks) < RANK_TABLE_SIZE:
-                ranks[rank_s] = file_rank
+        try:
+            int(rank_s)
+        except ValueError:
+            raise ValueError(f"non-numeric rank {rank_s!r}") from None
         try:
             score = float(score_s)
         except ValueError:
             raise ValueError(f"non-numeric score {score_s!r}") from None
         if math.isnan(score):
             raise ValueError("score is NaN")
-        if first_line is not None:
-            seen = first_line.setdefault(topic_id, {}).setdefault(doc_id, lineno)
-            if seen != lineno:
-                raise ValueError(
-                    f"duplicate (topic, doc) ({topic_id}, {doc_id}), first on line {seen}"
-                )
-            return
-        columns = topics.get(topic_id)
-        if columns is None or columns is not block:
-            if closed is not None and (columns is not None or topic_id in closed):
-                raise ValueError(f"topic {topic_id} out of its block")
-            if block_is_first:
-                topics[block_id] = close(block)
-            if block_is_first := columns is None:
-                columns = topics[topic_id] = ([], array("d"), [])
-                run_tag = run_tag or tag
-            elif isinstance(columns[0], Ranking):  # reopened: its keys, sorted, align with its ids
-                scores, file_ranks = zip(*sorted(zip(columns[1], columns[2])))
-                columns = topics[topic_id] = (list(columns[0].doc_ids), array("d", scores),
-                                              list(file_ranks))
-            block, block_id = columns, topic_id
-        columns[0].append(doc_id)
-        columns[1].append(-score)
-        columns[2].append(file_rank)
+        seen = first_line.setdefault(topic_id, {}).setdefault(doc_id, lineno)
+        if seen != lineno:
+            raise ValueError(f"duplicate (topic, doc) ({topic_id}, {doc_id}), first on line {seen}")
 
-    if lines is None:
-        _read_lines(path, parse_line)
-    else:
-        for line in filterfalse(str.isspace, lines):
-            parse_line(None, line)
-    if not topics:
-        raise ParseError(path, [ParseDiagnostic(str(path), 1, "run file has no ranked lines")])
-    rankings: dict[str, Ranking] = {}
-    for topic_id in list(topics):
-        columns = topics.pop(topic_id)  # so each topic's scores are freed in turn
-        rankings[topic_id] = (columns if isinstance(columns[0], Ranking) else close(columns))[0]
-    return None if duplicate else RunList(run_tag, rankings)
+    _read_lines(path, parse_line, file)
+    raise ParseError(path, [ParseDiagnostic(str(path), 1, "run file has no ranked lines")])
 
 
 def parse_qrels(path: PathLike, g_max: int) -> Qrels:
@@ -469,21 +500,21 @@ def parse_pair_sims(path: PathLike) -> PairStore:
 
     Pairs are unordered within a topic, each value is clamped as
     `clamp_similarity` clamps it, and a re-declaration must repeat the first
-    value after the clamp. A valid file is read once, into columns; a faulty
-    one is read again, each line checked by `declare_pair`, to name each
-    fault at its line and the first line of each pair a fault re-declares.
+    value after the clamp. A valid file is read once, into columns, by a read
+    that stops at its first bad line; a faulty one is read again, each line
+    checked by `declare_pair`, to name each fault and a re-declared pair's first line.
     """
-    return _read_or_reread(lambda: _read_pair_sims(path, None),
-                           lambda: _read_pair_sims(path, {}))
+    return _read_or_reread(path, lambda file: _read_pair_sims(path, None, file),
+                           lambda file: _read_pair_sims(path, {}, file))
 
 
-def _read_pair_sims(path: PathLike, pairs: dict | None) -> PairStore | None:
-    """One read of a pair-similarity file.
+def _read_pair_sims(path: PathLike, pairs: dict | None, file) -> PairStore | None:
+    """One read of a pair-similarity file from the binary `file`.
 
-    Without a `pairs` map, each line adds a topic code, two doc codes and a
-    value to flat 8-byte columns, which `PairStore.of_columns` checks as a
-    whole; a fault it finds gives None. With a map, each line goes through
-    `declare_pair`, which names each fault at its line."""
+    Without a `pairs` map (`_first_read`), each line adds a topic code, two
+    doc codes and a value to flat 8-byte columns, which `PairStore.of_columns`
+    checks as a whole; a fault gives None. With a map, each line goes
+    through `declare_pair`, which names each fault at its line."""
     topics: defaultdict[str, int] = defaultdict(count().__next__)
     codes: defaultdict[str, int] = defaultdict(count().__next__)
     topic_col, a_col, b_col, values = array("q"), array("q"), array("q"), array("d")
@@ -507,9 +538,11 @@ def _read_pair_sims(path: PathLike, pairs: dict | None) -> PairStore | None:
         add_a(codes[doc_a])
         add_b(codes[doc_b])
 
-    _read_lines(path, parse_line)
     if pairs is not None:
+        _read_lines(path, parse_line, file)
         return PairStore({key: value for key, (value, _) in pairs.items()})
+    if not _first_read(file, parse_line):
+        return None
     topics.default_factory = codes.default_factory = None
     try:
         return PairStore.of_columns(topics, codes, *(np.frombuffer(column, dtype=np.int64)
@@ -530,19 +563,21 @@ def parse_interaction_log(path: PathLike) -> InteractionLog:
     are unique.
 
     A valid log is read once, each line straight into the log's columns,
-    which are checked as a whole at the end; a faulty log is read again,
-    each record checked before it joins the columns, to name each fault at
-    its line. The first read decodes with orjson where it is installed, the
-    second with `json`, so a valid log with an int beyond 64 bits in a rank
-    or usefulness, which orjson reads as a float, is read twice.
+    which are checked as a whole at the end (a line of the wrong shape ends
+    that read); a faulty log is read again, each record checked before it
+    joins the columns, to name each fault at its line. The first read
+    decodes with orjson where it is installed, the second with `json`, so a
+    valid log with an int beyond 64 bits in a rank or usefulness, which
+    orjson reads as a float, is read twice.
     """
-    return _read_or_reread(lambda: read_interaction_log(path), lambda: _read_log(path, {}))
+    return _read_or_reread(path, lambda file: _read_log(path, None, file),
+                           lambda file: _read_log(path, {}, file))
 
 
 def read_interaction_log(path: PathLike) -> InteractionLog | None:
-    """`parse_interaction_log`'s first read: the log, or on a fault None or
-    a ParseError that need not name each fault."""
-    return _read_log(path, None)
+    """`parse_interaction_log`'s first read: the log, or on a fault None."""
+    with _opened(path) as file:
+        return _read_log(path, None, file)
 
 
 _LOG_FIELDS = operator.itemgetter(
@@ -582,11 +617,11 @@ def _first_read_decoder():
     return loads
 
 
-def _read_log(path: PathLike, serp_line: dict[str, int] | None) -> InteractionLog | None:
-    """One read of a log into columns, or None on a fault it does not name.
+def _read_log(path: PathLike, serp_line: dict[str, int] | None, file) -> InteractionLog | None:
+    """One read of a log from `file` into columns, or None on a fault it does not name.
 
     Each line extends flat lists. Without a `serp_line` map, a record of the
-    wrong shape fails its line at once, and the JSON types and the value
+    wrong shape ends the read (`_first_read`), and the JSON types and the value
     invariants are checked over whole columns after the last line; lines
     are decoded by `_first_read_decoder`, and an int column that orjson
     read differently from `json` fails these checks. With a map (serp_id ->
@@ -633,7 +668,10 @@ def _read_log(path: PathLike, serp_line: dict[str, int] | None) -> InteractionLo
         except (KeyError, TypeError, RecursionError):
             raise ValueError("malformed record") from None
 
-    _read_lines(path, parse_line)
+    if serp_line is not None:
+        _read_lines(path, parse_line, file)
+    elif not _first_read(file, parse_line):
+        return None
     # Ids are strings, and a bool is no number here.
     if (any(type(k) is not str for k in chain(doc_table, shared))
             or not set(map(type, serp_ids)) <= {str}

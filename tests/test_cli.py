@@ -27,7 +27,7 @@ from decoyeval.ingest import parse_records
 from decoyeval.metrics import KNOWN_METRICS
 from decoyeval.model import VectorStore
 
-from conftest import LOG_EXPECTED, record_rows, write_corpus, write_planted_log
+from conftest import LOG_EXPECTED, LOG_SERPS, record_rows, write_corpus, write_planted_log
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -956,12 +956,12 @@ class TestMineLogChild:
         parent, read_log = os.getpid(), ingest._read_log
         exact = []
 
-        def logged(path, serp_line):
+        def logged(path, serp_line, *file):
             if os.getpid() != parent:
                 (tmp_path / ("child-once" if serp_line is None else "child-exact")).touch()
             elif serp_line is not None:
                 exact.append(path)
-            return read_log(path, serp_line)
+            return read_log(path, serp_line, *file)
 
         monkeypatch.setattr(ingest, "_read_log", logged)
         assert mine(planted_log, tmp_path / "mined") == 1
@@ -1272,3 +1272,79 @@ class TestRunChild:
         assert forks == [] and reads == [world.run]
         if case == "a pipe":
             assert (tmp_path / "scores.tsv").read_bytes() == want.read_bytes()
+
+
+# --- inputs read from a pipe ---------------------------------------------------
+
+
+@pytest.fixture
+def piped():
+    """Makes a pipe that holds the bytes given (within the pipe's buffer),
+    named as a shell's <(...) names one; each is closed after the test."""
+    if not Path("/dev/fd").is_dir():
+        pytest.skip("no /dev/fd to name a pipe by")
+    fds = []
+
+    def make(data: bytes) -> Path:
+        read_fd, write_fd = os.pipe()
+        os.write(write_fd, data)
+        os.close(write_fd)
+        fds.append(read_fd)
+        return Path(f"/dev/fd/{read_fd}")
+
+    yield make
+    for fd in fds:
+        os.close(fd)
+
+
+class TestPipedInputs:
+    """A faulty input read from a pipe, which can be read only once, is
+    named as the same bytes in a regular file are: exit 1, the same lines
+    and messages, and no --out. Each input is copied once to a temporary file."""
+
+    @pytest.mark.parametrize("faulty", ["run", "pair sims"])
+    @pytest.mark.parametrize("child", [True, False], ids=["child wanted", "no child"])
+    def test_eval(self, tmp_path, capsys, monkeypatch, piped, faulty, child):
+        monkeypatch.setattr(cli, "_child_wanted", lambda: child)
+        inputs = dict(zip(("run", "qrels", "pair sims"), write_demo(tmp_path)))
+        bad = inputs[faulty]
+        line, fault = {"run": (4, "t1 Q0 d4 4 zz demo\n"), "pair sims": (3, "t1\td1\td3\tzz\n")}[faulty]
+        bad.write_text(bad.read_text() + fault)
+
+        def run_eval(out: Path) -> int:
+            return cli.main(["eval", "--run", str(inputs["run"]), "--qrels", str(inputs["qrels"]),
+                             "--pair-sims", str(inputs["pair sims"]), "--out", str(out)])
+
+        assert run_eval(tmp_path / "from-the-file.tsv") == 1
+        want = capsys.readouterr().err
+        assert f"{bad}:{line}: non-numeric " in want
+        inputs[faulty] = piped(bad.read_bytes())
+        assert run_eval(tmp_path / "from-the-pipe.tsv") == 1
+        assert capsys.readouterr().err == want.replace(str(bad), str(inputs[faulty]))
+        assert not (tmp_path / "from-the-pipe.tsv").exists()
+
+    def test_valid_run(self, tmp_path, piped):
+        run, qrels, pairs = write_demo(tmp_path)
+        for path, out in ((run, "from-the-file.tsv"),
+                          (piped(run.read_bytes()), "from-the-pipe.tsv")):
+            assert cli.main(["eval", "--run", str(path), "--qrels", str(qrels),
+                             "--pair-sims", str(pairs), "--out", str(tmp_path / out)]) == 0
+        assert ((tmp_path / "from-the-pipe.tsv").read_bytes()
+                == (tmp_path / "from-the-file.tsv").read_bytes())
+
+    @pytest.mark.parametrize("fault", [b"{}\n", b'{"serp_id": "\xff"}\n'],
+                             ids=["malformed", "non-utf-8"])
+    def test_mine(self, planted_log, tmp_path, capsys, monkeypatch, piped, log_read, fault):
+        log = planted_log.log
+        log.write_bytes(log.read_bytes() + fault)
+        assert mine(planted_log, tmp_path / "from-the-file") == 1
+        want = capsys.readouterr().err
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+        pipe = piped(log.read_bytes())
+        assert mine(planted_log, tmp_path / "from-the-pipe", log=pipe) == 1
+        assert capsys.readouterr().err == want.replace(str(log), str(pipe))
+        assert f"{pipe}:{len(LOG_SERPS) + 1}: " in want.replace(str(log), str(pipe))
+        assert not (tmp_path / "from-the-pipe").exists()
+        assert forks == []  # no child for a log that only one process can read

@@ -8,7 +8,9 @@ import random
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -532,9 +534,10 @@ class TestParseInteractionLog:
     @settings(max_examples=100, deadline=None)
     def test_checked_read_equals_fast_read(self, tmp_path_factory, records):
         p = write_log(tmp_path_factory.mktemp("log") / "log.jsonl", records)
-        fast = ingest._read_log(p, None)
+        fast = ingest.read_interaction_log(p)
         assert fast is not None
-        assert ingest._read_log(p, {}) == fast
+        with open(p, "rb") as file:
+            assert ingest._read_log(p, {}, file) == fast
 
     def test_ints_beyond_int64_kept(self, tmp_path):
         # Rank and usefulness columns must neither wrap nor reject such ints.
@@ -818,6 +821,10 @@ def parse_both(path):
 SCORE_TEXTS = ["3", "3.0", "2.5", "1e0", "1", "0", "0.0", "-0.0", "-0", "-1.5",
                "inf", "-inf", "Infinity", "+2.5"]
 RUN_TOPICS = ["t1", "t2", "t3"]
+# Whitespace to str.split(), which the run reads split fields on, and which
+# makes a line blank: an em space and an information separator among them.
+# bytes.split(), which `run_cut` uses, takes neither for whitespace.
+RUN_SPACES = [" ", "\t", " \t", "\u2003", "\x1c"]
 
 
 @st.composite
@@ -833,15 +840,31 @@ def run_rows(draw, doc_pool, unique):
     ), max_size=40, unique_by=(lambda r: r[:2]) if unique else None))
 
 
+def run_line(draw, fields, q0s=("Q0", "q0")):
+    """A run line of `fields` (topic, doc, rank, score, tag), with a Q0
+    field drawn from `q0s` and whitespace drawn between the fields."""
+    topic_id, *rest = fields
+    line = topic_id
+    for field in (draw(st.sampled_from(q0s)), *rest):
+        line += draw(st.sampled_from(RUN_SPACES)) + field
+    return line
+
+
 def run_text(draw, lines):
     """`lines` with blank and whitespace-only lines drawn in between, joined
     by LF or CRLF."""
     out = []
     for line in lines:
-        out.extend(draw(st.lists(st.sampled_from(["", " ", "\t "]), max_size=1)))
+        out.extend(draw(st.lists(st.sampled_from(["", " ", "\t "] + RUN_SPACES[-2:]),
+                                 max_size=1)))
         out.append(line)
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     return "".join(line + newline for line in out)
+
+
+# Faults that a run's first read tells by shortcuts: a Q0 field that is not
+# "Q0" in any case, and a NaN score in other spellings (NaN != NaN).
+SHORTCUT_FAULTS = ["t2 qO d5 1 2.0 tag", "t3 Q0 d6 2 NaN tag", "t1\u2003q0 d7 3 -nan tag"]
 
 
 class TestParseRunAgainstTupleSort:
@@ -861,7 +884,7 @@ class TestParseRunAgainstTupleSort:
         tags = data.draw(st.lists(st.sampled_from(["sysA", "sysB"]), min_size=len(rows),
                                   max_size=len(rows)))
         q0 = data.draw(st.sampled_from(["Q0", "q0"]))
-        lines = [f"{t} {q0} {d} {rank} {score} {tag}"
+        lines = [run_line(data.draw, (t, d, rank, score, tag), [q0])
                  for (t, d, rank, score), tag in zip(rows, tags)]
         p = tmp_path_factory.mktemp("run") / "run.txt"
         p.write_bytes(run_text(data.draw, lines).encode("utf-8"))
@@ -878,8 +901,8 @@ class TestParseRunAgainstTupleSort:
     @settings(max_examples=200, deadline=None)
     def test_faulty_files_give_the_same_diagnostics(self, tmp_path_factory, data):
         rows = data.draw(run_rows(["d1", "d2", "d3", "d4"], unique=False))
-        lines = [f"{t} Q0 {d} {rank} {score} tag" for t, d, rank, score in rows]
-        bad = [line for kind, line, _ in BAD_LINES if kind == "run"]
+        lines = [run_line(data.draw, (t, d, rank, score, "tag")) for t, d, rank, score in rows]
+        bad = [line for kind, line, _ in BAD_LINES if kind == "run"] + SHORTCUT_FAULTS
         for line in data.draw(st.lists(st.sampled_from(bad), max_size=4)):
             lines.insert(data.draw(st.integers(0, len(lines))), line)
         p = tmp_path_factory.mktemp("run") / "run.txt"
@@ -919,14 +942,7 @@ class TestParseRunAgainstTupleSort:
         ("t1 Q0 d1 1 9.0 tag\nt1 Q0 d2 2\n", 2),
     ], ids=["in-order", "sorted", "duplicate", "bad-line"])
     def test_file_read_again_only_when_faulty(self, tmp_path, monkeypatch, text, reads):
-        calls = []
-        read_lines = ingest._read_lines
-
-        def counting(path, parse_line, *part):
-            calls.append(path)
-            return read_lines(path, parse_line, *part)
-
-        monkeypatch.setattr(ingest, "_read_lines", counting)
+        calls = count_reads(monkeypatch)
         p = write(tmp_path / "run.txt", text)
         try:
             ingest.parse_run(p)
@@ -947,34 +963,116 @@ class TestParseRunAgainstTupleSort:
         assert exc.value.__cause__ is None
 
 
+# Each case: the parser, and the bytes it reads from a pipe. A faulty
+# input's second read, which names its faults, reads the same bytes.
+PIPE_CASES = {
+    "run": (ingest.parse_run, "\ufefft1 Q0 a 1 2.0 x\nt1 Q0 b 2 1.0 x\n".encode()),
+    "qrels": (lambda path: ingest.parse_qrels(path, g_max=3), b"t1 0 a 2\nt1 0 b 0\n"),
+    "faulty run": (ingest.parse_run, b"t1 Q0 a 1 2.0 x\nt1 Q0 b 2 zz x\nt1 Q0 a 3 1.0 x\n"),
+    "non-utf-8 run": (ingest.parse_run, b"t1 Q0 a 1 2.0 x\n\nt1 Q0 \xff 2 1.0 x\n"),
+    "log": (ingest.parse_interaction_log, (VALID_LINES["interaction_log"] + "\n").encode()),
+    "faulty log": (ingest.parse_interaction_log,
+                   (VALID_LINES["interaction_log"] + "\n{}\n").encode()),
+    "pair sims": (lambda path: ingest.parse_pair_sims(path).topic_view("t1").sim("b", "a"),
+                  b"t1\ta\tb\t0.5\n"),
+    "faulty pair sims": (ingest.parse_pair_sims, b"t1\ta\tb\t0.5\nt1\ta\tc\tzz\n"),
+    "non-utf-8 qrels": (lambda path: ingest.parse_qrels(path, g_max=3),
+                        b"t1 0 a 2\nt1 0 \xff 0\n"),
+}
+
+
+def parsed(parse, path):
+    """What `parse(path)` returns, or the (line, message) of each of its
+    diagnostics."""
+    try:
+        return parse(path)
+    except ParseError as exc:
+        return [(d.line, d.message) for d in exc.diagnostics]
+
+
 @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd to name a pipe by")
-@pytest.mark.parametrize("parse, text", [
-    (ingest.parse_run, "\ufefft1 Q0 a 1 2.0 x\nt1 Q0 b 2 1.0 x\n"),
-    (lambda path: ingest.parse_qrels(path, g_max=3), "t1 0 a 2\nt1 0 b 0\n"),
-], ids=["run", "qrels"])
-def test_read_from_a_pipe(tmp_path, parse, text):
+@pytest.mark.parametrize("case", PIPE_CASES)
+def test_read_from_a_pipe(tmp_path, case):
     # As a shell's <(...) names one; a pipe cannot seek.
-    want = parse(write(tmp_path / "in.txt", text))
+    parse, data = PIPE_CASES[case]
+    p = tmp_path / "in.txt"
+    p.write_bytes(data)
+    want = parsed(parse, p)
+    assert isinstance(want, list) is case.startswith(("faulty", "non-utf-8"))
     read_fd, write_fd = os.pipe()
-    os.write(write_fd, text.encode())
+    os.write(write_fd, data)
     os.close(write_fd)
     try:
-        assert parse(f"/dev/fd/{read_fd}") == want
+        assert parsed(parse, f"/dev/fd/{read_fd}") == want
     finally:
         os.close(read_fd)
 
 
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd to name a pipe by")
+def test_pipe_copied_to_a_file_not_to_memory():
+    # Its reads parse a copy of a pipe's bytes, which must not sit in memory.
+    data = b"t1 0 a 2\n" * 200_000
+    read_fd, write_fd = os.pipe()
+
+    def write():
+        with open(write_fd, "wb") as pipe:
+            pipe.write(data)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    tracemalloc.start()
+    try:
+        with ingest._opened(f"/dev/fd/{read_fd}") as file:
+            peak = tracemalloc.get_traced_memory()[1]
+            assert file.read() == data
+    finally:
+        tracemalloc.stop()
+        writer.join()
+        os.close(read_fd)
+    assert peak < len(data) // 4
+
+
 def count_reads(monkeypatch):
-    """The paths `ingest._read_lines` is called on from now on."""
-    calls = []
-    read_lines = ingest._read_lines
+    """One list per read of a file's lines from now on, a first read or one
+    that names faults, each through `ingest._text_lines`: the lines that
+    read took."""
+    reads = []
+    text_lines = ingest._text_lines
 
-    def counting(path, parse_line):
-        calls.append(path)
-        return read_lines(path, parse_line)
+    @contextmanager
+    def counted(*args):
+        taken = []
+        reads.append(taken)
+        with text_lines(*args) as lines:
+            yield (taken.append(line) or line for line in lines)
 
-    monkeypatch.setattr(ingest, "_read_lines", counting)
-    return calls
+    monkeypatch.setattr(ingest, "_text_lines", counted)
+    return reads
+
+
+# Per format: a bad first line, a line holding a byte that is not UTF-8, and
+# valid line i (of topic t1 or t2).
+FIRST_READ_LINES = {
+    "run": (b"t1 Q0 d0 1\n", b"t2 Q\xff d0 0 1 x\n",
+            lambda i: f"t{1 + i // 1000} Q0 d{i} {i} 1 x\n"),
+    "log": (b"{}\n", b'{"serp_id": "\xff"}\n', lambda i: json.dumps(log_record(f"s{i}")) + "\n"),
+    "pair sims": (b"t1\ta\n", b"t2\ta\xff\tb\t0.5\n",
+                  lambda i: f"t{1 + i // 1000}\td{i}\te{i}\t0.5\n"),
+}
+
+
+def read_first(path, read):
+    """`read(path, None, file)`: a pair file's or a log's first read."""
+    with open(path, "rb") as file:
+        return read(path, None, file)
+
+
+# The first read of a whole run, log or pair file: the value, or None on a fault.
+FIRST_READS = {
+    "run": lambda p: ingest.read_run_part(p, 0),
+    "log": ingest.read_interaction_log,
+    "pair sims": lambda p: read_first(p, ingest._read_pair_sims),
+}
 
 
 class TestRunParts:
@@ -989,10 +1087,11 @@ class TestRunParts:
         rows = data.draw(run_rows([f"d{i}" for i in range(6)], unique=False))
         if data.draw(st.booleans()):
             rows.sort(key=lambda r: RUN_TOPICS.index(r[0]))
-        lines = [f"{t} Q0 {d} {rank} {score} tag{i % 2}" for i, (t, d, rank, score)
-                 in enumerate(rows)]
+        lines = [run_line(data.draw, (t, d, rank, score, f"tag{i % 2}"))
+                 for i, (t, d, rank, score) in enumerate(rows)]
         # Bad lines, and a valid one whose topic id starts with a U+FEFF.
-        extra = [line for kind, line, _ in BAD_LINES if kind == "run"] + ["\ufefft1 Q0 d9 1 1 x"]
+        extra = ([line for kind, line, _ in BAD_LINES if kind == "run"] + SHORTCUT_FAULTS
+                 + ["\ufefft1 Q0 d9 1 1 x"])
         for line in data.draw(st.lists(st.sampled_from(extra), max_size=2)):
             lines.insert(data.draw(st.integers(0, len(lines))), line)
         text = run_text(data.draw, lines)
@@ -1053,30 +1152,37 @@ class TestRunParts:
         assert ingest.read_run_part(p, 0, sum(map(len, front))) is None
         assert ingest.read_run_part(p, 0, sum(map(len, front[:3]))) is not None
 
-    @pytest.mark.parametrize("first", [b"t1 Q0 d0 1\n", b"t1 Q\xff d0 0 1 x\n"],
-                             ids=["bad line", "non-utf-8"])
-    @pytest.mark.parametrize("part", ["before the cut", "from the cut"])
+    @pytest.mark.parametrize("first", ["bad line", "non-utf-8"])
+    @pytest.mark.parametrize("part", ["before the cut", "from the cut", "whole run",
+                                      "log", "pair sims"])
     def test_part_stops_at_its_first_fault(self, tmp_path, monkeypatch, first, part):
-        # The part's first line is faulty. After it come 2,000 valid lines
-        # of two topics, then a non-UTF-8 byte, well past the next 8 KiB
-        # block: a read past the fault would close the first topic's block
-        # into a Ranking.
-        lines = [first] + [f"t{1 + i // 1000} Q0 d{i} {i} 1 x\n".encode() for i in range(2000)]
-        faulty = b"".join(lines) + b"t2 Q0 \xff 1 1 x\n"
-        valid = b"t9 Q0 d0 1 1 x\n"
-        p = tmp_path / "run.txt"
+        # A first read, of a run part, a whole run, a log or a pair file,
+        # whose first line is faulty. After it come 2,000 valid lines, then
+        # a non-UTF-8 byte, well past the next 8 KiB block. The read takes
+        # the bad line and no other, or none where its bytes are not UTF-8.
+        kind = part if part in ("log", "pair sims") else "run"
+        bad, undecodable, valid_line = FIRST_READ_LINES[kind]
+        faulty = (bad if first == "bad line" else undecodable) + b"".join(
+            valid_line(i).encode() for i in range(2000)) + undecodable
+        valid = valid_line(9999).encode()
+        p = tmp_path / "in.txt"
 
         def refused(*args):
-            raise AssertionError("read past the part's first fault")
+            raise AssertionError("read past the first fault")
 
         monkeypatch.setattr(ingest, "_undecodable_line", refused)
         monkeypatch.setattr(ingest, "Ranking", refused)
+        reads = count_reads(monkeypatch)
         if part == "before the cut":
             p.write_bytes(faulty + valid)
             assert ingest.read_run_part(p, 0, len(faulty)) is None
-        else:
+        elif part == "from the cut":
             p.write_bytes(valid + faulty)
             assert ingest.read_run_part(p, len(valid)) is None
+        else:
+            p.write_bytes(faulty)
+            assert FIRST_READS[kind](p) is None
+        assert [len(taken) for taken in reads] == [first == "bad line"]
 
     @pytest.mark.parametrize("tail", [b"\r\n", b"\r\r\n", b"\r", b"\n\r"],
                              ids=["crlf", "lone cr, then crlf", "lone cr", "lone cr at the end"])
@@ -1106,8 +1212,9 @@ class TestRunParts:
 
 
 class TestRankTable:
-    """_read_run maps each rank text to one int, for at most RANK_TABLE_SIZE
-    distinct texts; past that bound each text is converted as it comes."""
+    """A run's first read maps each rank text to one int, for at most
+    RANK_TABLE_SIZE distinct texts; past that bound each text is converted
+    as it comes."""
 
     def test_more_rank_texts_than_the_bound(self, tmp_path):
         n = ingest.RANK_TABLE_SIZE + 300
