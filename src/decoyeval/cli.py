@@ -30,6 +30,7 @@ from .logmine import (
 from .metrics import (
     KNOWN_METRICS,
     MetricConfig,
+    check_scale,
     evaluate_run,
     resolve_metrics,
     sweep,
@@ -374,7 +375,8 @@ def _load_run_inputs(args):
 def cmd_eval(args) -> int:
     cutoffs = _parse_cutoffs(args.cutoffs)
     metrics = _parse_metrics(args.metrics)
-    cfg = MetricConfig(g_max=args.g_max, phi=args.phi, alpha=args.alpha)
+    check_scale(args.g_max)
+    cfg = MetricConfig(phi=args.phi, alpha=args.alpha)
     decoy_cfg = _decoy_config(args)
     run, qrels, source = _load_run_inputs(args)
     evaluations = evaluate_run(run, qrels, source, decoy_cfg, cfg, metrics, cutoffs)
@@ -400,11 +402,12 @@ def cmd_decoys(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = MetricConfig(g_max=args.g_max)
+    check_scale(args.g_max)
     decoy_cfg = _decoy_config(args)
     sweep_cutoffs(args.k_start, args.k_end, args.k_step)
     run, qrels, source = _load_run_inputs(args)
-    rows = sweep(run, qrels, source, decoy_cfg, cfg, args.k_start, args.k_end, args.k_step)
+    rows = sweep(run, qrels, source, decoy_cfg, MetricConfig(), args.k_start, args.k_end,
+                 args.k_step)
     emit_sweep(rows, args.format, args.out)
     return 0
 

@@ -110,28 +110,15 @@ def detect_rows(
         seen = list(dict.fromkeys(
             k for i, exc in gaps if entries[i] - col[entries[i]] == row for k in exc.missing
         ))
-        raise _RowCoverageError(
-            f"similarity coverage incomplete for topic {topic_id}: {len(seen)} key(s) missing",
-            seen, failed,
-        )
+        named = ", ".join(f"({k[1]}, {k[2]})" if isinstance(k, tuple) else k for k in seen[:10])
+        raise _RowCoverageError(f"similarity coverage incomplete for topic {topic_id}: "
+                                f"{len(seen)} key(s) missing: {named}", seen, failed)
     distinct = np.empty(len(first))
     distinct[by_first] = values
     sim = np.empty(len(t))
     sim[shown] = distinct[inverse]
     band = cfg.in_band(sim)
     return t[band], p[band], sim[band]
-
-
-def ranking_pairs(
-    topic_id: str, doc_ids: Sequence[str], grade: Sequence[int], sims, cfg: DecoyConfig
-) -> tuple[list[int], list[int], list[float]]:
-    """`detect_rows` over one ranked list, given its grade column: the
-    (target index, decoy index, similarity) lists of its pairs, without
-    dedup, in (target rank, decoy rank) order."""
-    index = np.arange(len(doc_ids))
-    t, p, s = detect_rows(topic_id, doc_ids, index, np.array(grade, dtype=np.int64),
-                          index, sims, cfg)
-    return t.tolist(), p.tolist(), s.tolist()
 
 
 def detect_decoy_pairs(
@@ -151,7 +138,9 @@ def detect_decoy_pairs(
     """
     docs = ranking.doc_ids
     grade = [grades.get(d, 0) for d in docs]
-    candidates = list(zip(*ranking_pairs(topic_id, docs, grade, sims, cfg)))
+    index = np.arange(len(docs))
+    found = detect_rows(topic_id, docs, index, int_column(grade), index, sims, cfg)
+    candidates = list(zip(*(column.tolist() for column in found)))
     if dedup:
         best: dict[int, tuple[int, float]] = {}
         for ti, di, s in candidates:

@@ -19,8 +19,10 @@ from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import compress, count, repeat
 
-from .decoy import check_cutoff, ranking_pairs
-from .model import DecoyConfig, Qrels, Ranking, RunList, SimilaritySource
+import numpy as np
+
+from .decoy import check_cutoff, detect_rows
+from .model import DecoyConfig, Qrels, Ranking, RunList, SimilaritySource, int_column
 
 EFFECTIVENESS_METRICS = ("ndcg", "recall", "rbp", "err")
 KNOWN_METRICS = ("dejavu",) + EFFECTIVENESS_METRICS + tuple(
@@ -29,22 +31,22 @@ KNOWN_METRICS = ("dejavu",) + EFFECTIVENESS_METRICS + tuple(
 RELEVANT_GRADE = 2  # TREC DL's 0-3 scale: grade 2 and up is relevant
 
 
+def check_scale(g_max: int) -> None:
+    """ValueError unless the grade scale 0..g_max reaches RELEVANT_GRADE."""
+    if g_max < RELEVANT_GRADE:
+        raise ValueError(f"g_max must be >= {RELEVANT_GRADE}, got {g_max}")
+
+
 @dataclass(frozen=True)
 class MetricConfig:
-    """Shared knobs for all metrics; the cutoffs are passed separately.
+    """Shared knobs for all metrics: phi the RBP persistence and alpha the
+    LC weight on DEJA-VU. The cutoffs are passed separately, and the grade
+    scale (RBP utility and ERR normalisation) is the qrels' own g_max."""
 
-    g_max is the top relevance grade (RBP utility and ERR normalisation),
-    phi the RBP persistence and alpha the LC weight on DEJA-VU. The scale
-    must reach RELEVANT_GRADE, or no doc could be relevant.
-    """
-
-    g_max: int = 3
     phi: float = 0.8
     alpha: float = 0.5
 
     def __post_init__(self):
-        if self.g_max < RELEVANT_GRADE:
-            raise ValueError(f"g_max must be >= {RELEVANT_GRADE}, got {self.g_max}")
         if not 0.0 < self.phi < 1.0:
             raise ValueError(f"phi must lie in (0, 1), got {self.phi}")
         if not 0.0 <= self.alpha <= 1.0:
@@ -214,6 +216,7 @@ def topic_prefix(
     topic_id: str,
     ranking: Ranking,
     grades: Mapping[str, int],
+    g_max: int,
     sims,
     decoy_cfg: DecoyConfig | None,
     cfg: MetricConfig,
@@ -221,7 +224,7 @@ def topic_prefix(
 ) -> TopicPrefix:
     """Summarise the top `depth` of one topic's ranking in one pass.
 
-    Every grade met in the ranking must lie in [0, cfg.g_max]. When `sims`
+    Every grade met in the ranking must lie in [0, g_max]. When `sims`
     is given, decoy detection runs once over the whole prefix without
     dedup, and each relevant target keeps the smallest max(target rank,
     decoy rank) of its pairs: the first cutoff at which it has a visible
@@ -242,9 +245,9 @@ def topic_prefix(
         while weight_rank < i:
             weight *= cfg.phi
             weight_rank += 1
-        stop = err_grade_map(g, cfg.g_max)
+        stop = err_grade_map(g, g_max)
         dcg.append(dcg[-1] + _dcg_term(g, i))
-        rbp.append(rbp[-1] + weight * (g / cfg.g_max))
+        rbp.append(rbp[-1] + weight * (g / g_max))
         err.append(err[-1] + p_continue * stop / i)
         p_continue *= 1.0 - stop
 
@@ -256,8 +259,9 @@ def topic_prefix(
 
     first_seen: dict[int, int] = {}  # target index -> rank of its first decoy
     if sims is not None:
-        targets, decoys, _ = ranking_pairs(topic_id, docs, ranked, sims, decoy_cfg)
-        for ti, di in zip(targets, decoys):
+        index = np.arange(len(docs))
+        pairs = detect_rows(topic_id, docs, index, int_column(ranked), index, sims, decoy_cfg)
+        for ti, di in zip(pairs[0].tolist(), pairs[1].tolist()):
             seen_at = max(ti, di) + 1
             if ranked[ti] >= RELEVANT_GRADE and seen_at < first_seen.get(ti, seen_at + 1):
                 first_seen[ti] = seen_at
@@ -276,8 +280,10 @@ def topic_prefix(
     )
 
 
-def _read_at_k(name: str, ranking, grades, cfg: MetricConfig, k: int) -> float:
-    return topic_prefix("", ranking, grades, None, None, cfg, k).values_at(k)[0][name]
+def _read_at_k(name: str, ranking, grades, k: int, g_max: int, phi: float = 0.8) -> float:
+    check_scale(g_max)
+    prefix = topic_prefix("", ranking, grades, g_max, None, None, MetricConfig(phi=phi), k)
+    return prefix.values_at(k)[0][name]
 
 
 def _scale_of(grades: Mapping[str, int]) -> int:
@@ -304,9 +310,8 @@ def dejavu_at_k(
     docs in the top k, then apply 1 - exp(d - r)."""
     if sims is None:
         raise ValueError("dejavu requires a similarity source")
-    cfg = MetricConfig(g_max=_scale_of(grades))
-    prefix = topic_prefix(topic_id, ranking, grades, sims, decoy_cfg, cfg, k)
-    values, d, r = prefix.values_at(k)
+    values, d, r = topic_prefix(topic_id, ranking, grades, _scale_of(grades), sims, decoy_cfg,
+                                MetricConfig(), k).values_at(k)
     return DejavuOutcome(d, r, values["dejavu"])
 
 
@@ -321,7 +326,7 @@ def ndcg_at_k(
     just retrieved ones, then truncated at k. A topic with no relevant
     judgments scores 0.
     """
-    return _read_at_k("ndcg", ranking, grades, MetricConfig(g_max=_scale_of(grades)), k)
+    return _read_at_k("ndcg", ranking, grades, k, _scale_of(grades))
 
 
 def recall_at_k(
@@ -331,7 +336,7 @@ def recall_at_k(
 ) -> float:
     """Fraction of the topic's relevant docs (grade >= RELEVANT_GRADE)
     retrieved in the top k. Topics with no relevant docs score 0."""
-    return _read_at_k("recall", ranking, grades, MetricConfig(g_max=_scale_of(grades)), k)
+    return _read_at_k("recall", ranking, grades, k, _scale_of(grades))
 
 
 def rbp_at_k(
@@ -343,7 +348,7 @@ def rbp_at_k(
 ) -> float:
     """Rank-biased precision (1 - phi) * sum_i r_i * phi^(i-1), truncated at
     k, with graded utility r_i = grade_i / g_max."""
-    return _read_at_k("rbp", ranking, grades, MetricConfig(g_max=g_max, phi=phi), k)
+    return _read_at_k("rbp", ranking, grades, k, g_max, phi)
 
 
 def err_at_k(
@@ -353,7 +358,7 @@ def err_at_k(
     g_max: int = 3,
 ) -> float:
     """Expected reciprocal rank: sum_i (1/i) * R_i * prod_{j<i} (1 - R_j)."""
-    return _read_at_k("err", ranking, grades, MetricConfig(g_max=g_max), k)
+    return _read_at_k("err", ranking, grades, k, g_max)
 
 
 @dataclass(frozen=True, slots=True)
@@ -411,7 +416,9 @@ def _cutoff_scores(
 ) -> Iterator[tuple[int, list[TopicScores], AggregateScores]]:
     """Per ascending cutoff k: k, every judged topic's scores at k (sorted
     by topic) and their mean, one cutoff at a time. Each topic is summarised
-    once, down to the last cutoff; detection runs only for dejavu."""
+    once, down to the last cutoff, on the qrels' grade scale; detection runs
+    only for dejavu."""
+    check_scale(qrels.g_max)
     if not qrels.judgments:
         raise ValueError("qrels contain no topics")
     needs_sims = "dejavu" in metrics
@@ -422,8 +429,8 @@ def _cutoff_scores(
         ranking = run.rankings.get(topic_id, Ranking())
         view = source.topic_view(topic_id) if needs_sims and ranking else None
         prefixes.append(topic_prefix(
-            topic_id, ranking, qrels.grades_for(topic_id), view, decoy_cfg, cfg, cutoffs[-1]
-        ))
+            topic_id, ranking, qrels.grades_for(topic_id), qrels.g_max, view, decoy_cfg, cfg,
+            cutoffs[-1]))
     for k in cutoffs:
         rows = [prefix.scores_at(k, metrics, cfg.alpha) for prefix in prefixes]
         yield k, rows, aggregate(rows)

@@ -314,7 +314,29 @@ class TestExitCodes:
             "--pair-sims", str(pairs),
         ])
         assert rc == 2
-        assert "similarity coverage error" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "similarity coverage error: similarity coverage incomplete for topic t1: "
+            "1 key(s) missing: (d1, d2)\n")
+
+    @pytest.mark.parametrize("command, flag", [
+        ("decoys", "--pair-sims"), ("sweep", "--pair-sims"),
+        ("eval", "--vectors"), ("decoys", "--vectors"), ("sweep", "--vectors"),
+    ])
+    def test_coverage_error_names_the_key(self, tmp_path, capsys, command, flag):
+        # A missing pair is named as (a, b), a doc without a vector as itself.
+        run, qrels, source = write_demo(tmp_path)
+        if flag == "--pair-sims":
+            source.write_text("t1\td2\td3\t0.3\n")
+            named = "(d1, d2)"
+        else:
+            source.write_text('{"doc_id": "d1", "vector": [1.0, 0.0]}\n'
+                              '{"doc_id": "d3", "vector": [0.0, 1.0]}\n')
+            named = "d2"
+        rc = cli.main([command, "--run", str(run), "--qrels", str(qrels), flag, str(source)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "similarity coverage error: similarity coverage incomplete for topic t1: "
+            f"1 key(s) missing: {named}\n")
 
     def test_bad_cutoffs_is_1(self, tmp_path, capsys):
         run, qrels, pairs = write_demo(tmp_path)

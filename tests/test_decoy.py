@@ -320,6 +320,10 @@ class TestLookupOracle:
         with pytest.raises(CoverageError) as exc:
             detect_decoy_pairs("t", ranking_of(docs), grades, store.topic_view("t"), cfg)
         assert exc.value.missing == expected
+        # The message names the first ten, in the same order.
+        assert str(exc.value) == (
+            f"similarity coverage incomplete for topic t: {len(expected)} key(s) missing: "
+            + ", ".join(f"({a}, {b})" for _, a, b in expected[:10]))
 
 
 def scalar_detect(topic_id, ranking, grades, sims, cfg):
@@ -347,8 +351,10 @@ def scalar_detect(topic_id, ranking, grades, sims, cfg):
             candidates.append((ti, hi if ti == lo else lo, s))
     if missing:
         seen = list(dict.fromkeys(missing))
+        named = ", ".join(k if isinstance(k, str) else f"({k[1]}, {k[2]})" for k in seen[:10])
         raise CoverageError(
-            f"similarity coverage incomplete for topic {topic_id}: {len(seen)} key(s) missing",
+            f"similarity coverage incomplete for topic {topic_id}: {len(seen)} key(s) "
+            f"missing: {named}",
             seen,
         )
     return [

@@ -343,7 +343,7 @@ class TestRelevanceFloors:
             in_order = [grades.get(d, 0) for d in order]
             depth = rng.randint(1, len(order))
             m = matrix_for(order, sims)
-            prefix = topic_prefix("t", ranking_of(order), grades, m, decoy_cfg,
+            prefix = topic_prefix("t", ranking_of(order), grades, 3, m, decoy_cfg,
                                   MetricConfig(), depth)
             assert prefix.relevant == [i + 1 for i, g in enumerate(in_order[:depth]) if g >= 2]
             for k in range(1, depth + 1):
@@ -407,6 +407,9 @@ class TestEvaluateTopic:
     def test_cutoff_is_not_a_config_field(self):
         with pytest.raises(TypeError):
             MetricConfig(k=5)
+        # Nor is the grade scale: RBP and ERR read the qrels' g_max.
+        with pytest.raises(TypeError):
+            MetricConfig(g_max=3)
 
     def test_resolve_metrics_dependency_closure(self):
         assert resolve_metrics(["lc_ndcg"]) == ("lc_ndcg", "dejavu", "ndcg")
@@ -635,3 +638,44 @@ class TestSweep:
         run, qrels, source = small_world(rng, n_topics=1)
         with pytest.raises(ValueError):
             sweep(run, qrels, source, DecoyConfig(), MetricConfig(), 10, 5, 1)
+
+
+class TestGradeScale:
+    """RBP and ERR are scored on the qrels' own grade scale, qrels.g_max."""
+
+    def test_grade_above_three_scored_on_the_qrels_scale(self):
+        ranking = ranking_of(["a", "b", "c"])
+        grades = {"a": 4, "b": 0, "c": 2}
+        run = RunList(run_tag="r", rankings={"t": ranking})
+        qrels = Qrels(g_max=4, judgments={"t": grades})
+        [ev] = evaluate_run(run, qrels, None, DecoyConfig(), MetricConfig(), ["rbp", "err"], [3])
+        assert ev.topics[0].scores == {"rbp": rbp_at_k(ranking, grades, 3, g_max=4),
+                                       "err": err_at_k(ranking, grades, 3, g_max=4)}
+
+    @pytest.mark.parametrize("g_max", [2, 3, 4, 5, 6])
+    def test_rbp_and_err_equal_the_helpers_at_the_scale(self, g_max):
+        rng = random.Random(700 + g_max)
+        for _ in range(30):
+            judgments, rankings = {}, {}
+            for t in range(rng.randint(1, 3)):
+                docs = [f"d{i}" for i in range(rng.randint(1, 20))]
+                judgments[f"t{t}"] = {d: rng.randint(0, g_max) for d in docs}
+                shown = docs + ["u1", "u2"]  # two unjudged docs
+                rankings[f"t{t}"] = ranking_of(rng.sample(shown, rng.randint(1, len(shown))))
+            run, qrels = RunList("r", rankings), Qrels(g_max, judgments)
+            k = rng.randint(1, 10)
+            [ev] = evaluate_run(run, qrels, None, DecoyConfig(), MetricConfig(),
+                                ["rbp", "err"], [k])
+            for row in ev.topics:
+                ranking, grades = rankings[row.topic_id], judgments[row.topic_id]
+                assert row.scores == {"rbp": rbp_at_k(ranking, grades, k, g_max=g_max),
+                                      "err": err_at_k(ranking, grades, k, g_max=g_max)}
+
+    def test_scale_below_the_relevant_grade_rejected(self):
+        rng = random.Random(71)
+        run, _, source = small_world(rng, n_topics=1)
+        qrels = Qrels(g_max=1, judgments={"t0": {"t0_d00": 1}})
+        with pytest.raises(ValueError, match=r"^g_max must be >= 2, got 1$"):
+            evaluate_run(run, qrels, source, DecoyConfig(), MetricConfig(), ["ndcg"], [10])
+        with pytest.raises(ValueError, match=r"^g_max must be >= 2, got 1$"):
+            sweep(run, qrels, source, DecoyConfig(), MetricConfig(), 10, 10, 1)
