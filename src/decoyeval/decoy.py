@@ -209,19 +209,16 @@ def identify_targets(
     if top_n < 0:
         raise ValueError(f"ranking prefix length must be >= 0, got {top_n}")
     topics, code = log.topic_codes()
-    rows, cols = log.entry_rows(), log.entry_cols()
-    head = np.flatnonzero(cols < top_n)
-    # The head entries by topic, each topic's in log order.
-    head = head[np.argsort(code[rows[head]], kind="stable")]
-    bounds = np.searchsorted(code[rows[head]], np.arange(len(topics) + 1)).tolist()
+    # The SERPs by topic, each topic's in log order.
+    by_topic = np.argsort(code, kind="stable")
+    bounds = np.searchsorted(code[by_topic], np.arange(len(topics) + 1)).tolist()
 
     found: list[tuple[int, int, int, SerpPairRecord]] = []  # (SERP, ranks, record)
     gap: tuple[int, CoverageError] | None = None  # (SERP, error) of the first gap
     for c, topic_id in enumerate(topics):
-        entries = head[bounds[c]:bounds[c + 1]]
-        if not len(entries) or (gap is not None and rows[entries[0]] > gap[0]):
+        entries, serp_of, col = log.heads(by_topic[bounds[c]:bounds[c + 1]], top_n)
+        if not len(entries) or (gap is not None and serp_of[0] > gap[0]):
             continue
-        serp_of, col = rows[entries], cols[entries]
         shown, doc = np.unique(log.serp_doc[entries], return_inverse=True)
         docs = list(map(log.docs.__getitem__, shown.tolist()))
         grades = qrels.grades_for(topic_id)

@@ -122,38 +122,45 @@ def extract_records(
         raise ValueError(
             f"target and control sets overlap: {', '.join(sorted(overlap)[:5])}"
         )
-    row_of = {serp_id: row for row, serp_id in enumerate(log.serp_ids)}
-    index = {doc_id: i for i, doc_id in enumerate(log.docs)}
+    if top_n < 0:
+        raise ValueError(f"ranking prefix length must be >= 0, got {top_n}")
+    # Only the SERPs and docs named, so memory grows with the records, not the log.
+    named = {rec.serp_id for rec in pair_records}
+    row_of = {serp_id: row for row, serp_id in enumerate(log.serp_ids) if serp_id in named}
+    index = {doc_id: i for i, doc_id in enumerate(log.docs) if doc_id in matched_targets}
     n_docs = len(log.docs)
-    wanted = []  # (SERP, doc) keys, as in `keys` below
+    wanted = []  # (SERP, doc) keys: row * n_docs + doc code
     for rec in pair_records:
         row = row_of.get(rec.serp_id)
         if row is None:
             raise ValueError(f"pair record references unknown SERP {rec.serp_id}")
         doc = index.get(rec.pair.target_doc)
-        if doc is not None and rec.pair.target_doc in matched_targets:
+        if doc is not None:
             wanted.append(row * n_docs + doc)
-    if top_n < 0:
-        raise ValueError(f"ranking prefix length must be >= 0, got {top_n}")
 
-    rows, cols = log.entry_rows(), log.entry_cols()
-    keys = rows * n_docs + log.serp_doc
+    # Targets come only from the heads of the SERPs that show one; controls
+    # from every entry, then cut to the heads.
+    wanted = np.unique(np.array(wanted, dtype=np.int64))
+    heads, serp_of = log.heads(np.unique(wanted // n_docs), top_n)[:2]
+    targets = heads[find_sorted(wanted, serp_of * n_docs + log.serp_doc[heads])[1]]
+    is_control = np.fromiter(map(controls.__contains__, log.docs), dtype=bool, count=n_docs)
+    entries = np.concatenate([targets, np.flatnonzero(is_control[log.serp_doc])])
+    rows = np.searchsorted(log.offsets, entries, side="right") - 1
+    cols = entries - log.offsets[rows]
     head = cols < top_n
-    is_control = np.zeros(n_docs, dtype=bool)
-    is_control[[index[d] for d in controls if d in index]] = True
-    targets = np.flatnonzero(head & find_sorted(np.sort(np.array(wanted, dtype=np.int64)),
-                                                keys)[1])
-    entries = np.concatenate([targets, np.flatnonzero(head & is_control[log.serp_doc])])
+    entries, rows, cols = entries[head], rows[head], cols[head]
 
     click_keys = log.click_serp * n_docs + log.click_doc
     click_order = np.argsort(click_keys)
-    at, clicked = find_sorted(click_keys[click_order], keys[entries])
+    at, clicked = find_sorted(click_keys[click_order], rows * n_docs + log.serp_doc[entries])
     click = click_order[at[clicked]]
     dwell = np.zeros(len(entries))
     dwell[clicked] = log.click_dwell[click]
     usefulness = np.zeros(len(entries), dtype=log.click_usefulness.dtype)
     usefulness[clicked] = log.click_usefulness[click]
-    record_rows = rows[entries].tolist()
+    # Freed before the record lists, which set this function's peak, are built.
+    del heads, serp_of, click_keys, click_order, at, click
+    record_rows = rows.tolist()
     records = RecordColumns(
         serp_id=list(map(log.serp_ids.__getitem__, record_rows)),
         doc_id=list(map(log.docs.__getitem__, log.serp_doc[entries].tolist())),
@@ -161,7 +168,7 @@ def extract_records(
         is_clicked=clicked,
         dwell_seconds=dwell,
         usefulness=usefulness,
-        rank=cols[entries] + 1,
+        rank=cols + 1,
         task_id=list(map(log.task_ids.__getitem__, record_rows)),
         user_id=list(map(log.user_ids.__getitem__, record_rows)),
     )

@@ -609,10 +609,15 @@ class InteractionLog:
         """The SERP row of each entry of `serp_doc`."""
         return np.repeat(np.arange(len(self.serp_ids)), np.diff(self.offsets))
 
-    def entry_cols(self) -> np.ndarray:
-        """The position (rank - 1) of each entry of `serp_doc` on its SERP."""
-        return np.arange(len(self.serp_doc)) - np.repeat(self.offsets[:-1],
-                                                         np.diff(self.offsets))
+    def heads(self, rows: np.ndarray, top_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The entries of `serp_doc` in the top `top_n` of the SERPs `rows`,
+        SERP by SERP in that order and each in rank order, with the SERP row
+        and the position (rank - 1) of each."""
+        start = self.offsets[rows]
+        size = np.minimum(self.offsets[rows + 1] - start, min(top_n, len(self.serp_doc)))
+        row = np.repeat(rows, size)
+        col = np.arange(len(row)) - np.repeat(np.cumsum(size) - size, size)
+        return np.repeat(start, size) + col, row, col
 
     def topic_codes(self) -> tuple[list[str], np.ndarray]:
         """The distinct topic ids in order of first SERP, and each SERP's

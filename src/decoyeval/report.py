@@ -13,6 +13,7 @@ import math
 import sys
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
+from dataclasses import fields
 
 import numpy as np
 
@@ -215,46 +216,26 @@ def emit_records(records: RecordColumns, destination=None):
             out.writelines(map(template.format, *map(_memo_texts, columns)))
 
 
+def _json_object(result) -> dict:
+    """A dataclass's fields, in declaration order, as a JSON object."""
+    return {f.name: _json_value(getattr(result, f.name)) for f in fields(result)}
+
+
 def emit_thresholds(thresholds: Thresholds | None, destination=None):
     """Derived similarity thresholds as a small JSON object (nulls when the
     log yielded no pairs)."""
-    if thresholds is None:
-        payload = {"s_min": None, "s_control": None, "pair_count": 0}
-    else:
-        payload = {
-            "s_min": _json_value(thresholds.s_min),
-            "s_control": _json_value(thresholds.s_control),
-            "pair_count": thresholds.pair_count,
-        }
+    payload = (_json_object(thresholds) if thresholds is not None
+               else {"s_min": None, "s_control": None, "pair_count": 0})
     with _open_dest(destination) as out:
         out.write(json.dumps(payload, indent=2) + "\n")
 
 
 def emit_comparison(comparison: GroupComparison, destination=None):
     """Target/control group summary and Welch tests as pretty JSON."""
-    def stats(gs):
-        return {
-            "group": gs.group,
-            "n": gs.n,
-            "clickthrough": _json_value(gs.clickthrough),
-            "mean_dwell": _json_value(gs.mean_dwell),
-            "mean_usefulness": _json_value(gs.mean_usefulness),
-        }
-
     payload = {
-        "target": stats(comparison.target),
-        "control": stats(comparison.control),
-        "tests": [
-            {
-                "measure": t.measure,
-                "mean_target": _json_value(t.mean_target),
-                "mean_control": _json_value(t.mean_control),
-                "t": _json_value(t.t),
-                "df": _json_value(t.df),
-                "p_two_sided": _json_value(t.p_two_sided),
-            }
-            for t in comparison.tests
-        ],
+        "target": _json_object(comparison.target),
+        "control": _json_object(comparison.control),
+        "tests": list(map(_json_object, comparison.tests)),
         "tests_run": bool(comparison.tests),
     }
     with _open_dest(destination) as out:

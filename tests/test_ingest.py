@@ -470,7 +470,9 @@ class TestParseInteractionLog:
         p = write(tmp_path / "log.jsonl", json.dumps(entry) + "\n")
         log = ingest.parse_interaction_log(p)
         assert [log.docs[i] for i in log.serp_doc] == ["a", "b"]
-        assert log.entry_cols().tolist() == [0, 1]
+        # SERP s1 spans entries 0 and 1, so a sits at position 0 and b at 1.
+        assert log.offsets.tolist() == [0, 2]
+        assert [log.docs[i] for i in log.serp_doc[log.offsets[0]:log.offsets[1]]] == ["a", "b"]
 
     def test_rank_values_not_kept(self, tmp_path):
         # A doc's rank is its position on the SERP, whatever the file states.

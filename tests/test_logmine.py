@@ -10,6 +10,7 @@ test dependency only.
 
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -30,7 +31,7 @@ from decoyeval.logmine import (
     student_t_two_sided_p,
     welch_t_test,
 )
-from decoyeval.model import DecoyConfig, MinGradeGap, PairStore, VectorStore
+from decoyeval.model import DecoyConfig, MinGradeGap, PairStore, Qrels, VectorStore
 from decoyeval.simsig import percentile_threshold
 
 from conftest import (
@@ -226,6 +227,72 @@ class TestExtractRecords:
         ghost = SerpPairRecord("s999", pair_records[0].pair)
         with pytest.raises(ValueError, match="unknown SERP"):
             extract_records(log, [ghost], matched, controls)
+
+    def test_negative_top_n_named_before_unknown_serp(self, planted_log):
+        # As in identify_targets, the prefix length is checked before any
+        # pair record is read.
+        log, qrels, source = load_world(planted_log)
+        thr, pair_records, matched, controls, _ = mine_pipeline(log, qrels, source)
+        ghost = SerpPairRecord("s999", pair_records[0].pair)
+        with pytest.raises(ValueError) as exc:
+            extract_records(log, [ghost], matched, controls, top_n=-1)
+        assert str(exc.value) == "ranking prefix length must be >= 0, got -1"
+
+
+def spread_world(n_topics=200, serps_per_topic=100, pool=30, seed=5):
+    """A log of n_topics * serps_per_topic SERPs of 10 docs each, drawn from
+    each topic's pool of docs, with one click per SERP. Doc 0 of each topic
+    is its one target candidate, and in every tenth topic doc 1 is its
+    near-duplicate, so pair records are few next to the SERP entries."""
+    rng = random.Random(seed)
+    topics = [f"t{i}" for i in range(n_topics)]
+    docs = {t: [f"{t}_d{j}" for j in range(pool)] for t in topics}
+    lines = []
+    for i in range(n_topics * serps_per_topic):
+        topic = topics[i % n_topics]
+        shown = rng.sample(docs[topic], 10)
+        lines.append({
+            "serp_id": f"s{i}", "session_id": f"x{i}", "user_id": f"u{i % 50}",
+            "task_id": "k", "topic_id": topic, "serp": [{"doc_id": d} for d in shown],
+            "clicks": [{"doc_id": shown[0], "dwell_seconds": 5.0, "usefulness": 1}],
+        })
+    qrels = Qrels(4, {t: {docs[t][0]: 3, docs[t][1]: 0} for t in topics})
+    planted = topics[::10]
+    source = PairStore({(t, docs[t][0], d): 0.9 if t in planted and d == docs[t][1] else 0.1
+                        for t in topics for d in docs[t][1:]})
+    cfg = DecoyConfig(s_min=0.6, s_max=0.95, quality=MinGradeGap(2), delta_rank=5,
+                      s_max_inclusive=True)
+    return log_of(lines), qrels, source, cfg, {docs[t][2] for t in planted}
+
+
+def traced_peak(fn):
+    """fn's result, and the peak of the memory tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMineMemory:
+    """identify_targets and extract_records build columns only over the SERP
+    entries they use, not over every entry of the log."""
+
+    def test_peaks_stay_below_all_entry_columns(self):
+        log, qrels, source, cfg, controls = spread_world()
+        entries = len(log.serp_doc)
+        assert entries == 200_000
+        (pair_records, targets), peak = traced_peak(
+            lambda: identify_targets(log, qrels, source, cfg))
+        assert 0 < len(pair_records) < entries // 100
+        # One int64 column over every entry.
+        assert peak < 8 * entries
+        records, peak = traced_peak(
+            lambda: extract_records(log, pair_records, targets, controls))
+        assert records.is_target.any() and not records.is_target.all()
+        # Measured at 0.57 MB (Python 3.11, numpy 2.4), most of it the sort of
+        # the 20,000 clicks' keys; the bound leaves 75% headroom.
+        assert peak < 1_000_000
 
 
 class TestIncompleteBeta:
