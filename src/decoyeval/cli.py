@@ -11,14 +11,12 @@ Exit codes: 0 success, 1 input/validation error (diagnostics on stderr),
 import argparse
 import gc
 import os
-import pickle
 import sys
-import warnings
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
-from . import ingest
+from . import forking, ingest
 from .decoy import check_cutoff, detect_decoy_pairs_at_k, identify_controls, identify_targets
 from .logmine import (
     check_percentiles,
@@ -230,83 +228,6 @@ def _load_source(args):
     return ingest.parse_pair_sims(Path(args.pair_sims))
 
 
-# Python 3.12+ warns on fork() in a process with threads; after numpy's
-# import this one runs OpenBLAS's.
-_FORK_WITH_THREADS = (r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) "
-                      r"may lead to deadlocks in the child")
-
-
-def _child_wanted() -> bool:
-    """Whether an input is read in a forked child (`mine`'s log, or the back
-    part of a run): on Linux, with fork, where this process may run on two
-    CPUs or more."""
-    return (sys.platform == "linux" and hasattr(os, "fork")
-            and len(os.sched_getaffinity(0)) >= 2)
-
-
-class _Child:
-    """A forked child that runs one read and sends its value back, pickled,
-    through a pipe. Where the read returns None or raises, the child sends
-    nothing and exits 1: the caller then reads the input itself, so every
-    diagnostic is the caller's."""
-
-    def __init__(self, pid: int, pipe):
-        self.pid, self.pipe = pid, pipe
-
-    @classmethod
-    def start(cls, read) -> "_Child | None":
-        """The child running `read()`, or None where none can be made."""
-        read_fd, write_fd = os.pipe()
-        try:
-            with warnings.catch_warnings():
-                # Safe here: the child runs only a file read, which calls no
-                # BLAS routine, and then leaves through os._exit.
-                warnings.filterwarnings("ignore", _FORK_WITH_THREADS, DeprecationWarning)
-                pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            return None
-        if pid == 0:
-            code = 1
-            try:
-                os.close(read_fd)
-                value = read()
-                if value is not None:
-                    with open(write_fd, "wb") as pipe:
-                        pickle.dump(value, pipe, pickle.HIGHEST_PROTOCOL)
-                    code = 0
-            finally:
-                os._exit(code)
-        os.close(write_fd)
-        return cls(pid, open(read_fd, "rb"))
-
-    def value(self):
-        """The value the child sent, or None if it sent none. The child is
-        reaped either way."""
-        try:
-            with self.pipe:
-                # Unpickled as it arrives: reading the whole pickle first
-                # raised mine's peak RSS by about 2 MB.
-                try:
-                    value = pickle.load(self.pipe)
-                except (EOFError, pickle.UnpicklingError):  # cut off
-                    value = None
-            _, status = os.waitpid(self.pid, 0)
-        except BaseException:
-            self.kill()
-            raise
-        return value if status == 0 else None
-
-    def kill(self) -> None:
-        """Stop the child and reap it."""
-        import signal
-
-        self.pipe.close()
-        os.kill(self.pid, signal.SIGKILL)
-        os.waitpid(self.pid, 0)
-
-
 def _read_inputs(args, whole, back=None, front=None, join=None):
     """A command's first input (its log or its run), qrels and similarity
     source, with the outputs, diagnostics and exit codes of reading them one
@@ -324,7 +245,7 @@ def _read_inputs(args, whole, back=None, front=None, join=None):
     Where `front()` returns None, the child is stopped at once and the
     three are read in turn.
     """
-    child = None if back is None else _Child.start(back)
+    child = None if back is None else forking.Child.start(back)
     part = None
     if child is not None and front is not None:
         try:
@@ -364,7 +285,7 @@ def _load_run_inputs(args):
     read by `_read_inputs`: a forked child, where wanted, reads the run past
     its cut (`ingest.run_cut`) while this process reads the part before it."""
     run_path = Path(args.run)
-    cut = ingest.run_cut(run_path) if _child_wanted() else None
+    cut = ingest.run_cut(run_path) if forking.child_wanted() else None
     return _read_inputs(
         args, lambda: ingest.parse_run(run_path),
         None if cut is None else lambda: ingest.read_run_part(run_path, cut),
@@ -431,14 +352,15 @@ def cmd_mine(args) -> int:
     """Mine an interaction log for decoy/control records into `args.out`.
 
     The log, qrels and similarity source are read by `_read_inputs`. Where a
-    child is wanted (`_child_wanted`) and the log is a regular file, not a
-    pipe, a forked child reads it once; this process reads it where that fails."""
+    child is wanted (`forking.child_wanted`) and the log is a regular file,
+    not a pipe, a forked child reads it once; this process reads it where
+    that fails."""
     cfg = _check_mine_flags(args)
     log_path = Path(args.logs)
     log, qrels, source = _read_inputs(
         args, lambda: ingest.parse_interaction_log(log_path),
         (lambda: ingest.read_interaction_log(log_path))
-        if _child_wanted() and os.path.isfile(log_path) else None)
+        if forking.child_wanted() and os.path.isfile(log_path) else None)
 
     universe = log_doc_universe(log)
     thresholds = None

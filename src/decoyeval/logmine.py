@@ -47,7 +47,11 @@ def log_doc_universe(log: InteractionLog) -> dict[str, list[str]]:
     topics, code = log.topic_codes()
     n_docs = len(log.docs)
     # One key per (topic, doc) shown; sorted, each topic's keys are a block.
-    keys = np.sort(np.repeat(code, np.diff(log.offsets)) * n_docs + log.serp_doc)
+    # Built and sorted in place: one int64 column over every entry, not three.
+    keys = np.repeat(code.astype(np.int64, copy=False), np.diff(log.offsets))
+    keys *= n_docs
+    keys += log.serp_doc
+    keys.sort()
     keys = keys[np.r_[True, keys[1:] != keys[:-1]]] if len(keys) else keys
     topic_of, doc_of = np.divmod(keys, max(n_docs, 1))
     bounds = np.searchsorted(topic_of, np.arange(len(topics) + 1)).tolist()

@@ -9,18 +9,22 @@ LC = alpha * DEJA-VU + (1 - alpha) * effectiveness.
 
 Every metric is a read of one per-topic kernel, topic_prefix, which makes
 one pass down to the deepest cutoff (detection included), so any cutoff up
-to that depth is a lookup. Per-topic evaluation is pure; aggregation uses
-math.fsum so topic order never changes a mean.
+to that depth is a lookup. Per-topic evaluation is pure, so where
+`forking.child_wanted` holds and a run is large enough, evaluate_run and
+sweep summarise the back half of the judged topics in a forked child, with
+the results and faults of one process; aggregation uses math.fsum so topic
+order never changes a mean.
 """
 
 import bisect
 import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import compress, count, repeat
+from itertools import accumulate, compress, count, repeat
 
 import numpy as np
 
+from . import forking
 from .decoy import check_cutoff, detect_rows
 from .model import DecoyConfig, Qrels, Ranking, RunList, SimilaritySource, int_column
 
@@ -405,6 +409,23 @@ class RunEvaluation:
     mean: AggregateScores
 
 
+# Fewest ranked docs in the back half of the judged topics for which a
+# forked child summarises that half. On a 2-core host a fork round trip cost
+# 4-6 ms and topic_prefix 0.2-0.4 us a ranked doc; over the first topics of
+# the deep-eval benchmark inputs, the split broke even at about 20,000 docs
+# in the back half and was faster in 14 of 15 alternating pairs at 40,000.
+_SPLIT_FLOOR = 40_000
+
+
+def _topic_cut(sizes: Sequence[int]) -> tuple[int, int]:
+    """Where topics of `sizes` ranked docs to summarise, in order, are cut
+    in two at half their docs: the index of the back part's first topic,
+    and the back part's docs. `sizes` is not empty."""
+    ends = list(accumulate(sizes))
+    front = bisect.bisect_left(ends, ends[-1] / 2)
+    return front + 1, ends[-1] - ends[front]
+
+
 def _cutoff_scores(
     run: RunList,
     qrels: Qrels,
@@ -417,20 +438,48 @@ def _cutoff_scores(
     """Per ascending cutoff k: k, every judged topic's scores at k (sorted
     by topic) and their mean, one cutoff at a time. Each topic is summarised
     once, down to the last cutoff, on the qrels' grade scale; detection runs
-    only for dejavu."""
+    only for dejavu.
+
+    The sorted topics are cut in two at half their ranked docs to summarise
+    (`_topic_cut`). Where a child is wanted and the back half holds at least
+    `_SPLIT_FLOOR` docs, a forked child summarises the back half while this
+    process summarises the front. A fault in the front is raised once the
+    child is stopped; where the child sends nothing, this process
+    summarises the back half itself. So a fault is always that of the first
+    failing topic in sorted order, as in one process."""
     check_scale(qrels.g_max)
     if not qrels.judgments:
         raise ValueError("qrels contain no topics")
     needs_sims = "dejavu" in metrics
     if needs_sims and source is None:
         raise ValueError("dejavu requires a similarity source")
-    prefixes = []
-    for topic_id in sorted(qrels.judgments):
-        ranking = run.rankings.get(topic_id, Ranking())
-        view = source.topic_view(topic_id) if needs_sims and ranking else None
-        prefixes.append(topic_prefix(
-            topic_id, ranking, qrels.grades_for(topic_id), qrels.g_max, view, decoy_cfg, cfg,
-            cutoffs[-1]))
+    depth = cutoffs[-1]
+
+    def summarise(topics: list[str]) -> list[TopicPrefix]:
+        prefixes = []
+        for topic_id in topics:
+            ranking = run.rankings.get(topic_id, Ranking())
+            view = source.topic_view(topic_id) if needs_sims and ranking else None
+            prefixes.append(topic_prefix(
+                topic_id, ranking, qrels.grades_for(topic_id), qrels.g_max, view, decoy_cfg,
+                cfg, depth))
+        return prefixes
+
+    topics = sorted(qrels.judgments)
+    cut, back_docs = _topic_cut(
+        [min(len(run.rankings.get(topic_id, ())), depth) for topic_id in topics])
+    child = (forking.Child.start(lambda: summarise(topics[cut:]))
+             if back_docs >= _SPLIT_FLOOR and forking.child_wanted() else None)
+    if child is None:
+        prefixes = summarise(topics)
+    else:
+        try:
+            prefixes = summarise(topics[:cut])
+        except BaseException:
+            child.kill()
+            raise
+        back = child.value()
+        prefixes += summarise(topics[cut:]) if back is None else back
     for k in cutoffs:
         rows = [prefix.scores_at(k, metrics, cfg.alpha) for prefix in prefixes]
         yield k, rows, aggregate(rows)

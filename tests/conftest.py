@@ -2,11 +2,16 @@
 
 Two synthetic worlds are built here: a parameterised run/qrels/pair-sims
 corpus for scale and determinism tests, and a small hand-planted
-interaction log whose decoy/control structure is known exactly.
+interaction log whose decoy/control structure is known exactly. The
+helpers at the end serve the tests of work done in a forked child.
 """
 
 import json
+import os
+import pickle
 import random
+import signal
+import time
 from collections import namedtuple
 from pathlib import Path
 from types import SimpleNamespace
@@ -203,3 +208,32 @@ def write_planted_log(dest: Path) -> SimpleNamespace:
 @pytest.fixture
 def planted_log(tmp_path):
     return write_planted_log(tmp_path / "planted")
+
+
+@pytest.fixture
+def no_child_left():
+    """The test leaves no child process behind, running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def wait_for(marker: Path, seconds: float = 10.0) -> None:
+    """Return once `marker` exists, or after `seconds`."""
+    deadline = time.monotonic() + seconds
+    while not marker.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
+# How a child fails to send its value, other than cut off while sending.
+CHILD_FAULTS = {"exits": lambda: os._exit(1),
+                "killed": lambda: os.kill(os.getpid(), signal.SIGKILL)}
+
+
+def half_dump(obj, file, protocol):
+    """A `pickle.dump` that writes half the pickle, then meets a broken
+    pipe; only a child pickles."""
+    data = pickle.dumps(obj, protocol)
+    file.write(data[:len(data) // 2])
+    file.flush()
+    raise BrokenPipeError

@@ -11,7 +11,6 @@ import json
 import os
 import pickle
 import random
-import signal
 import sys
 import time
 import warnings
@@ -22,22 +21,20 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from decoyeval import cli, ingest
+from decoyeval import cli, forking, ingest
 from decoyeval.ingest import parse_records
 from decoyeval.metrics import KNOWN_METRICS
 from decoyeval.model import VectorStore
 
-from conftest import LOG_EXPECTED, LOG_SERPS, record_rows, write_corpus, write_planted_log
+from conftest import (
+    CHILD_FAULTS, LOG_EXPECTED, LOG_SERPS, half_dump, record_rows, wait_for, write_corpus,
+    write_planted_log,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
-@pytest.fixture(autouse=True)
-def no_child_left():
-    """No test leaves a child process behind, running or unreaped."""
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+pytestmark = pytest.mark.usefixtures("no_child_left")
 
 
 def write_demo(dest: Path):
@@ -783,7 +780,7 @@ def log_child_off():
     """`mine` reads its log in this process for the class's tests, as where
     no child is wanted."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_child_wanted", lambda: False)
+        mp.setattr(forking, "child_wanted", lambda: False)
         yield
 
 
@@ -811,7 +808,7 @@ def log_read(request, monkeypatch):
     """Where `mine` reads its log: in a forked child, or in this process."""
     if request.param == "child" and not hasattr(os, "fork"):
         pytest.skip("no os.fork")
-    monkeypatch.setattr(cli, "_child_wanted", lambda: request.param == "child")
+    monkeypatch.setattr(forking, "child_wanted", lambda: request.param == "child")
     return request.param
 
 
@@ -851,22 +848,6 @@ def in_child(action, marker: Path, name="read_interaction_log"):
     return stand_in
 
 
-def wait_for(marker: Path, seconds: float = 10.0) -> None:
-    """Return once `marker` exists, or after `seconds`."""
-    deadline = time.monotonic() + seconds
-    while not marker.exists() and time.monotonic() < deadline:
-        time.sleep(0.01)
-
-
-def half_dump(obj, file, protocol):
-    """A `pickle.dump` that writes half the pickle, then meets a broken
-    pipe; only a child pickles."""
-    data = pickle.dumps(obj, protocol)
-    file.write(data[:len(data) // 2])
-    file.flush()
-    raise BrokenPipeError
-
-
 def warning_fork(fork=os.fork):
     """`os.fork` after the warning Python 3.12+ gives on fork() where
     numpy's BLAS threads run."""
@@ -874,11 +855,6 @@ def warning_fork(fork=os.fork):
                   "fork() may lead to deadlocks in the child.",
                   DeprecationWarning, stacklevel=2)
     return fork()
-
-
-# How a child fails to send its value, other than cut off while sending.
-CHILD_FAULTS = {"exits": lambda: os._exit(1),
-                "killed": lambda: os.kill(os.getpid(), signal.SIGKILL)}
 
 
 def mine(paths, out_dir, log=None, pairs=None):
@@ -909,7 +885,7 @@ class TestMineLogChild:
 
     def test_faulty_log_read_before_the_qrels_without_a_child(self, planted_log, tmp_path,
                                                               monkeypatch):
-        monkeypatch.setattr(cli, "_child_wanted", lambda: False)
+        monkeypatch.setattr(forking, "child_wanted", lambda: False)
         planted_log.log.write_text(planted_log.log.read_text() + "{}\n")
         reads = qrels_reads(monkeypatch)
         assert mine(planted_log, tmp_path / "mined") == 1
@@ -955,9 +931,9 @@ class TestMineLogChild:
 
     @pytest.mark.parametrize("fault", ["exits", "killed", "cut off while sending"])
     def test_child_without_a_log(self, planted_log, tmp_path, monkeypatch, fault):
-        monkeypatch.setattr(cli, "_child_wanted", lambda: False)
+        monkeypatch.setattr(forking, "child_wanted", lambda: False)
         assert mine(planted_log, tmp_path / "in-process") == 0
-        monkeypatch.setattr(cli, "_child_wanted", lambda: True)
+        monkeypatch.setattr(forking, "child_wanted", lambda: True)
         marker = tmp_path / "child-read"
         if fault == "cut off while sending":
             monkeypatch.setattr(pickle, "dump", half_dump)
@@ -973,7 +949,7 @@ class TestMineLogChild:
     def test_faulty_log_read_exactly_only_here(self, planted_log, tmp_path, monkeypatch):
         # The child's one read fails; the read that names each fault runs
         # once, in this process.
-        monkeypatch.setattr(cli, "_child_wanted", lambda: True)
+        monkeypatch.setattr(forking, "child_wanted", lambda: True)
         planted_log.log.write_text(planted_log.log.read_text() + "{}\n")
         parent, read_log = os.getpid(), ingest._read_log
         exact = []
@@ -992,7 +968,7 @@ class TestMineLogChild:
         assert not (tmp_path / "child-exact").exists()
 
     def test_interrupt_stops_the_child(self, planted_log, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_child_wanted", lambda: True)
+        monkeypatch.setattr(forking, "child_wanted", lambda: True)
         marker = tmp_path / "child-read"
         monkeypatch.setattr(ingest, "read_interaction_log",
                             in_child(lambda: time.sleep(60), marker))
@@ -1010,7 +986,7 @@ class TestMineLogChild:
 
     def test_fork_warning_of_a_threaded_process_ignored(self, planted_log, tmp_path,
                                                         monkeypatch):
-        monkeypatch.setattr(cli, "_child_wanted", lambda: True)
+        monkeypatch.setattr(forking, "child_wanted", lambda: True)
         monkeypatch.setattr(os, "fork", warning_fork)
         reads = parent_reads(monkeypatch)
         assert mine(planted_log, tmp_path / "mined") == 0
@@ -1022,7 +998,7 @@ class TestMineLogChild:
     def test_child_wanted(self, monkeypatch, platform, cpus, wanted):
         monkeypatch.setattr(sys, "platform", platform)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        assert cli._child_wanted() is (wanted and hasattr(os, "fork"))
+        assert forking.child_wanted() is (wanted and hasattr(os, "fork"))
 
 
 # --- the run read in two parts -------------------------------------------------
@@ -1032,7 +1008,7 @@ class TestMineLogChild:
 def split_forced(monkeypatch):
     """A run is read in two parts where a topic changes past its middle,
     whatever the platform and CPU count."""
-    monkeypatch.setattr(cli, "_child_wanted", lambda: True)
+    monkeypatch.setattr(forking, "child_wanted", lambda: True)
 
 
 @pytest.mark.usefixtures("split_forced")
@@ -1126,7 +1102,7 @@ def split_and_whole(world, capsys, monkeypatch, caplog, argv):
     seen = []
     for split in (True, False):
         with monkeypatch.context() as mp:
-            mp.setattr(cli, "_child_wanted", lambda: split)
+            mp.setattr(forking, "child_wanted", lambda: split)
             reads = run_reads(mp)
             caplog.clear()
             out = world.run.with_name(f"out-{split}")
@@ -1200,9 +1176,9 @@ class TestRunChild:
     @pytest.mark.parametrize("fault", ["exits", "killed", "cut off while sending"])
     def test_child_without_a_part(self, tmp_path, monkeypatch, fault):
         world = cut_world(tmp_path)
-        monkeypatch.setattr(cli, "_child_wanted", lambda: False)
+        monkeypatch.setattr(forking, "child_wanted", lambda: False)
         assert eval_world(world, tmp_path / "in-process.tsv") == 0
-        monkeypatch.setattr(cli, "_child_wanted", lambda: True)
+        monkeypatch.setattr(forking, "child_wanted", lambda: True)
         marker = tmp_path / "child-read"
         if fault == "cut off while sending":
             monkeypatch.setattr(pickle, "dump", half_dump)
@@ -1216,7 +1192,7 @@ class TestRunChild:
         assert marker.exists() is (fault != "cut off while sending")
 
     def test_faulty_run_read_before_the_qrels_without_a_child(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_child_wanted", lambda: False)
+        monkeypatch.setattr(forking, "child_wanted", lambda: False)
         world = cut_world(tmp_path)
         world.run.write_bytes(world.run.read_bytes() + b"t0005 Q0 x 1\n")
         reads = qrels_reads(monkeypatch)
@@ -1327,7 +1303,7 @@ class TestPipedInputs:
     @pytest.mark.parametrize("faulty", ["run", "pair sims"])
     @pytest.mark.parametrize("child", [True, False], ids=["child wanted", "no child"])
     def test_eval(self, tmp_path, capsys, monkeypatch, piped, faulty, child):
-        monkeypatch.setattr(cli, "_child_wanted", lambda: child)
+        monkeypatch.setattr(forking, "child_wanted", lambda: child)
         inputs = dict(zip(("run", "qrels", "pair sims"), write_demo(tmp_path)))
         bad = inputs[faulty]
         line, fault = {"run": (4, "t1 Q0 d4 4 zz demo\n"), "pair sims": (3, "t1\td1\td3\tzz\n")}[faulty]

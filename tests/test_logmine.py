@@ -276,10 +276,15 @@ def traced_peak(fn):
 
 class TestMineMemory:
     """identify_targets and extract_records build columns only over the SERP
-    entries they use, not over every entry of the log."""
+    entries they use, not over every entry of the log; log_doc_universe
+    builds one column over every entry."""
 
-    def test_peaks_stay_below_all_entry_columns(self):
-        log, qrels, source, cfg, controls = spread_world()
+    @pytest.fixture(scope="class")
+    def world(self):
+        return spread_world()
+
+    def test_peaks_stay_below_all_entry_columns(self, world):
+        log, qrels, source, cfg, controls = world
         entries = len(log.serp_doc)
         assert entries == 200_000
         (pair_records, targets), peak = traced_peak(
@@ -293,6 +298,15 @@ class TestMineMemory:
         # Measured at 0.57 MB (Python 3.11, numpy 2.4), most of it the sort of
         # the 20,000 clicks' keys; the bound leaves 75% headroom.
         assert peak < 1_000_000
+
+    def test_universe_peak_one_key_column(self, world):
+        log = world[0]
+        universe, peak = traced_peak(lambda: log_doc_universe(log))
+        assert sum(map(len, universe.values())) == 200 * 30
+        # Measured at 2.16 MB (Python 3.11, numpy 2.4): the 1.6 MB key column
+        # and its sort. Building the keys out of place peaked at 3.36 MB; the
+        # bound leaves 29% headroom.
+        assert peak < 2_800_000
 
 
 class TestIncompleteBeta:

@@ -2,12 +2,17 @@
 and the algebraic properties the metrics must satisfy."""
 
 import math
+import os
+import pickle
 import random
+import sys
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from decoyeval import forking, metrics
 from decoyeval.decoy import detect_decoy_pairs_at_k
 from decoyeval.metrics import (
     KNOWN_METRICS,
@@ -32,6 +37,7 @@ from decoyeval.model import (
     CoverageError, DecoyConfig, GradeBand, MinGradeGap, PairStore, Qrels, Ranking, RunList,
 )
 
+from conftest import CHILD_FAULTS, half_dump, wait_for
 from test_decoy import matrix_for, pair_table, ranking_of
 
 
@@ -679,3 +685,165 @@ class TestGradeScale:
             evaluate_run(run, qrels, source, DecoyConfig(), MetricConfig(), ["ndcg"], [10])
         with pytest.raises(ValueError, match=r"^g_max must be >= 2, got 1$"):
             sweep(run, qrels, source, DecoyConfig(), MetricConfig(), 10, 10, 1)
+
+
+# --- the judged topics summarised in two processes -------------------------
+
+# Cutoffs past some rankings' ends: the deepest, 30, sets each topic's depth.
+SPLIT_CUTOFFS = [1, 5, 30]
+
+
+@st.composite
+def split_worlds(draw):
+    """A run, qrels and (topic, doc_a, doc_b) -> similarity mapping of 2-8
+    judged topics. Each topic is absent from the run, ranked empty, or (as
+    often as both) ranked 2-40 deep: its first two docs are a target graded
+    3 and a decoy graded 0 at similarity 0.9, so detection asks for that
+    pair. Each topic also has a judged doc it does not rank."""
+    rankings, judgments, pairs = {}, {}, {}
+    for t in range(draw(st.integers(2, 8))):
+        topic = f"t{t}"
+        kind = draw(st.sampled_from(["absent", "empty", "ranked", "ranked"]))
+        docs = [f"{topic}_{i}" for i in range(draw(st.integers(2, 40)) if kind == "ranked" else 0)]
+        rest = max(len(docs) - 2, 0)
+        grades = [3, 0, *draw(st.lists(st.integers(0, 3), min_size=rest, max_size=rest))]
+        judgments[topic] = {**dict(zip(docs, grades)), f"{topic}_unranked": draw(st.integers(0, 3))}
+        if kind != "absent":
+            rankings[topic] = Ranking(docs)
+        rng = random.Random(draw(st.integers(0, 2 ** 16)))
+        pairs.update({(topic, a, b): 0.9 if i == 0 and j == 1 else rng.random()
+                      for i, a in enumerate(docs) for j, b in enumerate(docs) if i < j})
+    return RunList("split", rankings), Qrels(3, judgments), pairs
+
+
+def split_forced(mp, split: bool) -> list:
+    """Force the back half of the judged topics into a forked child, or
+    keep every topic in this process. Returns a list that gets one entry
+    per fork from then on."""
+    forks, fork = [], os.fork
+    mp.setattr(metrics, "_SPLIT_FLOOR", 0 if split else math.inf)
+    mp.setattr(forking, "child_wanted", lambda: split)
+    mp.setattr(os, "fork", lambda: forks.append(None) or fork())
+    return forks
+
+
+def split_and_whole(score):
+    """What score() returns or raises (a CoverageError as its text and
+    missing keys) with the back half of the topics summarised in a forked
+    child, and then in this process."""
+    seen = []
+    for split in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            forks = split_forced(mp, split)
+            try:
+                seen.append(score())
+            except CoverageError as exc:
+                seen.append((str(exc), exc.missing))
+        assert forks == ([None] if split else [])
+    return seen
+
+
+@pytest.mark.usefixtures("no_child_left")
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+class TestTopicSplit:
+    """_cutoff_scores summarises the back half of the judged topics, by
+    ranked docs, in a forked child: evaluate_run and sweep give what they
+    give in one process, and name the same first coverage gap."""
+
+    @pytest.mark.parametrize("sizes, cut", [
+        ([10, 10, 10, 10], (2, 20)), ([10, 10, 10], (2, 10)), ([100, 1, 1], (1, 2)),
+        ([1, 1, 100], (3, 0)), ([0, 0, 0], (1, 0)), ([7], (1, 0)),
+    ])
+    def test_cut_at_half_the_ranked_docs(self, sizes, cut):
+        # The topic that reaches half the docs ends the front half.
+        assert metrics._topic_cut(sizes) == cut
+
+    @pytest.mark.parametrize("gap", ["none", "front", "back", "both"])
+    @settings(max_examples=25, deadline=None)
+    @given(world=split_worlds(), data=st.data())
+    def test_same_results_and_faults(self, world, data, gap):
+        run, qrels, pairs = world
+        topics = sorted(qrels.judgments)
+        cut, _ = metrics._topic_cut([min(len(run.rankings.get(t, ())), SPLIT_CUTOFFS[-1])
+                                     for t in topics])
+        halves = {"front": topics[:cut], "back": topics[cut:]}
+        gaps = []
+        for half in {"front": ["front"], "back": ["back"], "both": ["front", "back"]}.get(gap, []):
+            ranked = [t for t in halves[half] if run.rankings.get(t)]
+            assume(ranked)
+            gaps.append(data.draw(st.sampled_from(ranked)))
+        source = PairStore({key: sim for key, sim in pairs.items() if key[0] not in gaps})
+        evaluations = split_and_whole(lambda: evaluate_run(
+            run, qrels, source, DecoyConfig(), MetricConfig(), list(KNOWN_METRICS),
+            SPLIT_CUTOFFS))
+        assert evaluations[0] == evaluations[1]
+        rows = split_and_whole(lambda: sweep(run, qrels, source, DecoyConfig(), MetricConfig(),
+                                             1, 30, 7))
+        assert rows[0] == rows[1]
+        if gaps:  # the first gap in topic order, the front's where both have one
+            assert rows[0][1][0][0] == evaluations[0][1][0][0] == gaps[0]
+
+    def test_interrupt_in_the_front_half_stops_the_child(self, tmp_path, monkeypatch):
+        run, qrels, source = small_world(random.Random(71))
+        marker = tmp_path / "child-summarised"
+        parent = os.getpid()
+
+        def interrupted(*args):
+            if os.getpid() != parent:
+                marker.touch()
+                time.sleep(60)
+            wait_for(marker)
+            raise KeyboardInterrupt
+
+        split_forced(monkeypatch, True)
+        monkeypatch.setattr(metrics, "topic_prefix", interrupted)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            evaluate_run(run, qrels, source, DecoyConfig(), MetricConfig(), ["dejavu"], [10])
+        assert time.monotonic() - started < 30
+        assert marker.exists()
+
+    @pytest.mark.parametrize("fault", ["exits", "killed", "cut off while sending"])
+    def test_child_without_summaries(self, tmp_path, monkeypatch, fault):
+        run, qrels, source = small_world(random.Random(72), n_topics=5)
+
+        def score():
+            return evaluate_run(run, qrels, source, DecoyConfig(), MetricConfig(),
+                                list(KNOWN_METRICS), [3, 10, 30])
+
+        whole = score()
+        forks = split_forced(monkeypatch, True)
+        marker = tmp_path / "child-summarised"
+        parent, summarise = os.getpid(), metrics.topic_prefix
+
+        def in_child(*args):
+            if os.getpid() != parent:
+                marker.touch()
+                CHILD_FAULTS[fault]()
+            return summarise(*args)
+
+        if fault == "cut off while sending":
+            monkeypatch.setattr(pickle, "dump", half_dump)
+        else:
+            monkeypatch.setattr(metrics, "topic_prefix", in_child)
+        assert score() == whole
+        assert forks == [None]
+        assert marker.exists() is (fault != "cut off while sending")
+
+    @pytest.mark.parametrize("case, forks_made", [
+        ("two CPUs", 1), ("below the floor", 0), ("one CPU", 0), ("off Linux", 0),
+    ])
+    def test_no_fork(self, monkeypatch, case, forks_made):
+        run, qrels, source = small_world(random.Random(73))
+        whole = evaluate_run(run, qrels, source, DecoyConfig(), MetricConfig(), ["ndcg"], [30])
+        assert sum(min(len(r), 30) for r in run.rankings.values()) < metrics._SPLIT_FLOOR
+        if case != "below the floor":
+            monkeypatch.setattr(metrics, "_SPLIT_FLOOR", 0)
+        monkeypatch.setattr(sys, "platform", "darwin" if case == "off Linux" else "linux")
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: {0} if case == "one CPU" else {0, 1}, raising=False)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+        assert evaluate_run(run, qrels, source, DecoyConfig(), MetricConfig(),
+                            ["ndcg"], [30]) == whole
+        assert len(forks) == forks_made
