@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 input/validation error (diagnostics on stderr),
 
 import argparse
 import gc
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -348,19 +347,37 @@ def _check_mine_flags(args) -> DecoyConfig:
                        delta_rank=args.delta_rank, s_max_inclusive=True)
 
 
+def _log_halves(path: Path, cut: int):
+    """The log at `path` as `mine`'s log child reads it: bytes [cut, end) in
+    a child of its own while this process reads [0, cut), then the two
+    joined (`ingest.joined_log`); None where that is None. Read whole where
+    `cut` is 0 or no child can be made."""
+    back = forking.Child.start(lambda: ingest.read_interaction_log(path, cut)) if cut else None
+    if back is None:
+        return ingest.read_interaction_log(path)
+    front = None
+    try:
+        front = ingest.read_interaction_log(path, 0, cut)
+    finally:
+        if front is None:  # the back half is of no use
+            back.kill()
+    return ingest.joined_log(front, back.value())
+
+
 def cmd_mine(args) -> int:
     """Mine an interaction log for decoy/control records into `args.out`.
 
     The log, qrels and similarity source are read by `_read_inputs`. Where a
-    child is wanted (`forking.child_wanted`) and the log is a regular file,
-    not a pipe, a forked child reads it once; this process reads it where
+    child is wanted (`forking.child_wanted`) and the log has a cut
+    (`ingest.log_cut`, so not for a pipe), a forked child reads the log in
+    two halves at once (`_log_halves`); this process reads it whole where
     that fails."""
     cfg = _check_mine_flags(args)
     log_path = Path(args.logs)
+    cut = ingest.log_cut(log_path) if forking.child_wanted() else None
     log, qrels, source = _read_inputs(
         args, lambda: ingest.parse_interaction_log(log_path),
-        (lambda: ingest.read_interaction_log(log_path))
-        if forking.child_wanted() and os.path.isfile(log_path) else None)
+        None if cut is None else lambda: _log_halves(log_path, cut))
 
     universe = log_doc_universe(log)
     thresholds = None

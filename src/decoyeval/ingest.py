@@ -25,8 +25,11 @@ input that cannot seek, such as a pipe, is copied once to a temporary file.
 A run can also be read as two byte ranges, cut at a line start where the
 topic changes (`run_cut`), so that two processes can read one part each
 (`read_run_part`, the loop of `parse_run`'s first read); `joined_run` joins
-the parts. The part from the cut is decoded as `utf-8`, so a U+FEFF there
-stays part of its topic id, as on any line past the first.
+the parts. A log is cut likewise, at the first line start past its middle
+byte (`log_cut`; a SERP is one line, so no topic rule is needed), each part
+is read by `read_interaction_log`, and `joined_log` joins them. The part
+from a cut is decoded as `utf-8`, so a U+FEFF there stays part of its
+line, as on any line past the first.
 
 JSON is decoded by `json`, except in a log's first read
 (`read_interaction_log`), which uses orjson where it is installed
@@ -128,10 +131,11 @@ def _read_lines(path: PathLike, parse_line, file=None) -> None:
         raise ParseError(path, diags)
 
 
-def _first_read(file, parse_line) -> bool:
-    """Whether `parse_line(None, line)` passes each non-blank line of the binary
-    `file`; the read ends, naming nothing, at its first ValueError or OverflowError."""
-    with _text_lines(file) as lines:
+def _first_read(file, parse_line, start: int = 0, stop: int | None = None) -> bool:
+    """Whether `parse_line(None, line)` passes each non-blank line of bytes
+    [start, stop) of the binary `file` (`_text_lines`); the read ends, naming
+    nothing, at its first ValueError or OverflowError."""
+    with _text_lines(file, start, stop) as lines:
         try:
             for line in filterfalse(str.isspace, lines):
                 parse_line(None, line)
@@ -235,28 +239,50 @@ def parse_run(path: PathLike) -> RunList:
     return _read_or_reread(path, lambda f: _run_part(f, 0, None), lambda f: _read_run(path, f))
 
 
-def run_cut(path: PathLike) -> int | None:
-    """Where to cut a run file in two: the byte offset of the first line
-    whose topic differs from that of the non-blank line before it, among
-    the lines after the first whole line past the middle byte; None where
-    there is none, or where `path` is no regular file (a pipe can be read
-    only once, in order) or cannot be read. Lines are split at line feeds
-    only, so a cut is a line start whatever else the file holds."""
+def _middle_cut(path: PathLike, rule):
+    """`rule(file, offset)`, with `offset` the first line start past the
+    middle byte of the file `path` (its size where there is none) and `file`
+    the file opened for binary reading and read to there; None where `path`
+    is no regular file (a pipe can be read only once, in order) or cannot be
+    read. Lines are split at line feeds only, so that a cut is a line start
+    whatever else the file holds."""
     with suppress(OSError):
         if Path(path).is_file():
             with open(path, "rb") as fh:
                 middle = fh.seek(0, io.SEEK_END) // 2
                 fh.seek(middle)
-                offset = middle + len(fh.readline())  # the end of the line holding the middle byte
-                topic = None
-                for line in fh:
-                    fields = line.split(None, 1)
-                    if fields:
-                        if topic is not None and fields[0] != topic:
-                            return offset
-                        topic = fields[0]
-                    offset += len(line)
+                return rule(fh, middle + len(fh.readline()))
     return None
+
+
+def run_cut(path: PathLike) -> int | None:
+    """Where to cut a run file in two: the byte offset of the first line
+    whose topic differs from that of the non-blank line before it, among
+    the lines after the first whole line past the middle byte (`_middle_cut`);
+    None where there is none, or where `path` is no regular file or cannot
+    be read."""
+
+    def topic_change(fh, offset: int) -> int | None:
+        topic = None
+        for line in fh:
+            fields = line.split(None, 1)
+            if fields:
+                if topic is not None and fields[0] != topic:
+                    return offset
+                topic = fields[0]
+            offset += len(line)
+        return None
+
+    return _middle_cut(path, topic_change)
+
+
+def log_cut(path: PathLike) -> int | None:
+    """Where to cut a log in two: the first line start past its middle byte
+    (`_middle_cut`); 0, so that the part from the cut is the whole log, where
+    no non-blank line follows it (an empty log, blank lines only, one line);
+    None where `path` is no regular file or cannot be read. A SERP is one
+    line, so no further rule is needed."""
+    return _middle_cut(path, lambda fh, offset: offset if any(map(bytes.strip, fh)) else 0)
 
 
 def read_run_part(path: PathLike, start: int, stop: int | None = None) -> RunList | None:
@@ -574,10 +600,23 @@ def parse_interaction_log(path: PathLike) -> InteractionLog:
                            lambda file: _read_log(path, {}, file))
 
 
-def read_interaction_log(path: PathLike) -> InteractionLog | None:
-    """`parse_interaction_log`'s first read: the log, or on a fault None."""
+def read_interaction_log(path: PathLike, start: int = 0,
+                         stop: int | None = None) -> InteractionLog | None:
+    """`parse_interaction_log`'s first read of bytes [start, stop) of a log,
+    to its end where `stop` is None: the log of those lines, or on a fault
+    None. `start` and `stop` must be line starts, as a `log_cut` is."""
     with _opened(path) as file:
-        return _read_log(path, None, file)
+        return _read_log(path, None, file, start, stop)
+
+
+def joined_log(front: InteractionLog | None,
+               back: InteractionLog | None) -> InteractionLog | None:
+    """The log whose parts before and after a cut are `front` and `back`
+    (`InteractionLog.joined`). None where either part is None or a serp_id
+    is in both: only the whole read names that duplicate."""
+    if front is None or back is None or not set(front.serp_ids).isdisjoint(back.serp_ids):
+        return None
+    return front.joined(back)
 
 
 _LOG_FIELDS = operator.itemgetter(
@@ -617,8 +656,10 @@ def _first_read_decoder():
     return loads
 
 
-def _read_log(path: PathLike, serp_line: dict[str, int] | None, file) -> InteractionLog | None:
-    """One read of a log from `file` into columns, or None on a fault it does not name.
+def _read_log(path: PathLike, serp_line: dict[str, int] | None, file, start: int = 0,
+              stop: int | None = None) -> InteractionLog | None:
+    """One read of a log from `file` into columns, or None on a fault it does
+    not name; a first read may read only bytes [start, stop) of it.
 
     Each line extends flat lists. Without a `serp_line` map, a record of the
     wrong shape ends the read (`_first_read`), and the JSON types and the value
@@ -670,7 +711,7 @@ def _read_log(path: PathLike, serp_line: dict[str, int] | None, file) -> Interac
 
     if serp_line is not None:
         _read_lines(path, parse_line, file)
-    elif not _first_read(file, parse_line):
+    elif not _first_read(file, parse_line, start, stop):
         return None
     # Ids are strings, and a bool is no number here.
     if (any(type(k) is not str for k in chain(doc_table, shared))

@@ -8,7 +8,7 @@ construction (frozen dataclasses, or conventionally-immutable containers).
 from collections import defaultdict
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import count, filterfalse
 
 import numpy as np
 
@@ -618,6 +618,28 @@ class InteractionLog:
         row = np.repeat(rows, size)
         col = np.arange(len(row)) - np.repeat(np.cumsum(size) - size, size)
         return np.repeat(start, size) + col, row, col
+
+    def joined(self, back: "InteractionLog") -> "InteractionLog":
+        """This log's SERPs, then those of `back`, whose serp_ids must all
+        differ from this log's, as one read of the two in turn builds them:
+        the doc table is this log's, then `back`'s docs new to it, in order.
+        One take maps `back`'s doc indexes into that table. The usefulness
+        column is an object array where either log's is. Nothing is checked
+        again: each invariant holds per SERP, and so holds in the join."""
+        table = dict(zip(self.docs, count()))
+        table.update(zip(filterfalse(table.__contains__, back.docs), count(len(table))))
+        codes = np.fromiter(map(table.__getitem__, back.docs), dtype=np.intp,
+                            count=len(back.docs))
+        return _restored_log(
+            self.serp_ids + back.serp_ids, self.session_ids + back.session_ids,
+            self.user_ids + back.user_ids, self.task_ids + back.task_ids,
+            self.topic_ids + back.topic_ids, tuple(table),
+            np.concatenate((self.offsets, back.offsets[1:] + self.offsets[-1])),
+            np.concatenate((self.serp_doc, codes.take(back.serp_doc))),
+            np.concatenate((self.click_serp, back.click_serp + len(self))),
+            np.concatenate((self.click_doc, codes.take(back.click_doc))),
+            np.concatenate((self.click_dwell, back.click_dwell)),
+            np.concatenate((self.click_usefulness, back.click_usefulness)))
 
     def topic_codes(self) -> tuple[list[str], np.ndarray]:
         """The distinct topic ids in order of first SERP, and each SERP's

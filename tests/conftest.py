@@ -11,6 +11,7 @@ import os
 import pickle
 import random
 import signal
+import sys
 import time
 from collections import namedtuple
 from pathlib import Path
@@ -210,9 +211,26 @@ def planted_log(tmp_path):
     return write_planted_log(tmp_path / "planted")
 
 
+def _adopt_orphans() -> None:
+    """On Linux, make this process the child subreaper of its descendants
+    (prctl PR_SET_CHILD_SUBREAPER), so that a child of a forked child that
+    outlives its parent becomes this process's child, where `no_child_left`
+    sees it. It acts on this process alone."""
+    if sys.platform == "linux":
+        import ctypes
+
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+        prctl.argtypes = (ctypes.c_int, *[ctypes.c_ulong] * 4)
+        prctl.restype = ctypes.c_int
+        if prctl(36, 1, 0, 0, 0) != 0:  # 36: PR_SET_CHILD_SUBREAPER
+            raise OSError(ctypes.get_errno(), "prctl(PR_SET_CHILD_SUBREAPER) failed")
+
+
 @pytest.fixture
 def no_child_left():
-    """The test leaves no child process behind, running or unreaped."""
+    """The test leaves no process behind, running or unreaped: no child, and
+    on Linux no child of a child either."""
+    _adopt_orphans()
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -1001,6 +1001,137 @@ class TestMineLogChild:
         assert forking.child_wanted() is (wanted and hasattr(os, "fork"))
 
 
+def split_reads(monkeypatch, marker: Path) -> None:
+    """`ingest.read_interaction_log` with proof that `mine`'s log child read
+    the log's back half in a child of its own: in a child, the read of the
+    part from the cut makes `marker`, and the read of the part before it
+    first waits for the marker, so that both halves are under way before
+    either can fail."""
+    parent, read = os.getpid(), ingest.read_interaction_log
+
+    def stand_in(path, start=0, stop=None):
+        if os.getpid() != parent:
+            if start:
+                marker.touch()
+            elif stop is not None:
+                wait_for(marker)
+        return read(path, start, stop)
+
+    monkeypatch.setattr(ingest, "read_interaction_log", stand_in)
+
+
+def exact_reads(monkeypatch, tmp_path: Path) -> list:
+    """The paths of the log reads that name faults (`ingest._read_log` with a
+    serp_id map) run in this process from now on. One run in a child makes
+    `tmp_path / "child-exact"`."""
+    parent, read_log = os.getpid(), ingest._read_log
+    reads = []
+
+    def logged(path, serp_line, *file):
+        if serp_line is not None:
+            if os.getpid() == parent:
+                reads.append(path)
+            else:
+                (tmp_path / "child-exact").touch()
+        return read_log(path, serp_line, *file)
+
+    monkeypatch.setattr(ingest, "_read_log", logged)
+    return reads
+
+
+def big_usefulness(line: bytes) -> bytes:
+    """A log line with one more click, whose usefulness is 2**64."""
+    record = json.loads(line)
+    shown = {click["doc_id"] for click in record["clicks"]}
+    doc_id = next(entry["doc_id"] for entry in record["serp"] if entry["doc_id"] not in shown)
+    record["clicks"].append({"doc_id": doc_id, "dwell_seconds": 1.0, "usefulness": 2**64})
+    return json.dumps(record).encode() + b"\n"
+
+
+class TestMineLogSplit:
+    """`mine`'s log child reads the log in two halves at once, the back half
+    in a child of its own. A fault in either half, a serp_id in both, or an
+    int that orjson reads as a float in the back half gives what the log
+    read in this process gives: the same stderr, exit code and outputs, or
+    no --out, with the read that names faults run once, here."""
+
+    @pytest.mark.parametrize("case", ["bad line in the front half", "bad line in the back half",
+                                      "serp_id across the cut",
+                                      "int beyond 64 bits in the back half"])
+    def test_as_read_here(self, planted_log, tmp_path, monkeypatch, capsys, case):
+        log = planted_log.log
+        lines = log.read_bytes().splitlines(keepends=True)
+        odd = {"bad line in the front half": 0, "bad line in the back half": len(lines),
+               "serp_id across the cut": len(lines)}.get(case, len(lines) - 1)
+        if case == "int beyond 64 bits in the back half":
+            pytest.importorskip("orjson")
+            lines[odd] = big_usefulness(lines[odd])
+        else:
+            lines.insert(odd, lines[0] if case == "serp_id across the cut" else b"{}\n")
+        log.write_bytes(b"".join(lines))
+        cut = ingest.log_cut(log)
+        assert (sum(map(len, lines[:odd + 1])) <= cut) is (odd == 0)
+        assert 0 < cut < log.stat().st_size
+
+        monkeypatch.setattr(forking, "child_wanted", lambda: False)
+        code = mine(planted_log, tmp_path / "here")
+        want = capsys.readouterr().err
+        monkeypatch.setattr(forking, "child_wanted", lambda: True)
+        marker = tmp_path / "back-half-read"
+        split_reads(monkeypatch, marker)
+        reads = exact_reads(monkeypatch, tmp_path)
+        assert mine(planted_log, tmp_path / "split") == code
+        assert capsys.readouterr().err == want
+        assert code == (0 if case == "int beyond 64 bits in the back half" else 1)
+        if code:
+            assert not (tmp_path / "split").exists()
+        else:
+            assert outputs(tmp_path / "split") == outputs(tmp_path / "here")
+        assert reads == [log]
+        assert not (tmp_path / "child-exact").exists()
+        assert marker.exists()
+
+    def test_valid_log_read_in_halves(self, planted_log, tmp_path, monkeypatch):
+        monkeypatch.setattr(forking, "child_wanted", lambda: False)
+        assert mine(planted_log, tmp_path / "here") == 0
+        monkeypatch.setattr(forking, "child_wanted", lambda: True)
+        marker = tmp_path / "back-half-read"
+        split_reads(monkeypatch, marker)
+        reads = parent_reads(monkeypatch)
+        assert mine(planted_log, tmp_path / "split") == 0
+        assert reads == []
+        assert marker.exists()
+        assert outputs(tmp_path / "split") == outputs(tmp_path / "here")
+
+    @pytest.mark.parametrize("half", ["front", "back"])
+    def test_interrupt_stops_both_halves(self, planted_log, tmp_path, monkeypatch, half):
+        # The read of `half` sleeps once it starts; the interrupt comes once
+        # both reads have started. The fixture `no_child_left` sees the back
+        # half's child, should it outlive the log child.
+        monkeypatch.setattr(forking, "child_wanted", lambda: True)
+        parent, read = os.getpid(), ingest.read_interaction_log
+        markers = {"front": tmp_path / "front-read", "back": tmp_path / "back-read"}
+
+        def sleeping(path, start=0, stop=None):
+            if os.getpid() != parent:
+                markers["back" if start else "front"].touch()
+                time.sleep(60 if half == ("back" if start else "front") else 0)
+            return read(path, start, stop)
+
+        def interrupted(path, g_max):
+            for marker in markers.values():
+                wait_for(marker)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ingest, "read_interaction_log", sleeping)
+        monkeypatch.setattr(ingest, "parse_qrels", interrupted)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            mine(planted_log, tmp_path / "mined")
+        assert time.monotonic() - started < 30
+        assert all(marker.exists() for marker in markers.values())
+
+
 # --- the run read in two parts -------------------------------------------------
 
 

@@ -1213,6 +1213,158 @@ class TestRunParts:
                                  ingest.read_run_part(p, cut)) == ingest.parse_run(p)
 
 
+def same_log(joined, whole) -> None:
+    """`joined` is the log `whole` is, column for column: equal, with the
+    same doc table order, offsets, index and click columns, and usefulness
+    dtype."""
+    assert joined == whole
+    assert joined.docs == whole.docs
+    for name in ("serp_ids", "session_ids", "user_ids", "task_ids", "topic_ids"):
+        assert getattr(joined, name) == getattr(whole, name)
+    for name in ("offsets", "serp_doc", "click_serp", "click_doc", "click_dwell",
+                 "click_usefulness"):
+        column, want = getattr(joined, name), getattr(whole, name)
+        assert column.dtype == want.dtype and column.tolist() == want.tolist()
+
+
+def log_halves(path, cut):
+    """The log at `path` read as two parts at `cut`, joined."""
+    return ingest.joined_log(ingest.read_interaction_log(path, 0, cut),
+                             ingest.read_interaction_log(path, cut))
+
+
+def line_starts(data: bytes) -> list[int]:
+    """The offset of each line start of `data` but the first, lines split at
+    line feeds."""
+    return [i + 1 for i, byte in enumerate(data[:-1]) if byte == ord("\n")]
+
+
+# A log whose SERPs share docs and have clicks throughout, in lines of
+# different lengths: a doc shown early and late, and clicks in every half.
+SPLIT_LOG = [
+    log_record("s1", serp=[{"doc_id": "A", "rank": 1}, {"doc_id": "B", "rank": 2}],
+               clicks=one_click("B", usefulness=1)),
+    log_record("s2", serp=[{"doc_id": "C", "rank": 1}], clicks=[]),
+    log_record("s3", session_id="y", serp=[{"doc_id": "D", "rank": 1},
+                                          {"doc_id": "A", "rank": 2}],
+               clicks=one_click("A") + one_click("D", dwell_seconds=2)),
+    log_record("s4", topic_id="t2", serp=[{"doc_id": "E", "rank": 1},
+                                          {"doc_id": "C", "rank": 2}],
+               clicks=one_click("C", usefulness=0)),
+    log_record("s5", serp=[{"doc_id": "B", "rank": 1}], clicks=one_click("B")),
+]
+
+
+class TestLogParts:
+    """A log cut at the first line start past its middle (`log_cut`) and
+    read as two parts (`read_interaction_log`): where they join
+    (`joined_log`), they make the log that `parse_interaction_log` reads,
+    column for column; where it fails, or a serp_id is in both parts, they
+    do not join."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_parts_make_the_log(self, tmp_path_factory, data):
+        records = data.draw(valid_log_records())
+        if records and data.draw(st.booleans()):  # a usefulness beyond int64
+            with_clicks = [r for r in records if r["clicks"]]
+            if with_clicks:
+                data.draw(st.sampled_from(with_clicks))["clicks"][0]["usefulness"] = 2**64 + 1
+        if records and data.draw(st.booleans()):  # a serp_id twice
+            records.append({**data.draw(st.sampled_from(records))})
+        lines = [json.dumps(r, ensure_ascii=data.draw(st.booleans())) for r in records]
+        for _ in range(data.draw(st.integers(0, 2))):
+            lines.insert(data.draw(st.integers(0, len(lines))), data.draw(
+                st.sampled_from(["", " ", "\t"])))
+        newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+        prefix = data.draw(st.sampled_from(["", "\ufeff"]))
+        p = tmp_path_factory.mktemp("log") / "log.jsonl"
+        text = prefix + "".join(line + newline for line in lines)
+        p.write_bytes(text.encode("utf-8"))
+        cut = ingest.log_cut(p)
+        size = len(text.encode("utf-8"))
+        assert cut == 0 or (size // 2 < cut < size and line_starts(p.read_bytes()).count(cut))
+        json_only = data.draw(st.booleans())
+        with pytest.MonkeyPatch.context() as mp:
+            if json_only:
+                mp.setitem(sys.modules, "orjson", None)
+            joined = log_halves(p, cut) if cut else ingest.read_interaction_log(p)
+            try:
+                whole = ingest.parse_interaction_log(p)
+            except ParseError:
+                assert joined is None
+                return
+        if joined is None:  # orjson reads an int beyond 64 bits as a float
+            assert not json_only and "usefulness\": 18446744073709551617" in text
+            return
+        same_log(joined, whole)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("case", ["plain", "blank lines", "byte-order mark",
+                                      "usefulness beyond int64"])
+    def test_cut_at_every_line_start(self, tmp_path, decoder, newline, case):
+        records = [dict(r) for r in SPLIT_LOG]
+        if case == "usefulness beyond int64":  # in the last SERP only
+            records[-1] = log_record("s5", serp=[{"doc_id": "B", "rank": 1}],
+                                     clicks=one_click("B", usefulness=2**64))
+        lines = [json.dumps(r) for r in records]
+        if case == "blank lines":
+            lines[1:1] = ["", "  "]
+            lines.append("")
+        text = ("\ufeff" if case == "byte-order mark" else "") + newline.join(lines) + newline
+        p = tmp_path / "log.jsonl"
+        p.write_bytes(text.encode("utf-8"))
+        whole = ingest.parse_interaction_log(p)
+        cuts = line_starts(p.read_bytes())
+        assert len(cuts) >= len(records) - 1
+        for cut in cuts:
+            joined = log_halves(p, cut)
+            if case == "usefulness beyond int64" and decoder == "orjson":
+                assert joined is None
+            else:
+                same_log(joined, whole)
+        if case == "usefulness beyond int64":
+            assert whole.click_usefulness.dtype == object
+
+    def test_serp_id_in_both_parts(self, tmp_path):
+        lines = [json.dumps(r) + "\n" for r in SPLIT_LOG + [log_record("s1")]]
+        p = tmp_path / "log.jsonl"
+        p.write_text("".join(lines))
+        with pytest.raises(ParseError, match="duplicate serp_id s1"):
+            ingest.parse_interaction_log(p)
+        for cut in line_starts(p.read_bytes()):
+            assert ingest.read_interaction_log(p, 0, cut) is not None
+            assert ingest.read_interaction_log(p, cut) is not None
+            assert log_halves(p, cut) is None
+
+    @pytest.mark.parametrize("lines, cut_line", [
+        ([], None), (["", " "], None), (["s1"], None), (["s1", "s2"], None),
+        (["s1", "s2", "s3"], 2), (["s1", "s2", ""], None),
+        (["s1", "s2", "s3", "", "s4"], 3),
+    ], ids=["empty", "blank lines only", "one line", "two lines", "three lines",
+            "blank line past the middle", "blank line at the cut"])
+    def test_cut(self, tmp_path, lines, cut_line):
+        # Lines of one length: the first line start past the middle byte,
+        # where a non-blank line follows it; 0, the whole log as one part,
+        # where none does.
+        raw = [json.dumps(log_record(serp_id)).encode() + b"\n" if serp_id
+               else serp_id.encode() + b"\n" for serp_id in lines]
+        p = tmp_path / "log.jsonl"
+        p.write_bytes(b"".join(raw))
+        assert ingest.log_cut(p) == (0 if cut_line is None else sum(map(len, raw[:cut_line])))
+
+    def test_no_cut_in_what_is_no_regular_file(self, tmp_path):
+        assert ingest.log_cut(tmp_path / "absent.jsonl") is None
+        assert ingest.log_cut(tmp_path) is None
+        read_fd, write_fd = os.pipe()
+        try:
+            os.write(write_fd, (json.dumps(log_record("s1")) + "\n").encode() * 3)
+            assert ingest.log_cut(f"/dev/fd/{read_fd}") is None
+        finally:
+            os.close(read_fd)
+            os.close(write_fd)
+
+
 class TestRankTable:
     """A run's first read maps each rank text to one int, for at most
     RANK_TABLE_SIZE distinct texts; past that bound each text is converted
