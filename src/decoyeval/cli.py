@@ -4,6 +4,12 @@ Four subcommands: `eval` scores a run (effectiveness + decoy vulnerability),
 `decoys` lists detected pairs, `sweep` tables metrics across cutoffs, and
 `mine` runs the log-mining pipeline end to end into an output directory.
 
+Each command reads its run or its log one way (`_read_inputs`): where a
+child is wanted, a forked child reads the part before the cut while a child
+of its own reads the part after it, and sends back the joined whole
+(`_halves`); meanwhile this process reads the qrels and the similarity
+source.
+
 Exit codes: 0 success, 1 input/validation error (diagnostics on stderr),
 2 similarity coverage error (a needed doc or pair is absent).
 """
@@ -227,32 +233,21 @@ def _load_source(args):
     return ingest.parse_pair_sims(Path(args.pair_sims))
 
 
-def _read_inputs(args, whole, back=None, front=None, join=None):
+def _read_inputs(args, whole, split=None):
     """A command's first input (its log or its run), qrels and similarity
     source, with the outputs, diagnostics and exit codes of reading them one
     after another here: a fault in the first input is named alone, and one
     in the qrels before one in the source.
 
-    `whole()` reads the first input and alone names its faults; `back()`
-    and `front()` return None on one. Where `back` is None, or no child can
-    be made, the three are read in turn. Otherwise a forked child runs
-    `back()` while this process runs `front()`, if given, then reads the
-    qrels and the source, holding back the warnings and fault of that read.
-    The first input is then the child's value, joined to the front part by
-    `join(part, value)` where there is one; where that is None, `whole()`
-    reads it. Then the held warnings are shown and the held fault raised.
-    Where `front()` returns None, the child is stopped at once and the
-    three are read in turn.
+    `whole()` reads the first input and alone names its faults; `split()`
+    returns None on one. Where `split` is None, or no child can be made, the
+    three are read in turn. Otherwise a forked child runs `split()` while
+    this process reads the qrels and the source, holding back the warnings
+    and fault of that read. The first input is then the child's value, or
+    where that is None, `whole()`'s. Then the held warnings are shown and
+    the held fault raised.
     """
-    child = None if back is None else forking.Child.start(back)
-    part = None
-    if child is not None and front is not None:
-        try:
-            part = front()
-        finally:
-            if part is None:  # the child's part is of no use
-                child.kill()
-                child = None
+    child = None if split is None else forking.Child.start(split)
     if child is None:
         return whole(), ingest.parse_qrels(Path(args.qrels), g_max=args.g_max), _load_source(args)
     held = []  # the qrels read's warnings, shown once the first input is valid
@@ -269,7 +264,7 @@ def _read_inputs(args, whole, back=None, front=None, join=None):
         fault = None
     finally:
         ingest.logger.removeFilter(held.append)
-    first = child.value() if front is None else join(part, child.value())
+    first = child.value()
     if first is None:
         first = whole()
     for record in held:
@@ -279,17 +274,36 @@ def _read_inputs(args, whole, back=None, front=None, join=None):
     return first, qrels, source
 
 
+def _halves(read, join, path: Path, cut: int):
+    """The input at `path` as its child reads it: bytes [cut, end) by
+    `read(path, cut)` in a child of its own while this process reads
+    [0, cut) by `read(path, 0, cut)`, then the two parts joined by
+    `join(front, back)`. None where the front part is None (the back part's
+    child is then stopped, unread) or the join is None. Read whole by
+    `read(path)` where `cut` is 0 or no child can be made."""
+    back = forking.Child.start(lambda: read(path, cut)) if cut else None
+    if back is None:
+        return read(path)
+    front = None
+    try:
+        front = read(path, 0, cut)
+    finally:
+        if front is None:  # the back part is of no use
+            back.kill()
+    return None if front is None else join(front, back.value())
+
+
 def _load_run_inputs(args):
     """The run, qrels and similarity source of `eval`, `decoys` and `sweep`,
-    read by `_read_inputs`: a forked child, where wanted, reads the run past
-    its cut (`ingest.run_cut`) while this process reads the part before it."""
+    read by `_read_inputs`. Where a child is wanted (`forking.child_wanted`)
+    and the run has a cut (`ingest.run_cut`, so not for a pipe), a forked
+    child reads the run in two parts at once (`_halves`)."""
     run_path = Path(args.run)
     cut = ingest.run_cut(run_path) if forking.child_wanted() else None
     return _read_inputs(
         args, lambda: ingest.parse_run(run_path),
-        None if cut is None else lambda: ingest.read_run_part(run_path, cut),
-        lambda: ingest.read_run_part(run_path, 0, cut),
-        ingest.joined_run)
+        None if cut is None else lambda: _halves(ingest.read_run_part, ingest.joined_run,
+                                                 run_path, cut))
 
 
 def cmd_eval(args) -> int:
@@ -347,37 +361,18 @@ def _check_mine_flags(args) -> DecoyConfig:
                        delta_rank=args.delta_rank, s_max_inclusive=True)
 
 
-def _log_halves(path: Path, cut: int):
-    """The log at `path` as `mine`'s log child reads it: bytes [cut, end) in
-    a child of its own while this process reads [0, cut), then the two
-    joined (`ingest.joined_log`); None where that is None. Read whole where
-    `cut` is 0 or no child can be made."""
-    back = forking.Child.start(lambda: ingest.read_interaction_log(path, cut)) if cut else None
-    if back is None:
-        return ingest.read_interaction_log(path)
-    front = None
-    try:
-        front = ingest.read_interaction_log(path, 0, cut)
-    finally:
-        if front is None:  # the back half is of no use
-            back.kill()
-    return ingest.joined_log(front, back.value())
-
-
 def cmd_mine(args) -> int:
     """Mine an interaction log for decoy/control records into `args.out`.
 
-    The log, qrels and similarity source are read by `_read_inputs`. Where a
-    child is wanted (`forking.child_wanted`) and the log has a cut
-    (`ingest.log_cut`, so not for a pipe), a forked child reads the log in
-    two halves at once (`_log_halves`); this process reads it whole where
-    that fails."""
+    The log, qrels and similarity source are read by `_read_inputs`, as a
+    run is (`_load_run_inputs`), with the log's cut (`ingest.log_cut`)."""
     cfg = _check_mine_flags(args)
     log_path = Path(args.logs)
     cut = ingest.log_cut(log_path) if forking.child_wanted() else None
     log, qrels, source = _read_inputs(
         args, lambda: ingest.parse_interaction_log(log_path),
-        None if cut is None else lambda: _log_halves(log_path, cut))
+        None if cut is None else lambda: _halves(ingest.read_interaction_log, ingest.joined_log,
+                                                 log_path, cut))
 
     universe = log_doc_universe(log)
     thresholds = None

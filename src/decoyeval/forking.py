@@ -1,10 +1,10 @@
 """One piece of a command's work done in a forked child.
 
 `child_wanted` tells whether a second process can help here; `Child` runs
-one function in a fork and sends its value back. `cli` reads the back part
-of a run in one, and `mine`'s log in another, which reads the log's back
-half in a child of its own and joins the two halves; `metrics` summarises
-the back half of the judged topics in one.
+one function in a fork and sends its value back. `cli` reads a command's
+run or log in one, which reads the part past the cut in a child of its own
+and joins the two parts; `metrics` summarises the back half of the judged
+topics in one.
 
 A child started by the main process leads a process group, and the children
 it starts join that group, so that `Child.kill` stops them all at once: no
@@ -24,9 +24,9 @@ _FORK_WITH_THREADS = (r"This process \(pid=\d+\) is multi-threaded, use of fork\
 
 
 def child_wanted() -> bool:
-    """Whether part of the work runs in a forked child (`mine`'s log, the
-    back part of a run, the back half of the judged topics' summaries): on
-    Linux, with fork, where this process may run on two CPUs or more."""
+    """Whether part of the work runs in a forked child (a run or a log, the
+    back half of the judged topics' summaries): on Linux, with fork, where
+    this process may run on two CPUs or more."""
     return (sys.platform == "linux" and hasattr(os, "fork")
             and len(os.sched_getaffinity(0)) >= 2)
 
@@ -48,17 +48,18 @@ class Child:
     def start(cls, work) -> "Child | None":
         """The child running `work()`, or None where none can be made."""
         global _in_child
-        read_fd, write_fd = os.pipe()
         leads = not _in_child  # whether the child leads a process group of its own
+        fds = ()
         try:
+            fds = read_fd, write_fd = os.pipe()
             with warnings.catch_warnings():
                 # Safe here: the child runs a file read or topic summaries,
                 # which call no BLAS routine, and then leaves through os._exit.
                 warnings.filterwarnings("ignore", _FORK_WITH_THREADS, DeprecationWarning)
                 pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
+        except OSError:  # no pipe, or no fork
+            for fd in fds:
+                os.close(fd)
             return None
         if pid == 0:
             code, _in_child = 1, True

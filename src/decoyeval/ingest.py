@@ -22,13 +22,14 @@ with per-record checks that name each fault at its line (`_read_or_reread`);
 a log's second read checks each record before it joins the same columns. An
 input that cannot seek, such as a pipe, is copied once to a temporary file.
 
-A run can also be read as two byte ranges, cut at a line start where the
-topic changes (`run_cut`), so that two processes can read one part each
-(`read_run_part`, the loop of `parse_run`'s first read); `joined_run` joins
-the parts. A log is cut likewise, at the first line start past its middle
-byte (`log_cut`; a SERP is one line, so no topic rule is needed), each part
-is read by `read_interaction_log`, and `joined_log` joins them. The part
-from a cut is decoded as `utf-8`, so a U+FEFF there stays part of its
+A run or a log can also be read as two byte ranges, so that two processes
+can read one part each. A run is cut at a line start where the topic
+changes (`run_cut`), a log at the first line start past its middle byte
+(`log_cut`; a SERP is one line, so no topic rule is needed). The part
+readers share one signature, `(path, start=0, stop=None)`:
+`read_run_part`, the loop of `parse_run`'s first read, and
+`read_interaction_log`; `joined_run` and `joined_log` join the parts. The
+part from a cut is decoded as `utf-8`, so a U+FEFF there stays part of its
 line, as on any line past the first.
 
 JSON is decoded by `json`, except in a log's first read
@@ -233,7 +234,7 @@ def parse_run(path: PathLike) -> RunList:
     Docs are ordered by score descending, then by the file's rank column
     ascending, then by doc id ascending; the rank of a doc is its position.
     The score and rank columns are checked and order the docs, and neither
-    is kept. A valid file is read once, as `read_run_part(path, 0)`; a file
+    is kept. A valid file is read once, as `read_run_part(path)`; a file
     with a bad line or a doc twice in one topic is read again, to name them.
     """
     return _read_or_reread(path, lambda f: _run_part(f, 0, None), lambda f: _read_run(path, f))
@@ -285,7 +286,8 @@ def log_cut(path: PathLike) -> int | None:
     return _middle_cut(path, lambda fh, offset: offset if any(map(bytes.strip, fh)) else 0)
 
 
-def read_run_part(path: PathLike, start: int, stop: int | None = None) -> RunList | None:
+def read_run_part(path: PathLike, start: int = 0,
+                  stop: int | None = None) -> RunList | None:
     """The run in bytes [start, stop) of a run file, to its end where `stop`
     is None, as `parse_run` first reads a whole file; None where the part
     has a doc twice in a topic or no ranked line, or cannot be read, and at

@@ -6,6 +6,7 @@ pair; every expected number below was computed by hand from the metric
 definitions and frozen as the %.6g strings the CLI must print.
 """
 
+import errno
 import gc
 import json
 import os
@@ -1001,23 +1002,54 @@ class TestMineLogChild:
         assert forking.child_wanted() is (wanted and hasattr(os, "fork"))
 
 
-def split_reads(monkeypatch, marker: Path) -> None:
-    """`ingest.read_interaction_log` with proof that `mine`'s log child read
-    the log's back half in a child of its own: in a child, the read of the
-    part from the cut makes `marker`, and the read of the part before it
-    first waits for the marker, so that both halves are under way before
-    either can fail."""
-    parent, read = os.getpid(), ingest.read_interaction_log
+def split_reads(monkeypatch, tmp_path: Path, name="read_interaction_log", sleeps=()) -> list:
+    """Stands in for the `ingest` part read `name`, `read_interaction_log` or
+    `read_run_part`; returns the (start, stop) of each part read in this
+    process from now on. In a child, the read of the part from the cut makes
+    `tmp_path / "back-read"`, and the read of the part before it makes
+    `tmp_path / "front-read"`, then waits for the back's marker, so that
+    both parts are under way before either can fail. The read of each part
+    in `sleeps` ("front", "back") then sleeps for a minute."""
+    parent, read = os.getpid(), getattr(ingest, name)
+    here = []
 
     def stand_in(path, start=0, stop=None):
-        if os.getpid() != parent:
-            if start:
-                marker.touch()
-            elif stop is not None:
-                wait_for(marker)
+        if os.getpid() == parent:
+            here.append((start, stop))
+        elif start or stop is not None:
+            part = "back" if start else "front"
+            (tmp_path / f"{part}-read").touch()
+            if part == "front":
+                wait_for(tmp_path / "back-read")
+            if part in sleeps:
+                time.sleep(60)
         return read(path, start, stop)
 
-    monkeypatch.setattr(ingest, "read_interaction_log", stand_in)
+    monkeypatch.setattr(ingest, name, stand_in)
+    return here
+
+
+def interrupted_while_read(monkeypatch, tmp_path: Path, name: str, part: str, command) -> None:
+    """`command()` where, in a child, the read of `part` by the `ingest` part
+    read `name` sleeps once it starts, and the qrels read raises
+    KeyboardInterrupt once both parts' reads have started (`split_reads`):
+    the interrupt is raised here within seconds. The fixture
+    `no_child_left` sees the back part's child, should it outlive its parent."""
+    monkeypatch.setattr(forking, "child_wanted", lambda: True)
+    split_reads(monkeypatch, tmp_path, name, sleeps=(part,))
+    markers = (tmp_path / "front-read", tmp_path / "back-read")
+
+    def interrupted(path, g_max):
+        for marker in markers:
+            wait_for(marker)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(ingest, "parse_qrels", interrupted)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        command()
+    assert time.monotonic() - started < 30
+    assert all(marker.exists() for marker in markers)
 
 
 def exact_reads(monkeypatch, tmp_path: Path) -> list:
@@ -1077,8 +1109,7 @@ class TestMineLogSplit:
         code = mine(planted_log, tmp_path / "here")
         want = capsys.readouterr().err
         monkeypatch.setattr(forking, "child_wanted", lambda: True)
-        marker = tmp_path / "back-half-read"
-        split_reads(monkeypatch, marker)
+        parts_here = split_reads(monkeypatch, tmp_path)
         reads = exact_reads(monkeypatch, tmp_path)
         assert mine(planted_log, tmp_path / "split") == code
         assert capsys.readouterr().err == want
@@ -1089,47 +1120,24 @@ class TestMineLogSplit:
             assert outputs(tmp_path / "split") == outputs(tmp_path / "here")
         assert reads == [log]
         assert not (tmp_path / "child-exact").exists()
-        assert marker.exists()
+        assert (tmp_path / "back-read").exists()
+        assert parts_here == []
 
     def test_valid_log_read_in_halves(self, planted_log, tmp_path, monkeypatch):
         monkeypatch.setattr(forking, "child_wanted", lambda: False)
         assert mine(planted_log, tmp_path / "here") == 0
         monkeypatch.setattr(forking, "child_wanted", lambda: True)
-        marker = tmp_path / "back-half-read"
-        split_reads(monkeypatch, marker)
+        parts_here = split_reads(monkeypatch, tmp_path)
         reads = parent_reads(monkeypatch)
         assert mine(planted_log, tmp_path / "split") == 0
-        assert reads == []
-        assert marker.exists()
+        assert reads == [] and parts_here == []
+        assert (tmp_path / "back-read").exists()
         assert outputs(tmp_path / "split") == outputs(tmp_path / "here")
 
     @pytest.mark.parametrize("half", ["front", "back"])
     def test_interrupt_stops_both_halves(self, planted_log, tmp_path, monkeypatch, half):
-        # The read of `half` sleeps once it starts; the interrupt comes once
-        # both reads have started. The fixture `no_child_left` sees the back
-        # half's child, should it outlive the log child.
-        monkeypatch.setattr(forking, "child_wanted", lambda: True)
-        parent, read = os.getpid(), ingest.read_interaction_log
-        markers = {"front": tmp_path / "front-read", "back": tmp_path / "back-read"}
-
-        def sleeping(path, start=0, stop=None):
-            if os.getpid() != parent:
-                markers["back" if start else "front"].touch()
-                time.sleep(60 if half == ("back" if start else "front") else 0)
-            return read(path, start, stop)
-
-        def interrupted(path, g_max):
-            for marker in markers.values():
-                wait_for(marker)
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(ingest, "read_interaction_log", sleeping)
-        monkeypatch.setattr(ingest, "parse_qrels", interrupted)
-        started = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            mine(planted_log, tmp_path / "mined")
-        assert time.monotonic() - started < 30
-        assert all(marker.exists() for marker in markers.values())
+        interrupted_while_read(monkeypatch, tmp_path, "read_interaction_log", half,
+                               lambda: mine(planted_log, tmp_path / "mined"))
 
 
 # --- the run read in two parts -------------------------------------------------
@@ -1298,11 +1306,35 @@ def eval_world(world, out: Path) -> int:
                      "--pair-sims", str(world.pairs), "--out", str(out)])
 
 
+def exact_run_reads(monkeypatch, tmp_path: Path) -> list:
+    """The paths of the run reads that name faults (`ingest._read_run`) run
+    in this process from now on. One run in a child makes
+    `tmp_path / "child-exact"`."""
+    parent, read_run = os.getpid(), ingest._read_run
+    reads = []
+
+    def logged(path, file):
+        if os.getpid() == parent:
+            reads.append(path)
+        else:
+            (tmp_path / "child-exact").touch()
+        return read_run(path, file)
+
+    monkeypatch.setattr(ingest, "_read_run", logged)
+    return reads
+
+
 class TestRunChild:
-    """Where the child reading the part past the cut sends nothing, this
-    process reads the run whole, with the same outputs; where the part
-    before the cut fails, or an interrupt comes, the child is stopped with
-    no wait; and no child is made where the run is read whole anyway."""
+    """`eval`, `decoys` and `sweep` read the run as `mine` reads its log: a
+    forked child reads the part before the cut while a child of its own
+    reads the part after it, and sends back the joined run, while this
+    process reads only the qrels and the source. A fault in either part, or
+    a topic in both, gives what the run read in this process gives: the same
+    stderr, exit code and outputs, with the read that names faults run
+    once, here. Where the child sends nothing, this process reads the run
+    whole; where the part before the cut fails, or an interrupt comes, the
+    part after it is stopped with no wait; and no child is made where the
+    run is read whole anyway."""
 
     @pytest.mark.parametrize("fault", ["exits", "killed", "cut off while sending"])
     def test_child_without_a_part(self, tmp_path, monkeypatch, fault):
@@ -1330,38 +1362,72 @@ class TestRunChild:
         assert eval_world(world, tmp_path / "scores.tsv") == 1
         assert reads == []
 
-    @pytest.mark.usefixtures("split_forced")
-    def test_interrupt_stops_the_child(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("case", ["bad line before the cut", "bad line after the cut",
+                                      "topic across the cut"])
+    def test_as_read_here(self, tmp_path, monkeypatch, capsys, case):
         world = cut_world(tmp_path)
-        marker = tmp_path / "child-read"
-        monkeypatch.setattr(ingest, "read_run_part",
-                            in_child(lambda: time.sleep(60), marker, "read_run_part"))
+        lines = list(world.lines)
+        odd = {"bad line before the cut": 2, "bad line after the cut": len(lines) - 2,
+               "topic across the cut": len(lines)}[case]
+        # A field short before the cut; one too many after it; or the first
+        # topic's first doc again at the end, so that the whole run, and only
+        # it, has that doc twice in one topic.
+        lines.insert(odd, {"bad line before the cut": b"t0000 Q0 x 1\n",
+                           "bad line after the cut": b"t0005 Q0 x 1 2.0 a b\n",
+                           "topic across the cut": lines[0]}[case])
+        world.run.write_bytes(b"".join(lines))
+        cut = ingest.run_cut(world.run)
+        assert (sum(map(len, lines[:odd + 1])) <= cut) is (case == "bad line before the cut")
+        assert 0 < cut < world.run.stat().st_size
 
-        def interrupted(path, g_max):
-            raise KeyboardInterrupt
+        monkeypatch.setattr(forking, "child_wanted", lambda: False)
+        assert eval_world(world, tmp_path / "here.tsv") == 1
+        want = capsys.readouterr().err
+        assert want.startswith(f"1 parse error(s) in {world.run}:\n{world.run}:{odd + 1}: ")
+        monkeypatch.setattr(forking, "child_wanted", lambda: True)
+        parts_here = split_reads(monkeypatch, tmp_path, "read_run_part")
+        reads = exact_run_reads(monkeypatch, tmp_path)
+        assert eval_world(world, tmp_path / "split.tsv") == 1
+        assert capsys.readouterr().err == want
+        assert not (tmp_path / "split.tsv").exists()
+        assert reads == [world.run]
+        assert not (tmp_path / "child-exact").exists()
+        assert (tmp_path / "back-read").exists()
+        assert parts_here == []
 
-        monkeypatch.setattr(ingest, "parse_qrels", interrupted)
-        started = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            eval_world(world, tmp_path / "scores.tsv")
-        assert time.monotonic() - started < 30
-        assert marker.exists()
+    def test_valid_run_read_in_parts(self, tmp_path, monkeypatch):
+        world = cut_world(tmp_path)
+        monkeypatch.setattr(forking, "child_wanted", lambda: False)
+        assert eval_world(world, tmp_path / "here.tsv") == 0
+        monkeypatch.setattr(forking, "child_wanted", lambda: True)
+        parts_here = split_reads(monkeypatch, tmp_path, "read_run_part")
+        reads = run_reads(monkeypatch)
+        assert eval_world(world, tmp_path / "split.tsv") == 0
+        assert reads == [] and parts_here == []
+        assert (tmp_path / "front-read").exists() and (tmp_path / "back-read").exists()
+        assert (tmp_path / "split.tsv").read_bytes() == (tmp_path / "here.tsv").read_bytes()
+
+    @pytest.mark.parametrize("part", ["front", "back"])
+    def test_interrupt_stops_both_parts(self, tmp_path, monkeypatch, part):
+        world = cut_world(tmp_path)
+        interrupted_while_read(monkeypatch, tmp_path, "read_run_part", part,
+                               lambda: eval_world(world, tmp_path / "scores.tsv"))
 
     @pytest.mark.usefixtures("split_forced")
     @pytest.mark.parametrize("case", ["wrong field count before the cut", "interleaved"])
     def test_part_before_the_cut_failing_stops_the_child(self, tmp_path, monkeypatch, case):
+        # The part after the cut sleeps once it starts; the part before it
+        # fails once both have started, and its child is stopped unread.
         world = cut_world(tmp_path)
         lines, _ = RUN_CASES[case]
         world.run.write_bytes(b"".join(lines(world.lines, world.cut)))
-        marker = tmp_path / "child-read"
-        monkeypatch.setattr(ingest, "read_run_part",
-                            in_child(lambda: time.sleep(60), marker, "read_run_part"))
+        split_reads(monkeypatch, tmp_path, "read_run_part", sleeps=("back",))
         reads = run_reads(monkeypatch)
         started = time.monotonic()
         assert eval_world(world, tmp_path / "scores.tsv") == (1 if case.startswith("wrong") else 0)
         assert time.monotonic() - started < 30
         assert reads == [world.run]
-        assert marker.exists()
+        assert (tmp_path / "back-read").exists()
 
     @pytest.mark.usefixtures("split_forced")
     def test_fork_warning_of_a_threaded_process_ignored(self, tmp_path, monkeypatch):
@@ -1401,6 +1467,75 @@ class TestRunChild:
         assert forks == [] and reads == [world.run]
         if case == "a pipe":
             assert (tmp_path / "scores.tsv").read_bytes() == want.read_bytes()
+
+
+# Each part reader: the join of its parts, where to cut, and a line that is bad.
+SPLIT_READERS = {
+    "run": (ingest.read_run_part, ingest.joined_run, ingest.run_cut, b"t0000 Q0 x 1\n"),
+    "log": (ingest.read_interaction_log, ingest.joined_log, ingest.log_cut, b"{}\n"),
+}
+
+
+def split_input(dest: Path, reader: str) -> Path:
+    """A valid run or log (`reader`) that has a cut."""
+    return cut_world(dest).run if reader == "run" else write_planted_log(dest).log
+
+
+class TestHalves:
+    """`cli._halves`, run in this process for both part readers."""
+
+    @pytest.mark.parametrize("reader", SPLIT_READERS)
+    def test_faulty_front_part_stops_the_back_part(self, tmp_path, reader):
+        # None, with the back part's child stopped and reaped unread; the
+        # fixture `no_child_left` sees it otherwise.
+        read, join, cut_at, bad_line = SPLIT_READERS[reader]
+        path = split_input(tmp_path, reader)
+        path.write_bytes(bad_line + path.read_bytes())
+        cut = cut_at(path)
+        assert cut and read(path, 0, cut) is None and read(path, cut) is not None
+        assert cli._halves(read, join, path, cut) is None
+
+    @pytest.mark.parametrize("reader", SPLIT_READERS)
+    def test_read_whole_without_a_child(self, tmp_path, monkeypatch, reader):
+        read, join, cut_at, _ = SPLIT_READERS[reader]
+        path = split_input(tmp_path, reader)
+        cut = cut_at(path)
+        monkeypatch.setattr(forking.Child, "start", classmethod(lambda cls, work: None))
+        assert cut and cli._halves(read, join, path, cut) == read(path) is not None
+
+
+class TestNoPipe:
+    """Where no pipe can be made, no child is made, as where a fork fails:
+    each command reads everything in this process, with the exit code,
+    stderr and outputs of `child_wanted() == False`."""
+
+    @pytest.mark.parametrize("command", ["eval", "mine"])
+    def test_as_with_no_child(self, tmp_path, monkeypatch, capsys, command):
+        if command == "eval":
+            world = cut_world(tmp_path)
+
+            def run(out: Path) -> dict:
+                code = eval_world(world, out)
+                return {"code": code, "err": capsys.readouterr().err, "out": out.read_bytes()}
+        else:
+            paths = write_planted_log(tmp_path / "planted")
+
+            def run(out: Path) -> dict:
+                code = mine(paths, out)
+                return {"code": code, "err": capsys.readouterr().err, "out": outputs(out)}
+
+        monkeypatch.setattr(forking, "child_wanted", lambda: False)
+        want = run(tmp_path / "no-child")
+        monkeypatch.setattr(forking, "child_wanted", lambda: True)
+
+        def no_pipe():
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+        forks = []
+        monkeypatch.setattr(os, "pipe", no_pipe)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None))
+        assert run(tmp_path / "no-pipe") == want
+        assert want["code"] == 0 and forks == []
 
 
 # --- inputs read from a pipe ---------------------------------------------------
